@@ -8,7 +8,7 @@ The pipeline stages live in their own modules and compose through plain data:
 - metrics: exact match, ANLS, relaxed accuracy, VQA accuracy
 - analysis: perplexity, answer-in-text, context-length reports
 - datasets: QA records, benchmark configs, mixture samplers
-- llmclient: inference endpoint client plus a deterministic mock
+- llmclient: endpoint and mock backends, plus the predict_batch fan-out
 - cli: file-based pipeline commands
 """
 

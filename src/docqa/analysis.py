@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .datasets import DatasetConfig, QARecord
 from .errors import DataError
-from .jsonl import read_stage_records, write_records
+from .jsonl import read_stage_records
 from .metrics import DEFAULT_ANLS_TAU, MetricKind, normalize, score
 from .serialize import SerializedContext
 
@@ -363,10 +363,6 @@ def prediction_from_record(record: Mapping) -> Prediction:
             TokenLogProb(token_text=t["text"], logprob=t["logprob"]) for t in raw_tokens
         )
     return Prediction(example_id=example_id, text=text, tokens=tokens)
-
-
-def save_predictions(path, predictions: Iterable[Prediction]) -> None:
-    write_records(path, (prediction_to_record(p) for p in predictions))
 
 
 def load_predictions(path) -> list[Prediction]:

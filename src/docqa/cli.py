@@ -40,7 +40,7 @@ from .datasets import MixtureKind, MixtureStrategy, load_dataset_configs, load_q
 from .errors import DataError, EndpointError
 from .geometry import corpus_by_id, load_ocr_corpus
 from .jsonl import read_stage_records, write_stage_file
-from .llmclient import HTTPBackend, InferenceRequest, LLMClient, MockBackend
+from .llmclient import HTTPBackend, InferenceRequest, MockBackend, predict_batch
 from .metrics import dataset_score
 from .ordering import (
     OrderStrategy,
@@ -207,10 +207,9 @@ def cmd_serialize(args) -> int:
     if missing:
         raise DataError(f"corpus docs have no order: {missing[:5]}")
 
-    separator = "\n" if args.group_separator == "newline" else " "
     contexts = []
     for doc in docs:
-        ctx = build_context(doc, order_by_doc[doc.doc_id], group_separator=separator)
+        ctx = build_context(doc, order_by_doc[doc.doc_id])
         if budget is not None:
             ctx = truncate_context(ctx, budget)
         contexts.append(ctx)
@@ -221,7 +220,6 @@ def cmd_serialize(args) -> int:
         "seed": args.seed,
         "budget": budget,
         "dataset": args.dataset,
-        "group_separator": args.group_separator,
     }
     out = _out_path(args, "contexts.jsonl")
     header = {
@@ -237,11 +235,15 @@ def cmd_serialize(args) -> int:
     return EXIT_OK
 
 
-def _build_backend(args, records):
+def _build_backend(args, records, requests_batch):
     if args.backend == "mock-echo":
         return MockBackend(rule="echo_last_word")
     if args.backend == "mock-answer-key":
-        key = {r.question: r.answers for r in records}
+        # Keyed by the prompt each record sends, so documents that share a
+        # question keep their own golds; records with identical prompts pool.
+        key: dict[str, list[str]] = {}
+        for record, request in zip(records, requests_batch):
+            key.setdefault(request.prompt, []).extend(record.answers)
         return MockBackend(rule="answer_key", answer_key=key)
     run_config = load_run_config(args.config)
     endpoint = resolve_endpoint(args.endpoint, os.environ, run_config)
@@ -289,8 +291,8 @@ def cmd_predict(args) -> int:
             )
         )
 
-    client = LLMClient(_build_backend(args, records))
-    results = client.predict_batch(requests_batch, max_in_flight=args.parallelism)
+    backend = _build_backend(args, records, requests_batch)
+    results = predict_batch(backend, requests_batch, max_in_flight=args.parallelism)
 
     predictions = []
     failures = 0
@@ -541,10 +543,6 @@ def build_parser() -> _Parser:
     )
     serialize_cmd.add_argument("--dataset", help="dataset whose budget applies")
     serialize_cmd.add_argument("--datasets-config", help="dataset config JSON override")
-    serialize_cmd.add_argument(
-        "--group-separator", choices=["space", "newline"], default="space",
-        help="separator between raster line groups",
-    )
     serialize_cmd.set_defaults(func=cmd_serialize)
 
     predict = sub.add_parser(

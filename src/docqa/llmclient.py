@@ -1,4 +1,5 @@
-"""Client for a text-completion endpoint, plus a deterministic mock.
+"""Backends for a text-completion endpoint (HTTP and a deterministic
+mock), plus predict_batch, which fans a batch out to one of them.
 
 The wire protocol is one JSON POST per completion: the request carries
 {"prompt", "max_new_tokens", "logprobs"} and the response {"text",
@@ -89,9 +90,11 @@ class MockBackend:
 
     Rules: "echo_last_word" answers with the final context word, which
     makes serialization order visible in the output; "answer_key"
-    answers a question with its gold answer when that answer appears
-    contiguously in the context and "unknown" otherwise, imitating a
-    reader that can only copy evidence it was actually given.
+    looks the full prompt up in the answer key and answers with the
+    first of its gold answers that appears contiguously in the context,
+    or "unknown" when none does, imitating a reader that can only copy
+    evidence it was actually given. Keying by prompt rather than by
+    question keeps two documents that ask the same question apart.
     """
 
     def __init__(
@@ -110,19 +113,19 @@ class MockBackend:
         self.token_logprob = float(token_logprob)
         self.model_id = model_id
 
-    def _answer(self, context_text: str, question: str) -> str:
+    def _answer(self, prompt: str) -> str:
+        context_text, _ = parse_prompt(prompt)
         if self.rule == "echo_last_word":
             words = context_text.split()
             return words[-1] if words else ""
         context_words = normalize(context_text).split()
-        for gold in self.answer_key.get(question, ()):
+        for gold in self.answer_key.get(prompt, ()):
             if _contains_phrase(context_words, normalize(gold).split()):
                 return gold
         return "unknown"
 
     def complete(self, request: InferenceRequest) -> InferenceResponse:
-        context_text, question = parse_prompt(request.prompt)
-        pieces = _pieces(self._answer(context_text, question))
+        pieces = _pieces(self._answer(request.prompt))
         pieces = pieces[: request.max_new_tokens]
         text = "".join(pieces)
         tokens = None
@@ -208,35 +211,27 @@ class HTTPBackend:
             raise EndpointError(f"malformed endpoint response: {exc}") from exc
 
 
-class LLMClient:
-    """Fans requests out to a backend with bounded concurrency."""
+def predict_batch(
+    backend,
+    requests_batch: Sequence[InferenceRequest],
+    max_in_flight: int = 1,
+) -> list[InferenceResponse | EndpointError]:
+    """Complete a batch on `backend` with at most `max_in_flight` requests
+    outstanding, responses aligned with requests.
 
-    def __init__(self, backend) -> None:
-        self.backend = backend
+    An endpoint failure occupies its slot in the result list so one bad
+    example cannot sink the rest of the batch.
+    """
+    if max_in_flight < 1:
+        raise ValueError("max_in_flight must be at least 1")
+    if not requests_batch:
+        return []
 
-    def predict(self, request: InferenceRequest) -> InferenceResponse:
-        return self.backend.complete(request)
+    def run(request: InferenceRequest) -> InferenceResponse | EndpointError:
+        try:
+            return backend.complete(request)
+        except EndpointError as exc:
+            return exc
 
-    def predict_batch(
-        self,
-        requests_batch: Sequence[InferenceRequest],
-        max_in_flight: int = 1,
-    ) -> list[InferenceResponse | EndpointError]:
-        """Complete a batch, responses aligned with requests.
-
-        An endpoint failure occupies its slot in the result list so one
-        bad example cannot sink the rest of the batch.
-        """
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        if not requests_batch:
-            return []
-
-        def run(request: InferenceRequest) -> InferenceResponse | EndpointError:
-            try:
-                return self.backend.complete(request)
-            except EndpointError as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            return list(pool.map(run, requests_batch))
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        return list(pool.map(run, requests_batch))

@@ -16,16 +16,15 @@ embarrassingly parallel across documents.
 
 from __future__ import annotations
 
-import bisect
 import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import DataError
 from .geometry import Document, Word
-from .jsonl import read_stage_records, write_records
+from .jsonl import read_stage_records
 
 
 class OrderStrategy(str, Enum):
@@ -51,17 +50,12 @@ class RasterScanParams:
 
 @dataclass(frozen=True)
 class ReadingOrder:
-    """A permutation of word indices plus the recipe that produced it.
-
-    line_groups is only populated by raster_scan_order (the permutation split
-    into its lines); it is carried for in-process use and not persisted.
-    """
+    """A permutation of word indices plus the recipe that produced it."""
 
     doc_id: str
     permutation: tuple[int, ...]
     strategy: OrderStrategy
     params: Mapping[str, Any] = field(default_factory=dict)
-    line_groups: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", OrderStrategy(self.strategy))
@@ -71,12 +65,6 @@ class ReadingOrder:
             raise ValueError(
                 f"permutation of doc {self.doc_id!r} is not a bijection on 0..N-1"
             )
-        if self.line_groups is not None:
-            groups = tuple(tuple(g) for g in self.line_groups)
-            object.__setattr__(self, "line_groups", groups)
-            flattened = tuple(i for group in groups for i in group)
-            if flattened != self.permutation:
-                raise ValueError("line_groups do not flatten to the permutation")
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -121,7 +109,7 @@ def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> 
     params = params or RasterScanParams()
     by_seed_priority = sorted(doc.words, key=_seed_key)
     taken: set[int] = set()
-    groups: list[tuple[int, ...]] = []
+    permutation: list[int] = []
     for seed in by_seed_priority:
         if seed.index in taken:
             continue
@@ -134,13 +122,12 @@ def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> 
         ]
         line.sort(key=lambda word: (word.box.centroid_x, word.index))
         taken.update(word.index for word in line)
-        groups.append(tuple(word.index for word in line))
+        permutation.extend(word.index for word in line)
     return ReadingOrder(
         doc_id=doc.doc_id,
-        permutation=tuple(i for group in groups for i in group),
+        permutation=tuple(permutation),
         strategy=OrderStrategy.RASTER_SCAN,
         params={"line_threshold_factor": params.line_threshold_factor},
-        line_groups=tuple(groups),
     )
 
 
@@ -163,31 +150,6 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
         strategy=OrderStrategy.SHUFFLED,
         params={"seed": seed},
     )
-
-
-def order_distance(a: ReadingOrder, b: ReadingOrder) -> int:
-    """Kendall-tau distance: how many word pairs the two orders disagree on."""
-    if a.doc_id != b.doc_id:
-        raise DataError(f"orders compare different docs: {a.doc_id!r} vs {b.doc_id!r}")
-    if len(a.permutation) != len(b.permutation):
-        raise DataError(
-            f"doc {a.doc_id!r}: permutation lengths differ "
-            f"({len(a.permutation)} vs {len(b.permutation)})"
-        )
-    position_in_a = {word: rank for rank, word in enumerate(a.permutation)}
-    sequence = [position_in_a[word] for word in b.permutation]
-    # Count inversions by insertion into a sorted prefix.
-    seen: list[int] = []
-    discordant = 0
-    for value in sequence:
-        slot = bisect.bisect_left(seen, value)
-        discordant += len(seen) - slot
-        bisect.insort(seen, value)
-    return discordant
-
-
-def save_orders(path: str | os.PathLike[str], orders: Iterable[ReadingOrder]) -> None:
-    write_records(path, (o.to_record() for o in orders))
 
 
 def load_orders(path: str | os.PathLike[str]) -> list[ReadingOrder]:

@@ -5,58 +5,23 @@ order. The prompt wraps it in the fixed template
 
     Context: <context> Question: <question> Answer:
 
-and stays byte-identical for identical inputs. Token budgets are enforced by
-keeping the longest prefix of whole words that fits; a word is never split.
+and stays byte-identical for identical inputs. A token budget counts
+whitespace-separated tokens, so an OCR word with an internal space such as
+"new york" counts as two. Budgets are enforced by keeping the longest prefix
+of whole words that fits; a word is never split.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from .errors import DataError
 from .geometry import Document
-from .jsonl import read_stage_records, write_records
-from .ordering import OrderStrategy, ReadingOrder
-
-
-class TokenizerKind(str, Enum):
-    WHITESPACE = "whitespace"
-    EXTERNAL = "external"
-
-
-@dataclass(frozen=True)
-class TokenizerSpec:
-    """Counting rule for budget enforcement.
-
-    The whitespace kind counts whitespace-separated pieces and is the default
-    everywhere; real deployments pass their model's tokenizer as a counting
-    function via external(). External counters are assumed monotone in the
-    text prefix, which is how budget search stays logarithmic.
-    """
-
-    kind: TokenizerKind = TokenizerKind.WHITESPACE
-    count_fn: Callable[[str], int] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", TokenizerKind(self.kind))
-        if self.kind is TokenizerKind.EXTERNAL and self.count_fn is None:
-            raise ValueError("external tokenizer needs a counting function")
-
-    @classmethod
-    def external(cls, count_fn: Callable[[str], int]) -> "TokenizerSpec":
-        return cls(kind=TokenizerKind.EXTERNAL, count_fn=count_fn)
-
-    def count(self, text: str) -> int:
-        if self.kind is TokenizerKind.WHITESPACE:
-            return len(text.split())
-        return int(self.count_fn(text))
-
-
-WHITESPACE = TokenizerSpec()
+from .jsonl import read_stage_records
+from .ordering import ReadingOrder
 
 
 @dataclass(frozen=True)
@@ -71,14 +36,11 @@ class SerializedContext:
 
     doc_id: str
     text: str
-    order_strategy: OrderStrategy | None
     token_count: int
     pieces: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.order_strategy is not None:
-            object.__setattr__(self, "order_strategy", OrderStrategy(self.order_strategy))
         if not isinstance(self.token_count, int) or self.token_count < 0:
             raise ValueError(f"token_count must be a non-negative integer, got {self.token_count!r}")
         if not self.pieces and self.text:
@@ -94,20 +56,8 @@ class SerializedContext:
                 )
 
 
-def build_context(
-    doc: Document,
-    order: ReadingOrder,
-    tokenizer: TokenizerSpec = WHITESPACE,
-    *,
-    group_separator: str = " ",
-) -> SerializedContext:
-    """Join word texts in permutation order with single spaces.
-
-    group_separator applies only when the order carries raster line groups;
-    passing "\\n" joins lines with newlines instead of spaces (words within a
-    line always keep single spaces). This variant is for experimentation and
-    is not what the contexts file format round-trips.
-    """
+def build_context(doc: Document, order: ReadingOrder) -> SerializedContext:
+    """Join word texts in permutation order with single spaces."""
     if order.doc_id != doc.doc_id:
         raise DataError(f"order doc_id {order.doc_id!r} does not match doc {doc.doc_id!r}")
     if len(order.permutation) != len(doc.words):
@@ -116,32 +66,16 @@ def build_context(
             f"document has {len(doc.words)}"
         )
     pieces = tuple(doc.words[i].text for i in order.permutation)
-    if order.line_groups is not None and group_separator != " ":
-        lines = (
-            " ".join(doc.words[i].text for i in group) for group in order.line_groups
-        )
-        text = group_separator.join(lines)
-    else:
-        text = " ".join(pieces)
+    text = " ".join(pieces)
     return SerializedContext(
         doc_id=doc.doc_id,
         text=text,
-        order_strategy=order.strategy,
-        token_count=tokenizer.count(text),
+        token_count=len(text.split()),
         pieces=pieces,
     )
 
 
-def _prefix_text(ctx: SerializedContext, piece_count: int) -> str:
-    if piece_count == 0:
-        return ""
-    end = sum(len(p) for p in ctx.pieces[:piece_count]) + piece_count - 1
-    return ctx.text[:end]
-
-
-def truncate_context(
-    ctx: SerializedContext, budget: int, tokenizer: TokenizerSpec = WHITESPACE
-) -> SerializedContext:
+def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
     """Longest prefix of whole words whose token count fits the budget.
 
     Idempotent; an already-fitting context is returned unchanged. When even
@@ -150,28 +84,18 @@ def truncate_context(
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
-    total = tokenizer.count(ctx.text)
+    total = len(ctx.text.split())
     if total <= budget:
         return ctx if ctx.token_count == total else dataclasses.replace(ctx, token_count=total)
-    if tokenizer.kind is TokenizerKind.WHITESPACE:
-        # Whitespace counts are additive over pieces, so accumulate directly.
-        kept = 0
-        running = 0
-        for piece in ctx.pieces:
-            running += tokenizer.count(piece)
-            if running > budget:
-                break
-            kept += 1
-    else:
-        low, high = 0, len(ctx.pieces)
-        while low < high:
-            mid = (low + high + 1) // 2
-            if tokenizer.count(_prefix_text(ctx, mid)) <= budget:
-                low = mid
-            else:
-                high = mid - 1
-        kept = low
-    text = _prefix_text(ctx, kept)
+    # Whitespace counts are additive over pieces, so accumulate directly.
+    kept = 0
+    running = 0
+    for piece in ctx.pieces:
+        running += len(piece.split())
+        if running > budget:
+            break
+        kept += 1
+    text = " ".join(ctx.pieces[:kept])
     warnings = ctx.warnings
     if kept == 0 and ctx.pieces:
         warnings = warnings + (
@@ -181,7 +105,7 @@ def truncate_context(
     return dataclasses.replace(
         ctx,
         text=text,
-        token_count=tokenizer.count(text),
+        token_count=len(text.split()),
         pieces=ctx.pieces[:kept],
         warnings=warnings,
     )
@@ -240,13 +164,7 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
         token_count = record["token_count"]
     except KeyError as exc:
         raise ValueError(f"context record is missing {exc.args[0]!r}") from exc
-    return SerializedContext(
-        doc_id=doc_id, text=text, order_strategy=None, token_count=token_count
-    )
-
-
-def save_contexts(path: str | os.PathLike[str], contexts: Iterable[SerializedContext]) -> None:
-    write_records(path, (context_to_record(c) for c in contexts))
+    return SerializedContext(doc_id=doc_id, text=text, token_count=token_count)
 
 
 def load_contexts(path: str | os.PathLike[str]) -> list[SerializedContext]:

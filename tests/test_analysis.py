@@ -14,15 +14,15 @@ from docqa.analysis import (
     is_correct,
     load_predictions,
     order_sensitivity_report,
+    prediction_to_record,
     reading_order_perplexity,
-    save_predictions,
     split_by_correctness,
     zero_shot_perplexity,
 )
 from docqa.datasets import DatasetConfig, QARecord
 from docqa.errors import DataError
+from docqa.jsonl import write_stage_file
 from docqa.metrics import MetricKind
-from docqa.ordering import OrderStrategy
 from docqa.serialize import SerializedContext
 
 
@@ -328,7 +328,6 @@ class TestEvaluateRows:
             SerializedContext(
                 doc_id="d0",
                 text="total 42 due in paris",
-                order_strategy=OrderStrategy.STANDARD,
                 token_count=5,
             )
         ]
@@ -412,7 +411,9 @@ class TestPredictionsFile:
             Prediction(example_id="e1", text="c", tokens=None),
             Prediction(example_id="e2", text="", tokens=None, error="timed out"),
         ]
-        save_predictions(path, predictions)
+        write_stage_file(
+            path, {"config_digest": "0"}, (prediction_to_record(p) for p in predictions)
+        )
         loaded = load_predictions(path)
         assert loaded == predictions
 

@@ -212,6 +212,31 @@ class TestPredictCommand:
         for record in bench["qa_records"]:
             assert preds[record["example_id"]].text == record["answers"][0]
 
+    def test_mock_answer_key_keeps_shared_questions_apart(self, bench):
+        # Docs 0 and 1 ask the same question; each gold sits only in its own doc.
+        qa = bench["qa_records"]
+        qa[0]["question"] = qa[2]["question"] = "what is the total?"
+        write_records(bench["qa"], qa)
+        paths = run_pipeline(bench)
+        from docqa.analysis import load_predictions
+
+        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])}
+        assert preds[qa[0]["example_id"]] == qa[0]["answers"][0]
+        assert preds[qa[2]["example_id"]] == qa[2]["answers"][0]
+
+    def test_mock_answer_key_pools_golds_of_identical_prompts(self, bench):
+        # Two questions on doc 0 become one prompt; both golds sit in the
+        # context, so both examples get the first gold of the pooled key.
+        qa = bench["qa_records"]
+        qa[0]["question"] = qa[1]["question"] = "what is written first?"
+        write_records(bench["qa"], qa)
+        paths = run_pipeline(bench)
+        from docqa.analysis import load_predictions
+
+        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])}
+        assert preds[qa[0]["example_id"]] == qa[0]["answers"][0]
+        assert preds[qa[1]["example_id"]] == qa[0]["answers"][0]
+
     def test_no_logprobs_flag(self, bench):
         d = bench["dir"]
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",

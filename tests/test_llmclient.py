@@ -13,16 +13,14 @@ from docqa.llmclient import (
     HTTPBackend,
     InferenceRequest,
     InferenceResponse,
-    LLMClient,
     MockBackend,
+    predict_batch,
 )
 from docqa.serialize import SerializedContext, build_prompt
 
 
 def prompt_for(context_text, question):
-    ctx = SerializedContext(
-        doc_id="d", text=context_text, order_strategy=None, token_count=0
-    )
+    ctx = SerializedContext(doc_id="d", text=context_text, token_count=0)
     return build_prompt(ctx, question).text
 
 
@@ -83,46 +81,57 @@ class TestMockEcho:
         assert response.tokens is None
 
 
+def answer_key_backend(context_text, golds):
+    """A mock whose key gives each question, asked of context_text, its golds."""
+    key = {prompt_for(context_text, question): answers for question, answers in golds.items()}
+    return MockBackend(rule="answer_key", answer_key=key)
+
+
 class TestMockAnswerKey:
-    def make_backend(self):
-        key = {
-            "total?": ("42",),
-            "city?": ("new york", "nyc"),
-            "season?": ("spring",),
-        }
-        return MockBackend(rule="answer_key", answer_key=key)
+    GOLDS = {
+        "total?": ("42",),
+        "city?": ("new york", "nyc"),
+        "season?": ("spring",),
+    }
+
+    def ask(self, context_text, question):
+        backend = answer_key_backend(context_text, self.GOLDS)
+        return backend.complete(request_for(context_text, question))
 
     def test_answers_when_gold_is_in_context(self):
-        backend = self.make_backend()
-        response = backend.complete(request_for("total due 42 dollars", "total?"))
+        response = self.ask("total due 42 dollars", "total?")
         assert response.text == "42"
 
     def test_unknown_when_gold_absent(self):
-        backend = self.make_backend()
-        response = backend.complete(request_for("no numbers here", "total?"))
+        response = self.ask("no numbers here", "total?")
         assert response.text == "unknown"
 
     def test_multiword_gold_needs_adjacent_words(self):
-        backend = self.make_backend()
-        found = backend.complete(request_for("flights to new york", "city?"))
+        found = self.ask("flights to new york", "city?")
         assert found.text == "new york"
-        split = backend.complete(request_for("new haven and york", "city?"))
+        split = self.ask("new haven and york", "city?")
         assert split.text == "unknown"
 
     def test_later_gold_can_match(self):
-        backend = self.make_backend()
-        response = backend.complete(request_for("gate b nyc departures", "city?"))
+        response = self.ask("gate b nyc departures", "city?")
         assert response.text == "nyc"
 
     def test_match_ignores_case(self):
-        backend = self.make_backend()
-        response = backend.complete(request_for("Arrived in New York today", "city?"))
+        response = self.ask("Arrived in New York today", "city?")
         assert response.text == "new york"
 
     def test_unlisted_question_is_unknown(self):
-        backend = self.make_backend()
-        response = backend.complete(request_for("anything", "color?"))
+        response = self.ask("anything", "color?")
         assert response.text == "unknown"
+
+    def test_same_question_on_two_contexts_keeps_each_gold(self):
+        key = {
+            prompt_for("total due 42", "total?"): ("42",),
+            prompt_for("total due 17", "total?"): ("17",),
+        }
+        backend = MockBackend(rule="answer_key", answer_key=key)
+        assert backend.complete(request_for("total due 42", "total?")).text == "42"
+        assert backend.complete(request_for("total due 17", "total?")).text == "17"
 
     def test_rule_name_validated(self):
         with pytest.raises(ValueError, match="rule"):
@@ -132,20 +141,20 @@ class TestMockAnswerKey:
 class TestMockTokens:
     def test_pieces_concatenate_to_text(self):
         # A multiword answer exercises the spacing convention.
-        backend = MockBackend(rule="answer_key", answer_key={"q?": ("one two three",)})
+        backend = answer_key_backend("one two three", {"q?": ("one two three",)})
         response = backend.complete(request_for("one two three", "q?"))
         assert [t.token_text for t in response.tokens] == ["one", " two", " three"]
         assert "".join(t.token_text for t in response.tokens) == response.text
 
     def test_default_logprob_gives_rop_two(self):
-        backend = MockBackend(rule="answer_key", answer_key={"q?": ("a b",)})
+        backend = answer_key_backend("a b", {"q?": ("a b",)})
         response = backend.complete(request_for("a b", "q?"))
         assert len(response.tokens) == 2
         assert all(t.logprob == pytest.approx(-math.log(2)) for t in response.tokens)
         assert reading_order_perplexity(response.tokens) == pytest.approx(2.0)
 
     def test_max_new_tokens_truncates(self):
-        backend = MockBackend(rule="answer_key", answer_key={"q?": ("one two three",)})
+        backend = answer_key_backend("one two three", {"q?": ("one two three",)})
         response = backend.complete(request_for("one two three", "q?", max_new_tokens=2))
         assert response.text == "one two"
         assert len(response.tokens) == 2
@@ -167,46 +176,37 @@ class FlakyBackend:
 class TestClientBatch:
     def test_sequential_batch_preserves_order(self):
         backend = MockBackend(rule="echo_last_word")
-        client = LLMClient(backend)
         reqs = [request_for(f"w{i}", "q?") for i in range(10)]
-        responses = client.predict_batch(reqs, max_in_flight=1)
+        responses = predict_batch(backend, reqs, max_in_flight=1)
         assert [r.text for r in responses] == [f"w{i}" for i in range(10)]
 
     def test_concurrent_batch_preserves_order(self):
         backend = MockBackend(rule="echo_last_word")
-        client = LLMClient(backend)
         reqs = [request_for(f"w{i}", "q?") for i in range(20)]
-        responses = client.predict_batch(reqs, max_in_flight=4)
+        responses = predict_batch(backend, reqs, max_in_flight=4)
         assert [r.text for r in responses] == [f"w{i}" for i in range(20)]
 
     def test_failures_reported_in_place(self):
-        client = LLMClient(FlakyBackend())
         reqs = [
             request_for("fine", "q?"),
             request_for("poison pill", "q?"),
             request_for("also fine", "q?"),
         ]
-        results = client.predict_batch(reqs, max_in_flight=2)
+        results = predict_batch(FlakyBackend(), reqs, max_in_flight=2)
         assert results[0].text == "ok"
         assert isinstance(results[1], EndpointError)
         assert results[2].text == "ok"
 
     def test_repeat_batches_identical(self):
         backend = MockBackend(rule="echo_last_word")
-        client = LLMClient(backend)
         reqs = [request_for(f"w{i}", "q?") for i in range(5)]
-        assert client.predict_batch(reqs, max_in_flight=3) == client.predict_batch(
-            reqs, max_in_flight=3
+        assert predict_batch(backend, reqs, max_in_flight=3) == predict_batch(
+            backend, reqs, max_in_flight=3
         )
 
     def test_max_in_flight_validated(self):
-        client = LLMClient(MockBackend(rule="echo_last_word"))
         with pytest.raises(ValueError):
-            client.predict_batch([], max_in_flight=0)
-
-    def test_predict_single(self):
-        client = LLMClient(MockBackend(rule="echo_last_word"))
-        assert client.predict(request_for("a b", "q?")).text == "b"
+            predict_batch(MockBackend(rule="echo_last_word"), [], max_in_flight=0)
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):

@@ -1,22 +1,18 @@
-import itertools
 import math
-import random
 
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
 from docqa.geometry import BoundingBox, Document, Word
+from docqa.jsonl import write_stage_file
 from docqa.ordering import (
     OrderStrategy,
     RasterScanParams,
     ReadingOrder,
     load_orders,
-    order_distance,
     raster_scan_order,
-    save_orders,
     shuffled_order,
     standard_order,
 )
@@ -96,7 +92,6 @@ class TestRasterScan:
         assert list(narrow.permutation) == [0, 1, 2, 3]
         # One giant line sorts by centroid_x alone, interleaving the rows.
         assert list(wide.permutation) == [0, 2, 1, 3]
-        assert len(wide.line_groups) == 1
 
     def test_input_order_invariance(self):
         base = grid_layout("g", rows=3, cols=4)
@@ -111,13 +106,6 @@ class TestRasterScan:
         expected = list(raster_scan_order(base).permutation)
         for factor in (0.5, 2.0, 4.0):
             assert list(raster_scan_order(scaled_copy(base, factor)).permutation) == expected
-
-    def test_line_groups_flatten_to_permutation(self):
-        doc = grid_layout("g", rows=2, cols=3)
-        order = raster_scan_order(doc)
-        assert order.line_groups is not None
-        flattened = [i for group in order.line_groups for i in group]
-        assert flattened == list(order.permutation)
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -162,68 +150,13 @@ class TestShuffledOrder:
             assert abs(count - draws * p) <= 5 * sigma, perm
 
 
-def brute_force_kendall(perm_a, perm_b):
-    pos_a = {v: i for i, v in enumerate(perm_a)}
-    pos_b = {v: i for i, v in enumerate(perm_b)}
-    discordant = 0
-    for x, y in itertools.combinations(perm_a, 2):
-        if (pos_a[x] - pos_a[y]) * (pos_b[x] - pos_b[y]) < 0:
-            discordant += 1
-    return discordant
-
-
-def make_order(perm, doc_id="d0"):
+def make_order(perm):
     return ReadingOrder(
-        doc_id=doc_id,
+        doc_id="d0",
         permutation=tuple(perm),
         strategy=OrderStrategy.SHUFFLED,
         params={"seed": 0},
     )
-
-
-class TestOrderDistance:
-    def test_identical_orders(self):
-        assert order_distance(make_order([0, 1, 2]), make_order([0, 1, 2])) == 0
-
-    def test_full_reversal_three_items(self):
-        # All 3 pairs disagree.
-        assert order_distance(make_order([0, 1, 2]), make_order([2, 1, 0])) == 3
-
-    def test_single_swap(self):
-        assert order_distance(make_order([0, 1]), make_order([1, 0])) == 1
-
-    def test_mismatched_doc_id_rejected(self):
-        with pytest.raises(DataError, match="doc"):
-            order_distance(make_order([0, 1]), make_order([0, 1], doc_id="other"))
-
-    def test_mismatched_length_rejected(self):
-        with pytest.raises(DataError, match="length"):
-            order_distance(make_order([0, 1]), make_order([0, 1, 2]))
-
-    def test_matches_brute_force_on_random_permutations(self):
-        rng = random.Random(3)
-        for n in (2, 3, 5, 8, 13, 30):
-            for _ in range(10):
-                a = list(range(n))
-                b = list(range(n))
-                rng.shuffle(a)
-                rng.shuffle(b)
-                assert order_distance(make_order(a), make_order(b)) == brute_force_kendall(a, b)
-
-    def test_agrees_with_scipy_kendalltau(self):
-        rng = random.Random(9)
-        n = 40
-        a = list(range(n))
-        b = list(range(n))
-        rng.shuffle(a)
-        rng.shuffle(b)
-        pos_a = {v: i for i, v in enumerate(a)}
-        pos_b = {v: i for i, v in enumerate(b)}
-        xs = [pos_a[v] for v in range(n)]
-        ys = [pos_b[v] for v in range(n)]
-        tau = scipy.stats.kendalltau(xs, ys).statistic
-        expected = round((1 - tau) * n * (n - 1) / 4)
-        assert order_distance(make_order(a), make_order(b)) == expected
 
 
 class TestReadingOrderType:
@@ -247,7 +180,7 @@ class TestReadingOrderType:
             shuffled_order(doc, 42),
         ]
         path = tmp_path / "orders.jsonl"
-        save_orders(path, orders)
+        write_stage_file(path, {"config_digest": "0"}, (o.to_record() for o in orders))
         loaded = load_orders(path)
         assert [o.doc_id for o in loaded] == ["plain", "g", "g"]
         assert [o.strategy for o in loaded] == [

@@ -4,17 +4,16 @@ from hypothesis import strategies as st
 
 from docqa.errors import DataError
 from docqa.geometry import BoundingBox, Document, Word
-from docqa.ordering import OrderStrategy, raster_scan_order, shuffled_order, standard_order
+from docqa.jsonl import write_stage_file
+from docqa.ordering import shuffled_order, standard_order
 from docqa.serialize import (
-    WHITESPACE,
     Prompt,
     SerializedContext,
-    TokenizerSpec,
     build_context,
     build_prompt,
+    context_to_record,
     load_contexts,
     parse_prompt,
-    save_contexts,
     truncate_context,
 )
 
@@ -33,7 +32,6 @@ class TestBuildContext:
         ctx = build_context(doc, standard_order(doc))
         assert ctx.text == "Hello World"
         assert ctx.token_count == 2
-        assert ctx.order_strategy is OrderStrategy.STANDARD
 
     def test_swapped_order(self):
         doc = doc_with_texts(["Hello", "World"])
@@ -62,21 +60,6 @@ class TestBuildContext:
         with pytest.raises(DataError):
             build_context(doc, order)
 
-    def test_newline_between_raster_line_groups(self):
-        # Two rows of two words; the experimental separator joins lines with
-        # newlines while words within a line keep single spaces.
-        words = [
-            Word(index=0, text="a", box=BoundingBox(0, 0, 4, 4)),
-            Word(index=1, text="b", box=BoundingBox(10, 0, 14, 4)),
-            Word(index=2, text="c", box=BoundingBox(0, 20, 4, 24)),
-            Word(index=3, text="d", box=BoundingBox(10, 20, 14, 24)),
-        ]
-        doc = Document(doc_id="d0", words=words, provided_order_is_reading_order=False)
-        order = raster_scan_order(doc)
-        ctx = build_context(doc, order, group_separator="\n")
-        assert ctx.text == "a b\nc d"
-        assert ctx.token_count == 4
-
     @given(texts=st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=6), max_size=10))
     def test_identity_order_preserves_input_join(self, texts):
         doc = doc_with_texts(texts)
@@ -92,32 +75,32 @@ class TestTruncate:
 
     def test_prefix_kept(self):
         ctx = self.make_ctx(["a", "b", "c", "d"])
-        out = truncate_context(ctx, 3, WHITESPACE)
+        out = truncate_context(ctx, 3)
         assert out.text == "a b c"
         assert out.token_count == 3
 
     def test_under_budget_unchanged(self):
         ctx = self.make_ctx([f"w{i}" for i in range(10)])
-        out = truncate_context(ctx, 1024, WHITESPACE)
+        out = truncate_context(ctx, 1024)
         assert out is ctx
 
     def test_idempotent(self):
         ctx = self.make_ctx([f"w{i}" for i in range(8)])
-        once = truncate_context(ctx, 3, WHITESPACE)
-        twice = truncate_context(once, 3, WHITESPACE)
+        once = truncate_context(ctx, 3)
+        twice = truncate_context(once, 3)
         assert twice is once
 
     def test_never_splits_a_word(self):
         # "new york" is one OCR word carrying an internal space: two
         # whitespace tokens that cannot be halved.
         ctx = self.make_ctx(["new york", "city"])
-        out = truncate_context(ctx, 1, WHITESPACE)
+        out = truncate_context(ctx, 1)
         assert out.text == ""
         assert out.warnings
 
     def test_single_over_budget_word_yields_empty_with_warning(self):
         ctx = self.make_ctx(["alpha beta gamma"])
-        out = truncate_context(ctx, 2, WHITESPACE)
+        out = truncate_context(ctx, 2)
         assert out.text == ""
         assert out.token_count == 0
         assert any("budget" in w for w in out.warnings)
@@ -125,27 +108,7 @@ class TestTruncate:
     def test_budget_must_be_positive(self):
         ctx = self.make_ctx(["a"])
         with pytest.raises(ValueError):
-            truncate_context(ctx, 0, WHITESPACE)
-
-    def test_external_tokenizer(self):
-        # Character counting: "aaa bb c" is 8 characters.
-        chars = TokenizerSpec.external(len)
-        ctx = self.make_ctx(["aaa", "bb", "c"])
-        out = truncate_context(ctx, 6, chars)
-        assert out.text == "aaa bb"
-        assert out.token_count == 6
-
-    def test_newline_separators_survive_truncation(self):
-        words = [
-            Word(index=0, text="a", box=BoundingBox(0, 0, 4, 4)),
-            Word(index=1, text="b", box=BoundingBox(10, 0, 14, 4)),
-            Word(index=2, text="c", box=BoundingBox(0, 20, 4, 24)),
-            Word(index=3, text="d", box=BoundingBox(10, 20, 14, 24)),
-        ]
-        doc = Document(doc_id="d0", words=words, provided_order_is_reading_order=False)
-        ctx = build_context(doc, raster_scan_order(doc), group_separator="\n")
-        out = truncate_context(ctx, 3, WHITESPACE)
-        assert out.text == "a b\nc"
+            truncate_context(ctx, 0)
 
     @given(
         texts=st.lists(st.text(alphabet="abc", min_size=1, max_size=4), max_size=8),
@@ -153,8 +116,8 @@ class TestTruncate:
     )
     def test_idempotence_property(self, texts, budget):
         ctx = self.make_ctx(texts)
-        once = truncate_context(ctx, budget, WHITESPACE)
-        twice = truncate_context(once, budget, WHITESPACE)
+        once = truncate_context(ctx, budget)
+        twice = truncate_context(once, budget)
         assert twice.text == once.text
         assert twice.token_count == once.token_count
 
@@ -162,33 +125,33 @@ class TestTruncate:
 class TestPrompt:
     def test_template(self):
         ctx = SerializedContext(
-            doc_id="d0", text="x y", order_strategy=OrderStrategy.STANDARD, token_count=2
+            doc_id="d0", text="x y", token_count=2
         )
         prompt = build_prompt(ctx, "what?")
         assert prompt.text == "Context: x y Question: what? Answer:"
 
     def test_empty_context_keeps_double_space(self):
         ctx = SerializedContext(
-            doc_id="d0", text="", order_strategy=OrderStrategy.STANDARD, token_count=0
+            doc_id="d0", text="", token_count=0
         )
         assert build_prompt(ctx, "q").text == "Context:  Question: q Answer:"
 
     def test_empty_question_rejected(self):
         ctx = SerializedContext(
-            doc_id="d0", text="x", order_strategy=OrderStrategy.STANDARD, token_count=1
+            doc_id="d0", text="x", token_count=1
         )
         with pytest.raises(DataError):
             build_prompt(ctx, "")
 
     def test_byte_identical_across_runs(self):
         ctx = SerializedContext(
-            doc_id="d0", text="x y", order_strategy=OrderStrategy.STANDARD, token_count=2
+            doc_id="d0", text="x y", token_count=2
         )
         assert build_prompt(ctx, "q?").text == build_prompt(ctx, "q?").text
 
     def test_template_invariant_enforced(self):
         ctx = SerializedContext(
-            doc_id="d0", text="x", order_strategy=OrderStrategy.STANDARD, token_count=1
+            doc_id="d0", text="x", token_count=1
         )
         with pytest.raises(ValueError):
             Prompt(text="freeform", question="q", context=ctx)
@@ -201,8 +164,7 @@ class TestPrompt:
         ctx = SerializedContext(
             doc_id="d0",
             text=context_text,
-            order_strategy=OrderStrategy.STANDARD,
-            token_count=WHITESPACE.count(context_text),
+            token_count=len(context_text.split()),
         )
         prompt = build_prompt(ctx, question)
         parsed_context, parsed_question = parse_prompt(prompt.text)
@@ -219,7 +181,7 @@ class TestContextsFile:
         doc = doc_with_texts(["Hello", "World"])
         ctx = build_context(doc, standard_order(doc))
         path = tmp_path / "contexts.jsonl"
-        save_contexts(path, [ctx])
+        write_stage_file(path, {"config_digest": "0"}, [context_to_record(ctx)])
         loaded = load_contexts(path)
         assert len(loaded) == 1
         assert loaded[0].doc_id == "d0"
