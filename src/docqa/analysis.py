@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .datasets import DatasetConfig, QARecord
 from .errors import DataError
-from .jsonl import read_stage_records
-from .metrics import DEFAULT_ANLS_TAU, MetricKind, normalize, score
+from .jsonl import parse_rows, read_stage_records
+from .metrics import DEFAULT_ANLS_TAU, MetricKind, contains_words, score
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
@@ -152,12 +152,12 @@ def zero_shot_perplexity(rows: Sequence[EvalRow]) -> PerplexityStats:
 
 
 def answer_in_text(answers: Sequence[str], context_text: str) -> bool:
-    """True when any gold answer occurs as a substring of the context,
-    both sides normalized."""
+    """True when any gold answer is a span a reader could copy from the
+    context: a run of whole words, both sides normalized (see
+    metrics.contains_words)."""
     if not answers:
         raise DataError("answers must be non-empty")
-    haystack = normalize(context_text)
-    return any(normalize(a) in haystack for a in answers)
+    return any(contains_words(context_text, a) for a in answers)
 
 
 def _records_by_id(records: Iterable[QARecord]) -> dict[str, QARecord]:
@@ -367,16 +367,5 @@ def prediction_from_record(record: Mapping) -> Prediction:
 
 def load_predictions(path) -> list[Prediction]:
     """Read a predictions file, skipping a provenance header if one is present."""
-    out: list[Prediction] = []
-    seen: set[str] = set()
     _, rows = read_stage_records(path)
-    for line_no, record in rows:
-        try:
-            pred = prediction_from_record(record)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{path} line {line_no}: {exc}") from exc
-        if pred.example_id in seen:
-            raise DataError(f"{path} line {line_no}: duplicate example {pred.example_id!r}")
-        seen.add(pred.example_id)
-        out.append(pred)
-    return out
+    return parse_rows(path, rows, prediction_from_record, "example_id")

@@ -39,7 +39,7 @@ from .analysis import (
 from .datasets import MixtureKind, MixtureStrategy, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
 from .geometry import corpus_by_id, load_ocr_corpus
-from .jsonl import read_stage_records, write_stage_file
+from .jsonl import parse_rows, read_header, read_stage_records, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -159,11 +159,23 @@ def _dataset_config(args):
     return configs[args.dataset]
 
 
+def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
+    """Write a stage file whose header digests the run seed plus `settings`."""
+    out = _out_path(args, default_name)
+    header = {
+        "config_digest": config_digest({"stage": stage, "seed": args.seed, **settings}),
+        "stage": stage,
+        "seed": derive_seed(args.seed, stage),
+        **fields,
+    }
+    write_stage_file(out, header, rows)
+    return out
+
+
 def cmd_order(args) -> int:
     docs = load_ocr_corpus(args.corpus)
     stage_seed = derive_seed(args.seed, "order")
-    settings = {"stage": "order", "strategy": args.strategy, "seed": args.seed}
-    orders = []
+    settings = {"strategy": args.strategy}
     if args.strategy == "standard":
         orders = [standard_order(doc) for doc in docs]
     elif args.strategy == "raster_scan":
@@ -176,13 +188,9 @@ def cmd_order(args) -> int:
         orders = [
             shuffled_order(doc, derive_seed(stage_seed, doc.doc_id)) for doc in docs
         ]
-    out = _out_path(args, "orders.jsonl")
-    header = {
-        "config_digest": config_digest(settings),
-        "stage": "order",
-        "seed": stage_seed,
-    }
-    write_stage_file(out, header, (o.to_record() for o in orders))
+    out = _write_stage(
+        args, "order", "orders.jsonl", settings, (o.to_record() for o in orders)
+    )
     print(f"wrote {len(orders)} orders to {out}")
     return EXIT_OK
 
@@ -195,11 +203,7 @@ def cmd_serialize(args) -> int:
         budget = _dataset_config(args).context_budget
 
     by_id = corpus_by_id(docs)
-    order_by_doc = {}
-    for order in orders:
-        if order.doc_id in order_by_doc:
-            raise DataError(f"duplicate order for doc {order.doc_id!r}")
-        order_by_doc[order.doc_id] = order
+    order_by_doc = {order.doc_id: order for order in orders}
     unknown = [doc_id for doc_id in order_by_doc if doc_id not in by_id]
     if unknown:
         raise DataError(f"orders reference docs missing from the corpus: {unknown[:5]}")
@@ -215,22 +219,13 @@ def cmd_serialize(args) -> int:
         contexts.append(ctx)
 
     strategies = sorted({o.strategy.value for o in orders})
-    settings = {
-        "stage": "serialize",
-        "seed": args.seed,
-        "budget": budget,
-        "dataset": args.dataset,
-    }
-    out = _out_path(args, "contexts.jsonl")
-    header = {
-        "config_digest": config_digest(settings),
-        "stage": "serialize",
-        "seed": derive_seed(args.seed, "serialize"),
-        "strategy": strategies[0] if len(strategies) == 1 else None,
-        "dataset": args.dataset,
-        "budget": budget,
-    }
-    write_stage_file(out, header, (context_to_record(c) for c in contexts))
+    out = _write_stage(
+        args, "serialize", "contexts.jsonl", {"budget": budget, "dataset": args.dataset},
+        (context_to_record(c) for c in contexts),
+        strategy=strategies[0] if len(strategies) == 1 else None,
+        dataset=args.dataset,
+        budget=budget,
+    )
     print(f"wrote {len(contexts)} contexts to {out}")
     return EXIT_OK
 
@@ -310,22 +305,17 @@ def cmd_predict(args) -> int:
             )
 
     settings = {
-        "stage": "predict",
-        "seed": args.seed,
         "dataset": args.dataset,
         "backend": args.backend,
         "max_new_tokens": max_new_tokens,
         "logprobs": want_logprobs,
     }
-    out = _out_path(args, "predictions.jsonl")
-    header = {
-        "config_digest": config_digest(settings),
-        "stage": "predict",
-        "seed": derive_seed(args.seed, "predict"),
-        "dataset": args.dataset,
-        "backend": args.backend,
-    }
-    write_stage_file(out, header, (prediction_to_record(p) for p in predictions))
+    out = _write_stage(
+        args, "predict", "predictions.jsonl", settings,
+        (prediction_to_record(p) for p in predictions),
+        dataset=args.dataset,
+        backend=args.backend,
+    )
     print(f"wrote {len(predictions)} predictions to {out}")
     if failures:
         print(f"{failures} of {len(predictions)} requests failed", file=sys.stderr)
@@ -341,29 +331,19 @@ def cmd_eval(args) -> int:
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
-    ctx_header, _ = read_stage_records(args.contexts)
-    strategy = ctx_header.get("strategy") if ctx_header else None
-
-    settings = {
-        "stage": "eval",
-        "seed": args.seed,
-        "dataset": args.dataset,
-        "metric": config.metric.value,
-        "anls_tau": config.anls_tau,
-    }
-    out = _out_path(args, "eval.jsonl")
-    header = {
-        "config_digest": config_digest(settings),
-        "stage": "eval",
-        "seed": derive_seed(args.seed, "eval"),
-        "dataset": args.dataset,
-        "metric": config.metric.value,
-        "strategy": strategy,
-        "aggregate": aggregate,
-        "n": len(rows),
-    }
-    write_stage_file(out, header, (eval_row_to_record(r) for r in rows))
-    print(f"{args.dataset} {config.metric.value}: {aggregate} ({len(rows)} examples)")
+    ctx_header = read_header(args.contexts)
+    metric = config.metric.value
+    _write_stage(
+        args, "eval", "eval.jsonl",
+        {"dataset": args.dataset, "metric": metric, "anls_tau": config.anls_tau},
+        (eval_row_to_record(r) for r in rows),
+        dataset=args.dataset,
+        metric=metric,
+        strategy=ctx_header.get("strategy") if ctx_header else None,
+        aggregate=aggregate,
+        n=len(rows),
+    )
+    print(f"{args.dataset} {metric}: {aggregate} ({len(rows)} examples)")
     return EXIT_OK
 
 
@@ -374,13 +354,7 @@ def _load_eval_file(path):
     for key in ("dataset", "strategy", "aggregate"):
         if key not in header:
             raise DataError(f"eval file {path} header is missing {key!r}")
-    rows = []
-    for line_no, record in raw_rows:
-        try:
-            rows.append(eval_row_from_record(record))
-        except ValueError as exc:
-            raise DataError(f"{path} line {line_no}: {exc}") from exc
-    return header, rows
+    return header, parse_rows(path, raw_rows, eval_row_from_record, "example_id")
 
 
 def cmd_analyze(args) -> int:
@@ -483,20 +457,13 @@ def cmd_sample(args) -> int:
     strategy = MixtureStrategy(kind=MixtureKind(args.strategy), seed=stage_seed)
     schedule = sample_mixture(args.datasets, strategy, args.draws)
     settings = {
-        "stage": "sample",
-        "seed": args.seed,
         "strategy": args.strategy,
         "draws": args.draws,
         "sizes": {name: size for name, size in args.datasets},
     }
-    out = _out_path(args, "schedule.jsonl")
-    header = {
-        "config_digest": config_digest(settings),
-        "stage": "sample",
-        "seed": stage_seed,
-    }
-    write_stage_file(
-        out, header, ({"dataset": name, "index": index} for name, index in schedule)
+    out = _write_stage(
+        args, "sample", "schedule.jsonl", settings,
+        ({"dataset": name, "index": index} for name, index in schedule),
     )
     print(f"wrote {len(schedule)} draws to {out}")
     return EXIT_OK
@@ -504,13 +471,8 @@ def cmd_sample(args) -> int:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON file with endpoint settings")
     common.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     common.add_argument("--output-dir", default=".", help="directory for default outputs")
-    common.add_argument(
-        "--parallelism", type=_positive_int, default=1,
-        help="maximum concurrent endpoint requests",
-    )
     common.add_argument("--out", help="output file path (overrides --output-dir)")
 
     parser = _Parser(
@@ -555,6 +517,7 @@ def build_parser() -> _Parser:
     predict.add_argument(
         "--backend", choices=["http", "mock-echo", "mock-answer-key"], default="http"
     )
+    predict.add_argument("--config", help="JSON file with endpoint settings")
     predict.add_argument("--endpoint", help="completion endpoint URL")
     predict.add_argument("--timeout", type=float)
     predict.add_argument("--max-attempts", type=_positive_int)
@@ -563,6 +526,10 @@ def build_parser() -> _Parser:
         help="completion budget (default: the dataset's answer budget)",
     )
     predict.add_argument("--no-logprobs", action="store_true")
+    predict.add_argument(
+        "--parallelism", type=_positive_int, default=1,
+        help="maximum concurrent endpoint requests",
+    )
     predict.set_defaults(func=cmd_predict)
 
     eval_cmd = sub.add_parser(

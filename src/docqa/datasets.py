@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Any, Sequence
 
 from .errors import DataError
-from .jsonl import read_records
+from .jsonl import parse_rows, read_records
 from .metrics import MetricKind
 
 # The only question flags with defined behavior downstream.
@@ -64,20 +64,7 @@ def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
 
 def load_qa(path: str | os.PathLike[str]) -> list[QARecord]:
     """Read a QA file (one record per line) into validated QARecords."""
-    records: list[QARecord] = []
-    seen: set[str] = set()
-    for line_no, raw in read_records(path):
-        try:
-            record = qa_record_from_dict(raw)
-        except ValueError as exc:
-            raise DataError(f"{path} line {line_no}: {exc}") from exc
-        if record.example_id in seen:
-            raise DataError(
-                f"{path} line {line_no}: duplicate example_id {record.example_id!r}"
-            )
-        seen.add(record.example_id)
-        records.append(record)
-    return records
+    return parse_rows(path, read_records(path), qa_record_from_dict, "example_id")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .errors import DataError
-from .jsonl import read_records, write_records
+from .jsonl import parse_rows, read_records, write_records
 
 
 @dataclass(frozen=True)
@@ -152,18 +151,7 @@ def load_ocr_corpus(path: str | os.PathLike[str]) -> list[Document]:
     by position. Raises DataError naming the offending line, document, and
     word on any schema or invariant violation.
     """
-    docs: list[Document] = []
-    seen: set[str] = set()
-    for line_no, record in read_records(path):
-        try:
-            doc = document_from_record(record)
-        except ValueError as exc:
-            raise DataError(f"{path} line {line_no}: {exc}") from exc
-        if doc.doc_id in seen:
-            raise DataError(f"{path} line {line_no}: duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        docs.append(doc)
-    return docs
+    return parse_rows(path, read_records(path), document_from_record, "doc_id")
 
 
 def save_ocr_corpus(path: str | os.PathLike[str], docs: Iterable[Document]) -> None:

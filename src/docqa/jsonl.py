@@ -1,12 +1,23 @@
-"""Newline-delimited JSON helpers used by every file-facing module."""
+"""Newline-delimited JSON helpers used by every file-facing module.
+
+Stage files start with a provenance header line: `config_digest` (a digest
+of the stage's semantic settings, run seed included), `stage`, the seed
+derived for that stage, then fields specific to the stage. Paths never enter
+the digest, so a rerun in another directory writes the same bytes. Every
+loader turns rows into values through `parse_rows`, which names the file and
+line of a bad or repeated row.
+"""
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Iterator
+from contextlib import closing
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
+
+T = TypeVar("T")
 
 
 def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -68,3 +79,38 @@ def read_stage_records(
             continue
         rows.append((line_no, record))
     return header, rows
+
+
+def read_header(path: str | os.PathLike[str]) -> dict[str, Any] | None:
+    """The provenance header of a stage file, or None; reads line 1 only."""
+    with closing(read_records(path)) as records:
+        for line_no, record in records:
+            return record if line_no == 1 and HEADER_KEY in record else None
+    return None
+
+
+def parse_rows(
+    path: str | os.PathLike[str],
+    rows: Iterable[tuple[int, dict[str, Any]]],
+    parse: Callable[[dict[str, Any]], T],
+    key: str,
+) -> list[T]:
+    """Apply `parse` to each (line_number, record) and reject repeated keys.
+
+    A ValueError, KeyError or TypeError from `parse`, and a second value
+    whose attribute `key` was already seen, become a DataError naming the
+    file and line.
+    """
+    out: list[T] = []
+    seen: set[Any] = set()
+    for line_no, record in rows:
+        try:
+            value = parse(record)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path} line {line_no}: {exc}") from exc
+        ident = getattr(value, key)
+        if ident in seen:
+            raise DataError(f"{path} line {line_no}: duplicate {key} {ident!r}")
+        seen.add(ident)
+        out.append(value)
+    return out

@@ -22,7 +22,7 @@ import requests
 
 from .analysis import TokenLogProb
 from .errors import EndpointError
-from .metrics import normalize
+from .metrics import contains_words
 from .serialize import parse_prompt
 
 MOCK_RULES = ("echo_last_word", "answer_key")
@@ -75,23 +75,14 @@ def _pieces(answer: str) -> list[str]:
     return [words[0]] + [" " + w for w in words[1:]]
 
 
-def _contains_phrase(context_words: list[str], phrase_words: list[str]) -> bool:
-    if not phrase_words:
-        return False
-    span = len(phrase_words)
-    for start in range(len(context_words) - span + 1):
-        if context_words[start : start + span] == phrase_words:
-            return True
-    return False
-
-
 class MockBackend:
     """Deterministic stand-in backend, a pure function of the prompt.
 
     Rules: "echo_last_word" answers with the final context word, which
     makes serialization order visible in the output; "answer_key"
     looks the full prompt up in the answer key and answers with the
-    first of its gold answers that appears contiguously in the context,
+    first of its gold answers that is a run of whole words of the context
+    (metrics.contains_words),
     or "unknown" when none does, imitating a reader that can only copy
     evidence it was actually given. Keying by prompt rather than by
     question keeps two documents that ask the same question apart.
@@ -118,9 +109,8 @@ class MockBackend:
         if self.rule == "echo_last_word":
             words = context_text.split()
             return words[-1] if words else ""
-        context_words = normalize(context_text).split()
         for gold in self.answer_key.get(prompt, ()):
-            if _contains_phrase(context_words, normalize(gold).split()):
+            if contains_words(context_text, gold):
                 return gold
         return "unknown"
 

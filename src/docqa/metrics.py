@@ -30,6 +30,14 @@ def normalize(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
+def contains_words(haystack: str, needle: str) -> bool:
+    """True when the normalized needle is a non-empty run of whole words of
+    the normalized haystack: a span a reader could copy, so "2024" is not
+    found in "2024-1" nor "1" in "$120"."""
+    needle = normalize(needle)
+    return bool(needle) and f" {needle} " in f" {normalize(haystack)} "
+
+
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit-cost insert, delete, and substitute.
 

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 from .errors import DataError
 from .geometry import Document, Word
-from .jsonl import read_stage_records
+from .jsonl import parse_rows, read_stage_records
 
 
 class OrderStrategy(str, Enum):
@@ -153,12 +153,7 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
 
 
 def load_orders(path: str | os.PathLike[str]) -> list[ReadingOrder]:
-    """Read an orders file, skipping a provenance header if one is present."""
-    orders: list[ReadingOrder] = []
+    """Read an orders file, skipping a provenance header if one is present;
+    a document may have only one order."""
     _, rows = read_stage_records(path)
-    for line_no, record in rows:
-        try:
-            orders.append(ReadingOrder.from_record(record))
-        except ValueError as exc:
-            raise DataError(f"{path} line {line_no}: {exc}") from exc
-    return orders
+    return parse_rows(path, rows, ReadingOrder.from_record, "doc_id")

@@ -20,7 +20,7 @@ from typing import Any
 
 from .errors import DataError
 from .geometry import Document
-from .jsonl import read_stage_records
+from .jsonl import parse_rows, read_stage_records
 from .ordering import ReadingOrder
 
 
@@ -31,14 +31,13 @@ class SerializedContext:
     pieces holds the word texts in serialization order so truncation can
     respect word boundaries even when a word carries an internal space; for
     contexts loaded back from disk it is rebuilt by splitting on single
-    spaces. warnings records budget anomalies (in-process only).
+    spaces.
     """
 
     doc_id: str
     text: str
     token_count: int
     pieces: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.token_count, int) or self.token_count < 0:
@@ -47,7 +46,6 @@ class SerializedContext:
             object.__setattr__(self, "pieces", tuple(self.text.split(" ")))
         else:
             object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
         if self.pieces:
             expected_len = sum(len(p) for p in self.pieces) + len(self.pieces) - 1
             if expected_len != len(self.text):
@@ -79,8 +77,7 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
     """Longest prefix of whole words whose token count fits the budget.
 
     Idempotent; an already-fitting context is returned unchanged. When even
-    the first word exceeds the budget the context collapses to empty and a
-    warning is recorded on the result.
+    the first word exceeds the budget the context collapses to empty.
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
@@ -96,18 +93,11 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
             break
         kept += 1
     text = " ".join(ctx.pieces[:kept])
-    warnings = ctx.warnings
-    if kept == 0 and ctx.pieces:
-        warnings = warnings + (
-            f"doc {ctx.doc_id}: first word alone exceeds the token budget {budget}; "
-            "context emptied",
-        )
     return dataclasses.replace(
         ctx,
         text=text,
         token_count=len(text.split()),
         pieces=ctx.pieces[:kept],
-        warnings=warnings,
     )
 
 
@@ -169,11 +159,5 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
 
 def load_contexts(path: str | os.PathLike[str]) -> list[SerializedContext]:
     """Read a contexts file, skipping a provenance header if one is present."""
-    contexts: list[SerializedContext] = []
     _, rows = read_stage_records(path)
-    for line_no, record in rows:
-        try:
-            contexts.append(context_from_record(record))
-        except ValueError as exc:
-            raise DataError(f"{path} line {line_no}: {exc}") from exc
-    return contexts
+    return parse_rows(path, rows, context_from_record, "doc_id")

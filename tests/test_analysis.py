@@ -188,6 +188,16 @@ class TestAnswerInText:
     def test_any_gold_counts(self):
         assert answer_in_text(["zzz", "due"], "total due") is True
 
+    def test_part_of_a_word_is_not_found(self):
+        assert answer_in_text(["2024"], "ref 2024-1") is False
+        assert answer_in_text(["1"], "$120") is False
+
+    def test_empty_gold_is_not_found(self):
+        assert answer_in_text([""], "x") is False
+
+    def test_multi_word_gold_across_collapsed_whitespace(self):
+        assert answer_in_text(["New York"], "in new  york city") is True
+
     def test_empty_answers_rejected(self):
         with pytest.raises(DataError):
             answer_in_text([], "context")

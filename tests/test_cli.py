@@ -315,6 +315,57 @@ class TestEvalCommand:
         assert "mystery" in capsys.readouterr().err
 
 
+def append_copy_of_last_row(path):
+    """Repeat the last row of a stage file; returns the new row's line number."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + lines[-1])
+    return len(lines) + 1
+
+
+class TestRepeatedRows:
+    def test_duplicate_context_row_exits_2_in_predict_and_eval(self, bench, capsys):
+        paths = run_pipeline(bench)
+        line = append_copy_of_last_row(paths["contexts"])
+        capsys.readouterr()
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "mock-answer-key",
+                   "--out", bench["dir"] / "p2.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"{paths['contexts']} line {line}: duplicate doc_id 'toy-d2'" in err
+        assert run("eval", "--qa", bench["qa"], "--predictions", paths["predictions"],
+                   "--contexts", paths["contexts"], "--dataset", "toy",
+                   "--datasets-config", bench["config"],
+                   "--out", bench["dir"] / "e2.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"{paths['contexts']} line {line}: duplicate doc_id 'toy-d2'" in err
+
+    def test_duplicate_eval_row_exits_2_in_analyze(self, bench, capsys):
+        paths = run_pipeline(bench)
+        line = append_copy_of_last_row(paths["evals"])
+        assert run("analyze", "--qa", bench["qa"], "--eval", paths["evals"],
+                   "--out", bench["dir"] / "analysis.json") == 2
+        err = capsys.readouterr().err
+        assert f"{paths['evals']} line {line}: duplicate example_id 'toy-e2-1'" in err
+
+
+class TestFlagScope:
+    def test_config_and_parallelism_are_predict_options(self, bench, capsys):
+        paths = run_pipeline(bench)
+        assert run("order", "--corpus", bench["corpus"], "--strategy", "standard",
+                   "--parallelism", 2, "--out", bench["dir"] / "o2.jsonl") == 1
+        assert run("eval", "--qa", bench["qa"], "--predictions", paths["predictions"],
+                   "--contexts", paths["contexts"], "--dataset", "toy",
+                   "--datasets-config", bench["config"], "--config", "x.json",
+                   "--out", bench["dir"] / "e2.jsonl") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "mock-answer-key", "--parallelism", 2, "--seed", 7,
+                   "--out", bench["dir"] / "p2.jsonl") == 0
+        assert (bench["dir"] / "p2.jsonl").read_bytes() == paths["predictions"].read_bytes()
+
+
 class TestAnalyzeCommand:
     def analyze(self, bench, *extra):
         standard = run_pipeline(bench, strategy="standard", suffix="-std")

@@ -9,6 +9,7 @@ from docqa.errors import DataError
 from docqa.metrics import (
     MetricKind,
     anls_single,
+    contains_words,
     dataset_score,
     exact_match,
     levenshtein,
@@ -29,6 +30,23 @@ class TestNormalize:
     def test_empty_and_whitespace_only(self):
         assert normalize("") == ""
         assert normalize(" \n\t ") == ""
+
+
+class TestContainsWords:
+    def test_whole_word_run_found(self):
+        assert contains_words("Total due: $120 paid", "due: $120")
+
+    def test_word_prefix_or_suffix_not_found(self):
+        assert not contains_words("ref 2024-1", "2024")
+        assert not contains_words("$120", "1")
+        assert not contains_words("new yorker", "new york")
+
+    def test_empty_needle_not_found(self):
+        assert not contains_words("x", "")
+        assert not contains_words("x", "   ")
+
+    def test_needle_is_whole_haystack(self):
+        assert contains_words(" March\n", "march")
 
 
 class TestLevenshtein:

@@ -177,12 +177,12 @@ class TestReadingOrderType:
                 )
             ),
             raster_scan_order(doc),
-            shuffled_order(doc, 42),
+            shuffled_order(grid_layout("s", rows=2, cols=2), 42),
         ]
         path = tmp_path / "orders.jsonl"
         write_stage_file(path, {"config_digest": "0"}, (o.to_record() for o in orders))
         loaded = load_orders(path)
-        assert [o.doc_id for o in loaded] == ["plain", "g", "g"]
+        assert [o.doc_id for o in loaded] == ["plain", "g", "s"]
         assert [o.strategy for o in loaded] == [
             OrderStrategy.STANDARD,
             OrderStrategy.RASTER_SCAN,
@@ -190,6 +190,17 @@ class TestReadingOrderType:
         ]
         assert loaded[1].permutation == orders[1].permutation
         assert loaded[2].params == {"seed": 42}
+
+    def test_load_rejects_second_order_for_a_doc(self, tmp_path):
+        doc = grid_layout("g", rows=2, cols=2)
+        path = tmp_path / "orders.jsonl"
+        write_stage_file(
+            path,
+            {"config_digest": "0"},
+            (o.to_record() for o in [raster_scan_order(doc), shuffled_order(doc, 42)]),
+        )
+        with pytest.raises(DataError, match=r"line 3: duplicate doc_id 'g'"):
+            load_orders(path)
 
     def test_load_rejects_bad_permutation(self, tmp_path):
         path = tmp_path / "orders.jsonl"
