@@ -250,8 +250,8 @@ def evaluate_rows(
     contexts: Sequence[SerializedContext],
     config: DatasetConfig,
 ) -> list[EvalRow]:
-    """Join records with predictions and contexts, score each example,
-    and attach the diagnostics.
+    """Join records one to one with predictions, and with contexts; score
+    each example and attach the diagnostics.
 
     Predictions that carry an error are scored on their (empty) text so
     one failed request degrades the aggregate instead of aborting the
@@ -262,6 +262,9 @@ def evaluate_rows(
         if p.example_id in preds_by_id:
             raise DataError(f"duplicate prediction for example {p.example_id!r}")
         preds_by_id[p.example_id] = p
+    stray = preds_by_id.keys() - {r.example_id for r in records}
+    if stray:
+        raise DataError(f"prediction for example {min(stray)!r} has no QA record")
     contexts_by_doc = {c.doc_id: c for c in contexts}
 
     rows: list[EvalRow] = []

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import random
 import statistics
 import sys
@@ -58,15 +57,13 @@ from .serialize import (
     truncate_context,
 )
 
-ENDPOINT_ENV_VAR = "DOCQA_ENDPOINT"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ENDPOINT = 3
 
-# Keys a --config file may carry; anything else is probably a typo.
-RUN_CONFIG_KEYS = frozenset({"endpoint", "timeout", "max_attempts", "backoff_base"})
+# HTTPBackend keywords a --config file may carry; anything else is a typo.
+RUN_CONFIG_KEYS = frozenset({"timeout", "max_attempts", "backoff_base"})
 
 
 class UsageError(Exception):
@@ -83,19 +80,6 @@ def config_digest(settings: Mapping[str, Any]) -> str:
     """Short fingerprint of a stage's semantic settings."""
     canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def resolve_endpoint(
-    flag_value: str | None,
-    environ: Mapping[str, str],
-    run_config: Mapping[str, Any],
-) -> str | None:
-    """Flag beats environment beats config file."""
-    if flag_value:
-        return flag_value
-    if environ.get(ENDPOINT_ENV_VAR):
-        return environ[ENDPOINT_ENV_VAR]
-    return run_config.get("endpoint")
 
 
 def load_run_config(path: str | None) -> dict[str, Any]:
@@ -145,9 +129,7 @@ def _dataset_size(text: str) -> tuple[str, int]:
 
 
 def _out_path(args, default_name: str) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path(args.output_dir) / default_name
+    return Path(args.out or default_name)
 
 
 def _dataset_config(args):
@@ -240,26 +222,17 @@ def _build_backend(args, records, requests_batch):
         for record, request in zip(records, requests_batch):
             key.setdefault(request.prompt, []).extend(record.answers)
         return MockBackend(rule="answer_key", answer_key=key)
+    if not args.endpoint:
+        raise UsageError("the http backend needs an endpoint: pass --endpoint")
     run_config = load_run_config(args.config)
-    endpoint = resolve_endpoint(args.endpoint, os.environ, run_config)
-    if not endpoint:
-        raise UsageError(
-            "the http backend needs an endpoint: pass --endpoint, set "
-            f"{ENDPOINT_ENV_VAR}, or put one in the config file"
+    try:
+        return HTTPBackend(
+            args.endpoint,
+            jitter_rng=random.Random(derive_seed(args.seed, "predict")),
+            **run_config,
         )
-    timeout = args.timeout if args.timeout is not None else run_config.get("timeout", 30.0)
-    max_attempts = (
-        args.max_attempts
-        if args.max_attempts is not None
-        else run_config.get("max_attempts", 3)
-    )
-    return HTTPBackend(
-        endpoint,
-        timeout=timeout,
-        max_attempts=max_attempts,
-        backoff_base=run_config.get("backoff_base", 0.5),
-        jitter_rng=random.Random(derive_seed(args.seed, "predict")),
-    )
+    except ValueError as exc:
+        raise DataError(f"config file {args.config}: {exc}") from exc
 
 
 def cmd_predict(args) -> int:
@@ -472,8 +445,7 @@ def cmd_sample(args) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    common.add_argument("--output-dir", default=".", help="directory for default outputs")
-    common.add_argument("--out", help="output file path (overrides --output-dir)")
+    common.add_argument("--out", help="output file (default: the stage's file name)")
 
     parser = _Parser(
         prog="docqa",
@@ -517,10 +489,8 @@ def build_parser() -> _Parser:
     predict.add_argument(
         "--backend", choices=["http", "mock-echo", "mock-answer-key"], default="http"
     )
-    predict.add_argument("--config", help="JSON file with endpoint settings")
+    predict.add_argument("--config", help="JSON file: timeout, max_attempts, backoff_base")
     predict.add_argument("--endpoint", help="completion endpoint URL")
-    predict.add_argument("--timeout", type=float)
-    predict.add_argument("--max-attempts", type=_positive_int)
     predict.add_argument(
         "--max-new-tokens", type=_positive_int,
         help="completion budget (default: the dataset's answer budget)",

@@ -92,8 +92,6 @@ class MockBackend:
         self,
         rule: str,
         answer_key: Mapping[str, Sequence[str]] | None = None,
-        token_logprob: float = MOCK_TOKEN_LOGPROB,
-        model_id: str = "mock",
     ) -> None:
         if rule not in MOCK_RULES:
             raise ValueError(f"unknown mock rule {rule!r}, expected one of {MOCK_RULES}")
@@ -101,8 +99,6 @@ class MockBackend:
             raise ValueError("answer_key rule needs an answer key")
         self.rule = rule
         self.answer_key = dict(answer_key) if answer_key is not None else {}
-        self.token_logprob = float(token_logprob)
-        self.model_id = model_id
 
     def _answer(self, prompt: str) -> str:
         context_text, _ = parse_prompt(prompt)
@@ -120,8 +116,8 @@ class MockBackend:
         text = "".join(pieces)
         tokens = None
         if request.want_logprobs:
-            tokens = tuple(TokenLogProb(token_text=p, logprob=self.token_logprob) for p in pieces)
-        return InferenceResponse(text=text, model_id=self.model_id, tokens=tokens)
+            tokens = tuple(TokenLogProb(token_text=p, logprob=MOCK_TOKEN_LOGPROB) for p in pieces)
+        return InferenceResponse(text=text, model_id="mock", tokens=tokens)
 
 
 class HTTPBackend:
@@ -145,8 +141,13 @@ class HTTPBackend:
     ) -> None:
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        # Exact types keep bools out; the chained bounds also reject nan.
+        if type(max_attempts) is not int or max_attempts < 1:
+            raise ValueError(f"max_attempts must be an integer >= 1, got {max_attempts!r}")
+        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+        if type(backoff_base) not in (int, float) or not 0 <= backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be a finite number >= 0, got {backoff_base!r}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_attempts = max_attempts

@@ -154,6 +154,11 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
         token_count = record["token_count"]
     except KeyError as exc:
         raise ValueError(f"context record is missing {exc.args[0]!r}") from exc
+    if not isinstance(text, str):
+        raise ValueError(f"context must be a string, got {text!r}")
+    words = len(text.split())
+    if token_count != words:
+        raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")
     return SerializedContext(doc_id=doc_id, text=text, token_count=token_count)
 
 

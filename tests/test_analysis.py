@@ -367,6 +367,11 @@ class TestEvaluateRows:
         with pytest.raises(DataError, match="e1"):
             evaluate_rows(records, predictions[:1], contexts, config)
 
+    def test_stray_prediction_names_example(self):
+        records, predictions, contexts, config = self.make_inputs()
+        with pytest.raises(DataError, match="e1"):
+            evaluate_rows(records[:1], predictions, contexts, config)
+
     def test_missing_context_names_doc(self):
         records, predictions, contexts, config = self.make_inputs()
         with pytest.raises(DataError, match="d0"):

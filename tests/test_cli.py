@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
 from conftest import toy_benchmark, write_dataset_config
-from docqa.cli import config_digest, derive_seed, main, resolve_endpoint
+from docqa.cli import build_parser, config_digest, derive_seed, main
 from docqa.geometry import save_ocr_corpus
 from docqa.jsonl import read_stage_records, write_records
 from docqa.ordering import load_orders
@@ -80,22 +81,6 @@ class TestSeedsAndDigests:
 
     def test_digest_tracks_values(self):
         assert config_digest({"seed": 0}) != config_digest({"seed": 1})
-
-
-class TestResolveEndpoint:
-    def test_flag_wins(self):
-        assert resolve_endpoint("http://flag", {"DOCQA_ENDPOINT": "http://env"},
-                                {"endpoint": "http://file"}) == "http://flag"
-
-    def test_env_beats_config(self):
-        assert resolve_endpoint(None, {"DOCQA_ENDPOINT": "http://env"},
-                                {"endpoint": "http://file"}) == "http://env"
-
-    def test_config_is_fallback(self):
-        assert resolve_endpoint(None, {}, {"endpoint": "http://file"}) == "http://file"
-
-    def test_nothing_resolves_to_none(self):
-        assert resolve_endpoint(None, {}, {}) is None
 
 
 class TestOrderCommand:
@@ -262,10 +247,11 @@ class TestPredictCommand:
             "--out", d / "orders.jsonl")
         run("serialize", "--corpus", bench["corpus"], "--orders", d / "orders.jsonl",
             "--budget", 1024, "--out", d / "contexts.jsonl")
+        (d / "run-config.json").write_text('{"max_attempts": 1}')
         code = run("predict", "--qa", bench["qa"], "--contexts", d / "contexts.jsonl",
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "http", "--endpoint", f"http://127.0.0.1:{port}/c",
-                   "--max-attempts", 1, "--out", d / "pred.jsonl")
+                   "--config", d / "run-config.json", "--out", d / "pred.jsonl")
         assert code == 3
         from docqa.analysis import load_predictions
 
@@ -284,6 +270,36 @@ class TestPredictCommand:
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "http", "--out", d / "pred.jsonl") == 1
         assert "endpoint" in capsys.readouterr().err
+
+    def test_endpoint_comes_from_the_flag_only(self, bench, monkeypatch, capsys):
+        monkeypatch.setenv("DOCQA_ENDPOINT", "http://127.0.0.1:9/c")
+        paths = run_pipeline(bench)
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "http", "--out", bench["dir"] / "p2.jsonl") == 1
+        assert "--endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        '{"max_attempts": 0}',
+        '{"max_attempts": "3"}',
+        '{"max_attempts": true}',
+        '{"timeout": "x"}',
+        '{"timeout": 0}',
+        '{"backoff_base": -1}',
+        '{"endpoint": "http://127.0.0.1:9/c"}',
+    ])
+    def test_bad_run_config_exits_2_naming_the_file(self, bench, capsys, config):
+        paths = run_pipeline(bench)
+        config_path = bench["dir"] / "run-config.json"
+        config_path.write_text(config)
+        capsys.readouterr()
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "http", "--endpoint", "http://127.0.0.1:9/c",
+                   "--config", config_path, "--out", bench["dir"] / "p2.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config_path}")
+        assert len(err.splitlines()) == 1 and err.count("config file") == 1
 
 
 class TestEvalCommand:
@@ -313,6 +329,16 @@ class TestEvalCommand:
                    "--contexts", paths["contexts"], "--dataset", "mystery",
                    "--datasets-config", bench["config"]) == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_stray_prediction_exits_2(self, bench, capsys):
+        paths = run_pipeline(bench)
+        with open(paths["predictions"], "a") as handle:
+            handle.write(json.dumps({"example_id": "stray-1", "text": "x"}) + "\n")
+        assert run("eval", "--qa", bench["qa"], "--predictions", paths["predictions"],
+                   "--contexts", paths["contexts"], "--dataset", "toy",
+                   "--datasets-config", bench["config"],
+                   "--out", bench["dir"] / "e2.jsonl") == 2
+        assert "'stray-1' has no QA record" in capsys.readouterr().err
 
 
 def append_copy_of_last_row(path):
@@ -365,6 +391,43 @@ class TestFlagScope:
                    "--out", bench["dir"] / "p2.jsonl") == 0
         assert (bench["dir"] / "p2.jsonl").read_bytes() == paths["predictions"].read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("order", "--corpus", "c.jsonl", "--strategy", "standard", "--output-dir", "d"),
+        ("predict", "--qa", "q.jsonl", "--contexts", "c.jsonl", "--dataset", "toy",
+         "--endpoint", "http://127.0.0.1:9/c", "--timeout", 5),
+        ("predict", "--qa", "q.jsonl", "--contexts", "c.jsonl", "--dataset", "toy",
+         "--endpoint", "http://127.0.0.1:9/c", "--max-attempts", 1),
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_out_defaults_to_the_stage_file_name(self, bench, monkeypatch):
+        monkeypatch.chdir(bench["dir"])
+        assert run("order", "--corpus", bench["corpus"], "--strategy", "standard") == 0
+        assert load_orders(bench["dir"] / "orders.jsonl")
+
+    def test_flag_inventory(self):
+        # Every option each subcommand accepts; a new knob must change this table.
+        common = ["-h", "--help", "--out", "--seed"]
+        datasets = ["--dataset", "--datasets-config"]
+        expected = {
+            "order": ["--corpus", "--strategy", "--threshold-factor"],
+            "serialize": ["--budget", "--corpus", "--orders", *datasets],
+            "predict": ["--backend", "--config", "--contexts", *datasets, "--endpoint",
+                        "--max-new-tokens", "--no-logprobs", "--parallelism", "--qa"],
+            "eval": ["--contexts", *datasets, "--predictions", "--qa"],
+            "analyze": ["--eval", "--no-perplexity", "--qa"],
+            "sample": ["--datasets", "--draws", "--strategy"],
+        }
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: sorted(s for action in sub._actions for s in action.option_strings)
+            for name, sub in subparsers.choices.items()
+        }
+        assert found == {name: sorted(common + flags) for name, flags in expected.items()}
+
 
 class TestAnalyzeCommand:
     def analyze(self, bench, *extra):
@@ -415,6 +478,23 @@ class TestAnalyzeCommand:
                    "--eval", standard["evals"], "--eval", raster["evals"],
                    "--out", bench["dir"] / "analysis.json") == 2
         assert "non-shuffled" in capsys.readouterr().err
+
+    def test_example_repeated_across_qa_files_exits_2(self, bench, capsys):
+        standard = run_pipeline(bench, strategy="standard", suffix="-std")
+        assert run("analyze", "--qa", bench["qa"], "--qa", bench["qa"],
+                   "--eval", standard["evals"],
+                   "--out", bench["dir"] / "analysis.json") == 2
+        assert "duplicate example 'toy-e0-0' across QA files" in capsys.readouterr().err
+
+    def test_two_shuffled_runs_for_one_dataset_exit_2(self, bench, capsys):
+        first = run_pipeline(bench, strategy="shuffled", seed=1, suffix="-s1")
+        second = run_pipeline(bench, strategy="shuffled", seed=2, suffix="-s2")
+        assert run("analyze", "--qa", bench["qa"],
+                   "--eval", first["evals"], "--eval", second["evals"],
+                   "--out", bench["dir"] / "analysis.json") == 2
+        assert "two eval files cover dataset 'toy' strategy 'shuffled'" in (
+            capsys.readouterr().err
+        )
 
     def test_standard_only_gives_empty_sensitivity(self, bench):
         standard = run_pipeline(bench, strategy="standard", suffix="-std")

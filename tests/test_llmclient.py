@@ -382,5 +382,14 @@ class TestRetries:
             backend.complete(request_for("x", "q?"))
 
     def test_max_attempts_validated(self):
-        with pytest.raises(ValueError):
-            HTTPBackend("http://example.invalid", max_attempts=0)
+        bad = [
+            ("max_attempts", 0), ("max_attempts", "3"), ("max_attempts", True),
+            ("max_attempts", 2.0), ("timeout", "x"), ("timeout", 0),
+            ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan),
+            ("timeout", True), ("backoff_base", -1), ("backoff_base", math.inf),
+            ("backoff_base", "0.5"),
+        ]
+        for key, value in bad:
+            with pytest.raises(ValueError, match=key):
+                HTTPBackend("http://example.invalid", **{key: value})
+        HTTPBackend("http://example.invalid", timeout=1, max_attempts=1, backoff_base=0)

@@ -188,6 +188,14 @@ class TestContextsFile:
 
     def test_load_rejects_bad_token_count(self, tmp_path):
         path = tmp_path / "contexts.jsonl"
-        path.write_text('{"doc_id": "d", "context": "a", "token_count": -1}\n')
-        with pytest.raises(DataError, match="line 1"):
+        for row in ('{"doc_id": "d", "context": "a", "token_count": -1}',
+                    '{"doc_id": "d", "context": "a b", "token_count": 99}'):
+            path.write_text(row + "\n")
+            with pytest.raises(DataError, match="line 1: token_count"):
+                load_contexts(path)
+
+    def test_load_rejects_non_string_context(self, tmp_path):
+        path = tmp_path / "contexts.jsonl"
+        path.write_text('{"doc_id": "d", "context": 5, "token_count": 1}\n')
+        with pytest.raises(DataError, match="line 1: context must be a string"):
             load_contexts(path)
