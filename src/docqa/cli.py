@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import statistics
 import sys
@@ -118,6 +119,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _dataset_size(text: str) -> tuple[str, int]:
     name, sep, size = text.partition("=")
     if not sep or not name:
@@ -213,6 +224,12 @@ def cmd_serialize(args) -> int:
 
 
 def _build_backend(args, records, requests_batch):
+    if args.backend != "http":
+        for flag, value in (("--endpoint", args.endpoint), ("--config", args.config)):
+            if value is not None:
+                raise UsageError(
+                    f"{flag} applies only to --backend http, not --backend {args.backend}"
+                )
     if args.backend == "mock-echo":
         return MockBackend(rule="echo_last_word")
     if args.backend == "mock-answer-key":
@@ -461,7 +478,7 @@ def build_parser() -> _Parser:
         choices=[s.value for s in OrderStrategy],
     )
     order.add_argument(
-        "--threshold-factor", type=float, default=0.5,
+        "--threshold-factor", type=_positive_finite_float, default=0.5,
         help="line grouping tolerance as a fraction of seed word height",
     )
     order.set_defaults(func=cmd_order)

@@ -8,6 +8,13 @@ Each strategy turns a Document into a permutation of its word indices:
   leftmost remaining word as the line seed, gather every remaining word whose
   vertical centroid distance to the seed is within line_threshold_factor
   times the seed box height, and emit the gathered line left to right.
+  It runs as a sorted-window scan in O(N log N) and is exact: the words are
+  sorted once by (centroid_y, centroid_x, index), so the seed is always the
+  remaining word with the smallest centroid_y and every remaining word lies
+  at or below it. The distance to the seed then never decreases along the
+  sorted order, so a line is exactly the contiguous run that starts at the
+  seed and ends at the first word out of tolerance, and the next seed is the
+  word right after that run.
 - shuffled: a seeded Fisher-Yates pass, the control arm for order ablations.
 
 All functions are pure over immutable inputs, so ordering a corpus is
@@ -16,14 +23,16 @@ embarrassingly parallel across documents.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .errors import DataError
-from .geometry import Document, Word
+from .geometry import Document
 from .jsonl import parse_rows, read_stage_records
 
 
@@ -43,8 +52,15 @@ class RasterScanParams:
 
     def __post_init__(self) -> None:
         factor = self.line_threshold_factor
-        if not isinstance(factor, (int, float)) or isinstance(factor, bool) or factor <= 0:
-            raise ValueError(f"line_threshold_factor must be positive, got {factor!r}")
+        if (
+            not isinstance(factor, (int, float))
+            or isinstance(factor, bool)
+            or not math.isfinite(factor)
+            or factor <= 0
+        ):
+            raise ValueError(
+                f"line_threshold_factor must be a finite number > 0, got {factor!r}"
+            )
         object.__setattr__(self, "line_threshold_factor", float(factor))
 
 
@@ -98,31 +114,29 @@ def standard_order(doc: Document) -> ReadingOrder:
     )
 
 
-def _seed_key(word: Word) -> tuple[float, float, int]:
-    # "Uppermost and leftmost" as a lexicographic key; the index breaks exact
-    # centroid ties so the result never depends on set iteration order.
-    return (word.box.centroid_y, word.box.centroid_x, word.index)
-
-
 def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> ReadingOrder:
     """Geometric line rebuild; see the module docstring for the loop."""
     params = params or RasterScanParams()
-    by_seed_priority = sorted(doc.words, key=_seed_key)
-    taken: set[int] = set()
+    # "Uppermost and leftmost" as a lexicographic key; the index breaks exact
+    # centroid ties so the result never depends on input order. The height
+    # rides along and is never compared, since indices are unique.
+    keyed = sorted(
+        (word.box.centroid_y, word.box.centroid_x, word.index, word.box.height)
+        for word in doc.words
+    )
     permutation: list[int] = []
-    for seed in by_seed_priority:
-        if seed.index in taken:
-            continue
-        tolerance = params.line_threshold_factor * seed.box.height
-        line = [
-            word
-            for word in by_seed_priority
-            if word.index not in taken
-            and abs(word.box.centroid_y - seed.box.centroid_y) <= tolerance
-        ]
-        line.sort(key=lambda word: (word.box.centroid_x, word.index))
-        taken.update(word.index for word in line)
-        permutation.extend(word.index for word in line)
+    start = 0
+    while start < len(keyed):
+        seed_y, _, _, seed_height = keyed[start]
+        tolerance = params.line_threshold_factor * seed_height
+        end = start + 1
+        # The same predicate as the line definition, not a bisect on
+        # seed_y + tolerance: the two can round differently.
+        while end < len(keyed) and abs(keyed[end][0] - seed_y) <= tolerance:
+            end += 1
+        line = sorted(keyed[start:end], key=itemgetter(1, 2))
+        permutation.extend(key[2] for key in line)
+        start = end
     return ReadingOrder(
         doc_id=doc.doc_id,
         permutation=tuple(permutation),

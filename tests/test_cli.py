@@ -131,6 +131,18 @@ class TestOrderCommand:
         orders = load_orders(out)
         assert orders[0].params == {"line_threshold_factor": 0.75}
 
+    @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+    def test_bad_threshold_factor_is_usage_error(self, bench, capsys, factor):
+        out = bench["dir"] / "orders.jsonl"
+        assert run("order", "--corpus", bench["corpus"], "--strategy", "raster_scan",
+                   "--threshold-factor", factor, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"argument --threshold-factor: expected a finite number > 0, got {factor!r}"
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSerializeCommand:
     def test_joins_corpus_and_orders(self, bench):
@@ -300,6 +312,25 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {config_path}")
         assert len(err.splitlines()) == 1 and err.count("config file") == 1
+
+    @pytest.mark.parametrize("backend", ["mock-echo", "mock-answer-key"])
+    @pytest.mark.parametrize("flag", ["--endpoint", "--config"])
+    def test_http_only_flags_with_a_mock_backend_are_usage_errors(
+        self, bench, capsys, backend, flag
+    ):
+        paths = run_pipeline(bench)
+        config_path = bench["dir"] / "run-config.json"
+        config_path.write_text('{"max_attempts": 0}')
+        value = {"--endpoint": "http://127.0.0.1:9/c", "--config": config_path}[flag]
+        capsys.readouterr()
+        out = bench["dir"] / "p2.jsonl"
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", backend, flag, value, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies only to --backend http, not --backend {backend}\n"
+        )
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,22 @@ class TestRasterScan:
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(ValueError):
             RasterScanParams(line_threshold_factor=0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="finite"):
+            RasterScanParams(line_threshold_factor=factor)
+
+    def test_single_column_of_ten_thousand_lines_scans_in_near_linear_time(self):
+        # One word per line: a scan that re-walks the page for every seed
+        # does 10^8 comparisons here and takes tens of seconds.
+        n = 10_000
+        doc = doc_from_boxes([(0, 10 * i, 8, 10 * i + 8) for i in reversed(range(n))])
+        started = time.perf_counter()
+        order = raster_scan_order(doc)
+        elapsed = time.perf_counter() - started
+        assert list(order.permutation) == list(reversed(range(n)))
+        assert elapsed < 2.0, f"raster scan of {n} lines took {elapsed:.2f} s"
 
 
 class TestShuffledOrder:
@@ -229,6 +246,21 @@ def random_documents(draw):
 def test_raster_output_is_always_a_permutation(doc, factor):
     perm = raster_scan_order(doc, RasterScanParams(line_threshold_factor=factor)).permutation
     assert sorted(perm) == list(range(len(doc.words)))
+
+
+# Integer coordinates and sizes from a small range, so centroids tie often
+# and zero-height and zero-width boxes are common.
+snapped_documents = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 6), st.integers(0, 6)),
+    max_size=30,
+).map(lambda boxes: doc_from_boxes([(x, y, x + w, y + h) for x, y, w, h in boxes]))
+
+
+@settings(max_examples=200)
+@given(doc=snapped_documents, factor=st.floats(0.05, 10.0))
+def test_raster_matches_oracle_on_snapped_layouts(doc, factor):
+    order = raster_scan_order(doc, RasterScanParams(line_threshold_factor=factor))
+    assert list(order.permutation) == raster_oracle(doc, factor)
 
 
 @settings(max_examples=60)
