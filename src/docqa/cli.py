@@ -38,7 +38,7 @@ from .analysis import (
 )
 from .datasets import MixtureKind, MixtureStrategy, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
-from .geometry import corpus_by_id, load_ocr_corpus
+from .geometry import load_ocr_corpus
 from .jsonl import parse_rows, read_header, read_stage_records, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, predict_batch
 from .metrics import dataset_score
@@ -195,9 +195,9 @@ def cmd_serialize(args) -> int:
     if budget is None and args.dataset is not None:
         budget = _dataset_config(args).context_budget
 
-    by_id = corpus_by_id(docs)
+    corpus_ids = {doc.doc_id for doc in docs}
     order_by_doc = {order.doc_id: order for order in orders}
-    unknown = [doc_id for doc_id in order_by_doc if doc_id not in by_id]
+    unknown = [doc_id for doc_id in order_by_doc if doc_id not in corpus_ids]
     if unknown:
         raise DataError(f"orders reference docs missing from the corpus: {unknown[:5]}")
     missing = [doc.doc_id for doc in docs if doc.doc_id not in order_by_doc]

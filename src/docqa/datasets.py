@@ -51,12 +51,18 @@ class QARecord:
 
 def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
     try:
+        answers = record["answers"]
+        flags = record.get("flags", [])
+        # A string would pass tuple() as one answer per character.
+        for name, value in (("answers", answers), ("flags", flags)):
+            if not isinstance(value, list):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         return QARecord(
             example_id=record["example_id"],
             doc_id=record["doc_id"],
             question=record["question"],
-            answers=record["answers"],
-            flags=record.get("flags", ()),
+            answers=answers,
+            flags=flags,
         )
     except KeyError as exc:
         raise ValueError(f"QA record is missing {exc.args[0]!r}") from exc
@@ -83,15 +89,18 @@ class DatasetConfig:
             value = getattr(self, field_name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{field_name} must be a positive integer, got {value!r}")
-        if not 0.0 <= self.anls_tau <= 1.0:
-            raise ValueError(f"anls_tau must lie in [0, 1], got {self.anls_tau!r}")
+        tau = self.anls_tau
+        if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
+            raise ValueError(f"anls_tau must be a number in [0, 1], got {tau!r}")
 
 
 def _configs_from_payload(payload: Any, source: str) -> dict[str, DatasetConfig]:
-    if not isinstance(payload, dict) or "datasets" not in payload:
-        raise DataError(f"{source}: expected an object with a 'datasets' key")
+    if not isinstance(payload, dict) or not isinstance(payload.get("datasets"), dict):
+        raise DataError(f"{source}: expected an object with a 'datasets' object")
     configs: dict[str, DatasetConfig] = {}
     for name, entry in payload["datasets"].items():
+        if not isinstance(entry, dict):
+            raise DataError(f"{source}: dataset {name!r} must be an object, got {entry!r}")
         try:
             configs[name] = DatasetConfig(
                 name=name,

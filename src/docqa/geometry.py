@@ -1,81 +1,32 @@
-"""OCR data model: bounding boxes, words, documents, and corpus files.
+"""OCR data model: columnar documents and corpus files.
 
-Coordinates live in image pixel space with the origin at the top-left corner
-and y growing downward. OCR engines emit fractional pixels, so coordinates are
-stored as floats; integer inputs are widened on construction. Zero-area boxes
-are legal (a glyph can collapse at tiny resolutions); inverted boxes are not.
+A Document holds one page's words as two parallel columns in file order:
+`texts[k]` is word k's text and `boxes[k]` its box as the tuple
+(x_min, y_min, x_max, y_max). Coordinates live in image pixel space with the
+origin at the top-left corner and y growing downward. OCR engines emit
+fractional pixels, so coordinates are stored as floats; integer inputs are
+widened on load. Zero-area boxes are legal (a glyph can collapse at tiny
+resolutions); inverted boxes are not.
 
-All types are immutable after construction and safe to share across threads.
+Every word check lives in `document_from_record`, which validates a corpus
+record in a single pass over its `words` array; `_word_fault` only composes
+the message for the word that failed. Documents are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Any
 
-from .jsonl import parse_rows, read_records, write_records
+from .jsonl import parse_rows, read_records
 
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned rectangle in pixel space."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self) -> None:
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if self.x_min > self.x_max:
-            raise ValueError(f"inverted box: x_min {self.x_min} > x_max {self.x_max}")
-        if self.y_min > self.y_max:
-            raise ValueError(f"inverted box: y_min {self.y_min} > y_max {self.y_max}")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def centroid_x(self) -> float:
-        return (self.x_min + self.x_max) / 2.0
-
-    @property
-    def centroid_y(self) -> float:
-        return (self.y_min + self.y_max) / 2.0
-
-    def centroid(self) -> tuple[float, float]:
-        """Midpoint of the box; always lies inside it."""
-        return (self.centroid_x, self.centroid_y)
-
-
-@dataclass(frozen=True)
-class Word:
-    """One OCR token: its ordinal within the document, text, and box."""
-
-    index: int
-    text: str
-    box: BoundingBox
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
-            raise ValueError(f"word index must be a non-negative integer, got {self.index!r}")
-        if not isinstance(self.text, str) or not self.text:
-            raise ValueError("word text must be a non-empty string")
-        if self.text != self.text.strip():
-            raise ValueError(f"word text carries surrounding whitespace: {self.text!r}")
+_NUMBER = frozenset({int, float})
+# A coordinate is finite iff it lies within +-_LIMIT; NaN fails every bound.
+_LIMIT = sys.float_info.max
+_COORDINATES = ("x_min", "y_min", "x_max", "y_max")
 
 
 @dataclass(frozen=True)
@@ -88,33 +39,44 @@ class Document:
     """
 
     doc_id: str
-    words: tuple[Word, ...] = field(default_factory=tuple)
-    provided_order_is_reading_order: bool = False
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.doc_id, str) or not self.doc_id:
-            raise ValueError("doc_id must be a non-empty string")
-        object.__setattr__(self, "words", tuple(self.words))
-        indices = [w.index for w in self.words]
-        if indices != list(range(len(indices))):
-            raise ValueError(f"word indices must be 0..N-1 in order, got {indices}")
+    texts: tuple[str, ...]
+    boxes: tuple[tuple[float, float, float, float], ...]
+    provided_order_is_reading_order: bool
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.texts)
 
 
-def _word_from_record(position: int, payload: Any) -> Word:
-    if not isinstance(payload, dict):
-        raise ValueError("word entry must be an object")
-    text = payload.get("text")
+def _word_fault(payload: Any) -> str:
+    """The first rule of document_from_record that this word entry breaks."""
+    if type(payload) is not dict:
+        return "word entry must be an object"
     box = payload.get("box")
-    if not isinstance(box, (list, tuple)) or len(box) != 4:
-        raise ValueError(f"box must be [x_min, y_min, x_max, y_max], got {box!r}")
-    return Word(index=position, text=text, box=BoundingBox(*box))
+    if type(box) is not list or len(box) != 4:
+        return f"box must be [x_min, y_min, x_max, y_max], got {box!r}"
+    for name, value in zip(_COORDINATES, box):
+        if type(value) not in _NUMBER:
+            return f"{name} must be a number, got {value!r}"
+        if not -_LIMIT <= value <= _LIMIT:
+            return f"{name} must be finite, got {value!r}"
+    x_min, y_min, x_max, y_max = box
+    if x_min > x_max:
+        return f"inverted box: x_min {float(x_min)} > x_max {float(x_max)}"
+    if y_min > y_max:
+        return f"inverted box: y_min {float(y_min)} > y_max {float(y_max)}"
+    text = payload.get("text")
+    if type(text) is not str or not text:
+        return "word text must be a non-empty string"
+    return f"word text carries surrounding whitespace: {text!r}"
 
 
 def document_from_record(record: dict[str, Any]) -> Document:
-    """Build a Document from one corpus-file record, validating as it goes."""
+    """Build a Document from one corpus-file record, validating as it goes.
+
+    Each word must be an object whose `box` is a list of four numbers
+    (bools excluded), finite and not inverted, and whose `text` is a
+    non-empty string without surrounding whitespace.
+    """
     doc_id = record.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
         raise ValueError("record is missing a doc_id string")
@@ -124,39 +86,41 @@ def document_from_record(record: dict[str, Any]) -> Document:
     raw_words = record.get("words")
     if not isinstance(raw_words, list):
         raise ValueError("record is missing the words array")
-    words = []
-    for position, payload in enumerate(raw_words):
-        try:
-            words.append(_word_from_record(position, payload))
-        except ValueError as exc:
-            raise ValueError(f"doc {doc_id} word {position}: {exc}") from exc
-    return Document(doc_id=doc_id, words=words, provided_order_is_reading_order=flag)
-
-
-def document_to_record(doc: Document) -> dict[str, Any]:
-    return {
-        "doc_id": doc.doc_id,
-        "reading_ordered": doc.provided_order_is_reading_order,
-        "words": [
-            {"text": w.text, "box": [w.box.x_min, w.box.y_min, w.box.x_max, w.box.y_max]}
-            for w in doc.words
-        ],
-    }
+    texts: list[str] = []
+    boxes: list[tuple[float, float, float, float]] = []
+    for payload in raw_words:
+        if type(payload) is not dict:
+            break
+        text = payload.get("text")
+        box = payload.get("box")
+        if type(box) is not list or len(box) != 4:
+            break
+        x_min, y_min, x_max, y_max = box
+        if not (
+            type(x_min) in _NUMBER
+            and type(y_min) in _NUMBER
+            and type(x_max) in _NUMBER
+            and type(y_max) in _NUMBER
+            and -_LIMIT <= x_min <= x_max <= _LIMIT
+            and -_LIMIT <= y_min <= y_max <= _LIMIT
+            and type(text) is str
+            and text
+            and text.strip() == text
+        ):
+            break
+        texts.append(text)
+        boxes.append((float(x_min), float(y_min), float(x_max), float(y_max)))
+    else:
+        return Document(doc_id, tuple(texts), tuple(boxes), flag)
+    position = len(texts)
+    raise ValueError(f"doc {doc_id} word {position}: {_word_fault(raw_words[position])}")
 
 
 def load_ocr_corpus(path: str | os.PathLike[str]) -> list[Document]:
     """Read a corpus file (one document per line) into validated Documents.
 
-    Word order from the file is preserved exactly; word indices are assigned
-    by position. Raises DataError naming the offending line, document, and
-    word on any schema or invariant violation.
+    Word order from the file is preserved exactly. Raises DataError naming
+    the offending line, document, and word on any schema or invariant
+    violation.
     """
     return parse_rows(path, read_records(path), document_from_record, "doc_id")
-
-
-def save_ocr_corpus(path: str | os.PathLike[str], docs: Iterable[Document]) -> None:
-    write_records(path, (document_to_record(d) for d in docs))
-
-
-def corpus_by_id(docs: Sequence[Document]) -> dict[str, Document]:
-    return {doc.doc_id: doc for doc in docs}

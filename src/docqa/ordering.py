@@ -75,7 +75,13 @@ class ReadingOrder:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", OrderStrategy(self.strategy))
-        object.__setattr__(self, "permutation", tuple(int(i) for i in self.permutation))
+        permutation = tuple(self.permutation)
+        for entry in permutation:
+            if type(entry) is not int:
+                raise ValueError(
+                    f"permutation of doc {self.doc_id!r} holds a non-integer entry {entry!r}"
+                )
+        object.__setattr__(self, "permutation", permutation)
         object.__setattr__(self, "params", dict(self.params))
         if sorted(self.permutation) != list(range(len(self.permutation))):
             raise ValueError(
@@ -109,7 +115,7 @@ def standard_order(doc: Document) -> ReadingOrder:
         raise DataError(f"doc {doc.doc_id!r}: document carries no standard reading order")
     return ReadingOrder(
         doc_id=doc.doc_id,
-        permutation=tuple(range(len(doc.words))),
+        permutation=tuple(range(len(doc))),
         strategy=OrderStrategy.STANDARD,
     )
 
@@ -121,8 +127,8 @@ def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> 
     # centroid ties so the result never depends on input order. The height
     # rides along and is never compared, since indices are unique.
     keyed = sorted(
-        (word.box.centroid_y, word.box.centroid_x, word.index, word.box.height)
-        for word in doc.words
+        ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0, index, y_max - y_min)
+        for index, (x_min, y_min, x_max, y_max) in enumerate(doc.boxes)
     )
     permutation: list[int] = []
     start = 0
@@ -154,7 +160,7 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an unsigned integer, got {seed!r}")
     rng = random.Random(seed)
-    permutation = list(range(len(doc.words)))
+    permutation = list(range(len(doc)))
     for i in range(len(permutation) - 1, 0, -1):
         j = rng.randrange(i + 1)
         permutation[i], permutation[j] = permutation[j], permutation[i]

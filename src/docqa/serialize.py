@@ -58,12 +58,12 @@ def build_context(doc: Document, order: ReadingOrder) -> SerializedContext:
     """Join word texts in permutation order with single spaces."""
     if order.doc_id != doc.doc_id:
         raise DataError(f"order doc_id {order.doc_id!r} does not match doc {doc.doc_id!r}")
-    if len(order.permutation) != len(doc.words):
+    if len(order.permutation) != len(doc):
         raise DataError(
             f"doc {doc.doc_id!r}: order covers {len(order.permutation)} words, "
-            f"document has {len(doc.words)}"
+            f"document has {len(doc)}"
         )
-    pieces = tuple(doc.words[i].text for i in order.permutation)
+    pieces = tuple(map(doc.texts.__getitem__, order.permutation))
     text = " ".join(pieces)
     return SerializedContext(
         doc_id=doc.doc_id,

@@ -3,7 +3,7 @@ whole pipeline in-process, plus the acceptance summary printer."""
 
 import json
 
-from docqa.geometry import BoundingBox, Document, Word
+from layouts import corpus_record
 
 
 def phrase_words(name, d, j):
@@ -12,7 +12,8 @@ def phrase_words(name, d, j):
 
 
 def toy_document(name, d, words_per_doc, qa_per_doc):
-    """One synthetic page, words on a single left-to-right line.
+    """One synthetic page as a corpus record, words on a single
+    left-to-right line.
 
     Gold phrases sit adjacently at the front; the rest is filler with
     globally unique texts, so a phrase is findable in the context iff
@@ -25,17 +26,12 @@ def toy_document(name, d, words_per_doc, qa_per_doc):
     while len(texts) < words_per_doc:
         texts.append(f"f{name}{d}w{k}")
         k += 1
-    words = [
-        Word(index=i, text=t, box=BoundingBox(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0))
-        for i, t in enumerate(texts)
-    ]
-    return Document(
-        doc_id=f"{name}-d{d}", words=words, provided_order_is_reading_order=True
-    )
+    boxes = [(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(len(texts))]
+    return corpus_record(f"{name}-d{d}", texts, boxes, reading_ordered=True)
 
 
 def toy_benchmark(name, n_docs, words_per_doc, qa_per_doc=2):
-    """Documents plus QA dicts whose answers sit verbatim in the text."""
+    """Corpus records plus QA dicts whose answers sit verbatim in the text."""
     docs = []
     qa = []
     for d in range(n_docs):

@@ -5,43 +5,60 @@ never share code with the implementation under test: repeatedly find the
 uppermost-leftmost remaining word, collect every remaining word whose vertical
 centroid distance to that seed is within factor * seed-box-height, emit the
 group left to right, remove it, repeat.
+
+Every document here is built from a corpus record through
+`document_from_record`, so it passes the same checks as a corpus file.
 """
 
 from __future__ import annotations
 
 import random
 
-from docqa.geometry import BoundingBox, Document, Word
+from docqa.geometry import Document, document_from_record
+
+
+def corpus_record(doc_id, texts, boxes, reading_ordered=False) -> dict:
+    """One corpus-file line: word k has texts[k] and boxes[k]."""
+    return {
+        "doc_id": doc_id,
+        "reading_ordered": reading_ordered,
+        "words": [
+            {"text": text, "box": list(box)} for text, box in zip(texts, boxes, strict=True)
+        ],
+    }
+
+
+def make_document(doc_id, texts, boxes, reading_ordered=False) -> Document:
+    return document_from_record(corpus_record(doc_id, texts, boxes, reading_ordered))
 
 
 def raster_oracle(doc: Document, factor: float = 0.5) -> list[int]:
-    remaining = list(doc.words)
+    def centroid_key(index):
+        x_min, y_min, x_max, y_max = doc.boxes[index]
+        return ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0, index)
+
+    def height(index):
+        return doc.boxes[index][3] - doc.boxes[index][1]
+
+    remaining = list(range(len(doc)))
     emitted: list[int] = []
     while remaining:
         seed = remaining[0]
         for word in remaining[1:]:
-            seed_key = (seed.box.centroid_y, seed.box.centroid_x, seed.index)
-            word_key = (word.box.centroid_y, word.box.centroid_x, word.index)
-            if word_key < seed_key:
+            if centroid_key(word) < centroid_key(seed):
                 seed = word
-        tolerance = factor * seed.box.height
-        line = [
-            word
-            for word in remaining
-            if abs(word.box.centroid_y - seed.box.centroid_y) <= tolerance
-        ]
-        line.sort(key=lambda word: (word.box.centroid_x, word.index))
-        emitted.extend(word.index for word in line)
-        line_ids = {word.index for word in line}
-        remaining = [word for word in remaining if word.index not in line_ids]
+        tolerance = factor * height(seed)
+        seed_y = centroid_key(seed)[0]
+        line = [word for word in remaining if abs(centroid_key(word)[0] - seed_y) <= tolerance]
+        line.sort(key=lambda word: centroid_key(word)[1:])
+        emitted.extend(line)
+        line_ids = set(line)
+        remaining = [word for word in remaining if word not in line_ids]
     return emitted
 
 
 def _doc(doc_id: str, boxes: list[tuple[float, float, float, float]]) -> Document:
-    words = [
-        Word(index=i, text=f"w{i:03d}", box=BoundingBox(*box)) for i, box in enumerate(boxes)
-    ]
-    return Document(doc_id=doc_id, words=words, provided_order_is_reading_order=False)
+    return make_document(doc_id, [f"w{i:03d}" for i in range(len(boxes))], boxes)
 
 
 def grid_layout(doc_id: str, rows: int, cols: int, *, x_gap: float = 4.0, y_gap: float = 6.0,
@@ -118,40 +135,25 @@ def layout_suite(count: int, seed: int = 20240817) -> list[Document]:
 
 
 def permuted_copy(doc: Document, seed: int) -> Document:
-    """Same geometry and texts, word array in a new order (indices reassigned)."""
-    order = list(range(len(doc.words)))
+    """Same geometry and texts, word array in a new order."""
+    order = list(range(len(doc)))
     random.Random(seed).shuffle(order)
-    words = [
-        Word(index=i, text=doc.words[j].text, box=doc.words[j].box)
-        for i, j in enumerate(order)
-    ]
-    return Document(
-        doc_id=doc.doc_id,
-        words=words,
-        provided_order_is_reading_order=doc.provided_order_is_reading_order,
+    return make_document(
+        doc.doc_id,
+        [doc.texts[j] for j in order],
+        [doc.boxes[j] for j in order],
+        doc.provided_order_is_reading_order,
     )
 
 
 def scaled_copy(doc: Document, factor: float) -> Document:
-    words = [
-        Word(
-            index=w.index,
-            text=w.text,
-            box=BoundingBox(
-                w.box.x_min * factor,
-                w.box.y_min * factor,
-                w.box.x_max * factor,
-                w.box.y_max * factor,
-            ),
-        )
-        for w in doc.words
-    ]
-    return Document(
-        doc_id=doc.doc_id,
-        words=words,
-        provided_order_is_reading_order=doc.provided_order_is_reading_order,
+    return make_document(
+        doc.doc_id,
+        doc.texts,
+        [tuple(coordinate * factor for coordinate in box) for box in doc.boxes],
+        doc.provided_order_is_reading_order,
     )
 
 
 def text_sequence(doc: Document, permutation: list[int] | tuple[int, ...]) -> list[str]:
-    return [doc.words[i].text for i in permutation]
+    return [doc.texts[i] for i in permutation]

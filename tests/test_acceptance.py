@@ -21,7 +21,6 @@ from docqa.analysis import (
 )
 from docqa.cli import main
 from docqa.datasets import MixtureKind, MixtureStrategy, load_dataset_configs, sample_mixture
-from docqa.geometry import save_ocr_corpus
 from docqa.jsonl import read_stage_records, write_records
 from docqa.metrics import MetricKind, anls_single, levenshtein, relaxed_accuracy
 from docqa.ordering import raster_scan_order
@@ -164,7 +163,7 @@ def build_toy_benchmark_files(workdir, name, n_docs, words_per_doc):
     docs, qa = toy_benchmark(name, n_docs=n_docs, words_per_doc=words_per_doc)
     corpus = workdir / f"corpus-{name}.jsonl"
     qa_path = workdir / f"qa-{name}.jsonl"
-    save_ocr_corpus(corpus, docs)
+    write_records(corpus, docs)
     write_records(qa_path, qa)
     return corpus, qa_path
 

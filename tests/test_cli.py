@@ -6,7 +6,6 @@ import pytest
 
 from conftest import toy_benchmark, write_dataset_config
 from docqa.cli import build_parser, config_digest, derive_seed, main
-from docqa.geometry import save_ocr_corpus
 from docqa.jsonl import read_stage_records, write_records
 from docqa.ordering import load_orders
 from docqa.serialize import load_contexts
@@ -21,7 +20,7 @@ def bench(tmp_path):
     """Corpus + QA + dataset config for a small synthetic benchmark."""
     docs, qa = toy_benchmark("toy", n_docs=3, words_per_doc=8, qa_per_doc=2)
     corpus = tmp_path / "corpus.jsonl"
-    save_ocr_corpus(corpus, docs)
+    write_records(corpus, docs)
     qa_path = tmp_path / "qa.jsonl"
     write_records(qa_path, qa)
     config = write_dataset_config(tmp_path / "benchmarks.json", ["toy"])
@@ -156,7 +155,7 @@ class TestSerializeCommand:
         loaded = load_contexts(contexts)
         assert len(loaded) == 3
         doc = bench["docs"][0]
-        assert loaded[0].text == " ".join(w.text for w in doc.words)
+        assert loaded[0].text == " ".join(w["text"] for w in doc["words"])
         header, _ = read_stage_records(contexts)
         assert header["strategy"] == "standard"
         assert header["dataset"] == "toy"
@@ -173,13 +172,50 @@ class TestSerializeCommand:
     def test_doc_mismatch_exits_2(self, bench, capsys):
         docs, _ = toy_benchmark("other", n_docs=1, words_per_doc=4)
         other_corpus = bench["dir"] / "other.jsonl"
-        save_ocr_corpus(other_corpus, docs)
+        write_records(other_corpus, docs)
         orders = bench["dir"] / "orders.jsonl"
         run("order", "--corpus", other_corpus, "--strategy", "standard",
             "--out", orders)
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
                    "--budget", 5) == 2
         assert "other-d0" in capsys.readouterr().err
+
+    def test_non_integer_permutation_exits_2(self, bench, capsys):
+        orders = bench["dir"] / "orders.jsonl"
+        run("order", "--corpus", bench["corpus"], "--strategy", "standard",
+            "--out", orders)
+        header, rows = read_stage_records(orders)
+        records = [record for _, record in rows]
+        # Each entry truncates to the identity, so only the type is wrong.
+        records[1]["permutation"] = [i + 0.7 for i in records[1]["permutation"]]
+        write_records(orders, [header, *records])
+        assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
+                   "--budget", 5) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "non-integer entry 0.7" in err
+
+    @pytest.mark.parametrize(
+        "datasets, named",
+        [
+            ({"toy": {"metric": "anls", "context_budget": 64, "target_budget": 8,
+                      "anls_tau": "x"}}, "dataset 'toy'"),
+            ({"toy": {"metric": "anls", "context_budget": 64, "target_budget": 8,
+                      "anls_tau": True}}, "dataset 'toy'"),
+            ([1], "'datasets' object"),
+            ({"toy": 1}, "dataset 'toy'"),
+        ],
+        ids=["string tau", "bool tau", "datasets not an object", "entry not an object"],
+    )
+    def test_malformed_datasets_config_exits_2(self, bench, capsys, datasets, named):
+        orders = bench["dir"] / "orders.jsonl"
+        run("order", "--corpus", bench["corpus"], "--strategy", "standard",
+            "--out", orders)
+        config = bench["dir"] / "bad.json"
+        config.write_text(json.dumps({"version": 1, "datasets": datasets}))
+        assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
+                   "--dataset", "toy", "--datasets-config", config) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and named in err
 
 
 class TestPredictCommand:
@@ -197,7 +233,7 @@ class TestPredictCommand:
 
         preds = load_predictions(d / "pred.jsonl")
         assert len(preds) == len(bench["qa_records"])
-        last_word = bench["docs"][0].words[-1].text
+        last_word = bench["docs"][0]["words"][-1]["text"]
         assert preds[0].text == last_word
         assert preds[0].tokens is not None
 
@@ -607,7 +643,7 @@ class TestReproducibility:
             d = tmp_path / sub
             d.mkdir()
             docs, qa = toy_benchmark("toy", n_docs=2, words_per_doc=6)
-            save_ocr_corpus(d / "corpus.jsonl", docs)
+            write_records(d / "corpus.jsonl", docs)
             run("order", "--corpus", d / "corpus.jsonl", "--strategy", "shuffled",
                 "--seed", 2, "--out", d / "orders.jsonl")
         headers = []

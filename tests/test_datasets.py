@@ -75,6 +75,18 @@ class TestLoadQA:
         with pytest.raises(DataError, match="sarcasm"):
             load_qa(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("answers", "$120"), ("answers", {"a": 1}), ("flags", "yes_no")],
+        ids=["string answers", "object answers", "string flags"],
+    )
+    def test_answers_and_flags_must_be_lists(self, tmp_path, field, value):
+        path = tmp_path / "qa.jsonl"
+        write_qa(path, [QA_OK[0], {**QA_OK[1], field: value}])
+        with pytest.raises(DataError) as info:
+            load_qa(path)
+        assert str(info.value) == f"{path} line 2: {field} must be a list, got {value!r}"
+
     def test_duplicate_example_id_rejected(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         write_qa(path, [QA_OK[0], QA_OK[0]])
@@ -86,6 +98,9 @@ class TestLoadQA:
         write_qa(path, [{"example_id": "e", "doc_id": "d", "answers": ["a"]}])
         with pytest.raises(DataError, match="question"):
             load_qa(path)
+
+
+TOY_CONFIG = {"metric": "anls", "context_budget": 64, "target_budget": 8, "anls_tau": 0.5}
 
 
 class TestDatasetConfigs:
@@ -142,6 +157,25 @@ class TestDatasetConfigs:
         )
         with pytest.raises(DataError, match="bleu"):
             load_dataset_configs(path)
+
+    @pytest.mark.parametrize(
+        "datasets, message",
+        [
+            ({"toy": {**TOY_CONFIG, "anls_tau": "x"}},
+             "dataset 'toy': anls_tau must be a number in [0, 1], got 'x'"),
+            ({"toy": {**TOY_CONFIG, "anls_tau": True}},
+             "dataset 'toy': anls_tau must be a number in [0, 1], got True"),
+            ([1], "expected an object with a 'datasets' object"),
+            ({"toy": 1}, "dataset 'toy' must be an object, got 1"),
+        ],
+        ids=["string tau", "bool tau", "datasets not an object", "entry not an object"],
+    )
+    def test_malformed_config_names_file_and_dataset(self, tmp_path, datasets, message):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"version": 1, "datasets": datasets}))
+        with pytest.raises(DataError) as info:
+            load_dataset_configs(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -1,54 +1,78 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
-from docqa.geometry import BoundingBox, Document, Word, load_ocr_corpus, save_ocr_corpus
+from docqa.geometry import document_from_record, load_ocr_corpus
+from docqa.ordering import raster_scan_order
+from layouts import make_document
 
 
-def make_doc(doc_id="d0", texts=("Hello", "World"), reading_ordered=True):
-    words = [
-        Word(index=i, text=t, box=BoundingBox(10.0 * i, 0.0, 10.0 * i + 8.0, 5.0))
-        for i, t in enumerate(texts)
-    ]
-    return Document(doc_id=doc_id, words=words, provided_order_is_reading_order=reading_ordered)
+def one_word(box, text="w"):
+    """The record of a one-word, reading-ordered document."""
+    return {"doc_id": "d0", "reading_ordered": True, "words": [{"text": text, "box": box}]}
+
+
+def scan(boxes):
+    """Raster-scan permutation of words with these boxes; the scan reads
+    each box at its centroid."""
+    doc = make_document("d0", [f"t{i}" for i in range(len(boxes))], boxes)
+    return list(raster_scan_order(doc).permutation)
 
 
 class TestBoundingBox:
+    """Box rules of a corpus word, and the point the raster scan reads it at."""
+
     def test_centroid_symmetric_box(self):
-        assert BoundingBox(0, 0, 10, 10).centroid() == (5.0, 5.0)
+        # The square reads at (5, 5): it ties with a point there (index
+        # breaks the tie), follows a point just left of it, and a point just
+        # below it misses the zero tolerance of the point seed's line.
+        boxes = [(0, 0, 10, 10), (5, 5, 5, 5), (4.99, 5, 4.99, 5), (5, 5.01, 5, 5.01)]
+        assert scan(boxes) == [2, 0, 1, 3]
 
     def test_centroid_degenerate_point_box(self):
-        assert BoundingBox(0, 0, 0, 0).centroid() == (0.0, 0.0)
+        assert document_from_record(one_word([0, 0, 0, 0])).boxes == ((0.0, 0.0, 0.0, 0.0),)
+        assert scan([(0, 0, 0, 0), (-1, -1, 1, 1)]) == [0, 1]
+        assert scan([(0, 0, 0, 0), (-1, -1, 0.5, 1)]) == [1, 0]
 
     def test_centroid_hand_value(self):
-        # midpoint of (2,4,6,8) worked by hand: ((2+6)/2, (4+8)/2)
-        assert BoundingBox(2, 4, 6, 8).centroid() == (4.0, 6.0)
+        # (2,4,6,8) reads at ((2+6)/2, (4+8)/2) = (4, 6) with height 4, so the
+        # line tolerance is 2: y 8 joins its line and y 8.01 does not.
+        boxes = [(2, 4, 6, 8), (4, 8.01, 4, 8.01), (3.99, 8, 3.99, 8)]
+        assert scan(boxes) == [2, 0, 1]
 
     def test_integer_coordinates_widen_to_float(self):
-        box = BoundingBox(1, 2, 3, 4)
-        assert all(isinstance(v, float) for v in (box.x_min, box.y_min, box.x_max, box.y_max))
+        (box,) = document_from_record(one_word([1, 2, 3, 4])).boxes
+        assert box == (1.0, 2.0, 3.0, 4.0)
+        assert all(type(v) is float for v in box)
 
     def test_inverted_x_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(5, 0, 3, 1)
+        with pytest.raises(ValueError, match=r"inverted box: x_min 5\.0 > x_max 3\.0"):
+            document_from_record(one_word([5, 0, 3, 1]))
 
     def test_inverted_y_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0, 5, 1, 3)
+        with pytest.raises(ValueError, match=r"inverted box: y_min 5\.0 > y_max 3\.0"):
+            document_from_record(one_word([0, 5, 1, 3]))
 
     def test_zero_area_box_is_legal(self):
-        box = BoundingBox(7, 7, 7, 7)
-        assert box.width == 0.0
-        assert box.height == 0.0
+        doc = document_from_record(one_word([7, 7, 7, 7]))
+        assert doc.boxes == ((7.0, 7.0, 7.0, 7.0),)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0, 0, float("inf"), 1)
-        with pytest.raises(ValueError):
-            BoundingBox(float("nan"), 0, 1, 1)
+        with pytest.raises(ValueError, match="x_max must be finite"):
+            document_from_record(one_word([0, 0, float("inf"), 1]))
+        with pytest.raises(ValueError, match="x_min must be finite"):
+            document_from_record(one_word([float("nan"), 0, 1, 1]))
+        with pytest.raises(ValueError, match="y_min must be finite"):
+            document_from_record(one_word([0, -float("inf"), 1, 1]))
+
+    def test_integer_beyond_float_range_rejected(self):
+        huge = int(sys.float_info.max) * 2
+        with pytest.raises(ValueError, match="y_max must be finite"):
+            document_from_record(one_word([0, 0, 1, huge]))
 
     @given(
         x_min=st.floats(-1e6, 1e6),
@@ -57,47 +81,48 @@ class TestBoundingBox:
         height=st.floats(0, 1e6),
     )
     def test_centroid_lies_inside_box(self, x_min, y_min, width, height):
-        box = BoundingBox(x_min, y_min, x_min + width, y_min + height)
-        cx, cy = box.centroid()
-        assert box.x_min <= cx <= box.x_max
-        assert box.y_min <= cy <= box.y_max
+        x_max, y_max = x_min + width, y_min + height
+        cx, cy = (x_min + x_max) / 2.0, (y_min + y_max) / 2.0
+        assert x_min <= cx <= x_max
+        assert y_min <= cy <= y_max
+        # The scan reads the box at that point: a point word there ties with it.
+        assert scan([(x_min, y_min, x_max, y_max), (cx, cy, cx, cy)]) == [0, 1]
 
 
 class TestWord:
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            Word(index=0, text="", box=BoundingBox(0, 0, 1, 1))
+        with pytest.raises(ValueError, match="word text must be a non-empty string"):
+            document_from_record(one_word([0, 0, 1, 1], text=""))
 
     def test_surrounding_whitespace_rejected(self):
-        with pytest.raises(ValueError):
-            Word(index=0, text=" padded", box=BoundingBox(0, 0, 1, 1))
-        with pytest.raises(ValueError):
-            Word(index=0, text="padded\n", box=BoundingBox(0, 0, 1, 1))
+        with pytest.raises(ValueError, match="surrounding whitespace"):
+            document_from_record(one_word([0, 0, 1, 1], text=" padded"))
+        with pytest.raises(ValueError, match="surrounding whitespace"):
+            document_from_record(one_word([0, 0, 1, 1], text="padded\n"))
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            Word(index=-1, text="x", box=BoundingBox(0, 0, 1, 1))
+    def test_word_position_is_file_position(self):
+        record = {
+            "doc_id": "d0",
+            "reading_ordered": False,
+            "words": [
+                {"text": "b", "box": [5, 0, 6, 1]},
+                {"text": "a", "box": [0, 0, 1, 1]},
+                {"text": "", "box": [0, 0, 1, 1]},
+            ],
+        }
+        with pytest.raises(ValueError, match=r"^doc d0 word 2: "):
+            document_from_record(record)
+        record["words"].pop()
+        doc = document_from_record(record)
+        assert doc.texts == ("b", "a")
+        assert doc.boxes == ((5.0, 0.0, 6.0, 1.0), (0.0, 0.0, 1.0, 1.0))
 
 
 class TestDocument:
-    def test_word_indices_must_be_contiguous_from_zero(self):
-        box = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(ValueError):
-            Document(
-                doc_id="d0",
-                words=[Word(index=1, text="a", box=box)],
-                provided_order_is_reading_order=True,
-            )
-        with pytest.raises(ValueError):
-            Document(
-                doc_id="d0",
-                words=[Word(index=0, text="a", box=box), Word(index=0, text="b", box=box)],
-                provided_order_is_reading_order=True,
-            )
-
     def test_empty_document_is_legal(self):
-        doc = Document(doc_id="d0", words=[], provided_order_is_reading_order=True)
-        assert len(doc.words) == 0
+        doc = document_from_record({"doc_id": "d0", "reading_ordered": True, "words": []})
+        assert len(doc) == 0
+        assert doc.texts == () and doc.boxes == ()
 
 
 class TestLoadCorpus:
@@ -118,8 +143,9 @@ class TestLoadCorpus:
         )
         docs = load_ocr_corpus(path)
         assert len(docs) == 1
-        assert [w.index for w in docs[0].words] == [0, 1]
-        assert [w.text for w in docs[0].words] == ["Hello", "World"]
+        assert len(docs[0]) == 2
+        assert docs[0].texts == ("Hello", "World")
+        assert docs[0].boxes == ((0.0, 0.0, 10.0, 5.0), (12.0, 0.0, 22.0, 5.0))
 
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -180,14 +206,80 @@ words_strategy = st.lists(
 
 @given(words=words_strategy, reading_ordered=st.booleans())
 def test_corpus_round_trip(tmp_path_factory, words, reading_ordered):
-    doc = Document(
-        doc_id="roundtrip",
-        words=[
-            Word(index=i, text=text, box=BoundingBox(x, y, x + w, y + h))
-            for i, (text, x, y, w, h) in enumerate(words)
-        ],
-        provided_order_is_reading_order=reading_ordered,
-    )
+    texts = [text for text, *_ in words]
+    boxes = [(x, y, x + w, y + h) for _, x, y, w, h in words]
+    record = {
+        "doc_id": "roundtrip",
+        "reading_ordered": reading_ordered,
+        "words": [{"text": t, "box": list(b)} for t, b in zip(texts, boxes)],
+    }
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
-    save_ocr_corpus(path, [doc])
-    assert load_ocr_corpus(path) == [doc]
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (doc,) = load_ocr_corpus(path)
+    assert doc.doc_id == "roundtrip"
+    assert doc.provided_order_is_reading_order is reading_ordered
+    assert doc.texts == tuple(texts)
+    assert doc.boxes == tuple(boxes)
+    assert len(doc) == len(words)
+
+
+GOOD_WORD = {"text": "ok", "box": [0, 0, 1, 1]}
+
+
+def faulty_doc(word):
+    """Doc d1 whose word 1 is `word`, after one good word."""
+    return {"doc_id": "d1", "reading_ordered": True, "words": [GOOD_WORD, word]}
+
+
+# Line 2 of a two-line corpus per case, and the full message the loader
+# reports after "<path> line 2: ". json.dumps writes inf and nan as the
+# Infinity and NaN literals that json.loads reads back.
+LOADER_FAULTS = [
+    ("non-object entry", faulty_doc("w"), "doc d1 word 1: word entry must be an object"),
+    ("box too short", faulty_doc({"text": "w", "box": [0, 0, 1]}),
+     "doc d1 word 1: box must be [x_min, y_min, x_max, y_max], got [0, 0, 1]"),
+    ("box not a list", faulty_doc({"text": "w", "box": "0011"}),
+     "doc d1 word 1: box must be [x_min, y_min, x_max, y_max], got '0011'"),
+    ("box missing", faulty_doc({"text": "w"}),
+     "doc d1 word 1: box must be [x_min, y_min, x_max, y_max], got None"),
+    ("non-number coordinate", faulty_doc({"text": "w", "box": [0, "1", 2, 3]}),
+     "doc d1 word 1: y_min must be a number, got '1'"),
+    ("bool coordinate", faulty_doc({"text": "w", "box": [True, 0, 1, 1]}),
+     "doc d1 word 1: x_min must be a number, got True"),
+    ("inf coordinate", faulty_doc({"text": "w", "box": [0, 0, float("inf"), 1]}),
+     "doc d1 word 1: x_max must be finite, got inf"),
+    ("nan coordinate", faulty_doc({"text": "w", "box": [0, 0, 1, float("nan")]}),
+     "doc d1 word 1: y_max must be finite, got nan"),
+    ("inverted x", faulty_doc({"text": "w", "box": [5, 0, 3, 1]}),
+     "doc d1 word 1: inverted box: x_min 5.0 > x_max 3.0"),
+    ("inverted y", faulty_doc({"text": "w", "box": [0, 5.5, 1, 3]}),
+     "doc d1 word 1: inverted box: y_min 5.5 > y_max 3.0"),
+    ("empty text", faulty_doc({"text": "", "box": [0, 0, 1, 1]}),
+     "doc d1 word 1: word text must be a non-empty string"),
+    ("non-string text", faulty_doc({"text": 7, "box": [0, 0, 1, 1]}),
+     "doc d1 word 1: word text must be a non-empty string"),
+    ("text missing", faulty_doc({"box": [0, 0, 1, 1]}),
+     "doc d1 word 1: word text must be a non-empty string"),
+    ("padded text", faulty_doc({"text": " w", "box": [0, 0, 1, 1]}),
+     "doc d1 word 1: word text carries surrounding whitespace: ' w'"),
+    ("missing doc_id", {"reading_ordered": True, "words": [GOOD_WORD]},
+     "record is missing a doc_id string"),
+    ("missing reading_ordered", {"doc_id": "d1", "words": [GOOD_WORD]},
+     "record is missing the reading_ordered boolean"),
+    ("missing words", {"doc_id": "d1", "reading_ordered": True},
+     "record is missing the words array"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [case[1:] for case in LOADER_FAULTS],
+    ids=[case[0] for case in LOADER_FAULTS],
+)
+def test_loader_fault_messages(tmp_path, record, message):
+    path = tmp_path / "corpus.jsonl"
+    first = {"doc_id": "d0", "reading_ordered": True, "words": [GOOD_WORD]}
+    path.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(DataError) as info:
+        load_ocr_corpus(path)
+    assert str(info.value) == f"{path} line 2: {message}"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
-from docqa.geometry import BoundingBox, Document, Word
 from docqa.jsonl import write_stage_file
 from docqa.ordering import (
     OrderStrategy,
@@ -20,6 +19,7 @@ from docqa.ordering import (
 from layouts import (
     grid_layout,
     layout_suite,
+    make_document,
     permuted_copy,
     raster_oracle,
     scaled_copy,
@@ -29,10 +29,7 @@ from layouts import (
 
 
 def doc_from_boxes(boxes, doc_id="d0", reading_ordered=False):
-    words = [
-        Word(index=i, text=f"t{i}", box=BoundingBox(*b)) for i, b in enumerate(boxes)
-    ]
-    return Document(doc_id=doc_id, words=words, provided_order_is_reading_order=reading_ordered)
+    return make_document(doc_id, [f"t{i}" for i in range(len(boxes))], boxes, reading_ordered)
 
 
 class TestStandardOrder:
@@ -43,7 +40,7 @@ class TestStandardOrder:
         assert order.strategy is OrderStrategy.STANDARD
 
     def test_empty_document(self):
-        doc = Document(doc_id="d0", words=[], provided_order_is_reading_order=True)
+        doc = doc_from_boxes([], reading_ordered=True)
         assert list(standard_order(doc).permutation) == []
 
     def test_unordered_document_refused(self):
@@ -186,13 +183,7 @@ class TestReadingOrderType:
     def test_round_trip_through_orders_file(self, tmp_path):
         doc = grid_layout("g", rows=2, cols=2)
         orders = [
-            standard_order(
-                Document(
-                    doc_id="plain",
-                    words=doc.words,
-                    provided_order_is_reading_order=True,
-                )
-            ),
+            standard_order(make_document("plain", doc.texts, doc.boxes, reading_ordered=True)),
             raster_scan_order(doc),
             shuffled_order(grid_layout("s", rows=2, cols=2), 42),
         ]
@@ -217,6 +208,21 @@ class TestReadingOrderType:
             (o.to_record() for o in [raster_scan_order(doc), shuffled_order(doc, 42)]),
         )
         with pytest.raises(DataError, match=r"line 3: duplicate doc_id 'g'"):
+            load_orders(path)
+
+    @pytest.mark.parametrize(
+        "permutation",
+        [[0.7, 1.7], ["0", "1"], [True, 0], [0, 1.0]],
+        ids=["fractions", "strings", "bool", "integral float"],
+    )
+    def test_load_rejects_non_integer_entries(self, tmp_path, permutation):
+        rows = [
+            {"doc_id": "a", "strategy": "standard", "params": {}, "permutation": [0, 1]},
+            {"doc_id": "b", "strategy": "standard", "params": {}, "permutation": permutation},
+        ]
+        path = tmp_path / "orders.jsonl"
+        write_stage_file(path, {"config_digest": "0"}, rows)
+        with pytest.raises(DataError, match=r"line 3: .*doc 'b'.*non-integer entry"):
             load_orders(path)
 
     def test_load_rejects_bad_permutation(self, tmp_path):
@@ -245,7 +251,7 @@ def random_documents(draw):
 @given(doc=random_documents(), factor=st.floats(0.05, 3.0))
 def test_raster_output_is_always_a_permutation(doc, factor):
     perm = raster_scan_order(doc, RasterScanParams(line_threshold_factor=factor)).permutation
-    assert sorted(perm) == list(range(len(doc.words)))
+    assert sorted(perm) == list(range(len(doc)))
 
 
 # Integer coordinates and sizes from a small range, so centroids tie often
@@ -267,4 +273,4 @@ def test_raster_matches_oracle_on_snapped_layouts(doc, factor):
 @given(doc=random_documents(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_shuffle_output_is_always_a_permutation(doc, seed):
     perm = shuffled_order(doc, seed).permutation
-    assert sorted(perm) == list(range(len(doc.words)))
+    assert sorted(perm) == list(range(len(doc)))

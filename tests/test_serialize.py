@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
-from docqa.geometry import BoundingBox, Document, Word
 from docqa.jsonl import write_stage_file
 from docqa.ordering import shuffled_order, standard_order
 from docqa.serialize import (
@@ -16,14 +15,12 @@ from docqa.serialize import (
     parse_prompt,
     truncate_context,
 )
+from layouts import make_document
 
 
 def doc_with_texts(texts, doc_id="d0"):
-    words = [
-        Word(index=i, text=t, box=BoundingBox(12.0 * i, 0.0, 12.0 * i + 10.0, 4.0))
-        for i, t in enumerate(texts)
-    ]
-    return Document(doc_id=doc_id, words=words, provided_order_is_reading_order=True)
+    boxes = [(12.0 * i, 0.0, 12.0 * i + 10.0, 4.0) for i in range(len(texts))]
+    return make_document(doc_id, texts, boxes, reading_ordered=True)
 
 
 class TestBuildContext:
