@@ -40,7 +40,7 @@ from .datasets import MixtureKind, MixtureStrategy, load_dataset_configs, load_q
 from .errors import DataError, EndpointError
 from .geometry import load_ocr_corpus
 from .jsonl import parse_rows, read_header, read_stage_records, write_stage_file
-from .llmclient import HTTPBackend, InferenceRequest, MockBackend, predict_batch
+from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
     OrderStrategy,
@@ -127,6 +127,13 @@ def _positive_finite_float(text: str) -> float:
     if not math.isfinite(value) or value <= 0:
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
+
+
+def _endpoint(text: str) -> str:
+    try:
+        return check_endpoint(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _dataset_size(text: str) -> tuple[str, int]:
@@ -507,7 +514,7 @@ def build_parser() -> _Parser:
         "--backend", choices=["http", "mock-echo", "mock-answer-key"], default="http"
     )
     predict.add_argument("--config", help="JSON file: timeout, max_attempts, backoff_base")
-    predict.add_argument("--endpoint", help="completion endpoint URL")
+    predict.add_argument("--endpoint", type=_endpoint, help="completion endpoint URL")
     predict.add_argument(
         "--max-new-tokens", type=_positive_int,
         help="completion budget (default: the dataset's answer budget)",

@@ -7,18 +7,28 @@ The wire protocol is one JSON POST per completion: the request carries
 concatenation reproduces the completion. The request deliberately has
 no sampling fields; decoding is whatever deterministic mode the
 endpoint defaults to.
+
+HTTPBackend uses only the standard library (urllib.request), opening
+one connection per attempt. Timeouts, refused, reset or dropped
+connections and malformed HTTP framing are retried; a status outside
+2xx (a 307/308 redirect of the POST included), invalid JSON and a
+malformed body are not. Proxies come from http_proxy/https_proxy/
+no_proxy, and HTTPS is verified against the system trust store.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import random
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
-
-import requests
 
 from .analysis import TokenLogProb
 from .errors import EndpointError
@@ -66,6 +76,21 @@ class InferenceResponse:
                 raise ValueError(
                     f"token pieces {joined!r} do not concatenate to text {self.text!r}"
                 )
+
+
+def check_endpoint(url: str) -> str:
+    """Return `url` if it is an http(s) URL with a host, else raise ValueError."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises on a non-numeric or out-of-range port
+    except ValueError as exc:
+        raise ValueError(f"endpoint {url!r} is not a valid URL: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint must be an http(s) URL with a host, got {url!r}")
+    # http.client refuses these on every attempt, so retrying cannot help.
+    if any(c <= " " or c == "\x7f" for c in url):
+        raise ValueError(f"endpoint {url!r} contains whitespace or control characters")
+    return url
 
 
 def _pieces(answer: str) -> list[str]:
@@ -135,12 +160,10 @@ class HTTPBackend:
         timeout: float = 30.0,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
         jitter_rng: random.Random | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
-        if not endpoint:
-            raise ValueError("endpoint must be non-empty")
+        check_endpoint(endpoint)
         # Exact types keep bools out; the chained bounds also reject nan.
         if type(max_attempts) is not int or max_attempts < 1:
             raise ValueError(f"max_attempts must be an integer >= 1, got {max_attempts!r}")
@@ -152,16 +175,24 @@ class HTTPBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.session = session if session is not None else requests.Session()
         self.jitter_rng = jitter_rng if jitter_rng is not None else random.Random()
         self.sleeper = sleeper
 
-    def _post(self, payload: dict):
+    def _post(self, payload: dict) -> bytes:
+        data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.max_attempts + 1):
+            request = urllib.request.Request(
+                self.endpoint, data=data, headers={"Content-Type": "application/json"}
+            )
             try:
-                return self.session.post(self.endpoint, json=payload, timeout=self.timeout)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    return response.read()
+            # HTTPError subclasses OSError, so it must be caught first.
+            except urllib.error.HTTPError as exc:
+                text = exc.read().decode("utf-8", "replace")
+                raise EndpointError(f"endpoint returned {exc.code}: {text[:200]}") from exc
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 if attempt < self.max_attempts:
                     jitter = 0.5 + 0.5 * self.jitter_rng.random()
@@ -177,13 +208,9 @@ class HTTPBackend:
             "max_new_tokens": request.max_new_tokens,
             "logprobs": request.want_logprobs,
         }
-        response = self._post(payload)
-        if not 200 <= response.status_code < 300:
-            raise EndpointError(
-                f"endpoint returned {response.status_code}: {response.text[:200]}"
-            )
+        raw = self._post(payload)
         try:
-            body = response.json()
+            body = json.loads(raw)
         except ValueError as exc:
             raise EndpointError(f"endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(body, dict):

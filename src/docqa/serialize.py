@@ -156,6 +156,8 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
         raise ValueError(f"context record is missing {exc.args[0]!r}") from exc
     if not isinstance(text, str):
         raise ValueError(f"context must be a string, got {text!r}")
+    if type(token_count) is not int:
+        raise ValueError(f"token_count must be an integer, got {token_count!r}")
     words = len(text.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")

@@ -327,6 +327,18 @@ class TestPredictCommand:
                    "--backend", "http", "--out", bench["dir"] / "p2.jsonl") == 1
         assert "--endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://x/y", "http://"])
+    def test_malformed_endpoint_is_usage_error(self, bench, capsys, endpoint):
+        paths = run_pipeline(bench)
+        capsys.readouterr()
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "http", "--endpoint", endpoint,
+                   "--out", bench["dir"] / "p2.jsonl") == 1
+        err = capsys.readouterr().err
+        assert "error: argument --endpoint: endpoint must be an http(s) URL" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("config", [
         '{"max_attempts": 0}',
         '{"max_attempts": "3"}',

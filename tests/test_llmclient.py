@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import random
 import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-import requests
 
 from docqa.analysis import reading_order_perplexity
 from docqa.errors import EndpointError
@@ -209,15 +214,38 @@ class TestClientBatch:
             predict_batch(MockBackend(rule="echo_last_word"), [], max_in_flight=0)
 
 
+# Seconds a "stall" step waits before closing; the retry tests give the
+# client a shorter timeout than this.
+STALL_S = 0.5
+
+
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Serves canned responses; the server instance carries the script."""
+    """Serves canned responses; the server instance carries the script.
+
+    A script step is a (status, payload) pair or one of the transport
+    faults "drop" (close the connection unanswered), "stall" (answer
+    nothing for STALL_S) and "garbage" (send a malformed status line).
+    """
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         self.server.requests.append(body)
-        status, payload = self.server.script[min(len(self.server.requests) - 1,
-                                                 len(self.server.script) - 1)]
+        step = self.server.script[min(len(self.server.requests) - 1,
+                                      len(self.server.script) - 1)]
+        if step == "drop":
+            self.close_connection = True
+            self.connection.shutdown(socket.SHUT_RDWR)
+            return
+        if step == "stall":
+            time.sleep(STALL_S)
+            self.close_connection = True
+            return
+        if step == "garbage":
+            self.wfile.write(b"garbage\r\n\r\n")
+            self.close_connection = True
+            return
+        status, payload = step
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -233,12 +261,14 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def scripted_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.daemon_threads = True
     server.requests = []
     server.script = [(200, {"text": "", "model_id": "m", "tokens": []})]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -305,43 +335,13 @@ class TestHTTPBackend:
             backend.complete(request_for("x", "q?"))
 
 
-class TimeoutThenSucceedSession:
-    """Raises timeouts for the first few posts, then answers."""
-
-    def __init__(self, failures, payload):
-        self.failures = failures
-        self.payload = payload
-        self.posts = 0
-
-    def post(self, url, json=None, timeout=None):
-        self.posts += 1
-        if self.posts <= self.failures:
-            raise requests.Timeout("simulated")
-        return _CannedResponse(self.payload)
-
-
-class _CannedResponse:
-    status_code = 200
-
-    def __init__(self, payload):
-        self._payload = payload
-        self.text = json.dumps(payload)
-
-    def json(self):
-        return json.loads(self.text)
-
-
 class TestRetries:
-    def test_retries_then_succeeds_with_backoff(self):
-        import random
-
-        session = TimeoutThenSucceedSession(
-            failures=2, payload={"text": "ok", "model_id": "m"}
-        )
+    def test_retries_then_succeeds_with_backoff(self, scripted_server):
+        scripted_server.script = ["stall", "drop", (200, {"text": "ok", "model_id": "m"})]
         sleeps = []
         backend = HTTPBackend(
-            "http://example.invalid/complete",
-            session=session,
+            server_url(scripted_server),
+            timeout=0.2,
             max_attempts=3,
             backoff_base=0.5,
             jitter_rng=random.Random(0),
@@ -349,23 +349,33 @@ class TestRetries:
         )
         response = backend.complete(request_for("x", "q?", want_logprobs=False))
         assert response.text == "ok"
-        assert session.posts == 3
+        assert len(scripted_server.requests) == 3
         # Backoff doubles per attempt; jitter scales by [0.5, 1.0).
         assert len(sleeps) == 2
         assert 0.25 <= sleeps[0] < 0.5
         assert 0.5 <= sleeps[1] < 1.0
 
-    def test_exhausted_retries_name_attempt_count(self):
-        session = TimeoutThenSucceedSession(failures=99, payload={})
+    def test_exhausted_retries_name_attempt_count(self, scripted_server):
+        scripted_server.script = ["drop"]
         backend = HTTPBackend(
-            "http://example.invalid/complete",
-            session=session,
+            server_url(scripted_server),
             max_attempts=3,
             sleeper=lambda s: None,
         )
         with pytest.raises(EndpointError, match="3 attempts"):
             backend.complete(request_for("x", "q?"))
-        assert session.posts == 3
+        assert len(scripted_server.requests) == 3
+
+    def test_malformed_status_line_is_retried(self, scripted_server):
+        scripted_server.script = ["garbage"]
+        backend = HTTPBackend(
+            server_url(scripted_server),
+            max_attempts=3,
+            sleeper=lambda s: None,
+        )
+        with pytest.raises(EndpointError, match="3 attempts"):
+            backend.complete(request_for("x", "q?"))
+        assert len(scripted_server.requests) == 3
 
     def test_connection_refused_retries_then_fails(self):
         # Grab a port that nothing is listening on.
@@ -387,9 +397,21 @@ class TestRetries:
             ("max_attempts", 2.0), ("timeout", "x"), ("timeout", 0),
             ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan),
             ("timeout", True), ("backoff_base", -1), ("backoff_base", math.inf),
-            ("backoff_base", "0.5"),
+            ("backoff_base", "0.5"), ("endpoint", "notaurl"), ("endpoint", "ftp://x/y"),
+            ("endpoint", "http://"), ("endpoint", "http://h/a b"), ("endpoint", "http://h:x/"),
         ]
         for key, value in bad:
             with pytest.raises(ValueError, match=key):
-                HTTPBackend("http://example.invalid", **{key: value})
+                HTTPBackend(**{"endpoint": "http://example.invalid", key: value})
         HTTPBackend("http://example.invalid", timeout=1, max_attempts=1, backoff_base=0)
+
+
+def test_importing_the_cli_loads_no_http_library():
+    code = "import sys, docqa.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

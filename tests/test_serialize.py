@@ -186,7 +186,8 @@ class TestContextsFile:
     def test_load_rejects_bad_token_count(self, tmp_path):
         path = tmp_path / "contexts.jsonl"
         for row in ('{"doc_id": "d", "context": "a", "token_count": -1}',
-                    '{"doc_id": "d", "context": "a b", "token_count": 99}'):
+                    '{"doc_id": "d", "context": "a b", "token_count": 99}',
+                    '{"doc_id": "d", "context": "a", "token_count": true}'):
             path.write_text(row + "\n")
             with pytest.raises(DataError, match="line 1: token_count"):
                 load_contexts(path)
