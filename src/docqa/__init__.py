@@ -10,6 +10,10 @@ The pipeline stages live in their own modules and compose through plain data:
 - datasets: QA records, benchmark configs, mixture samplers
 - llmclient: endpoint and mock backends, plus the predict_batch fan-out
 - cli: file-based pipeline commands
+
+Records are checked once, where they enter: the file loaders, the endpoint
+parser (`HTTPBackend.complete`) and the CLI's argument types. The record
+dataclasses check nothing, so untrusted data should go through a loader.
 """
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Scores predictions against gold answers, splits examples by correctness,
 and derives the three diagnostics we lean on when a benchmark number
 looks off: perplexity of the generated answer, whether any gold answer
 appears verbatim in the serialized context, and how context length
-relates to correctness.
+relates to correctness. Records are checked by the *_from_record
+parsers, not by the dataclasses.
 """
 
 from __future__ import annotations
@@ -27,23 +28,10 @@ GENRE_FILTERED_DATASETS = frozenset({"ocrvqa"})
 
 @dataclass(frozen=True)
 class TokenLogProb:
-    """One generated token with its log probability (natural log)."""
+    """One generated token with its log probability (natural log, <= 0)."""
 
     token_text: str
     logprob: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.token_text, str):
-            raise ValueError("token_text must be a string")
-        value = self.logprob
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError("logprob must be a number")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"logprob must be finite, got {value!r}")
-        if value > 0.0:
-            raise ValueError(f"logprob must be <= 0, got {value!r}")
-        object.__setattr__(self, "logprob", value)
 
 
 @dataclass(frozen=True)
@@ -55,13 +43,21 @@ class Prediction:
     tokens: tuple[TokenLogProb, ...] | None = None
     error: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.example_id:
-            raise ValueError("example_id must be non-empty")
-        if not isinstance(self.text, str):
-            raise ValueError("text must be a string")
-        if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+
+def token_from_record(record: Mapping) -> TokenLogProb:
+    """A token from a predictions-file or endpoint {"text", "logprob"} object."""
+    text = record["text"]
+    value = record["logprob"]
+    if not isinstance(text, str):
+        raise ValueError("token_text must be a string")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("logprob must be a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"logprob must be finite, got {value!r}")
+    if value > 0.0:
+        raise ValueError(f"logprob must be <= 0, got {value!r}")
+    return TokenLogProb(token_text=text, logprob=value)
 
 
 @dataclass(frozen=True)
@@ -257,11 +253,7 @@ def evaluate_rows(
     one failed request degrades the aggregate instead of aborting the
     run. Perplexity is attached only when tokens came back.
     """
-    preds_by_id: dict[str, Prediction] = {}
-    for p in predictions:
-        if p.example_id in preds_by_id:
-            raise DataError(f"duplicate prediction for example {p.example_id!r}")
-        preds_by_id[p.example_id] = p
+    preds_by_id = {p.example_id: p for p in predictions}
     stray = preds_by_id.keys() - {r.example_id for r in records}
     if stray:
         raise DataError(f"prediction for example {min(stray)!r} has no QA record")
@@ -362,9 +354,7 @@ def prediction_from_record(record: Mapping) -> Prediction:
     if raw_tokens is not None:
         if not isinstance(raw_tokens, list):
             raise ValueError("tokens must be a list or null")
-        tokens = tuple(
-            TokenLogProb(token_text=t["text"], logprob=t["logprob"]) for t in raw_tokens
-        )
+        tokens = tuple(token_from_record(t) for t in raw_tokens)
     return Prediction(example_id=example_id, text=text, tokens=tokens)
 
 

@@ -36,7 +36,7 @@ from .analysis import (
     prediction_to_record,
     zero_shot_perplexity,
 )
-from .datasets import MixtureKind, MixtureStrategy, load_dataset_configs, load_qa, sample_mixture
+from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
 from .geometry import load_ocr_corpus
 from .jsonl import parse_rows, read_header, read_stage_records, write_stage_file
@@ -44,7 +44,6 @@ from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoin
 from .metrics import dataset_score
 from .ordering import (
     OrderStrategy,
-    RasterScanParams,
     load_orders,
     raster_scan_order,
     shuffled_order,
@@ -89,7 +88,7 @@ def load_run_config(path: str | None) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -180,8 +179,7 @@ def cmd_order(args) -> int:
         orders = [standard_order(doc) for doc in docs]
     elif args.strategy == "raster_scan":
         settings["threshold_factor"] = args.threshold_factor
-        params = RasterScanParams(line_threshold_factor=args.threshold_factor)
-        orders = [raster_scan_order(doc, params) for doc in docs]
+        orders = [raster_scan_order(doc, args.threshold_factor) for doc in docs]
     else:
         # Per-document seeds keep same-length documents from sharing a
         # permutation.
@@ -351,6 +349,15 @@ def _load_eval_file(path):
     for key in ("dataset", "strategy", "aggregate"):
         if key not in header:
             raise DataError(f"eval file {path} header is missing {key!r}")
+    dataset, strategy, aggregate = header["dataset"], header["strategy"], header["aggregate"]
+    where = f"eval file {path} header"
+    if not isinstance(dataset, str) or not dataset:
+        raise DataError(f"{where}: dataset must be a non-empty string, got {dataset!r}")
+    if strategy is not None and not isinstance(strategy, str):
+        raise DataError(f"{where}: strategy must be a string or null, got {strategy!r}")
+    # Exact types keep bools out; the chained bounds also reject nan.
+    if type(aggregate) not in (int, float) or not -math.inf < aggregate < math.inf:
+        raise DataError(f"{where}: aggregate must be a finite number, got {aggregate!r}")
     return header, parse_rows(path, raw_rows, eval_row_from_record, "example_id")
 
 
@@ -451,8 +458,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sample(args) -> int:
     stage_seed = derive_seed(args.seed, "sample")
-    strategy = MixtureStrategy(kind=MixtureKind(args.strategy), seed=stage_seed)
-    schedule = sample_mixture(args.datasets, strategy, args.draws)
+    schedule = sample_mixture(args.datasets, MixtureKind(args.strategy), stage_seed, args.draws)
     settings = {
         "strategy": args.strategy,
         "draws": args.draws,

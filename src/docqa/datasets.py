@@ -3,7 +3,8 @@
 The six benchmark configs ship as a versioned JSON file next to this module
 so a reproduction run has one source of truth for metric choice and budgets.
 Mixture sampling is with replacement: each draw is independent, matching how
-training schedules consume them.
+training schedules consume them. The loaders check every record; the
+dataclasses do not.
 """
 
 from __future__ import annotations
@@ -33,39 +34,32 @@ class QARecord:
     answers: tuple[str, ...]
     flags: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        for name in ("example_id", "doc_id"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"{name} must be a non-empty string")
-        if not isinstance(self.question, str):
-            raise ValueError("question must be a string")
-        object.__setattr__(self, "answers", tuple(self.answers))
-        if not self.answers or not all(isinstance(a, str) for a in self.answers):
-            raise ValueError("answers must be a non-empty list of strings")
-        object.__setattr__(self, "flags", frozenset(self.flags))
-        unknown = self.flags - KNOWN_FLAGS
-        if unknown:
-            raise ValueError(f"unknown flag {sorted(unknown)[0]!r}")
-
 
 def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
     try:
+        example_id = record["example_id"]
+        doc_id = record["doc_id"]
+        question = record["question"]
         answers = record["answers"]
-        flags = record.get("flags", [])
-        # A string would pass tuple() as one answer per character.
-        for name, value in (("answers", answers), ("flags", flags)):
-            if not isinstance(value, list):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-        return QARecord(
-            example_id=record["example_id"],
-            doc_id=record["doc_id"],
-            question=record["question"],
-            answers=answers,
-            flags=flags,
-        )
     except KeyError as exc:
         raise ValueError(f"QA record is missing {exc.args[0]!r}") from exc
+    flags = record.get("flags", [])
+    # A string would pass tuple() as one answer per character.
+    for name, value in (("answers", answers), ("flags", flags)):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+    for name, value in (("example_id", example_id), ("doc_id", doc_id)):
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"{name} must be a non-empty string")
+    if not isinstance(question, str):
+        raise ValueError("question must be a string")
+    if not answers or not all(isinstance(a, str) for a in answers):
+        raise ValueError("answers must be a non-empty list of strings")
+    flags = frozenset(flags)
+    unknown = flags - KNOWN_FLAGS
+    if unknown:
+        raise ValueError(f"unknown flag {sorted(unknown)[0]!r}")
+    return QARecord(example_id, doc_id, question, tuple(answers), flags)
 
 
 def load_qa(path: str | os.PathLike[str]) -> list[QARecord]:
@@ -83,16 +77,6 @@ class DatasetConfig:
     target_budget: int
     anls_tau: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "metric", MetricKind(self.metric))
-        for field_name in ("context_budget", "target_budget"):
-            value = getattr(self, field_name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{field_name} must be a positive integer, got {value!r}")
-        tau = self.anls_tau
-        if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
-            raise ValueError(f"anls_tau must be a number in [0, 1], got {tau!r}")
-
 
 def _configs_from_payload(payload: Any, source: str) -> dict[str, DatasetConfig]:
     if not isinstance(payload, dict) or not isinstance(payload.get("datasets"), dict):
@@ -102,17 +86,22 @@ def _configs_from_payload(payload: Any, source: str) -> dict[str, DatasetConfig]
         if not isinstance(entry, dict):
             raise DataError(f"{source}: dataset {name!r} must be an object, got {entry!r}")
         try:
-            configs[name] = DatasetConfig(
-                name=name,
-                metric=entry["metric"],
-                context_budget=entry["context_budget"],
-                target_budget=entry["target_budget"],
-                anls_tau=entry["anls_tau"],
-            )
+            metric = entry["metric"]
+            context_budget = entry["context_budget"]
+            target_budget = entry["target_budget"]
+            tau = entry["anls_tau"]
+            metric = MetricKind(metric)
+            budgets = (("context_budget", context_budget), ("target_budget", target_budget))
+            for key, value in budgets:
+                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                    raise ValueError(f"{key} must be a positive integer, got {value!r}")
+            if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
+                raise ValueError(f"anls_tau must be a number in [0, 1], got {tau!r}")
         except KeyError as exc:
             raise DataError(f"{source}: dataset {name!r} is missing {exc.args[0]!r}") from exc
         except ValueError as exc:
             raise DataError(f"{source}: dataset {name!r}: {exc}") from exc
+        configs[name] = DatasetConfig(name, metric, context_budget, target_budget, tau)
     return configs
 
 
@@ -124,8 +113,11 @@ def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str
     else:
         if not os.path.exists(path):
             raise DataError(f"file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: cannot read: {exc}") from exc
         source = str(path)
     try:
         payload = json.loads(text)
@@ -139,20 +131,10 @@ class MixtureKind(str, Enum):
     NORMALIZED = "normalized"
 
 
-@dataclass(frozen=True)
-class MixtureStrategy:
-    kind: MixtureKind
-    seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", MixtureKind(self.kind))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be an unsigned integer, got {self.seed!r}")
-
-
 def sample_mixture(
     datasets: Sequence[tuple[str, int]],
-    strategy: MixtureStrategy,
+    kind: MixtureKind,
+    seed: int,
     n_draws: int,
 ) -> list[tuple[str, int]]:
     """Draw (dataset name, record index) pairs, with replacement.
@@ -161,9 +143,11 @@ def sample_mixture(
     it; normalized picks uniformly over the pooled records, so a dataset's
     probability is its share of the total size. The stream is a single
     sequential PRNG: identical inputs and seed give the identical schedule.
-    Workers wanting parallel draws should each build their own strategy with
-    a derived seed.
+    Workers wanting parallel draws should each pass a derived seed.
     """
+    kind = MixtureKind(kind)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an unsigned integer, got {seed!r}")
     if not datasets:
         raise DataError("dataset list is empty")
     names = [name for name, _ in datasets]
@@ -176,9 +160,9 @@ def sample_mixture(
     if not isinstance(n_draws, int) or isinstance(n_draws, bool) or n_draws < 1:
         raise ValueError(f"n_draws must be a positive integer, got {n_draws!r}")
 
-    rng = random.Random(strategy.seed)
+    rng = random.Random(seed)
     draws: list[tuple[str, int]] = []
-    if strategy.kind is MixtureKind.UNIFORM:
+    if kind is MixtureKind.UNIFORM:
         for _ in range(n_draws):
             which = rng.randrange(len(datasets))
             draws.append((names[which], rng.randrange(sizes[which])))

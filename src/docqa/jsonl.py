@@ -5,7 +5,8 @@ of the stage's semantic settings, run seed included), `stage`, the seed
 derived for that stage, then fields specific to the stage. Paths never enter
 the digest, so a rerun in another directory writes the same bytes. Every
 loader turns rows into values through `parse_rows`, which names the file and
-line of a bad or repeated row.
+line of a bad or repeated row. A file that is missing, cannot be opened (a
+directory, say) or is not UTF-8 is a DataError naming it.
 """
 
 from __future__ import annotations
@@ -27,17 +28,20 @@ def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, 
     """
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path} line {line_no}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path} line {line_no}: expected a JSON object")
-            yield line_no, record
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path} line {line_no}: invalid JSON: {exc.msg}") from exc
+                if not isinstance(record, dict):
+                    raise DataError(f"{path} line {line_no}: expected a JSON object")
+                yield line_no, record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
 
 
 def write_records(path: str | os.PathLike[str], records: Iterable[dict[str, Any]]) -> None:

@@ -14,6 +14,7 @@ connections and malformed HTTP framing are retried; a status outside
 2xx (a 307/308 redirect of the POST included), invalid JSON and a
 malformed body are not. Proxies come from http_proxy/https_proxy/
 no_proxy, and HTTPS is verified against the system trust store.
+HTTPBackend.complete checks every response body; the records do not.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .analysis import TokenLogProb
+from .analysis import TokenLogProb, token_from_record
 from .errors import EndpointError
 from .metrics import contains_words
 from .serialize import parse_prompt
@@ -48,34 +49,12 @@ class InferenceRequest:
     max_new_tokens: int
     want_logprobs: bool = True
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.prompt, str) or not self.prompt:
-            raise ValueError("prompt must be a non-empty string")
-        n = self.max_new_tokens
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"max_new_tokens must be a positive integer, got {n!r}")
-        if not isinstance(self.want_logprobs, bool):
-            raise ValueError("want_logprobs must be a boolean")
-
 
 @dataclass(frozen=True)
 class InferenceResponse:
     text: str
     model_id: str
     tokens: tuple[TokenLogProb, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
-            raise ValueError("text must be a string")
-        if not isinstance(self.model_id, str) or not self.model_id:
-            raise ValueError("model_id must be a non-empty string")
-        if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-            joined = "".join(t.token_text for t in self.tokens)
-            if joined != self.text:
-                raise ValueError(
-                    f"token pieces {joined!r} do not concatenate to text {self.text!r}"
-                )
 
 
 def check_endpoint(url: str) -> str:
@@ -218,15 +197,19 @@ class HTTPBackend:
         try:
             tokens = None
             if request.want_logprobs and body.get("tokens") is not None:
-                tokens = tuple(
-                    TokenLogProb(token_text=t["text"], logprob=t["logprob"])
-                    for t in body["tokens"]
-                )
-            return InferenceResponse(
-                text=body["text"], model_id=body["model_id"], tokens=tokens
-            )
+                tokens = tuple(token_from_record(t) for t in body["tokens"])
+            text = body["text"]
+            model_id = body["model_id"]
+            if not isinstance(text, str):
+                raise ValueError("text must be a string")
+            if not isinstance(model_id, str) or not model_id:
+                raise ValueError("model_id must be a non-empty string")
+            joined = None if tokens is None else "".join(t.token_text for t in tokens)
+            if joined not in (None, text):
+                raise ValueError(f"token pieces {joined!r} do not concatenate to text {text!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise EndpointError(f"malformed endpoint response: {exc}") from exc
+        return InferenceResponse(text=text, model_id=model_id, tokens=tokens)
 
 
 def predict_batch(

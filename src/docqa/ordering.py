@@ -18,7 +18,8 @@ Each strategy turns a Document into a permutation of its word indices:
 - shuffled: a seeded Fisher-Yates pass, the control arm for order ablations.
 
 All functions are pure over immutable inputs, so ordering a corpus is
-embarrassingly parallel across documents.
+embarrassingly parallel across documents. Only orders read from a file are
+checked, in ReadingOrder.from_record.
 """
 
 from __future__ import annotations
@@ -43,28 +44,6 @@ class OrderStrategy(str, Enum):
 
 
 @dataclass(frozen=True)
-class RasterScanParams:
-    """line_threshold_factor scales the seed box height into the vertical
-    tolerance that decides line membership. The distance is vertical only;
-    grouping is relative to the line's seed word, not the last word added."""
-
-    line_threshold_factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        factor = self.line_threshold_factor
-        if (
-            not isinstance(factor, (int, float))
-            or isinstance(factor, bool)
-            or not math.isfinite(factor)
-            or factor <= 0
-        ):
-            raise ValueError(
-                f"line_threshold_factor must be a finite number > 0, got {factor!r}"
-            )
-        object.__setattr__(self, "line_threshold_factor", float(factor))
-
-
-@dataclass(frozen=True)
 class ReadingOrder:
     """A permutation of word indices plus the recipe that produced it."""
 
@@ -72,21 +51,6 @@ class ReadingOrder:
     permutation: tuple[int, ...]
     strategy: OrderStrategy
     params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strategy", OrderStrategy(self.strategy))
-        permutation = tuple(self.permutation)
-        for entry in permutation:
-            if type(entry) is not int:
-                raise ValueError(
-                    f"permutation of doc {self.doc_id!r} holds a non-integer entry {entry!r}"
-                )
-        object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "params", dict(self.params))
-        if sorted(self.permutation) != list(range(len(self.permutation))):
-            raise ValueError(
-                f"permutation of doc {self.doc_id!r} is not a bijection on 0..N-1"
-            )
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -99,14 +63,24 @@ class ReadingOrder:
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ReadingOrder":
         try:
-            return cls(
-                doc_id=record["doc_id"],
-                permutation=record["permutation"],
-                strategy=record["strategy"],
-                params=record.get("params", {}),
-            )
+            doc_id = record["doc_id"]
+            permutation = record["permutation"]
+            strategy = record["strategy"]
         except KeyError as exc:
             raise ValueError(f"order record is missing {exc.args[0]!r}") from exc
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ValueError(f"doc_id must be a non-empty string, got {doc_id!r}")
+        strategy = OrderStrategy(strategy)
+        permutation = tuple(permutation)
+        for entry in permutation:
+            if type(entry) is not int:
+                raise ValueError(
+                    f"permutation of doc {doc_id!r} holds a non-integer entry {entry!r}"
+                )
+        params = dict(record.get("params", {}))
+        if sorted(permutation) != list(range(len(permutation))):
+            raise ValueError(f"permutation of doc {doc_id!r} is not a bijection on 0..N-1")
+        return cls(doc_id=doc_id, permutation=permutation, strategy=strategy, params=params)
 
 
 def standard_order(doc: Document) -> ReadingOrder:
@@ -120,9 +94,17 @@ def standard_order(doc: Document) -> ReadingOrder:
     )
 
 
-def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> ReadingOrder:
-    """Geometric line rebuild; see the module docstring for the loop."""
-    params = params or RasterScanParams()
+def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> ReadingOrder:
+    """Geometric line rebuild; see the module docstring for the loop.
+
+    line_threshold_factor (a finite number > 0) scales the seed box height
+    into the vertical tolerance that decides line membership.
+    """
+    factor = line_threshold_factor
+    # Exact types keep bools out; the chained bounds also reject nan.
+    if type(factor) not in (int, float) or not 0 < factor < math.inf:
+        raise ValueError(f"line_threshold_factor must be a finite number > 0, got {factor!r}")
+    factor = float(factor)
     # "Uppermost and leftmost" as a lexicographic key; the index breaks exact
     # centroid ties so the result never depends on input order. The height
     # rides along and is never compared, since indices are unique.
@@ -134,7 +116,7 @@ def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> 
     start = 0
     while start < len(keyed):
         seed_y, _, _, seed_height = keyed[start]
-        tolerance = params.line_threshold_factor * seed_height
+        tolerance = factor * seed_height
         end = start + 1
         # The same predicate as the line definition, not a bisect on
         # seed_y + tolerance: the two can round differently.
@@ -147,7 +129,7 @@ def raster_scan_order(doc: Document, params: RasterScanParams | None = None) -> 
         doc_id=doc.doc_id,
         permutation=tuple(permutation),
         strategy=OrderStrategy.RASTER_SCAN,
-        params={"line_threshold_factor": params.line_threshold_factor},
+        params={"line_threshold_factor": factor},
     )
 
 

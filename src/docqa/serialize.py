@@ -8,7 +8,8 @@ order. The prompt wraps it in the fixed template
 and stays byte-identical for identical inputs. A token budget counts
 whitespace-separated tokens, so an OCR word with an internal space such as
 "new york" counts as two. Budgets are enforced by keeping the longest prefix
-of whole words that fits; a word is never split.
+of whole words that fits; a word is never split. Contexts files are checked
+row by row in `context_from_record`; the records themselves check nothing.
 """
 
 from __future__ import annotations
@@ -28,30 +29,16 @@ from .ordering import ReadingOrder
 class SerializedContext:
     """The context string C for one document.
 
-    pieces holds the word texts in serialization order so truncation can
-    respect word boundaries even when a word carries an internal space; for
-    contexts loaded back from disk it is rebuilt by splitting on single
-    spaces.
+    pieces holds the word texts in serialization order, joined by single
+    spaces into text, so truncation can respect word boundaries even when a
+    word carries an internal space; for contexts loaded back from disk it is
+    rebuilt by splitting on single spaces.
     """
 
     doc_id: str
     text: str
     token_count: int
-    pieces: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.token_count, int) or self.token_count < 0:
-            raise ValueError(f"token_count must be a non-negative integer, got {self.token_count!r}")
-        if not self.pieces and self.text:
-            object.__setattr__(self, "pieces", tuple(self.text.split(" ")))
-        else:
-            object.__setattr__(self, "pieces", tuple(self.pieces))
-        if self.pieces:
-            expected_len = sum(len(p) for p in self.pieces) + len(self.pieces) - 1
-            if expected_len != len(self.text):
-                raise ValueError(
-                    f"doc {self.doc_id!r}: pieces do not tile the context text"
-                )
+    pieces: tuple[str, ...]
 
 
 def build_context(doc: Document, order: ReadingOrder) -> SerializedContext:
@@ -108,24 +95,16 @@ _ANSWER_SUFFIX = " Answer:"
 
 @dataclass(frozen=True)
 class Prompt:
-    """The exact string sent to the model, plus its parts."""
+    """The exact string sent to the model."""
 
     text: str
-    question: str
-    context: SerializedContext
-
-    def __post_init__(self) -> None:
-        expected = f"{_CONTEXT_PREFIX}{self.context.text}{_QUESTION_SEP}{self.question}{_ANSWER_SUFFIX}"
-        if self.text != expected:
-            raise ValueError("prompt text deviates from the template")
 
 
 def build_prompt(ctx: SerializedContext, question: str) -> Prompt:
     """Apply the template; an empty context leaves a double space, by design."""
     if not question:
         raise DataError(f"doc {ctx.doc_id!r}: question must be non-empty")
-    text = f"{_CONTEXT_PREFIX}{ctx.text}{_QUESTION_SEP}{question}{_ANSWER_SUFFIX}"
-    return Prompt(text=text, question=question, context=ctx)
+    return Prompt(f"{_CONTEXT_PREFIX}{ctx.text}{_QUESTION_SEP}{question}{_ANSWER_SUFFIX}")
 
 
 def parse_prompt(text: str) -> tuple[str, str]:
@@ -154,6 +133,8 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
         token_count = record["token_count"]
     except KeyError as exc:
         raise ValueError(f"context record is missing {exc.args[0]!r}") from exc
+    if not isinstance(doc_id, str) or not doc_id:
+        raise ValueError(f"doc_id must be a non-empty string, got {doc_id!r}")
     if not isinstance(text, str):
         raise ValueError(f"context must be a string, got {text!r}")
     if type(token_count) is not int:
@@ -161,7 +142,8 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
     words = len(text.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")
-    return SerializedContext(doc_id=doc_id, text=text, token_count=token_count)
+    pieces = tuple(text.split(" ")) if text else ()
+    return SerializedContext(doc_id=doc_id, text=text, token_count=token_count, pieces=pieces)
 
 
 def load_contexts(path: str | os.PathLike[str]) -> list[SerializedContext]:

@@ -20,7 +20,7 @@ from docqa.analysis import (
     reading_order_perplexity,
 )
 from docqa.cli import main
-from docqa.datasets import MixtureKind, MixtureStrategy, load_dataset_configs, sample_mixture
+from docqa.datasets import MixtureKind, load_dataset_configs, sample_mixture
 from docqa.jsonl import read_stage_records, write_records
 from docqa.metrics import MetricKind, anls_single, levenshtein, relaxed_accuracy
 from docqa.ordering import raster_scan_order
@@ -252,8 +252,7 @@ def test_criterion_7_mixture_sampler_frequencies():
         draws = 100_000
 
         def shares(kind, seed):
-            strategy = MixtureStrategy(kind=kind, seed=seed)
-            schedule = sample_mixture(sizes, strategy, draws)
+            schedule = sample_mixture(sizes, kind, seed, draws)
             count_b = sum(1 for name, _ in schedule if name == "b")
             return count_b / draws
 

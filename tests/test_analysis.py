@@ -17,6 +17,7 @@ from docqa.analysis import (
     prediction_to_record,
     reading_order_perplexity,
     split_by_correctness,
+    token_from_record,
     zero_shot_perplexity,
 )
 from docqa.datasets import DatasetConfig, QARecord
@@ -43,15 +44,15 @@ def row(example_id, score=1.0, correct=True, length=10, in_text=True, rop=None):
 
 class TestTokenLogProb:
     def test_positive_logprob_rejected(self):
-        with pytest.raises(ValueError):
-            TokenLogProb(token_text="t", logprob=0.01)
+        with pytest.raises(ValueError, match="logprob must be <= 0"):
+            token_from_record({"text": "t", "logprob": 0.01})
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            TokenLogProb(token_text="t", logprob=float("-inf"))
+        with pytest.raises(ValueError, match="logprob must be finite"):
+            token_from_record({"text": "t", "logprob": float("-inf")})
 
     def test_zero_is_legal(self):
-        assert TokenLogProb(token_text="t", logprob=0.0).logprob == 0.0
+        assert token_from_record({"text": "t", "logprob": 0}) == TokenLogProb("t", 0.0)
 
 
 class TestReadingOrderPerplexity:
@@ -339,6 +340,7 @@ class TestEvaluateRows:
                 doc_id="d0",
                 text="total 42 due in paris",
                 token_count=5,
+                pieces=("total", "42", "due", "in", "paris"),
             )
         ]
         config = DatasetConfig(

@@ -454,6 +454,64 @@ class TestRepeatedRows:
         assert f"{paths['evals']} line {line}: duplicate example_id 'toy-e2-1'" in err
 
 
+def unreadable_input_argv(flag, bad, bench, paths):
+    """A command whose `flag` names the file `bad`; every other input is valid."""
+    predict = ["predict", "--contexts", paths["contexts"], "--dataset", "toy"]
+    return {
+        "--corpus": ["order", "--corpus", bad, "--strategy", "standard"],
+        "--orders": ["serialize", "--corpus", bench["corpus"], "--orders", bad, "--budget", 5],
+        "--qa": [*predict, "--qa", bad, "--datasets-config", bench["config"],
+                 "--backend", "mock-echo"],
+        "--datasets-config": [*predict, "--qa", bench["qa"], "--datasets-config", bad,
+                              "--backend", "mock-echo"],
+        "--config": [*predict, "--qa", bench["qa"], "--datasets-config", bench["config"],
+                     "--backend", "http", "--endpoint", "http://127.0.0.1:9/c",
+                     "--config", bad],
+    }[flag]
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize(
+        "flag", ["--corpus", "--orders", "--qa", "--datasets-config", "--config"]
+    )
+    def test_unreadable_file_exits_2_naming_it(self, bench, capsys, flag, kind):
+        paths = run_pipeline(bench)
+        bad = bench["dir"] / "bad-input"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'\xff{"doc_id": "x"}\n')
+        out = bench["dir"] / "out.jsonl"
+        capsys.readouterr()
+        assert run(*unreadable_input_argv(flag, bad, bench, paths), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
+        orders = bench["dir"] / "orders.jsonl"
+        write_records(orders, [
+            {"doc_id": ["toy-d0"], "strategy": "standard", "permutation": list(range(8))}
+        ])
+        assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
+                   "--budget", 5, "--out", bench["dir"] / "contexts.jsonl") == 2
+        assert capsys.readouterr().err == (
+            f"error: {orders} line 1: doc_id must be a non-empty string, got ['toy-d0']\n"
+        )
+
+    def test_non_string_doc_id_in_contexts_exits_2(self, bench, capsys):
+        contexts = bench["dir"] / "contexts.jsonl"
+        write_records(contexts, [{"doc_id": ["toy-d0"], "context": "a", "token_count": 1}])
+        assert run("predict", "--qa", bench["qa"], "--contexts", contexts,
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "mock-echo", "--out", bench["dir"] / "p.jsonl") == 2
+        assert capsys.readouterr().err == (
+            f"error: {contexts} line 1: doc_id must be a non-empty string, got ['toy-d0']\n"
+        )
+
+
 class TestFlagScope:
     def test_config_and_parallelism_are_predict_options(self, bench, capsys):
         paths = run_pipeline(bench)
@@ -581,6 +639,29 @@ class TestAnalyzeCommand:
         assert run("analyze", "--qa", bench["qa"], "--eval", standard["evals"],
                    "--out", out) == 0
         assert json.loads(out.read_text())["report"]["order_sensitivity"] == []
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dataset", ["golden"], "dataset must be a non-empty string, got ['golden']"),
+            ("strategy", 5, "strategy must be a string or null, got 5"),
+            ("aggregate", "12", "aggregate must be a finite number, got '12'"),
+            ("aggregate", True, "aggregate must be a finite number, got True"),
+            ("aggregate", math.nan, "aggregate must be a finite number, got nan"),
+        ],
+        ids=["dataset list", "strategy number", "aggregate string", "aggregate bool",
+             "aggregate nan"],
+    )
+    def test_bad_header_value_exits_2(self, bench, capsys, key, value, message):
+        paths = run_pipeline(bench)
+        header, rows = read_stage_records(paths["evals"])
+        write_records(paths["evals"], [{**header, key: value}, *(r for _, r in rows)])
+        capsys.readouterr()
+        assert run("analyze", "--qa", bench["qa"], "--eval", paths["evals"],
+                   "--out", bench["dir"] / "analysis.json") == 2
+        assert capsys.readouterr().err == (
+            f"error: eval file {paths['evals']} header: {message}\n"
+        )
 
     def test_missing_rop_exits_2_unless_skipped(self, bench, capsys):
         d = bench["dir"]

@@ -4,12 +4,10 @@ import math
 import pytest
 
 from docqa.datasets import (
-    DatasetConfig,
     MixtureKind,
-    MixtureStrategy,
-    QARecord,
     load_dataset_configs,
     load_qa,
+    qa_record_from_dict,
     sample_mixture,
 )
 from docqa.errors import DataError
@@ -177,25 +175,17 @@ class TestDatasetConfigs:
             load_dataset_configs(path)
         assert str(info.value) == f"{path}: {message}"
 
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetConfig(
-                name="x",
-                metric=MetricKind.ANLS,
-                context_budget=0,
-                target_budget=32,
-                anls_tau=0.5,
-            )
+    def test_invalid_budget_rejected(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"datasets": {"x": {**TOY_CONFIG, "context_budget": 0}}}))
+        with pytest.raises(DataError, match="context_budget must be a positive integer, got 0"):
+            load_dataset_configs(path)
 
-    def test_invalid_tau_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetConfig(
-                name="x",
-                metric=MetricKind.ANLS,
-                context_budget=1,
-                target_budget=1,
-                anls_tau=1.5,
-            )
+    def test_invalid_tau_rejected(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"datasets": {"x": {**TOY_CONFIG, "anls_tau": 1.5}}}))
+        with pytest.raises(DataError, match=r"anls_tau must be a number in \[0, 1\], got 1.5"):
+            load_dataset_configs(path)
 
 
 def frequencies(samples):
@@ -208,37 +198,47 @@ def frequencies(samples):
 class TestSampleMixture:
     def test_empty_dataset_list_rejected(self):
         with pytest.raises(DataError):
-            sample_mixture([], MixtureStrategy(MixtureKind.UNIFORM, seed=0), 10)
+            sample_mixture([], MixtureKind.UNIFORM, 0, 10)
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(DataError):
-            sample_mixture([("a", 0)], MixtureStrategy(MixtureKind.UNIFORM, seed=0), 10)
+            sample_mixture([("a", 0)], MixtureKind.UNIFORM, 0, 10)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_seed_must_be_unsigned_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an unsigned integer"):
+            sample_mixture([("a", 1)], MixtureKind.UNIFORM, seed, 10)
+
+    def test_kind_may_be_given_by_value(self):
+        datasets = [("a", 3), ("b", 17)]
+        assert sample_mixture(datasets, "uniform", 5, 50) == sample_mixture(
+            datasets, MixtureKind.UNIFORM, 5, 50
+        )
+        with pytest.raises(ValueError, match="zigzag"):
+            sample_mixture(datasets, "zigzag", 5, 50)
 
     def test_deterministic_for_seed(self):
         datasets = [("a", 10), ("b", 20)]
-        strategy = MixtureStrategy(MixtureKind.NORMALIZED, seed=99)
-        assert sample_mixture(datasets, strategy, 50) == sample_mixture(datasets, strategy, 50)
+        assert sample_mixture(datasets, MixtureKind.NORMALIZED, 99, 50) == sample_mixture(
+            datasets, MixtureKind.NORMALIZED, 99, 50
+        )
 
     def test_indices_always_in_range(self):
         datasets = [("a", 3), ("b", 17)]
         sizes = dict(datasets)
         for kind in MixtureKind:
-            samples = sample_mixture(datasets, MixtureStrategy(kind, seed=5), 500)
+            samples = sample_mixture(datasets, kind, 5, 500)
             for name, index in samples:
                 assert 0 <= index < sizes[name]
 
     def test_sampling_is_with_replacement(self):
-        samples = sample_mixture(
-            [("a", 2)], MixtureStrategy(MixtureKind.UNIFORM, seed=1), 10
-        )
+        samples = sample_mixture([("a", 2)], MixtureKind.UNIFORM, 1, 10)
         assert len(samples) == 10
 
     def test_uniform_halves_between_unequal_datasets(self):
         draws = 20_000
         samples = sample_mixture(
-            [("small", 10), ("large", 1000)],
-            MixtureStrategy(MixtureKind.UNIFORM, seed=7),
-            draws,
+            [("small", 10), ("large", 1000)], MixtureKind.UNIFORM, 7, draws
         )
         counts = frequencies(samples)
         sigma = math.sqrt(draws * 0.5 * 0.5)
@@ -247,9 +247,7 @@ class TestSampleMixture:
     def test_normalized_follows_size_share(self):
         draws = 20_000
         samples = sample_mixture(
-            [("a", 100), ("b", 300)],
-            MixtureStrategy(MixtureKind.NORMALIZED, seed=7),
-            draws,
+            [("a", 100), ("b", 300)], MixtureKind.NORMALIZED, 7, draws
         )
         counts = frequencies(samples)
         sigma = math.sqrt(draws * 0.25 * 0.75)
@@ -262,7 +260,7 @@ class TestSampleMixture:
         p = 1.0 / size
         sigma = math.sqrt(draws * p * (1 - p))
         for kind in MixtureKind:
-            samples = sample_mixture([("only", size)], MixtureStrategy(kind, seed=3), draws)
+            samples = sample_mixture([("only", size)], kind, 3, draws)
             index_counts = [0] * size
             for _, index in samples:
                 index_counts[index] += 1
@@ -271,5 +269,5 @@ class TestSampleMixture:
 
 
 def test_qa_record_requires_nonempty_answers():
-    with pytest.raises(ValueError):
-        QARecord(example_id="e", doc_id="d", question="q", answers=(), flags=frozenset())
+    with pytest.raises(ValueError, match="answers must be a non-empty list of strings"):
+        qa_record_from_dict({"example_id": "e", "doc_id": "d", "question": "q", "answers": []})

@@ -9,7 +9,6 @@ from docqa.errors import DataError
 from docqa.jsonl import write_stage_file
 from docqa.ordering import (
     OrderStrategy,
-    RasterScanParams,
     ReadingOrder,
     load_orders,
     raster_scan_order,
@@ -85,8 +84,8 @@ class TestRasterScan:
         # Rows 10 apart, box height 4: factor 0.5 keeps them separate lines,
         # a large factor swallows everything into one line.
         doc = grid_layout("g", rows=2, cols=2, y_gap=6.0, height=4.0)
-        narrow = raster_scan_order(doc, RasterScanParams(line_threshold_factor=0.5))
-        wide = raster_scan_order(doc, RasterScanParams(line_threshold_factor=10.0))
+        narrow = raster_scan_order(doc, line_threshold_factor=0.5)
+        wide = raster_scan_order(doc, line_threshold_factor=10.0)
         assert list(narrow.permutation) == [0, 1, 2, 3]
         # One giant line sorts by centroid_x alone, interleaving the rows.
         assert list(wide.permutation) == [0, 2, 1, 3]
@@ -106,13 +105,15 @@ class TestRasterScan:
             assert list(raster_scan_order(scaled_copy(base, factor)).permutation) == expected
 
     def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            RasterScanParams(line_threshold_factor=0.0)
+        doc = grid_layout("g", rows=1, cols=2)
+        with pytest.raises(ValueError, match="finite number > 0, got 0.0"):
+            raster_scan_order(doc, line_threshold_factor=0.0)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
     def test_nonfinite_factor_rejected(self, factor):
+        doc = grid_layout("g", rows=1, cols=2)
         with pytest.raises(ValueError, match="finite"):
-            RasterScanParams(line_threshold_factor=factor)
+            raster_scan_order(doc, line_threshold_factor=factor)
 
     def test_single_column_of_ten_thousand_lines_scans_in_near_linear_time(self):
         # One word per line: a scan that re-walks the page for every seed
@@ -164,21 +165,16 @@ class TestShuffledOrder:
             assert abs(count - draws * p) <= 5 * sigma, perm
 
 
-def make_order(perm):
-    return ReadingOrder(
-        doc_id="d0",
-        permutation=tuple(perm),
-        strategy=OrderStrategy.SHUFFLED,
-        params={"seed": 0},
-    )
+def order_record(perm):
+    return {"doc_id": "d0", "strategy": "shuffled", "params": {"seed": 0}, "permutation": perm}
 
 
 class TestReadingOrderType:
     def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            make_order([0, 0, 1])
-        with pytest.raises(ValueError):
-            make_order([0, 2])
+        with pytest.raises(ValueError, match="not a bijection"):
+            ReadingOrder.from_record(order_record([0, 0, 1]))
+        with pytest.raises(ValueError, match="not a bijection"):
+            ReadingOrder.from_record(order_record([0, 2]))
 
     def test_round_trip_through_orders_file(self, tmp_path):
         doc = grid_layout("g", rows=2, cols=2)
@@ -250,7 +246,7 @@ def random_documents(draw):
 @settings(max_examples=60)
 @given(doc=random_documents(), factor=st.floats(0.05, 3.0))
 def test_raster_output_is_always_a_permutation(doc, factor):
-    perm = raster_scan_order(doc, RasterScanParams(line_threshold_factor=factor)).permutation
+    perm = raster_scan_order(doc, line_threshold_factor=factor).permutation
     assert sorted(perm) == list(range(len(doc)))
 
 
@@ -265,7 +261,7 @@ snapped_documents = st.lists(
 @settings(max_examples=200)
 @given(doc=snapped_documents, factor=st.floats(0.05, 10.0))
 def test_raster_matches_oracle_on_snapped_layouts(doc, factor):
-    order = raster_scan_order(doc, RasterScanParams(line_threshold_factor=factor))
+    order = raster_scan_order(doc, line_threshold_factor=factor)
     assert list(order.permutation) == raster_oracle(doc, factor)
 
 
