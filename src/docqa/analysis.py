@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .datasets import DatasetConfig, QARecord
 from .errors import DataError
 from .jsonl import parse_rows, read_stage_records
-from .metrics import DEFAULT_ANLS_TAU, MetricKind, contains_words, score
+from .metrics import DEFAULT_ANLS_TAU, MetricKind, contains_words, score, word_haystack
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
@@ -147,13 +147,13 @@ def zero_shot_perplexity(rows: Sequence[EvalRow]) -> PerplexityStats:
     )
 
 
-def answer_in_text(answers: Sequence[str], context_text: str) -> bool:
+def answer_in_text(answers: Sequence[str], haystack: str) -> bool:
     """True when any gold answer is a span a reader could copy from the
-    context: a run of whole words, both sides normalized (see
-    metrics.contains_words)."""
+    context whose metrics.word_haystack is `haystack`: a run of whole words,
+    both sides normalized (see metrics.contains_words)."""
     if not answers:
         raise DataError("answers must be non-empty")
-    return any(contains_words(context_text, a) for a in answers)
+    return any(contains_words(haystack, a) for a in answers)
 
 
 def _records_by_id(records: Iterable[QARecord]) -> dict[str, QARecord]:
@@ -258,6 +258,8 @@ def evaluate_rows(
     if stray:
         raise DataError(f"prediction for example {min(stray)!r} has no QA record")
     contexts_by_doc = {c.doc_id: c for c in contexts}
+    # Each context is normalized once, however many questions it carries.
+    haystacks: dict[str, str] = {}
 
     rows: list[EvalRow] = []
     for record in records:
@@ -269,6 +271,9 @@ def evaluate_rows(
             raise DataError(
                 f"no context for doc {record.doc_id!r} (example {record.example_id!r})"
             )
+        haystack = haystacks.get(ctx.doc_id)
+        if haystack is None:
+            haystack = haystacks[ctx.doc_id] = word_haystack(ctx.text)
         value = score(config.metric, pred.text, record.answers, anls_tau=config.anls_tau)
         rop = None
         if pred.tokens:
@@ -279,7 +284,7 @@ def evaluate_rows(
                 score=value,
                 correct=is_correct(config.metric, value, anls_tau=config.anls_tau),
                 context_token_len=ctx.token_count,
-                answer_in_text=answer_in_text(record.answers, ctx.text),
+                answer_in_text=answer_in_text(record.answers, haystack),
                 rop=rop,
             )
         )

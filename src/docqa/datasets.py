@@ -51,8 +51,8 @@ def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
     for name, value in (("example_id", example_id), ("doc_id", doc_id)):
         if not isinstance(value, str) or not value:
             raise ValueError(f"{name} must be a non-empty string")
-    if not isinstance(question, str):
-        raise ValueError("question must be a string")
+    if not isinstance(question, str) or not question:
+        raise ValueError("question must be a non-empty string")
     if not answers or not all(isinstance(a, str) for a in answers):
         raise ValueError("answers must be a non-empty list of strings")
     flags = frozenset(flags)

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 from .analysis import TokenLogProb, token_from_record
 from .errors import EndpointError
-from .metrics import contains_words
+from .metrics import contains_words, word_haystack
 from .serialize import parse_prompt
 
 MOCK_RULES = ("echo_last_word", "answer_key")
@@ -86,10 +86,11 @@ class MockBackend:
     makes serialization order visible in the output; "answer_key"
     looks the full prompt up in the answer key and answers with the
     first of its gold answers that is a run of whole words of the context
-    (metrics.contains_words),
-    or "unknown" when none does, imitating a reader that can only copy
-    evidence it was actually given. Keying by prompt rather than by
-    question keeps two documents that ask the same question apart.
+    (metrics.contains_words), or "unknown" when none does, imitating a
+    reader that can only copy evidence it was actually given. Keying by
+    prompt rather than by question keeps two documents that ask the same
+    question apart. Each distinct context is normalized once and kept; two
+    threads that miss the cache together only repeat that work.
     """
 
     def __init__(
@@ -103,14 +104,18 @@ class MockBackend:
             raise ValueError("answer_key rule needs an answer key")
         self.rule = rule
         self.answer_key = dict(answer_key) if answer_key is not None else {}
+        self._haystacks: dict[str, str] = {}
 
     def _answer(self, prompt: str) -> str:
         context_text, _ = parse_prompt(prompt)
         if self.rule == "echo_last_word":
-            words = context_text.split()
+            words = context_text.rsplit(None, 1)
             return words[-1] if words else ""
+        haystack = self._haystacks.get(context_text)
+        if haystack is None:
+            haystack = self._haystacks[context_text] = word_haystack(context_text)
         for gold in self.answer_key.get(prompt, ()):
-            if contains_words(context_text, gold):
+            if contains_words(haystack, gold):
                 return gold
         return "unknown"
 
@@ -221,7 +226,8 @@ def predict_batch(
     outstanding, responses aligned with requests.
 
     An endpoint failure occupies its slot in the result list so one bad
-    example cannot sink the rest of the batch.
+    example cannot sink the rest of the batch. With one in flight the
+    requests run in the calling thread, with no pool.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be at least 1")
@@ -234,5 +240,7 @@ def predict_batch(
         except EndpointError as exc:
             return exc
 
+    if max_in_flight == 1:
+        return [run(request) for request in requests_batch]
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(run, requests_batch))

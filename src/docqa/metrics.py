@@ -7,6 +7,7 @@ share one normalization: lowercase, trim, collapse runs of whitespace.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -30,33 +31,67 @@ def normalize(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
+def word_haystack(text: str) -> str:
+    """The normalized text with one space on each side: the form
+    contains_words searches. Build it once per context and reuse it for
+    every needle."""
+    return f" {normalize(text)} "
+
+
 def contains_words(haystack: str, needle: str) -> bool:
     """True when the normalized needle is a non-empty run of whole words of
-    the normalized haystack: a span a reader could copy, so "2024" is not
-    found in "2024-1" nor "1" in "$120"."""
+    the text `haystack` was built from by word_haystack: a span a reader
+    could copy, so "2024" is not found in "2024-1" nor "1" in "$120"."""
     needle = normalize(needle)
-    return bool(needle) and f" {needle} " in f" {normalize(haystack)} "
+    return bool(needle) and f" {needle} " in haystack
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit-cost insert, delete, and substitute.
+def levenshtein(a: str, b: str, cap: int | None = None) -> int:
+    """Edit distance with unit-cost insert, delete, and substitute, capped.
+
+    Returns the exact distance when it is at most `cap`, and `cap + 1`
+    otherwise. A length gap larger than `cap` returns at once; otherwise
+    only the diagonal band of half-width `cap` is filled (cells outside it
+    are at least their distance from the diagonal, so more than `cap`), and
+    the scan stops once a whole row of the band exceeds `cap` (Ukkonen
+    1985). `cap=None`, or any cap of at least the longer length, makes the
+    band the full table and the result exact.
 
     Operates on Unicode code points; no grapheme clustering is attempted.
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
+    if len(a) < len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    if cap is None or cap > n:
+        cap = n
+    elif cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap!r}")
+    over = cap + 1
+    if n - m > cap:
+        return over
+    # Every cell keeps min(true distance, over) exact; values above `over`
+    # only ever mean "more than cap".
+    previous = list(range(m + 1))
     for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            substitution = previous[j - 1] + (0 if char_a == char_b else 1)
-            current.append(min(previous[j] + 1, current[j - 1] + 1, substitution))
+        lo = i - cap if i > cap else 1
+        hi = i + cap if i + cap < m else m
+        current = [over] * (m + 1)
+        if lo == 1:
+            current[0] = i
+        left = current[lo - 1]
+        for j in range(lo, hi + 1):
+            value = previous[j - 1] + (char_a != b[j - 1])
+            if previous[j] < value:
+                value = previous[j] + 1
+            if left < value:
+                value = left + 1
+            current[j] = left = value
+        if min(current[lo - 1 : hi + 1]) > cap:
+            return over
         previous = current
-    return previous[-1]
+    return min(previous[m], over)
 
 
 def _require_golds(golds: Sequence[str]) -> None:
@@ -70,6 +105,13 @@ def anls_single(pred: str, golds: Sequence[str], tau: float = DEFAULT_ANLS_TAU) 
     Per gold: 1 - distance / max(length), on normalized strings, with a pair
     of empty strings counting as a perfect match. The best similarity is kept
     if it reaches tau, otherwise the score is zero.
+
+    Only distances that can reach tau are computed: a gold equal to the
+    prediction returns 1.0 at once, and the rest go to levenshtein capped at
+    floor((1 - tau) * longest) + 1. A gold past that cap has similarity
+    below tau - 1 / longest, so it could never have been kept, and the +1
+    keeps float rounding of the cap from dropping one that could. Scores are
+    the same floats the full-table computation gives.
     """
     _require_golds(golds)
     if not 0.0 <= tau <= 1.0:
@@ -78,11 +120,14 @@ def anls_single(pred: str, golds: Sequence[str], tau: float = DEFAULT_ANLS_TAU) 
     best = 0.0
     for gold in golds:
         gold_n = normalize(gold)
-        if not pred_n and not gold_n:
-            similarity = 1.0
-        else:
-            similarity = 1.0 - levenshtein(pred_n, gold_n) / max(len(pred_n), len(gold_n))
-        best = max(best, similarity)
+        if gold_n == pred_n:
+            return 1.0
+        longest = max(len(pred_n), len(gold_n))
+        cap = math.floor((1.0 - tau) * longest) + 1
+        distance = levenshtein(pred_n, gold_n, cap)
+        if distance > cap:
+            continue
+        best = max(best, 1.0 - distance / longest)
     return best if best >= tau else 0.0
 
 

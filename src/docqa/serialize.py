@@ -101,9 +101,8 @@ class Prompt:
 
 
 def build_prompt(ctx: SerializedContext, question: str) -> Prompt:
-    """Apply the template; an empty context leaves a double space, by design."""
-    if not question:
-        raise DataError(f"doc {ctx.doc_id!r}: question must be non-empty")
+    """Apply the template; an empty context leaves a double space, by design.
+    Questions are checked non-empty where they enter, in load_qa."""
     return Prompt(f"{_CONTEXT_PREFIX}{ctx.text}{_QUESTION_SEP}{question}{_ANSWER_SUFFIX}")
 
 

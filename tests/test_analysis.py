@@ -23,7 +23,7 @@ from docqa.analysis import (
 from docqa.datasets import DatasetConfig, QARecord
 from docqa.errors import DataError
 from docqa.jsonl import write_stage_file
-from docqa.metrics import MetricKind
+from docqa.metrics import MetricKind, word_haystack
 from docqa.serialize import SerializedContext
 
 
@@ -175,33 +175,33 @@ class TestZeroShotPerplexity:
 
 class TestAnswerInText:
     def test_substring_found(self):
-        assert answer_in_text(["42"], "the total is 42 dollars") is True
+        assert answer_in_text(["42"], word_haystack("the total is 42 dollars")) is True
 
     def test_absent(self):
-        assert answer_in_text(["43"], "the total is 42 dollars") is False
+        assert answer_in_text(["43"], word_haystack("the total is 42 dollars")) is False
 
     def test_case_folds_through_normalization(self):
-        assert answer_in_text(["Total"], "total due") is True
+        assert answer_in_text(["Total"], word_haystack("total due")) is True
 
     def test_whitespace_collapses(self):
-        assert answer_in_text(["new york"], "flights to new\nyork today") is True
+        assert answer_in_text(["new york"], word_haystack("flights to new\nyork today")) is True
 
     def test_any_gold_counts(self):
-        assert answer_in_text(["zzz", "due"], "total due") is True
+        assert answer_in_text(["zzz", "due"], word_haystack("total due")) is True
 
     def test_part_of_a_word_is_not_found(self):
-        assert answer_in_text(["2024"], "ref 2024-1") is False
-        assert answer_in_text(["1"], "$120") is False
+        assert answer_in_text(["2024"], word_haystack("ref 2024-1")) is False
+        assert answer_in_text(["1"], word_haystack("$120")) is False
 
     def test_empty_gold_is_not_found(self):
-        assert answer_in_text([""], "x") is False
+        assert answer_in_text([""], word_haystack("x")) is False
 
     def test_multi_word_gold_across_collapsed_whitespace(self):
-        assert answer_in_text(["New York"], "in new  york city") is True
+        assert answer_in_text(["New York"], word_haystack("in new  york city")) is True
 
     def test_empty_answers_rejected(self):
         with pytest.raises(DataError):
-            answer_in_text([], "context")
+            answer_in_text([], word_haystack("context"))
 
 
 def presence_fixture():

@@ -511,6 +511,23 @@ class TestBadInputFiles:
             f"error: {contexts} line 1: doc_id must be a non-empty string, got ['toy-d0']\n"
         )
 
+    def test_empty_question_exits_2_in_predict_and_eval(self, bench, capsys):
+        paths = run_pipeline(bench)
+        records = [*bench["qa_records"][:1], {**bench["qa_records"][1], "question": ""}]
+        qa = bench["dir"] / "qa-empty-question.jsonl"
+        write_records(qa, records)
+        capsys.readouterr()
+        expected = f"error: {qa} line 2: question must be a non-empty string\n"
+        assert run("predict", "--qa", qa, "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "mock-echo", "--out", bench["dir"] / "p2.jsonl") == 2
+        assert capsys.readouterr().err == expected
+        assert run("eval", "--qa", qa, "--predictions", paths["predictions"],
+                   "--contexts", paths["contexts"], "--dataset", "toy",
+                   "--datasets-config", bench["config"],
+                   "--out", bench["dir"] / "e2.jsonl") == 2
+        assert capsys.readouterr().err == expected
+
 
 class TestFlagScope:
     def test_config_and_parallelism_are_predict_options(self, bench, capsys):

@@ -91,6 +91,13 @@ class TestLoadQA:
         with pytest.raises(DataError, match="e0"):
             load_qa(path)
 
+    def test_empty_question_rejected(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        write_qa(path, [QA_OK[0], {**QA_OK[1], "question": ""}])
+        with pytest.raises(DataError) as info:
+            load_qa(path)
+        assert str(info.value) == f"{path} line 2: question must be a non-empty string"
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         write_qa(path, [{"example_id": "e", "doc_id": "d", "answers": ["a"]}])

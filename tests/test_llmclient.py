@@ -181,13 +181,14 @@ class TestClientBatch:
         responses = predict_batch(backend, reqs, max_in_flight=4)
         assert [r.text for r in responses] == [f"w{i}" for i in range(20)]
 
-    def test_failures_reported_in_place(self):
+    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    def test_failures_reported_in_place(self, max_in_flight):
         reqs = [
             request_for("fine", "q?"),
             request_for("poison pill", "q?"),
             request_for("also fine", "q?"),
         ]
-        results = predict_batch(FlakyBackend(), reqs, max_in_flight=2)
+        results = predict_batch(FlakyBackend(), reqs, max_in_flight=max_in_flight)
         assert results[0].text == "ok"
         assert isinstance(results[1], EndpointError)
         assert results[2].text == "ok"

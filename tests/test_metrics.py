@@ -17,10 +17,13 @@ from docqa.metrics import (
     relaxed_accuracy,
     score,
     vqa_accuracy,
+    word_haystack,
 )
 from oracles import oracle_anls, oracle_levenshtein, random_unicode_string
 
 short_text = st.text(max_size=10)
+# A small alphabet makes near matches, and so distances near a cap, common.
+small_alphabet_text = st.text(alphabet="abc ", max_size=12)
 
 
 class TestNormalize:
@@ -34,19 +37,19 @@ class TestNormalize:
 
 class TestContainsWords:
     def test_whole_word_run_found(self):
-        assert contains_words("Total due: $120 paid", "due: $120")
+        assert contains_words(word_haystack("Total due: $120 paid"), "due: $120")
 
     def test_word_prefix_or_suffix_not_found(self):
-        assert not contains_words("ref 2024-1", "2024")
-        assert not contains_words("$120", "1")
-        assert not contains_words("new yorker", "new york")
+        assert not contains_words(word_haystack("ref 2024-1"), "2024")
+        assert not contains_words(word_haystack("$120"), "1")
+        assert not contains_words(word_haystack("new yorker"), "new york")
 
     def test_empty_needle_not_found(self):
-        assert not contains_words("x", "")
-        assert not contains_words("x", "   ")
+        assert not contains_words(word_haystack("x"), "")
+        assert not contains_words(word_haystack("x"), "   ")
 
     def test_needle_is_whole_haystack(self):
-        assert contains_words(" March\n", "march")
+        assert contains_words(word_haystack(" March\n"), "march")
 
 
 class TestLevenshtein:
@@ -78,6 +81,18 @@ class TestLevenshtein:
     @given(a=short_text, b=short_text, c=short_text)
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+    @given(a=small_alphabet_text, b=small_alphabet_text, cap=st.integers(0, 14))
+    def test_cap_is_exact_up_to_cap_and_over_it_beyond(self, a, b, cap):
+        expected = oracle_levenshtein(a, b)
+        if expected <= cap:
+            assert levenshtein(a, b, cap) == expected
+        else:
+            assert levenshtein(a, b, cap) > cap
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError):
+            levenshtein("a", "b", -1)
 
 
 class TestAnls:
@@ -117,9 +132,24 @@ class TestAnls:
             pred = random_unicode_string(rng)
             golds = [random_unicode_string(rng) for _ in range(rng.randint(1, 4))]
             tau = rng.choice([0.0, 0.25, 0.5, 0.8, 1.0])
-            assert anls_single(pred, golds, tau) == pytest.approx(
-                oracle_anls(pred, golds, tau), abs=1e-12
-            )
+            assert anls_single(pred, golds, tau) == oracle_anls(pred, golds, tau)
+
+    @given(data=st.data())
+    def test_cap_boundary_matches_oracle_exactly(self, data):
+        # tau * longest is an integer, so (1 - tau) * longest is the largest
+        # distance that still reaches tau, up to float rounding. The gold sits
+        # at that distance or one edit more.
+        longest = data.draw(st.integers(1, 12))
+        kept = data.draw(st.integers(0, longest))
+        tau = kept / longest
+        limit = longest - kept
+        distance = data.draw(st.sampled_from([limit, limit + 1]).filter(lambda d: d <= longest))
+        pred = data.draw(st.text(alphabet="ab", min_size=longest, max_size=longest))
+        positions = data.draw(st.permutations(range(longest)))[:distance]
+        gold = "".join("c" if i in positions else c for i, c in enumerate(pred))
+        golds = data.draw(st.permutations([gold, data.draw(small_alphabet_text)]))
+        assert oracle_levenshtein(pred, gold) == distance
+        assert anls_single(pred, golds, tau) == oracle_anls(pred, golds, tau)
 
     @given(pred=short_text, gold=short_text, tau_lo=st.floats(0, 1), tau_hi=st.floats(0, 1))
     def test_monotone_non_increasing_in_tau(self, pred, gold, tau_lo, tau_hi):

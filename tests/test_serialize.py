@@ -130,13 +130,6 @@ class TestPrompt:
         )
         assert build_prompt(ctx, "q").text == "Context:  Question: q Answer:"
 
-    def test_empty_question_rejected(self):
-        ctx = SerializedContext(
-            doc_id="d0", text="x", token_count=1, pieces=("x",)
-        )
-        with pytest.raises(DataError):
-            build_prompt(ctx, "")
-
     def test_byte_identical_across_runs(self):
         ctx = SerializedContext(
             doc_id="d0", text="x y", token_count=2, pieces=("x", "y")

@@ -1,8 +1,10 @@
 """The benchmark tracer (perfbench/tracer.py) still finds every layer it times.
 
 A refactor that renames or removes a traced function would otherwise only
-make the benchmark print a warning and report 0 for that layer. The check
-runs in a subprocess, so the tracer's wrappers never leak into other tests.
+make the benchmark print a warning and report 0 for that layer, and one that
+routes `eval` around a traced function would make that layer read 0 with no
+warning at all. The check runs in a subprocess, so the tracer's wrappers never
+leak into other tests.
 """
 
 import subprocess
@@ -27,14 +29,30 @@ assert words == 38, f"counted {{words}} corpus words"
 names = {{span[2] for span in recorder.spans}}
 assert tracer.PARSE_SPAN in names, f"no parse span among {{sorted(names)}}"
 assert "geometry.load_ocr_corpus" in names, f"no load span among {{sorted(names)}}"
+
+code = docqa.cli.main([
+    "eval", "--qa", {qa!r}, "--predictions", {predictions!r}, "--contexts", {contexts!r},
+    "--dataset", "golden", "--datasets-config", {config!r}, "--out", {out!r},
+])
+assert code == 0, f"eval exited {{code}}"
+records = sum(1 for line in open({qa!r}) if line.strip())
+for name in ("metrics.score", "analysis.answer_in_text"):
+    calls = sum(1 for span in recorder.spans if span[2] == name)
+    assert calls == records, f"{{name}}: {{calls}} spans for {{records}} QA records"
 """
 
 
-def test_every_traced_layer_is_found():
+def test_every_traced_layer_is_found(tmp_path):
+    golden = ROOT / "tests" / "golden"
     code = PROBE.format(
         src=str(ROOT / "src"),
         perfbench=str(ROOT / "perfbench"),
-        corpus=str(ROOT / "tests" / "golden" / "input" / "corpus.jsonl"),
+        corpus=str(golden / "input" / "corpus.jsonl"),
+        qa=str(golden / "input" / "qa.jsonl"),
+        config=str(golden / "input" / "benchmarks.json"),
+        predictions=str(golden / "expected" / "predictions-standard-mock-echo.jsonl"),
+        contexts=str(golden / "expected" / "contexts-standard.jsonl"),
+        out=str(tmp_path / "eval.jsonl"),
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
