@@ -282,7 +282,11 @@ def cmd_predict(args) -> int:
         )
 
     backend = _build_backend(args, records, requests_batch)
-    results = predict_batch(backend, requests_batch, max_in_flight=args.parallelism)
+    try:
+        results = predict_batch(backend, requests_batch, max_in_flight=args.parallelism)
+    finally:
+        if isinstance(backend, HTTPBackend):
+            backend.close()
 
     predictions = []
     failures = 0

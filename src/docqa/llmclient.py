@@ -8,26 +8,26 @@ concatenation reproduces the completion. The request deliberately has
 no sampling fields; decoding is whatever deterministic mode the
 endpoint defaults to.
 
-HTTPBackend uses only the standard library (urllib.request), opening
-one connection per attempt. Timeouts, refused, reset or dropped
-connections and malformed HTTP framing are retried; a status outside
-2xx (a 307/308 redirect of the POST included), invalid JSON and a
-malformed body are not. Proxies come from http_proxy/https_proxy/
-no_proxy, and HTTPS is verified against the system trust store.
-HTTPBackend.complete checks every response body; the records do not.
+HTTPBackend uses only the standard library (http.client). It keeps
+connections alive and reuses them, with at most one open per request in
+flight; an idle connection the server closed is replaced without costing
+an attempt. Timeouts, refused, reset or dropped connections and malformed
+HTTP framing are retried, each on a fresh connection; a status outside 2xx
+(any 3xx included, which is never followed), invalid JSON and a malformed
+body are not. Proxies come from http_proxy/https_proxy/no_proxy (CONNECT
+for https, Basic credentials from the proxy URL), and HTTPS is verified
+against the system trust store. HTTPBackend.complete checks every response
+body; the records do not.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import random
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -129,6 +129,37 @@ class MockBackend:
         return InferenceResponse(text=text, model_id="mock", tokens=tokens)
 
 
+# Every docqa command imports this module, but only predict --backend http
+# talks to an endpoint, so the HTTP stack (http.client, ssl, email,
+# urllib.request) and the thread pool are imported where they are used.
+
+
+def _proxy_for(parts: urllib.parse.SplitResult) -> tuple[str, dict[str, str]] | None:
+    """The proxy's host[:port] and its auth headers for the endpoint `parts`,
+    from the *_proxy environment variables; None when there is none or
+    no_proxy lists the host. Credentials in the proxy URL become Basic
+    Proxy-Authorization, as urllib's ProxyHandler sends them."""
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return None
+    if "://" not in proxy:
+        proxy = "http://" + proxy
+    proxy_parts = urllib.parse.urlsplit(proxy)
+    auth = {}
+    if proxy_parts.username and proxy_parts.password:
+        import base64
+
+        user_pass = (
+            f"{urllib.parse.unquote(proxy_parts.username)}:"
+            f"{urllib.parse.unquote(proxy_parts.password)}"
+        )
+        creds = base64.b64encode(user_pass.encode()).decode("ascii")
+        auth["Proxy-Authorization"] = "Basic " + creds
+    return urllib.parse.unquote(proxy_parts.netloc.rpartition("@")[2]), auth
+
+
 class HTTPBackend:
     """Talks to a live endpoint; retries only transport failures.
 
@@ -136,6 +167,13 @@ class HTTPBackend:
     drawn from an injectable RNG so retry behavior is testable. HTTP
     and payload errors never retry: the endpoint answered, it just
     answered badly.
+
+    Connections are kept alive. An attempt pops an idle one off a
+    lock-guarded stack or opens a new one, so no more are open than
+    requests in flight. A connection goes back on the stack only after a
+    complete reply that does not end it; a transport error closes it for
+    good, so a late reply to a timed-out request never answers the next
+    one. close() closes the idle connections.
     """
 
     def __init__(
@@ -161,22 +199,101 @@ class HTTPBackend:
         self.backoff_base = backoff_base
         self.jitter_rng = jitter_rng if jitter_rng is not None else random.Random()
         self.sleeper = sleeper
+        self._idle: list = []
+        self._lock = threading.Lock()
+
+        parts = urllib.parse.urlsplit(endpoint)
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        self._headers = {"Content-Type": "application/json"}
+        # An explicit port, so http.client never reads one out of an IPv6 host.
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        self._address = (parts.hostname, port)
+        self._tunnel: tuple | None = None
+        self._context = None
+        if parts.scheme == "https":
+            import ssl
+
+            self._context = ssl.create_default_context()
+        proxy = _proxy_for(parts)
+        if proxy is not None:
+            hostport, auth = proxy
+            self._address = (hostport, None)
+            if parts.scheme == "https":
+                self._tunnel = (parts.hostname, port, auth)
+            else:
+                self._target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+                self._headers.update(auth)
+
+    def _new_connection(self):
+        import http.client
+
+        if self._context is None:
+            conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+        else:
+            conn = http.client.HTTPSConnection(
+                *self._address, timeout=self.timeout, context=self._context
+            )
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _idle_connection(self):
+        """An idle connection the server has not closed, or None."""
+        import select
+
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            # Nothing may arrive on an idle connection; readable means the
+            # server closed it (or broke the protocol) while it waited.
+            if not select.select([conn.sock], [], [], 0)[0]:
+                return conn
+            conn.close()
+
+    def _release(self, conn, response) -> None:
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _post(self, payload: dict) -> bytes:
+        import http.client
+
         data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.max_attempts + 1):
-            request = urllib.request.Request(
-                self.endpoint, data=data, headers={"Content-Type": "application/json"}
-            )
+            conn = None
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return response.read()
-            # HTTPError subclasses OSError, so it must be caught first.
-            except urllib.error.HTTPError as exc:
-                text = exc.read().decode("utf-8", "replace")
-                raise EndpointError(f"endpoint returned {exc.code}: {text[:200]}") from exc
+                conn = self._idle_connection() or self._new_connection()
+                conn.request("POST", self._target, body=data, headers=self._headers)
+                response = conn.getresponse()
+                if 200 <= response.status < 300:
+                    body = response.read()
+                    self._release(conn, response)
+                    return body
+                try:
+                    text = response.read().decode("utf-8", "replace")
+                except (OSError, http.client.HTTPException):
+                    text = ""
+                    conn.close()
+                else:
+                    self._release(conn, response)
+                raise EndpointError(f"endpoint returned {response.status}: {text[:200]}")
             except (OSError, http.client.HTTPException) as exc:
+                if conn is not None:
+                    conn.close()
                 last_error = exc
                 if attempt < self.max_attempts:
                     jitter = 0.5 + 0.5 * self.jitter_rng.random()
@@ -242,5 +359,7 @@ def predict_batch(
 
     if max_in_flight == 1:
         return [run(request) for request in requests_batch]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(run, requests_batch))

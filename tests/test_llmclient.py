@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from docqa.analysis import reading_order_perplexity
+from docqa import cli
+from docqa.analysis import load_predictions, reading_order_perplexity
 from docqa.errors import EndpointError
 from docqa.llmclient import (
     HTTPBackend,
@@ -205,20 +206,52 @@ class TestClientBatch:
             predict_batch(MockBackend(rule="echo_last_word"), [], max_in_flight=0)
 
 
-# Seconds a "stall" step waits before closing; the retry tests give the
+# Seconds a "stall" step waits before answering; the retry tests give the
 # client a shorter timeout than this.
 STALL_S = 0.5
+
+# A 503 that promises 100 body bytes and sends 10 before closing.
+CUT_SHORT_503 = (
+    b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 100\r\n\r\n0123456789"
+)
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Serves canned responses; the server instance carries the script.
 
-    A script step is a (status, payload) pair or one of the transport
-    faults "drop" (close the connection unanswered), "stall" (answer
-    nothing for STALL_S) and "garbage" (send a malformed status line).
+    A script step is a (status, payload) pair, raw bytes sent as the whole
+    reply before closing, or one of the transport faults "drop" (close the
+    connection unanswered), "stall" (answer only after STALL_S, then close)
+    and "garbage" (send a malformed status line). "echo" answers with the
+    request's own prompt. The server records each request line in `seen`,
+    each POST body in `requests` and the headers of each request in
+    `headers`; `accepted` and `finished` grow by one per connection opened
+    and per connection whose handler has ended. With `hang_up` set it
+    closes every connection right after replying.
     """
 
+    def setup(self):
+        super().setup()
+        self.server.accepted.append(self.client_address)
+
+    def finish(self):
+        super().finish()
+        self.server.finished.append(self.client_address)
+
+    def record(self):
+        self.server.seen.append(f"{self.command} {self.path}")
+        self.server.headers.append(dict(self.headers))
+
+    def do_GET(self):
+        self.record()
+        self.reply(200, {"text": "from a GET", "model_id": "m"})
+
+    def do_CONNECT(self):
+        self.record()
+        self.close_connection = True
+
     def do_POST(self):
+        self.record()
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         self.server.requests.append(body)
@@ -231,36 +264,84 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         if step == "stall":
             time.sleep(STALL_S)
             self.close_connection = True
+            try:
+                self.reply(200, {"text": "late", "model_id": "m"})
+            except OSError:
+                pass  # the client gave up and closed
             return
         if step == "garbage":
             self.wfile.write(b"garbage\r\n\r\n")
             self.close_connection = True
             return
-        status, payload = step
+        if isinstance(step, bytes):
+            self.wfile.write(step)
+            self.close_connection = True
+            return
+        if step == "echo":
+            step = (200, {"text": body["prompt"], "model_id": "m"})
+        self.reply(*step)
+        if self.server.hang_up:
+            self.close_connection = True
+            self.connection.shutdown(socket.SHUT_RDWR)
+
+    def reply(self, status, payload):
+        if isinstance(payload, (dict, list)):
+            data = json.dumps(payload).encode()
+        else:
+            data = payload.encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        # An HTTP/1.1 reply needs a length for the connection to stay open.
+        if self.protocol_version == "HTTP/1.1":
+            self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        if isinstance(payload, (dict, list)):
-            self.wfile.write(json.dumps(payload).encode())
-        else:
-            self.wfile.write(payload.encode())
+        self.wfile.write(data)
 
     def log_message(self, *args):
         pass
 
 
+class KeepAliveHandler(ScriptedHandler):
+    """ScriptedHandler speaking HTTP/1.1, so connections stay open."""
+
+    protocol_version = "HTTP/1.1"
+    # Without this, delayed ACKs on the client stall every keep-alive reply.
+    disable_nagle_algorithm = True
+
+
 @pytest.fixture
-def scripted_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    server.daemon_threads = True
-    server.requests = []
-    server.script = [(200, {"text": "", "model_id": "m", "tokens": []})]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+def serve():
+    """Starts ScriptedHandler-style servers; all are shut down afterwards."""
+    started = []
+
+    def start(handler=ScriptedHandler):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        server.requests, server.seen, server.headers = [], [], []
+        server.accepted, server.finished = [], []
+        server.hang_up = False
+        server.script = [(200, {"text": "", "model_id": "m", "tokens": []})]
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def scripted_server(serve):
+    return serve()
+
+
+@pytest.fixture
+def keepalive_server(serve):
+    return serve(KeepAliveHandler)
 
 
 def server_url(server):
@@ -303,6 +384,22 @@ class TestHTTPBackend:
         with pytest.raises(EndpointError, match="503.*overloaded"):
             backend.complete(request_for("x", "q?"))
         assert len(scripted_server.requests) == 1  # protocol errors do not retry
+
+    def test_redirect_is_a_protocol_error_and_not_followed(self, scripted_server, http_backend):
+        scripted_server.script = [
+            b"HTTP/1.1 302 Found\r\nLocation: /other\r\nContent-Length: 0\r\n\r\n"
+        ]
+        backend = http_backend(server_url(scripted_server))
+        with pytest.raises(EndpointError, match="^endpoint returned 302: $"):
+            backend.complete(request_for("x", "q?"))
+        assert scripted_server.seen == ["POST /v1/complete"]
+
+    def test_error_reply_cut_short_still_reports_status(self, scripted_server):
+        scripted_server.script = [CUT_SHORT_503]
+        backend = HTTPBackend(server_url(scripted_server), sleeper=lambda s: None)
+        with pytest.raises(EndpointError, match="^endpoint returned 503: $"):
+            backend.complete(request_for("x", "q?"))
+        assert len(scripted_server.requests) == 1
 
     def test_malformed_json_rejected(self, scripted_server):
         scripted_server.script = [(200, "not json{")]
@@ -397,8 +494,199 @@ class TestRetries:
         HTTPBackend("http://example.invalid", timeout=1, max_attempts=1, backoff_base=0)
 
 
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+OK = (200, {"text": "ok", "model_id": "m"})
+
+
+@pytest.fixture
+def http_backend():
+    """Makes HTTPBackends and closes their connections after the test."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(HTTPBackend(*args, **kwargs))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
+class TestConnectionReuse:
+    def test_sequential_calls_share_one_connection(self, keepalive_server, http_backend):
+        keepalive_server.script = ["echo"]
+        backend = http_backend(server_url(keepalive_server))
+        for i in range(20):
+            request = request_for(f"w{i}", "q?", want_logprobs=False)
+            assert backend.complete(request).text == request.prompt
+        assert len(keepalive_server.requests) == 20
+        assert len(keepalive_server.accepted) == 1
+
+    @pytest.mark.parametrize("max_in_flight", [2, 8])
+    def test_no_more_connections_than_requests_in_flight(
+        self, keepalive_server, http_backend, max_in_flight
+    ):
+        keepalive_server.script = ["echo"]
+        backend = http_backend(server_url(keepalive_server))
+        reqs = [request_for(f"w{i}", "q?", want_logprobs=False) for i in range(200)]
+        # Frequent thread switches give a race on the idle stack a chance
+        # to hand one connection to two requests, which would cross replies.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = predict_batch(backend, reqs, max_in_flight=max_in_flight)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.text for r in results] == [r.prompt for r in reqs]
+        assert len(keepalive_server.requests) == 200
+        assert 1 <= len(keepalive_server.accepted) <= max_in_flight
+
+    def test_timed_out_connection_is_never_reused(self, keepalive_server, http_backend):
+        keepalive_server.script = ["stall", (200, {"text": "fresh", "model_id": "m"})]
+        backend = http_backend(
+            server_url(keepalive_server), timeout=0.2, max_attempts=2,
+            sleeper=lambda s: None,
+        )
+        response = backend.complete(request_for("x", "q?", want_logprobs=False))
+        assert response.text == "fresh"
+        assert len(keepalive_server.requests) == 2
+        assert len(keepalive_server.accepted) == 2
+
+    def test_connection_closed_while_idle_is_replaced_for_free(
+        self, keepalive_server, http_backend
+    ):
+        keepalive_server.script = ["echo"]
+        keepalive_server.hang_up = True
+        backend = http_backend(server_url(keepalive_server), max_attempts=1)
+        for i in range(2):
+            request = request_for(f"w{i}", "q?", want_logprobs=False)
+            assert backend.complete(request).text == request.prompt
+            assert wait_until(lambda: len(keepalive_server.finished) == i + 1)
+        assert len(keepalive_server.requests) == 2
+        assert len(keepalive_server.accepted) == 2
+
+    def test_error_reply_keeps_the_connection(self, keepalive_server, http_backend):
+        keepalive_server.script = [(503, "overloaded"), OK]
+        backend = http_backend(server_url(keepalive_server))
+        with pytest.raises(EndpointError, match="^endpoint returned 503: overloaded$"):
+            backend.complete(request_for("x", "q?"))
+        assert backend.complete(request_for("x", "q?")).text == "ok"
+        assert len(keepalive_server.accepted) == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def predict_over_http(endpoint, out, *extra):
+    return cli.main([
+        "predict", "--qa", str(GOLDEN / "input" / "qa.jsonl"),
+        "--contexts", str(GOLDEN / "expected" / "contexts-standard.jsonl"),
+        "--dataset", "golden", "--datasets-config", str(GOLDEN / "input" / "benchmarks.json"),
+        "--backend", "http", "--endpoint", endpoint, "--out", str(out), *extra,
+    ])
+
+
+class TestPredictOverHTTP:
+    def test_connections_closed_when_predict_returns(
+        self, keepalive_server, monkeypatch, tmp_path, capsys
+    ):
+        keepalive_server.script = [OK]
+        # Keeps every backend alive, so only close() can end its connections.
+        backends = []
+
+        class KeptBackend(HTTPBackend):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                backends.append(self)
+
+        monkeypatch.setattr(cli, "HTTPBackend", KeptBackend)
+        code = predict_over_http(
+            server_url(keepalive_server), tmp_path / "pred.jsonl", "--parallelism", "2"
+        )
+        assert code == 0
+        assert len(backends) == 1
+        assert 1 <= len(keepalive_server.accepted) <= 2
+        assert wait_until(
+            lambda: len(keepalive_server.finished) == len(keepalive_server.accepted)
+        )
+
+    def test_error_reply_cut_short_is_recorded_in_its_row(
+        self, scripted_server, tmp_path, capsys
+    ):
+        scripted_server.script = [CUT_SHORT_503]
+        out = tmp_path / "pred.jsonl"
+        assert predict_over_http(server_url(scripted_server), out, "--parallelism", "2") == 3
+        predictions = load_predictions(out)
+        assert len(predictions) == 9
+        assert {p.error for p in predictions} == {"endpoint returned 503: "}
+        assert len(scripted_server.requests) == 9
+
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy")
+
+
+def proxy_env(monkeypatch, **values):
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+def proxy_url(server, userinfo=""):
+    host, port = server.server_address
+    return f"http://{userinfo}{host}:{port}"
+
+
+# "user:p@ss" in base64, as Proxy-Authorization: Basic carries it.
+BASIC_CREDENTIALS = "Basic dXNlcjpwQHNz"
+
+
+class TestProxies:
+    def test_http_goes_through_the_proxy_with_credentials(self, serve, monkeypatch):
+        proxy = serve()
+        proxy.script = [(200, {"text": "via proxy", "model_id": "m"})]
+        proxy_env(monkeypatch, http_proxy=proxy_url(proxy, "user:p%40ss@"))
+        backend = HTTPBackend("http://docqa.invalid:8080/v1/complete?v=2#frag")
+        assert backend.complete(request_for("x", "q?")).text == "via proxy"
+        assert proxy.seen == ["POST http://docqa.invalid:8080/v1/complete?v=2"]
+        assert proxy.headers[0]["Proxy-Authorization"] == BASIC_CREDENTIALS
+        assert proxy.headers[0]["Host"] == "docqa.invalid:8080"
+
+    def test_no_proxy_host_bypasses_the_proxy(self, serve, monkeypatch):
+        proxy, endpoint = serve(), serve()
+        endpoint.script = [OK]
+        proxy_env(monkeypatch, http_proxy=proxy_url(proxy), no_proxy="127.0.0.1")
+        backend = HTTPBackend(server_url(endpoint))
+        assert backend.complete(request_for("x", "q?")).text == "ok"
+        assert proxy.seen == []
+        assert endpoint.seen == ["POST /v1/complete"]
+        assert "Proxy-Authorization" not in endpoint.headers[0]
+
+    def test_https_tunnels_with_connect(self, serve, monkeypatch):
+        proxy = serve()
+        proxy_env(monkeypatch, https_proxy=proxy_url(proxy, "user:p%40ss@"))
+        backend = HTTPBackend(
+            "https://docqa.invalid:8443/v1/complete", max_attempts=2, sleeper=lambda s: None
+        )
+        with pytest.raises(EndpointError, match="unreachable after 2 attempts"):
+            backend.complete(request_for("x", "q?"))
+        assert proxy.seen == ["CONNECT docqa.invalid:8443"] * 2
+        assert [h["Proxy-Authorization"] for h in proxy.headers] == [BASIC_CREDENTIALS] * 2
+
+
 def test_importing_the_cli_loads_no_http_library():
-    code = "import sys, docqa.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    heavy = {"http.client", "ssl", "email.parser", "urllib.request", "concurrent.futures",
+             "requests", "urllib3"}
+    code = f"import sys, docqa.cli; print(sorted({heavy!r} & set(sys.modules)))"
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
