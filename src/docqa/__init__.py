@@ -12,8 +12,9 @@ The pipeline stages live in their own modules and compose through plain data:
 - cli: file-based pipeline commands
 
 Records are checked once, where they enter: the file loaders, the endpoint
-parser (`HTTPBackend.complete`) and the CLI's argument types. The record
-dataclasses check nothing, so untrusted data should go through a loader.
+parser (`HTTPBackend.complete`) and the CLI's argument types. The records
+(named tuples, and the Document class) check nothing, so untrusted data
+should go through a loader.
 """
 
 __version__ = "0.1.0"

@@ -5,37 +5,37 @@ and derives the three diagnostics we lean on when a benchmark number
 looks off: perplexity of the generated answer, whether any gold answer
 appears verbatim in the serialized context, and how context length
 relates to correctness. Records are checked by the *_from_record
-parsers, not by the dataclasses.
+parsers, not by the records themselves, which are plain named tuples.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+import sys
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datasets import DatasetConfig, QARecord
 from .errors import DataError
 from .jsonl import parse_rows, read_stage_records
-from .metrics import DEFAULT_ANLS_TAU, MetricKind, contains_words, score, word_haystack
+from .metrics import DEFAULT_ANLS_TAU, contains_words, score, word_haystack
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
 # "answer in context" is meaningless only for the book-cover set.
 GENRE_FILTERED_DATASETS = frozenset({"ocrvqa"})
 
+_FLOAT_MAX = sys.float_info.max
 
-@dataclass(frozen=True)
-class TokenLogProb:
+
+class TokenLogProb(NamedTuple):
     """One generated token with its log probability (natural log, <= 0)."""
 
     token_text: str
     logprob: float
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Model output for one example, with tokens when the backend returned them."""
 
     example_id: str
@@ -52,16 +52,16 @@ def token_from_record(record: Mapping) -> TokenLogProb:
         raise ValueError("token_text must be a string")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("logprob must be a number")
-    value = float(value)
-    if not math.isfinite(value):
+    # Bounds before float(), which raises OverflowError on a huge integer;
+    # they also reject nan.
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"logprob must be finite, got {value!r}")
-    if value > 0.0:
+    if value > 0:
         raise ValueError(f"logprob must be <= 0, got {value!r}")
-    return TokenLogProb(token_text=text, logprob=value)
+    return TokenLogProb(token_text=text, logprob=float(value))
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(NamedTuple):
     """Per-example evaluation result plus the diagnostic inputs."""
 
     example_id: str
@@ -72,8 +72,7 @@ class EvalRow:
     rop: float | None = None
 
 
-@dataclass(frozen=True)
-class PerplexityStats:
+class PerplexityStats(NamedTuple):
     mean_rop_correct: float | None
     mean_rop_incorrect: float | None
     mean_rop_all: float | None
@@ -81,8 +80,7 @@ class PerplexityStats:
     n_incorrect: int
 
 
-@dataclass(frozen=True)
-class OrderSensitivityRow:
+class OrderSensitivityRow(NamedTuple):
     dataset: str
     median_len: float
     delta: float
@@ -101,15 +99,15 @@ def reading_order_perplexity(tokens: Sequence[TokenLogProb]) -> float:
     return math.exp(-mean_logprob)
 
 
-def is_correct(kind: MetricKind, value: float, anls_tau: float = DEFAULT_ANLS_TAU) -> bool:
-    """Collapse a per-example score to a correctness bit.
+def is_correct(kind: str, value: float, anls_tau: float = DEFAULT_ANLS_TAU) -> bool:
+    """Collapse a per-example score under metric `kind` to a correctness bit.
 
     Binary metrics require a full score; the graded ones accept partial
     credit (any overlap for VQA, the usual threshold for ANLS).
     """
-    if kind is MetricKind.VQA_ACCURACY:
+    if kind == "vqa_accuracy":
         return value > 0.0
-    if kind is MetricKind.ANLS:
+    if kind == "anls":
         return value >= anls_tau
     return value >= 1.0
 
@@ -277,7 +275,12 @@ def evaluate_rows(
         value = score(config.metric, pred.text, record.answers, anls_tau=config.anls_tau)
         rop = None
         if pred.tokens:
-            rop = reading_order_perplexity(pred.tokens)
+            try:
+                rop = reading_order_perplexity(pred.tokens)
+            except OverflowError:
+                raise DataError(
+                    f"example {record.example_id!r}: answer perplexity overflows a float"
+                ) from None
         rows.append(
             EvalRow(
                 example_id=record.example_id,
@@ -292,14 +295,8 @@ def evaluate_rows(
 
 
 def eval_row_to_record(row: EvalRow) -> dict:
-    return {
-        "example_id": row.example_id,
-        "score": row.score,
-        "correct": row.correct,
-        "context_token_len": row.context_token_len,
-        "answer_in_text": row.answer_in_text,
-        "rop": row.rop,
-    }
+    """The eval-file row: EvalRow's fields, in their order."""
+    return row._asdict()
 
 
 def eval_row_from_record(record: Mapping) -> EvalRow:
@@ -309,6 +306,9 @@ def eval_row_from_record(record: Mapping) -> EvalRow:
     score_value = record.get("score")
     if isinstance(score_value, bool) or not isinstance(score_value, (int, float)):
         raise ValueError("score must be a number")
+    # The chained bounds also reject nan.
+    if not 0.0 <= score_value <= 1.0:
+        raise ValueError(f"score must lie in [0, 1], got {score_value!r}")
     correct = record.get("correct")
     if not isinstance(correct, bool):
         raise ValueError("correct must be a boolean")
@@ -322,6 +322,10 @@ def eval_row_from_record(record: Mapping) -> EvalRow:
     if rop is not None:
         if isinstance(rop, bool) or not isinstance(rop, (int, float)):
             raise ValueError("rop must be a number or null")
+        # exp of a non-negative mean, so at least 1; the bounds also reject
+        # nan and an integer too large for a float.
+        if not 1.0 <= rop <= _FLOAT_MAX:
+            raise ValueError(f"rop must be a finite number >= 1, got {rop!r}")
         rop = float(rop)
     return EvalRow(
         example_id=example_id,

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 endpoint failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -216,7 +215,7 @@ def cmd_serialize(args) -> int:
             ctx = truncate_context(ctx, budget)
         contexts.append(ctx)
 
-    strategies = sorted({o.strategy.value for o in orders})
+    strategies = sorted({o.strategy for o in orders})
     out = _write_stage(
         args, "serialize", "contexts.jsonl", {"budget": budget, "dataset": args.dataset},
         (context_to_record(c) for c in contexts),
@@ -331,7 +330,7 @@ def cmd_eval(args) -> int:
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
     ctx_header = read_header(args.contexts)
-    metric = config.metric.value
+    metric = config.metric
     _write_stage(
         args, "eval", "eval.jsonl",
         {"dataset": args.dataset, "metric": metric, "anls_tau": config.anls_tau},
@@ -387,7 +386,7 @@ def cmd_analyze(args) -> int:
         if key in aggregates:
             raise DataError(f"two eval files cover dataset {dataset!r} strategy {strategy!r}")
         aggregates[key] = header["aggregate"]
-        if strategy != OrderStrategy.SHUFFLED.value:
+        if strategy != "shuffled":
             if dataset in reference_rows:
                 raise DataError(
                     f"dataset {dataset!r} has more than one non-shuffled eval file; "
@@ -398,7 +397,7 @@ def cmd_analyze(args) -> int:
     perplexity = None
     if not args.no_perplexity:
         perplexity = {
-            dataset: dataclasses.asdict(zero_shot_perplexity(rows))
+            dataset: zero_shot_perplexity(rows)._asdict()
             for dataset, rows in sorted(reference_rows.items())
         }
     presence = {}
@@ -414,15 +413,13 @@ def cmd_analyze(args) -> int:
 
     # The report's baseline slot is the dataset's reference run, whatever
     # ordering that run used.
-    shuffled_datasets = sorted(
-        {ds for ds, strat in aggregates if strat == OrderStrategy.SHUFFLED.value}
-    )
+    shuffled_datasets = sorted({ds for ds, strat in aggregates if strat == "shuffled"})
     scores_by_dataset = {}
     for ds in shuffled_datasets:
-        per_strategy = {"shuffled": aggregates[(ds, OrderStrategy.SHUFFLED.value)]}
+        per_strategy = {"shuffled": aggregates[(ds, "shuffled")]}
         reference = [
             agg for (d, strat), agg in aggregates.items()
-            if d == ds and strat != OrderStrategy.SHUFFLED.value
+            if d == ds and strat != "shuffled"
         ]
         if reference:
             per_strategy["standard"] = reference[0]
@@ -432,10 +429,7 @@ def cmd_analyze(args) -> int:
         for ds, rows in reference_rows.items()
         if rows
     }
-    sensitivity = [
-        dataclasses.asdict(row)
-        for row in order_sensitivity_report(scores_by_dataset, medians)
-    ]
+    sensitivity = [row._asdict() for row in order_sensitivity_report(scores_by_dataset, medians)]
 
     settings = {
         "stage": "analyze",
@@ -455,14 +449,15 @@ def cmd_analyze(args) -> int:
         },
     }
     out = _out_path(args, "analysis.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    out.write_text(text + "\n", encoding="utf-8")
     print(f"wrote analysis report to {out}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     stage_seed = derive_seed(args.seed, "sample")
-    schedule = sample_mixture(args.datasets, MixtureKind(args.strategy), stage_seed, args.draws)
+    schedule = sample_mixture(args.datasets, args.strategy, stage_seed, args.draws)
     settings = {
         "strategy": args.strategy,
         "draws": args.draws,
@@ -492,7 +487,7 @@ def build_parser() -> _Parser:
     order.add_argument("--corpus", required=True, help="OCR corpus JSONL")
     order.add_argument(
         "--strategy", required=True,
-        choices=[s.value for s in OrderStrategy],
+        choices=OrderStrategy,
     )
     order.add_argument(
         "--threshold-factor", type=_positive_finite_float, default=0.5,
@@ -565,7 +560,7 @@ def build_parser() -> _Parser:
         metavar="NAME=SIZE",
     )
     sample.add_argument(
-        "--strategy", required=True, choices=[k.value for k in MixtureKind]
+        "--strategy", required=True, choices=MixtureKind
     )
     sample.add_argument("--draws", type=_positive_int, required=True)
     sample.set_defaults(func=cmd_sample)
@@ -593,4 +588,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
     sys.exit(main())

@@ -4,7 +4,7 @@ The six benchmark configs ship as a versioned JSON file next to this module
 so a reproduction run has one source of truth for metric choice and budgets.
 Mixture sampling is with replacement: each draw is independent, matching how
 training schedules consume them. The loaders check every record; the
-dataclasses do not.
+records themselves, plain named tuples, do not.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import bisect
 import json
 import os
 import random
-from dataclasses import dataclass
-from enum import Enum
-from importlib import resources
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import DataError
 from .jsonl import parse_rows, read_records
@@ -26,8 +23,7 @@ from .metrics import MetricKind
 KNOWN_FLAGS = frozenset({"yes_no", "genre"})
 
 
-@dataclass(frozen=True)
-class QARecord:
+class QARecord(NamedTuple):
     example_id: str
     doc_id: str
     question: str
@@ -67,30 +63,47 @@ def load_qa(path: str | os.PathLike[str]) -> list[QARecord]:
     return parse_rows(path, read_records(path), qa_record_from_dict, "example_id")
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
-    """Metric and budget defaults for one benchmark."""
+class DatasetConfig(NamedTuple):
+    """Metric (one of MetricKind) and budget defaults for one benchmark."""
 
     name: str
-    metric: MetricKind
+    metric: str
     context_budget: int
     target_budget: int
     anls_tau: float
 
 
-def _configs_from_payload(payload: Any, source: str) -> dict[str, DatasetConfig]:
+# The bundled defaults are read as a plain file next to this module, so
+# docqa must be installed as files on disk; zip imports are unsupported.
+BUNDLED_CONFIGS = os.path.join(os.path.dirname(__file__), "data", "benchmarks.json")
+
+
+def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str, DatasetConfig]:
+    """Read a dataset config file; with no path, the bundled benchmark defaults."""
+    if path is None:
+        path = BUNDLED_CONFIGS
+    if not os.path.exists(path):
+        raise DataError(f"file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("datasets"), dict):
-        raise DataError(f"{source}: expected an object with a 'datasets' object")
+        raise DataError(f"{path}: expected an object with a 'datasets' object")
     configs: dict[str, DatasetConfig] = {}
     for name, entry in payload["datasets"].items():
         if not isinstance(entry, dict):
-            raise DataError(f"{source}: dataset {name!r} must be an object, got {entry!r}")
+            raise DataError(f"{path}: dataset {name!r} must be an object, got {entry!r}")
         try:
             metric = entry["metric"]
             context_budget = entry["context_budget"]
             target_budget = entry["target_budget"]
             tau = entry["anls_tau"]
-            metric = MetricKind(metric)
+            if metric not in MetricKind:
+                raise ValueError(f"unknown metric {metric!r}, expected one of {MetricKind}")
             budgets = (("context_budget", context_budget), ("target_budget", target_budget))
             for key, value in budgets:
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -98,42 +111,19 @@ def _configs_from_payload(payload: Any, source: str) -> dict[str, DatasetConfig]
             if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
                 raise ValueError(f"anls_tau must be a number in [0, 1], got {tau!r}")
         except KeyError as exc:
-            raise DataError(f"{source}: dataset {name!r} is missing {exc.args[0]!r}") from exc
+            raise DataError(f"{path}: dataset {name!r} is missing {exc.args[0]!r}") from exc
         except ValueError as exc:
-            raise DataError(f"{source}: dataset {name!r}: {exc}") from exc
+            raise DataError(f"{path}: dataset {name!r}: {exc}") from exc
         configs[name] = DatasetConfig(name, metric, context_budget, target_budget, tau)
     return configs
 
 
-def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str, DatasetConfig]:
-    """Read a dataset config file; with no path, the bundled benchmark defaults."""
-    if path is None:
-        text = resources.files("docqa").joinpath("data/benchmarks.json").read_text("utf-8")
-        source = "bundled benchmarks.json"
-    else:
-        if not os.path.exists(path):
-            raise DataError(f"file not found: {path}")
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: cannot read: {exc}") from exc
-        source = str(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{source}: invalid JSON: {exc.msg}") from exc
-    return _configs_from_payload(payload, source)
-
-
-class MixtureKind(str, Enum):
-    UNIFORM = "uniform"
-    NORMALIZED = "normalized"
+MixtureKind = ("uniform", "normalized")
 
 
 def sample_mixture(
     datasets: Sequence[tuple[str, int]],
-    kind: MixtureKind,
+    kind: str,
     seed: int,
     n_draws: int,
 ) -> list[tuple[str, int]]:
@@ -145,7 +135,8 @@ def sample_mixture(
     sequential PRNG: identical inputs and seed give the identical schedule.
     Workers wanting parallel draws should each pass a derived seed.
     """
-    kind = MixtureKind(kind)
+    if kind not in MixtureKind:
+        raise ValueError(f"unknown mixture kind {kind!r}, expected one of {MixtureKind}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an unsigned integer, got {seed!r}")
     if not datasets:
@@ -162,7 +153,7 @@ def sample_mixture(
 
     rng = random.Random(seed)
     draws: list[tuple[str, int]] = []
-    if kind is MixtureKind.UNIFORM:
+    if kind == "uniform":
         for _ in range(n_draws):
             which = rng.randrange(len(datasets))
             draws.append((names[which], rng.randrange(sizes[which])))

@@ -10,15 +10,14 @@ resolutions); inverted boxes are not.
 
 Every word check lives in `document_from_record`, which validates a corpus
 record in a single pass over its `words` array; `_word_fault` only composes
-the message for the word that failed. Documents are immutable after
-construction and safe to share across threads.
+the message for the word that failed. Nothing changes a Document after
+construction (its columns are tuples), so it is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 from .jsonl import parse_rows, read_records
@@ -29,19 +28,28 @@ _LIMIT = sys.float_info.max
 _COORDINATES = ("x_min", "y_min", "x_max", "y_max")
 
 
-@dataclass(frozen=True)
 class Document:
     """All OCR words of one page image, in the order the file provided them.
 
     provided_order_is_reading_order records whether that order is already a
     human reading order (upstream tools may emit one); the ordering module
-    refuses to pass through documents where it is False.
+    refuses to pass through documents where it is False. len(doc) is the
+    word count, which is why this is not a named tuple.
     """
 
-    doc_id: str
-    texts: tuple[str, ...]
-    boxes: tuple[tuple[float, float, float, float], ...]
-    provided_order_is_reading_order: bool
+    __slots__ = ("doc_id", "texts", "boxes", "provided_order_is_reading_order")
+
+    def __init__(
+        self,
+        doc_id: str,
+        texts: tuple[str, ...],
+        boxes: tuple[tuple[float, float, float, float], ...],
+        provided_order_is_reading_order: bool,
+    ) -> None:
+        self.doc_id = doc_id
+        self.texts = texts
+        self.boxes = boxes
+        self.provided_order_is_reading_order = provided_order_is_reading_order
 
     def __len__(self) -> int:
         return len(self.texts)

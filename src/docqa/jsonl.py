@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import closing
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
@@ -61,14 +62,14 @@ def write_stage_file(
     header: dict[str, Any],
     records: Iterable[dict[str, Any]],
 ) -> None:
+    """Write the header line, then one line per record. A nan or infinite
+    float raises ValueError: no stage may write a file that is not JSON."""
     if HEADER_KEY not in header:
         raise ValueError(f"stage header must carry {HEADER_KEY!r}")
-
-    def _rows() -> Iterator[dict[str, Any]]:
-        yield header
-        yield from records
-
-    write_records(path, _rows())
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in chain((header,), records):
+            handle.write(json.dumps(record, ensure_ascii=False, allow_nan=False))
+            handle.write("\n")
 
 
 def read_stage_records(

@@ -28,8 +28,7 @@ import random
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import TokenLogProb, token_from_record
 from .errors import EndpointError
@@ -43,22 +42,20 @@ MOCK_RULES = ("echo_last_word", "answer_key")
 MOCK_TOKEN_LOGPROB = -math.log(2)
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     prompt: str
     max_new_tokens: int
     want_logprobs: bool = True
 
 
-@dataclass(frozen=True)
-class InferenceResponse:
+class InferenceResponse(NamedTuple):
     text: str
     model_id: str
     tokens: tuple[TokenLogProb, ...] | None = None
 
 
 def check_endpoint(url: str) -> str:
-    """Return `url` if it is an http(s) URL with a host, else raise ValueError."""
+    """Return `url` if it is an ASCII http(s) URL with a host, else raise ValueError."""
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port  # raises on a non-numeric or out-of-range port
@@ -69,6 +66,10 @@ def check_endpoint(url: str) -> str:
     # http.client refuses these on every attempt, so retrying cannot help.
     if any(c <= " " or c == "\x7f" for c in url):
         raise ValueError(f"endpoint {url!r} contains whitespace or control characters")
+    if not url.isascii():
+        raise ValueError(
+            f"endpoint {url!r} is not ASCII: percent-encode the path, use the xn-- form of the host"
+        )
     return url
 
 
@@ -248,9 +249,12 @@ class HTTPBackend:
                 if not self._idle:
                     return None
                 conn = self._idle.pop()
-            # Nothing may arrive on an idle connection; readable means the
-            # server closed it (or broke the protocol) while it waited.
-            if not select.select([conn.sock], [], [], 0)[0]:
+            # Nothing may arrive on an idle connection; any event means the
+            # server closed it (or broke the protocol) while it waited. poll,
+            # unlike select, takes descriptors at or above FD_SETSIZE.
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if not poller.poll(0):
                 return conn
             conn.close()
 

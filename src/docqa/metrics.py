@@ -8,7 +8,6 @@ share one normalization: lowercase, trim, collapse runs of whitespace.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 from .errors import DataError
@@ -19,11 +18,8 @@ Score = float
 DEFAULT_ANLS_TAU = 0.5
 
 
-class MetricKind(str, Enum):
-    EXACT_MATCH = "exact_match"
-    ANLS = "anls"
-    RELAXED_ACCURACY = "relaxed_accuracy"
-    VQA_ACCURACY = "vqa_accuracy"
+# The metric names a dataset config may carry.
+MetricKind = ("exact_match", "anls", "relaxed_accuracy", "vqa_accuracy")
 
 
 def normalize(text: str) -> str:
@@ -186,21 +182,22 @@ def vqa_accuracy(pred: str, golds: Sequence[str]) -> Score:
 
 
 def score(
-    kind: MetricKind,
+    kind: str,
     pred: str,
     golds: Sequence[str],
     *,
     anls_tau: float = DEFAULT_ANLS_TAU,
 ) -> Score:
-    """Apply the scoring function a dataset config names."""
-    kind = MetricKind(kind)
-    if kind is MetricKind.EXACT_MATCH:
+    """Apply the scoring function a dataset config names (one of MetricKind)."""
+    if kind == "exact_match":
         return exact_match(pred, golds)
-    if kind is MetricKind.ANLS:
+    if kind == "anls":
         return anls_single(pred, golds, anls_tau)
-    if kind is MetricKind.RELAXED_ACCURACY:
+    if kind == "relaxed_accuracy":
         return relaxed_accuracy(pred, golds)
-    return vqa_accuracy(pred, golds)
+    if kind == "vqa_accuracy":
+        return vqa_accuracy(pred, golds)
+    raise ValueError(f"unknown metric {kind!r}, expected one of {MetricKind}")
 
 
 def dataset_score(scores: Sequence[Score]) -> float:

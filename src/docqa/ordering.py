@@ -27,35 +27,30 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import DataError
 from .geometry import Document
 from .jsonl import parse_rows, read_stage_records
 
 
-class OrderStrategy(str, Enum):
-    STANDARD = "standard"
-    RASTER_SCAN = "raster_scan"
-    SHUFFLED = "shuffled"
+OrderStrategy = ("standard", "raster_scan", "shuffled")
 
 
-@dataclass(frozen=True)
-class ReadingOrder:
-    """A permutation of word indices plus the recipe that produced it."""
+class ReadingOrder(NamedTuple):
+    """A permutation of word indices plus the recipe (one of OrderStrategy,
+    and its parameters) that produced it."""
 
     doc_id: str
     permutation: tuple[int, ...]
-    strategy: OrderStrategy
-    params: Mapping[str, Any] = field(default_factory=dict)
+    strategy: str
+    params: Mapping[str, Any]
 
     def to_record(self) -> dict[str, Any]:
         return {
             "doc_id": self.doc_id,
-            "strategy": self.strategy.value,
+            "strategy": self.strategy,
             "params": dict(self.params),
             "permutation": list(self.permutation),
         }
@@ -70,7 +65,8 @@ class ReadingOrder:
             raise ValueError(f"order record is missing {exc.args[0]!r}") from exc
         if not isinstance(doc_id, str) or not doc_id:
             raise ValueError(f"doc_id must be a non-empty string, got {doc_id!r}")
-        strategy = OrderStrategy(strategy)
+        if strategy not in OrderStrategy:
+            raise ValueError(f"unknown strategy {strategy!r}, expected one of {OrderStrategy}")
         permutation = tuple(permutation)
         for entry in permutation:
             if type(entry) is not int:
@@ -90,7 +86,8 @@ def standard_order(doc: Document) -> ReadingOrder:
     return ReadingOrder(
         doc_id=doc.doc_id,
         permutation=tuple(range(len(doc))),
-        strategy=OrderStrategy.STANDARD,
+        strategy="standard",
+        params={},
     )
 
 
@@ -128,7 +125,7 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
     return ReadingOrder(
         doc_id=doc.doc_id,
         permutation=tuple(permutation),
-        strategy=OrderStrategy.RASTER_SCAN,
+        strategy="raster_scan",
         params={"line_threshold_factor": factor},
     )
 
@@ -149,7 +146,7 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
     return ReadingOrder(
         doc_id=doc.doc_id,
         permutation=tuple(permutation),
-        strategy=OrderStrategy.SHUFFLED,
+        strategy="shuffled",
         params={"seed": seed},
     )
 

@@ -14,10 +14,8 @@ row by row in `context_from_record`; the records themselves check nothing.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import DataError
 from .geometry import Document
@@ -25,8 +23,7 @@ from .jsonl import parse_rows, read_stage_records
 from .ordering import ReadingOrder
 
 
-@dataclass(frozen=True)
-class SerializedContext:
+class SerializedContext(NamedTuple):
     """The context string C for one document.
 
     pieces holds the word texts in serialization order, joined by single
@@ -70,7 +67,7 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
     total = len(ctx.text.split())
     if total <= budget:
-        return ctx if ctx.token_count == total else dataclasses.replace(ctx, token_count=total)
+        return ctx if ctx.token_count == total else ctx._replace(token_count=total)
     # Whitespace counts are additive over pieces, so accumulate directly.
     kept = 0
     running = 0
@@ -80,8 +77,7 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
             break
         kept += 1
     text = " ".join(ctx.pieces[:kept])
-    return dataclasses.replace(
-        ctx,
+    return ctx._replace(
         text=text,
         token_count=len(text.split()),
         pieces=ctx.pieces[:kept],
@@ -93,8 +89,7 @@ _QUESTION_SEP = " Question: "
 _ANSWER_SUFFIX = " Answer:"
 
 
-@dataclass(frozen=True)
-class Prompt:
+class Prompt(NamedTuple):
     """The exact string sent to the model."""
 
     text: str

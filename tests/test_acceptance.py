@@ -20,9 +20,9 @@ from docqa.analysis import (
     reading_order_perplexity,
 )
 from docqa.cli import main
-from docqa.datasets import MixtureKind, load_dataset_configs, sample_mixture
+from docqa.datasets import load_dataset_configs, sample_mixture
 from docqa.jsonl import read_stage_records, write_records
-from docqa.metrics import MetricKind, anls_single, levenshtein, relaxed_accuracy
+from docqa.metrics import anls_single, levenshtein, relaxed_accuracy
 from docqa.ordering import raster_scan_order
 from docqa.datasets import QARecord
 from layouts import layout_suite, permuted_copy, raster_oracle, scaled_copy, text_sequence
@@ -257,9 +257,9 @@ def test_criterion_7_mixture_sampler_frequencies():
             return count_b / draws
 
         sigma = math.sqrt(0.25 * 0.75 / draws)
-        assert abs(shares(MixtureKind.NORMALIZED, seed=101) - 0.75) < 5 * sigma
+        assert abs(shares("normalized", seed=101) - 0.75) < 5 * sigma
         sigma = math.sqrt(0.5 * 0.5 / draws)
-        assert abs(shares(MixtureKind.UNIFORM, seed=102) - 0.5) < 5 * sigma
+        assert abs(shares("uniform", seed=102) - 0.5) < 5 * sigma
 
 
 def test_criterion_8_bundled_configuration_snapshot():
@@ -270,12 +270,12 @@ def test_criterion_8_bundled_configuration_snapshot():
         }
         metrics = {name: cfg.metric for name, cfg in configs.items()}
         assert metrics == {
-            "docvqa": MetricKind.ANLS,
-            "infovqa": MetricKind.ANLS,
-            "textvqa": MetricKind.VQA_ACCURACY,
-            "chartqa": MetricKind.RELAXED_ACCURACY,
-            "ai2d": MetricKind.EXACT_MATCH,
-            "ocrvqa": MetricKind.EXACT_MATCH,
+            "docvqa": "anls",
+            "infovqa": "anls",
+            "textvqa": "vqa_accuracy",
+            "chartqa": "relaxed_accuracy",
+            "ai2d": "exact_match",
+            "ocrvqa": "exact_match",
         }
         for name, cfg in configs.items():
             assert cfg.context_budget == (128 if name == "ocrvqa" else 1024), name

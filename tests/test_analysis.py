@@ -23,7 +23,7 @@ from docqa.analysis import (
 from docqa.datasets import DatasetConfig, QARecord
 from docqa.errors import DataError
 from docqa.jsonl import write_stage_file
-from docqa.metrics import MetricKind, word_haystack
+from docqa.metrics import word_haystack
 from docqa.serialize import SerializedContext
 
 
@@ -50,6 +50,8 @@ class TestTokenLogProb:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="logprob must be finite"):
             token_from_record({"text": "t", "logprob": float("-inf")})
+        with pytest.raises(ValueError, match="logprob must be finite"):
+            token_from_record({"text": "t", "logprob": -(10**400)})
 
     def test_zero_is_legal(self):
         assert token_from_record({"text": "t", "logprob": 0}) == TokenLogProb("t", 0.0)
@@ -100,22 +102,26 @@ class TestCorrectnessRule:
     @pytest.mark.parametrize(
         "kind, value, expected",
         [
-            (MetricKind.EXACT_MATCH, 1.0, True),
-            (MetricKind.EXACT_MATCH, 0.0, False),
-            (MetricKind.RELAXED_ACCURACY, 1.0, True),
-            (MetricKind.RELAXED_ACCURACY, 0.0, False),
-            (MetricKind.VQA_ACCURACY, 1 / 3, True),
-            (MetricKind.VQA_ACCURACY, 0.0, False),
-            (MetricKind.ANLS, 0.5, True),
-            (MetricKind.ANLS, 0.49, False),
+            ("exact_match", 1.0, True),
+            ("exact_match", 0.0, False),
+            ("relaxed_accuracy", 1.0, True),
+            ("relaxed_accuracy", 0.0, False),
+            ("vqa_accuracy", 1 / 3, True),
+            ("vqa_accuracy", 0.0, False),
+            ("anls", 0.5, True),
+            ("anls", 0.49, False),
         ],
     )
     def test_rule_table(self, kind, value, expected):
         assert is_correct(kind, value, anls_tau=0.5) is expected
 
     def test_anls_threshold_follows_tau(self):
-        assert is_correct(MetricKind.ANLS, 0.3, anls_tau=0.25)
-        assert not is_correct(MetricKind.ANLS, 0.3, anls_tau=0.35)
+        assert is_correct("anls", 0.3, anls_tau=0.25)
+        assert not is_correct("anls", 0.3, anls_tau=0.35)
+
+    def test_graded_metrics_named_by_plain_strings(self):
+        assert is_correct("anls", 0.6)
+        assert is_correct("vqa_accuracy", 1 / 3)
 
 
 class TestSplitByCorrectness:
@@ -128,7 +134,7 @@ class TestSplitByCorrectness:
     def test_anls_rows_split_by_tau(self):
         scores = [0.8, 0.4]
         rows = [
-            row(f"e{i}", score=s, correct=is_correct(MetricKind.ANLS, s, anls_tau=0.5))
+            row(f"e{i}", score=s, correct=is_correct("anls", s, anls_tau=0.5))
             for i, s in enumerate(scores)
         ]
         correct, incorrect = split_by_correctness(rows)
@@ -345,7 +351,7 @@ class TestEvaluateRows:
         ]
         config = DatasetConfig(
             name="toy",
-            metric=MetricKind.EXACT_MATCH,
+            metric="exact_match",
             context_budget=1024,
             target_budget=32,
             anls_tau=0.5,
@@ -415,6 +421,13 @@ class TestEvalRowRecords:
             ("context_token_len", -1),
             ("answer_in_text", "yes"),
             ("rop", "2"),
+            ("score", -7),
+            ("score", 1.5),
+            ("score", math.nan),
+            ("rop", 0.5),
+            ("rop", math.nan),
+            ("rop", math.inf),
+            ("rop", 10**400),
         ]:
             with pytest.raises(ValueError):
                 eval_row_from_record({**good, key: bad})

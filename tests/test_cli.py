@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +15,23 @@ from docqa.ordering import load_orders
 from docqa.serialize import load_contexts
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def golden_copy(name, tmp_path, old, new):
+    """A copy of golden/expected/`name` with `old` replaced by `new` on its
+    first data row (line 2)."""
+    lines = (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)
+    assert old in lines[1]
+    lines[1] = lines[1].replace(old, new)
+    path = tmp_path / name
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
 
 
 @pytest.fixture
@@ -339,6 +358,18 @@ class TestPredictCommand:
         assert "error: argument --endpoint: endpoint must be an http(s) URL" in err
         assert "Traceback" not in err
 
+    def test_non_ascii_endpoint_is_usage_error(self, bench, capsys):
+        paths = run_pipeline(bench)
+        capsys.readouterr()
+        out = bench["dir"] / "p2.jsonl"
+        assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+                   "--dataset", "toy", "--datasets-config", bench["config"],
+                   "--backend", "http", "--endpoint", "http://127.0.0.1:9/café",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --endpoint: endpoint 'http://127.0.0.1:9/café' is not ASCII" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [
         '{"max_attempts": 0}',
         '{"max_attempts": "3"}',
@@ -418,6 +449,25 @@ class TestEvalCommand:
                    "--datasets-config", bench["config"],
                    "--out", bench["dir"] / "e2.jsonl") == 2
         assert "'stray-1' has no QA record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("logprob, message", [
+        ("-1000.0", "example 'a-total': answer perplexity overflows a float"),
+        ("-1" + "0" * 400, "line 2: logprob must be finite, got -1000"),
+    ], ids=["below exp range", "beyond float range"])
+    def test_extreme_logprob_exits_2(self, tmp_path, capsys, logprob, message):
+        predictions = golden_copy("predictions-standard-mock-echo.jsonl", tmp_path,
+                                  '"logprob": -0.6931471805599453', f'"logprob": {logprob}')
+        out = tmp_path / "eval.jsonl"
+        assert run("eval", "--qa", GOLDEN / "input" / "qa.jsonl",
+                   "--predictions", predictions,
+                   "--contexts", GOLDEN / "expected" / "contexts-standard.jsonl",
+                   "--dataset", "golden",
+                   "--datasets-config", GOLDEN / "input" / "benchmarks.json",
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
 
 def append_copy_of_last_row(path):
@@ -680,6 +730,19 @@ class TestAnalyzeCommand:
             f"error: eval file {paths['evals']} header: {message}\n"
         )
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"rop": 2.0', '"rop": NaN', "rop must be a finite number >= 1, got nan"),
+        ('"rop": 2.0', '"rop": 1e400', "rop must be a finite number >= 1, got inf"),
+        ('"score": 0.0', '"score": -7', "score must lie in [0, 1], got -7"),
+    ], ids=["rop nan", "rop overflow", "negative score"])
+    def test_out_of_range_eval_value_exits_2(self, tmp_path, capsys, old, new, message):
+        evals = golden_copy("eval-standard-mock-echo.jsonl", tmp_path, old, new)
+        out = tmp_path / "analysis.json"
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", evals,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {evals} line 2: {message}\n"
+        assert not out.exists()
+
     def test_missing_rop_exits_2_unless_skipped(self, bench, capsys):
         d = bench["dir"]
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
@@ -774,3 +837,24 @@ class TestTopLevel:
         from docqa.cli import entrypoint
 
         assert callable(entrypoint)
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "docqa.cli",
+             "order", "--corpus", "missing.jsonl", "--strategy", "standard"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: file not found: missing.jsonl\n"
+
+    def test_import_loads_no_dataclasses_or_importlib_resources(self):
+        # -S keeps site's own imports out of the picture.
+        code = ("import sys, docqa.cli; "
+                "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

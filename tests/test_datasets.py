@@ -11,7 +11,6 @@ from docqa.datasets import (
     sample_mixture,
 )
 from docqa.errors import DataError
-from docqa.metrics import MetricKind
 
 
 def write_qa(path, records):
@@ -112,12 +111,12 @@ class TestDatasetConfigs:
     def test_bundled_defaults(self):
         configs = load_dataset_configs()
         assert set(configs) == {"docvqa", "infovqa", "textvqa", "chartqa", "ai2d", "ocrvqa"}
-        assert configs["docvqa"].metric is MetricKind.ANLS
-        assert configs["infovqa"].metric is MetricKind.ANLS
-        assert configs["textvqa"].metric is MetricKind.VQA_ACCURACY
-        assert configs["chartqa"].metric is MetricKind.RELAXED_ACCURACY
-        assert configs["ai2d"].metric is MetricKind.EXACT_MATCH
-        assert configs["ocrvqa"].metric is MetricKind.EXACT_MATCH
+        assert configs["docvqa"].metric == "anls"
+        assert configs["infovqa"].metric == "anls"
+        assert configs["textvqa"].metric == "vqa_accuracy"
+        assert configs["chartqa"].metric == "relaxed_accuracy"
+        assert configs["ai2d"].metric == "exact_match"
+        assert configs["ocrvqa"].metric == "exact_match"
         for name, config in configs.items():
             assert config.context_budget == (128 if name == "ocrvqa" else 1024)
             assert config.target_budget == 32
@@ -205,29 +204,29 @@ def frequencies(samples):
 class TestSampleMixture:
     def test_empty_dataset_list_rejected(self):
         with pytest.raises(DataError):
-            sample_mixture([], MixtureKind.UNIFORM, 0, 10)
+            sample_mixture([], "uniform", 0, 10)
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(DataError):
-            sample_mixture([("a", 0)], MixtureKind.UNIFORM, 0, 10)
+            sample_mixture([("a", 0)], "uniform", 0, 10)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0])
     def test_seed_must_be_unsigned_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be an unsigned integer"):
-            sample_mixture([("a", 1)], MixtureKind.UNIFORM, seed, 10)
+            sample_mixture([("a", 1)], "uniform", seed, 10)
 
     def test_kind_may_be_given_by_value(self):
         datasets = [("a", 3), ("b", 17)]
         assert sample_mixture(datasets, "uniform", 5, 50) == sample_mixture(
-            datasets, MixtureKind.UNIFORM, 5, 50
+            datasets, "uniform", 5, 50
         )
         with pytest.raises(ValueError, match="zigzag"):
             sample_mixture(datasets, "zigzag", 5, 50)
 
     def test_deterministic_for_seed(self):
         datasets = [("a", 10), ("b", 20)]
-        assert sample_mixture(datasets, MixtureKind.NORMALIZED, 99, 50) == sample_mixture(
-            datasets, MixtureKind.NORMALIZED, 99, 50
+        assert sample_mixture(datasets, "normalized", 99, 50) == sample_mixture(
+            datasets, "normalized", 99, 50
         )
 
     def test_indices_always_in_range(self):
@@ -239,13 +238,13 @@ class TestSampleMixture:
                 assert 0 <= index < sizes[name]
 
     def test_sampling_is_with_replacement(self):
-        samples = sample_mixture([("a", 2)], MixtureKind.UNIFORM, 1, 10)
+        samples = sample_mixture([("a", 2)], "uniform", 1, 10)
         assert len(samples) == 10
 
     def test_uniform_halves_between_unequal_datasets(self):
         draws = 20_000
         samples = sample_mixture(
-            [("small", 10), ("large", 1000)], MixtureKind.UNIFORM, 7, draws
+            [("small", 10), ("large", 1000)], "uniform", 7, draws
         )
         counts = frequencies(samples)
         sigma = math.sqrt(draws * 0.5 * 0.5)
@@ -254,7 +253,7 @@ class TestSampleMixture:
     def test_normalized_follows_size_share(self):
         draws = 20_000
         samples = sample_mixture(
-            [("a", 100), ("b", 300)], MixtureKind.NORMALIZED, 7, draws
+            [("a", 100), ("b", 300)], "normalized", 7, draws
         )
         counts = frequencies(samples)
         sigma = math.sqrt(draws * 0.25 * 0.75)

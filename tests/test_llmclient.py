@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import resource
 import socket
 import subprocess
 import sys
@@ -579,6 +580,26 @@ class TestConnectionReuse:
         with pytest.raises(EndpointError, match="^endpoint returned 503: overloaded$"):
             backend.complete(request_for("x", "q?"))
         assert backend.complete(request_for("x", "q?")).text == "ok"
+        assert len(keepalive_server.accepted) == 1
+
+    def test_idle_connection_on_a_high_descriptor_is_reused(
+        self, keepalive_server, http_backend
+    ):
+        # select() cannot take a descriptor at or above FD_SETSIZE (1024).
+        high = 1500
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high:
+            pytest.skip(f"RLIMIT_NOFILE does not allow descriptor {high}")
+        keepalive_server.script = ["echo"]
+        backend = http_backend(server_url(keepalive_server), max_attempts=1)
+        first = request_for("a", "q?", want_logprobs=False)
+        assert backend.complete(first).text == first.prompt
+        [conn] = backend._idle
+        os.dup2(conn.sock.fileno(), high)
+        low, conn.sock = conn.sock, socket.socket(fileno=high)
+        conn.sock.settimeout(low.gettimeout())
+        low.close()
+        second = request_for("b", "q?", want_logprobs=False)
+        assert backend.complete(second).text == second.prompt
         assert len(keepalive_server.accepted) == 1
 
 

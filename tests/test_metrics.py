@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from docqa.errors import DataError
 from docqa.metrics import (
-    MetricKind,
     anls_single,
     contains_words,
     dataset_score,
@@ -263,10 +262,14 @@ class TestDatasetScore:
 
 class TestDispatch:
     def test_each_kind_routes_to_its_function(self):
-        assert score(MetricKind.EXACT_MATCH, "a", ["a"]) == 1.0
-        assert score(MetricKind.ANLS, "helo", ["hello"]) == pytest.approx(0.8)
-        assert score(MetricKind.RELAXED_ACCURACY, "105", ["100"]) == 1.0
-        assert score(MetricKind.VQA_ACCURACY, "a", ["a", "b", "c"]) == pytest.approx(1 / 3)
+        assert score("exact_match", "a", ["a"]) == 1.0
+        assert score("anls", "helo", ["hello"]) == pytest.approx(0.8)
+        assert score("relaxed_accuracy", "105", ["100"]) == 1.0
+        assert score("vqa_accuracy", "a", ["a", "b", "c"]) == pytest.approx(1 / 3)
 
     def test_anls_tau_is_forwarded(self):
-        assert score(MetricKind.ANLS, "helo", ["hello"], anls_tau=0.9) == 0.0
+        assert score("anls", "helo", ["hello"], anls_tau=0.9) == 0.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="bleu"):
+            score("bleu", "a", ["a"])
