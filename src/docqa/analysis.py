@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datasets import DatasetConfig, QARecord
 from .errors import DataError
-from .jsonl import parse_rows, read_stage_records
+from .jsonl import read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, score, word_haystack
 from .serialize import SerializedContext
 
@@ -123,23 +123,25 @@ def split_by_correctness(rows: Iterable[EvalRow]) -> tuple[list[EvalRow], list[E
 def _mean(values: list[float]) -> float | None:
     if not values:
         return None
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise DataError("mean answer perplexity overflows a float") from None
 
 
 def zero_shot_perplexity(rows: Sequence[EvalRow]) -> PerplexityStats:
     """Mean answer perplexity over all rows and per correctness set.
 
-    Means over empty sets are reported as absent rather than zero, so a
-    dataset the model aces does not fake a low incorrect-set number.
+    Only rows that have a perplexity count, in the means and in the counts:
+    a failed request, an empty completion or a run without logprobs leaves
+    none. Means over empty sets are reported as absent rather than zero, so
+    a dataset the model aces does not fake a low incorrect-set number.
     """
-    for r in rows:
-        if r.rop is None:
-            raise DataError(f"example {r.example_id!r} has no perplexity")
-    correct, incorrect = split_by_correctness(rows)
+    correct, incorrect = split_by_correctness(r for r in rows if r.rop is not None)
     return PerplexityStats(
         mean_rop_correct=_mean([r.rop for r in correct]),
         mean_rop_incorrect=_mean([r.rop for r in incorrect]),
-        mean_rop_all=_mean([r.rop for r in rows]),
+        mean_rop_all=_mean([r.rop for r in correct + incorrect]),
         n_correct=len(correct),
         n_incorrect=len(incorrect),
     )
@@ -367,7 +369,6 @@ def prediction_from_record(record: Mapping) -> Prediction:
     return Prediction(example_id=example_id, text=text, tokens=tokens)
 
 
-def load_predictions(path) -> list[Prediction]:
-    """Read a predictions file, skipping a provenance header if one is present."""
-    _, rows = read_stage_records(path)
-    return parse_rows(path, rows, prediction_from_record, "example_id")
+def load_predictions(path) -> tuple[dict, list[Prediction]]:
+    """Read a predictions file's header and predictions."""
+    return read_stage_file(path, prediction_from_record, "example_id")

@@ -38,7 +38,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
 from .geometry import load_ocr_corpus
-from .jsonl import parse_rows, read_header, read_stage_records, write_stage_file
+from .jsonl import read_stage_file, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -194,7 +194,7 @@ def cmd_order(args) -> int:
 
 def cmd_serialize(args) -> int:
     docs = load_ocr_corpus(args.corpus)
-    orders = load_orders(args.orders)
+    _, orders = load_orders(args.orders)
     budget = args.budget
     if budget is None and args.dataset is not None:
         budget = _dataset_config(args).context_budget
@@ -258,7 +258,7 @@ def _build_backend(args, records, requests_batch):
 
 def cmd_predict(args) -> int:
     records = load_qa(args.qa)
-    contexts = load_contexts(args.contexts)
+    _, contexts = load_contexts(args.contexts)
     config = _dataset_config(args)
     max_new_tokens = args.max_new_tokens or config.target_budget
     want_logprobs = not args.no_logprobs
@@ -323,13 +323,12 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     records = load_qa(args.qa)
-    predictions = load_predictions(args.predictions)
-    contexts = load_contexts(args.contexts)
+    _, predictions = load_predictions(args.predictions)
+    ctx_header, contexts = load_contexts(args.contexts)
     config = _dataset_config(args)
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
-    ctx_header = read_header(args.contexts)
     metric = config.metric
     _write_stage(
         args, "eval", "eval.jsonl",
@@ -337,7 +336,7 @@ def cmd_eval(args) -> int:
         (eval_row_to_record(r) for r in rows),
         dataset=args.dataset,
         metric=metric,
-        strategy=ctx_header.get("strategy") if ctx_header else None,
+        strategy=ctx_header.get("strategy"),
         aggregate=aggregate,
         n=len(rows),
     )
@@ -346,9 +345,7 @@ def cmd_eval(args) -> int:
 
 
 def _load_eval_file(path):
-    header, raw_rows = read_stage_records(path)
-    if header is None:
-        raise DataError(f"eval file {path} has no header line")
+    header, rows = read_stage_file(path, eval_row_from_record, "example_id")
     for key in ("dataset", "strategy", "aggregate"):
         if key not in header:
             raise DataError(f"eval file {path} header is missing {key!r}")
@@ -361,7 +358,7 @@ def _load_eval_file(path):
     # Exact types keep bools out; the chained bounds also reject nan.
     if type(aggregate) not in (int, float) or not -math.inf < aggregate < math.inf:
         raise DataError(f"{where}: aggregate must be a finite number, got {aggregate!r}")
-    return header, parse_rows(path, raw_rows, eval_row_from_record, "example_id")
+    return header, rows
 
 
 def cmd_analyze(args) -> int:
@@ -394,12 +391,10 @@ def cmd_analyze(args) -> int:
                 )
             reference_rows[dataset] = rows
 
-    perplexity = None
-    if not args.no_perplexity:
-        perplexity = {
-            dataset: zero_shot_perplexity(rows)._asdict()
-            for dataset, rows in sorted(reference_rows.items())
-        }
+    perplexity = {
+        dataset: zero_shot_perplexity(rows)._asdict()
+        for dataset, rows in sorted(reference_rows.items())
+    }
     presence = {}
     lengths = {}
     for dataset, rows in sorted(reference_rows.items()):
@@ -436,7 +431,6 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
         "datasets": sorted({ds for ds, _ in aggregates}),
         "strategies": sorted({strat for _, strat in aggregates if strat}),
-        "perplexity": not args.no_perplexity,
     }
     payload = {
         "config_digest": config_digest(settings),
@@ -546,10 +540,6 @@ def build_parser() -> _Parser:
     )
     analyze.add_argument("--qa", action="append", required=True)
     analyze.add_argument("--eval", action="append", required=True)
-    analyze.add_argument(
-        "--no-perplexity", action="store_true",
-        help="skip the perplexity report (for runs without logprobs)",
-    )
     analyze.set_defaults(func=cmd_analyze)
 
     sample = sub.add_parser(

@@ -3,9 +3,10 @@
 Stage files start with a provenance header line: `config_digest` (a digest
 of the stage's semantic settings, run seed included), `stage`, the seed
 derived for that stage, then fields specific to the stage. Paths never enter
-the digest, so a rerun in another directory writes the same bytes. Every
-loader turns rows into values through `parse_rows`, which names the file and
-line of a bad or repeated row. A file that is missing, cannot be opened (a
+the digest, so a rerun in another directory writes the same bytes. Stage
+files are read only through `read_stage_file`, which rejects a file whose
+line 1 is not such a header. Every loader turns rows into values through
+`parse_rows`, which names the file and line of a bad or repeated row. A file that is missing, cannot be opened (a
 directory, say) or is not UTF-8 is a DataError naming it.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import closing
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -52,8 +52,8 @@ def write_records(path: str | os.PathLike[str], records: Iterable[dict[str, Any]
             handle.write("\n")
 
 
-# Stage outputs carry a provenance header as their first line. Readers of
-# stage files skip it; user-supplied inputs (corpus, QA) never have one.
+# Stage outputs carry a provenance header as their first line, and stage
+# readers require it; user-supplied inputs (corpus, QA) never have one.
 HEADER_KEY = "config_digest"
 
 
@@ -72,26 +72,18 @@ def write_stage_file(
             handle.write("\n")
 
 
-def read_stage_records(
+def read_stage_file(
     path: str | os.PathLike[str],
-) -> tuple[dict[str, Any] | None, list[tuple[int, dict[str, Any]]]]:
-    """Split a JSONL file into (header or None, data rows with line numbers)."""
-    header: dict[str, Any] | None = None
-    rows: list[tuple[int, dict[str, Any]]] = []
-    for line_no, record in read_records(path):
-        if line_no == 1 and HEADER_KEY in record:
-            header = record
-            continue
-        rows.append((line_no, record))
-    return header, rows
-
-
-def read_header(path: str | os.PathLike[str]) -> dict[str, Any] | None:
-    """The provenance header of a stage file, or None; reads line 1 only."""
-    with closing(read_records(path)) as records:
-        for line_no, record in records:
-            return record if line_no == 1 and HEADER_KEY in record else None
-    return None
+    parse: Callable[[dict[str, Any]], T],
+    key: str,
+) -> tuple[dict[str, Any], list[T]]:
+    """(header, values) of a stage file whose line 1 must be its provenance
+    header; the data rows go through `parse_rows`."""
+    records = read_records(path)
+    line_no, header = next(records, (0, {}))
+    if line_no != 1 or HEADER_KEY not in header:
+        raise DataError(f"{path} line 1: expected a stage header carrying {HEADER_KEY!r}")
+    return header, parse_rows(path, records, parse, key)
 
 
 def parse_rows(

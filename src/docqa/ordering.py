@@ -32,7 +32,7 @@ from typing import Any, Mapping, NamedTuple
 
 from .errors import DataError
 from .geometry import Document
-from .jsonl import parse_rows, read_stage_records
+from .jsonl import read_stage_file
 
 
 OrderStrategy = ("standard", "raster_scan", "shuffled")
@@ -151,8 +151,8 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
     )
 
 
-def load_orders(path: str | os.PathLike[str]) -> list[ReadingOrder]:
-    """Read an orders file, skipping a provenance header if one is present;
-    a document may have only one order."""
-    _, rows = read_stage_records(path)
-    return parse_rows(path, rows, ReadingOrder.from_record, "doc_id")
+def load_orders(
+    path: str | os.PathLike[str],
+) -> tuple[dict[str, Any], list[ReadingOrder]]:
+    """Read an orders file's header and orders; a document may have only one order."""
+    return read_stage_file(path, ReadingOrder.from_record, "doc_id")

@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 
 from .errors import DataError
 from .geometry import Document
-from .jsonl import parse_rows, read_stage_records
+from .jsonl import read_stage_file
 from .ordering import ReadingOrder
 
 
@@ -140,7 +140,8 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
     return SerializedContext(doc_id=doc_id, text=text, token_count=token_count, pieces=pieces)
 
 
-def load_contexts(path: str | os.PathLike[str]) -> list[SerializedContext]:
-    """Read a contexts file, skipping a provenance header if one is present."""
-    _, rows = read_stage_records(path)
-    return parse_rows(path, rows, context_from_record, "doc_id")
+def load_contexts(
+    path: str | os.PathLike[str],
+) -> tuple[dict[str, Any], list[SerializedContext]]:
+    """Read a contexts file's header and contexts."""
+    return read_stage_file(path, context_from_record, "doc_id")

@@ -21,7 +21,7 @@ from docqa.analysis import (
 )
 from docqa.cli import main
 from docqa.datasets import load_dataset_configs, sample_mixture
-from docqa.jsonl import read_stage_records, write_records
+from docqa.jsonl import read_records, write_records
 from docqa.metrics import anls_single, levenshtein, relaxed_accuracy
 from docqa.ordering import raster_scan_order
 from docqa.datasets import QARecord
@@ -187,7 +187,7 @@ def test_criterion_5_shuffle_ablation_end_to_end(tmp_path):
 
         aggregates = {}
         for key, path in evals.items():
-            header, _ = read_stage_records(path)
+            _, header = next(read_records(path))
             aggregates[key] = header["aggregate"]
         for name in subsets:
             assert aggregates[(name, "standard")] > aggregates[(name, "shuffled")], name

@@ -174,9 +174,18 @@ class TestZeroShotPerplexity:
         stats_reversed = zero_shot_perplexity(list(reversed(rows)))
         assert stats_forward == stats_reversed
 
-    def test_missing_rop_rejected(self):
-        with pytest.raises(DataError, match="e1"):
-            zero_shot_perplexity([row("e0", rop=2.0), row("e1", rop=None)])
+    def test_rows_without_rop_are_left_out(self):
+        rows = [row("a", rop=2.0), row("b", rop=None),
+                row("c", correct=False, rop=4.0), row("d", correct=False, rop=None)]
+        stats = zero_shot_perplexity(rows)
+        assert stats.mean_rop_correct == pytest.approx(2.0)
+        assert stats.mean_rop_incorrect == pytest.approx(4.0)
+        assert stats.mean_rop_all == pytest.approx(3.0)
+        assert (stats.n_correct, stats.n_incorrect) == (1, 1)
+
+    def test_no_rop_anywhere_gives_null_means_and_zero_counts(self):
+        stats = zero_shot_perplexity([row("a", rop=None), row("b", correct=False)])
+        assert stats == (None, None, None, 0, 0)
 
 
 class TestAnswerInText:
@@ -444,14 +453,12 @@ class TestPredictionsFile:
         write_stage_file(
             path, {"config_digest": "0"}, (prediction_to_record(p) for p in predictions)
         )
-        loaded = load_predictions(path)
-        assert loaded == predictions
+        assert load_predictions(path) == ({"config_digest": "0"}, predictions)
 
     def test_duplicate_example_id_rejected(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
-        path.write_text(
-            '{"example_id": "e", "text": "a", "tokens": null}\n'
-            '{"example_id": "e", "text": "b", "tokens": null}\n'
-        )
-        with pytest.raises(DataError, match="duplicate"):
+        rows = [{"example_id": "e", "text": "a", "tokens": None},
+                {"example_id": "e", "text": "b", "tokens": None}]
+        write_stage_file(path, {"config_digest": "0"}, rows)
+        with pytest.raises(DataError, match=r" line 3: duplicate example_id 'e'$"):
             load_predictions(path)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import toy_benchmark, write_dataset_config
 from docqa.cli import build_parser, config_digest, derive_seed, main
-from docqa.jsonl import read_stage_records, write_records
+from docqa.jsonl import read_records, write_records
 from docqa.ordering import load_orders
 from docqa.serialize import load_contexts
 
@@ -21,6 +21,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def stage_records(path):
+    """The header and data records of a stage file, unparsed."""
+    (_, header), *rows = read_records(path)
+    return header, [record for _, record in rows]
 
 
 def golden_copy(name, tmp_path, old, new):
@@ -106,10 +112,9 @@ class TestOrderCommand:
         out = bench["dir"] / "orders.jsonl"
         assert run("order", "--corpus", bench["corpus"], "--strategy",
                    "raster_scan", "--out", out) == 0
-        header, rows = read_stage_records(out)
+        header, orders = load_orders(out)
         assert header["stage"] == "order"
         assert len(header["config_digest"]) == 12
-        orders = load_orders(out)
         assert len(orders) == 3
         assert all(o.strategy == "raster_scan" for o in orders)
 
@@ -130,7 +135,7 @@ class TestOrderCommand:
         out = bench["dir"] / "orders.jsonl"
         run("order", "--corpus", bench["corpus"], "--strategy", "shuffled",
             "--seed", 5, "--out", out)
-        perms = {o.permutation for o in load_orders(out)}
+        perms = {o.permutation for o in load_orders(out)[1]}
         assert len(perms) == 3  # same length docs, still independent draws
 
     def test_missing_corpus_exits_2_and_names_path(self, bench, capsys):
@@ -146,7 +151,7 @@ class TestOrderCommand:
         out = bench["dir"] / "orders.jsonl"
         run("order", "--corpus", bench["corpus"], "--strategy", "raster_scan",
             "--threshold-factor", "0.75", "--out", out)
-        orders = load_orders(out)
+        _, orders = load_orders(out)
         assert orders[0].params == {"line_threshold_factor": 0.75}
 
     @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
@@ -171,11 +176,10 @@ class TestSerializeCommand:
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--out", contexts) == 0
-        loaded = load_contexts(contexts)
+        header, loaded = load_contexts(contexts)
         assert len(loaded) == 3
         doc = bench["docs"][0]
         assert loaded[0].text == " ".join(w["text"] for w in doc["words"])
-        header, _ = read_stage_records(contexts)
         assert header["strategy"] == "standard"
         assert header["dataset"] == "toy"
 
@@ -186,7 +190,7 @@ class TestSerializeCommand:
             "--out", orders)
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
                    "--budget", 5, "--out", contexts) == 0
-        assert all(c.token_count <= 5 for c in load_contexts(contexts))
+        assert all(c.token_count <= 5 for c in load_contexts(contexts)[1])
 
     def test_doc_mismatch_exits_2(self, bench, capsys):
         docs, _ = toy_benchmark("other", n_docs=1, words_per_doc=4)
@@ -203,8 +207,7 @@ class TestSerializeCommand:
         orders = bench["dir"] / "orders.jsonl"
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", orders)
-        header, rows = read_stage_records(orders)
-        records = [record for _, record in rows]
+        header, records = stage_records(orders)
         # Each entry truncates to the identity, so only the type is wrong.
         records[1]["permutation"] = [i + 0.7 for i in records[1]["permutation"]]
         write_records(orders, [header, *records])
@@ -250,7 +253,7 @@ class TestPredictCommand:
                    "--backend", "mock-echo", "--out", d / "pred.jsonl") == 0
         from docqa.analysis import load_predictions
 
-        preds = load_predictions(d / "pred.jsonl")
+        _, preds = load_predictions(d / "pred.jsonl")
         assert len(preds) == len(bench["qa_records"])
         last_word = bench["docs"][0]["words"][-1]["text"]
         assert preds[0].text == last_word
@@ -260,7 +263,7 @@ class TestPredictCommand:
         paths = run_pipeline(bench)
         from docqa.analysis import load_predictions
 
-        preds = {p.example_id: p for p in load_predictions(paths["predictions"])}
+        preds = {p.example_id: p for p in load_predictions(paths["predictions"])[1]}
         for record in bench["qa_records"]:
             assert preds[record["example_id"]].text == record["answers"][0]
 
@@ -272,7 +275,7 @@ class TestPredictCommand:
         paths = run_pipeline(bench)
         from docqa.analysis import load_predictions
 
-        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])}
+        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])[1]}
         assert preds[qa[0]["example_id"]] == qa[0]["answers"][0]
         assert preds[qa[2]["example_id"]] == qa[2]["answers"][0]
 
@@ -285,7 +288,7 @@ class TestPredictCommand:
         paths = run_pipeline(bench)
         from docqa.analysis import load_predictions
 
-        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])}
+        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])[1]}
         assert preds[qa[0]["example_id"]] == qa[0]["answers"][0]
         assert preds[qa[1]["example_id"]] == qa[0]["answers"][0]
 
@@ -300,7 +303,7 @@ class TestPredictCommand:
             "--backend", "mock-echo", "--no-logprobs", "--out", d / "pred.jsonl")
         from docqa.analysis import load_predictions
 
-        assert all(p.tokens is None for p in load_predictions(d / "pred.jsonl"))
+        assert all(p.tokens is None for p in load_predictions(d / "pred.jsonl")[1])
 
     def test_http_failures_recorded_and_exit_3(self, bench, capsys):
         import socket
@@ -322,7 +325,7 @@ class TestPredictCommand:
         assert code == 3
         from docqa.analysis import load_predictions
 
-        preds = load_predictions(d / "pred.jsonl")
+        _, preds = load_predictions(d / "pred.jsonl")
         assert len(preds) == len(bench["qa_records"])
         assert all(p.error is not None for p in preds)
 
@@ -415,7 +418,7 @@ class TestPredictCommand:
 class TestEvalCommand:
     def test_gold_predictions_score_100(self, bench, capsys):
         paths = run_pipeline(bench)
-        header, rows = read_stage_records(paths["evals"])
+        header, _ = stage_records(paths["evals"])
         assert header["aggregate"] == 100.0
         assert header["dataset"] == "toy"
         assert header["metric"] == "exact_match"
@@ -426,8 +429,8 @@ class TestEvalCommand:
         paths = run_pipeline(bench)
         from docqa.analysis import eval_row_from_record
 
-        _, rows = read_stage_records(paths["evals"])
-        parsed = [eval_row_from_record(r) for _, r in rows]
+        _, rows = stage_records(paths["evals"])
+        parsed = [eval_row_from_record(r) for r in rows]
         assert all(r.correct for r in parsed)
         assert all(r.answer_in_text for r in parsed)
         assert all(r.rop == pytest.approx(2.0) for r in parsed)
@@ -543,22 +546,26 @@ class TestBadInputFiles:
     def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"
         write_records(orders, [
-            {"doc_id": ["toy-d0"], "strategy": "standard", "permutation": list(range(8))}
+            {"config_digest": "0"},
+            {"doc_id": ["toy-d0"], "strategy": "standard", "permutation": list(range(8))},
         ])
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
                    "--budget", 5, "--out", bench["dir"] / "contexts.jsonl") == 2
         assert capsys.readouterr().err == (
-            f"error: {orders} line 1: doc_id must be a non-empty string, got ['toy-d0']\n"
+            f"error: {orders} line 2: doc_id must be a non-empty string, got ['toy-d0']\n"
         )
 
     def test_non_string_doc_id_in_contexts_exits_2(self, bench, capsys):
         contexts = bench["dir"] / "contexts.jsonl"
-        write_records(contexts, [{"doc_id": ["toy-d0"], "context": "a", "token_count": 1}])
+        write_records(contexts, [
+            {"config_digest": "0"},
+            {"doc_id": ["toy-d0"], "context": "a", "token_count": 1},
+        ])
         assert run("predict", "--qa", bench["qa"], "--contexts", contexts,
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "mock-echo", "--out", bench["dir"] / "p.jsonl") == 2
         assert capsys.readouterr().err == (
-            f"error: {contexts} line 1: doc_id must be a non-empty string, got ['toy-d0']\n"
+            f"error: {contexts} line 2: doc_id must be a non-empty string, got ['toy-d0']\n"
         )
 
     def test_empty_question_exits_2_in_predict_and_eval(self, bench, capsys):
@@ -577,6 +584,85 @@ class TestBadInputFiles:
                    "--datasets-config", bench["config"],
                    "--out", bench["dir"] / "e2.jsonl") == 2
         assert capsys.readouterr().err == expected
+
+
+def without_header(name, tmp_path):
+    """A copy of golden/expected/`name` with its header line dropped."""
+    lines = (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)
+    path = tmp_path / name
+    path.write_text("".join(lines[1:]), encoding="utf-8")
+    return path
+
+
+def stage_input_argv(consumer, bad):
+    """The command `consumer` reading `bad` as its stage input; every other
+    input is a golden file."""
+    qa, expected = GOLDEN / "input" / "qa.jsonl", GOLDEN / "expected"
+    dataset = ["--dataset", "golden", "--datasets-config", GOLDEN / "input" / "benchmarks.json"]
+    return {
+        "orders to serialize": ["serialize", "--corpus", GOLDEN / "input" / "corpus.jsonl",
+                                "--orders", bad, "--budget", 19],
+        "contexts to predict": ["predict", "--qa", qa, "--contexts", bad, *dataset,
+                                "--backend", "mock-echo"],
+        "contexts to eval": ["eval", "--qa", qa, "--contexts", bad, *dataset,
+                             "--predictions", expected / "predictions-standard-mock-echo.jsonl"],
+        "predictions to eval": ["eval", "--qa", qa, "--predictions", bad, *dataset,
+                                "--contexts", expected / "contexts-standard.jsonl"],
+        "eval to analyze": ["analyze", "--qa", qa, "--eval", bad],
+    }[consumer]
+
+
+STAGE_INPUTS = {
+    "orders to serialize": "orders-standard.jsonl",
+    "contexts to predict": "contexts-standard.jsonl",
+    "contexts to eval": "contexts-standard.jsonl",
+    "predictions to eval": "predictions-standard-mock-echo.jsonl",
+    "eval to analyze": "eval-standard-mock-echo.jsonl",
+}
+
+
+class TestStageHeaders:
+    @pytest.mark.parametrize("kind", ["no header", "empty", "missing"])
+    @pytest.mark.parametrize("consumer", STAGE_INPUTS)
+    def test_stage_input_without_header_exits_2(self, tmp_path, capsys, consumer, kind):
+        name = STAGE_INPUTS[consumer]
+        if kind == "no header":
+            bad = without_header(name, tmp_path)
+            message = f"{bad} line 1: expected a stage header carrying 'config_digest'"
+        elif kind == "empty":
+            bad = tmp_path / name
+            bad.write_text("")
+            message = f"{bad} line 1: expected a stage header carrying 'config_digest'"
+        else:
+            bad = tmp_path / name
+            message = f"file not found: {bad}"
+        out = tmp_path / "out"
+        assert run(*stage_input_argv(consumer, bad), "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_headerless_shuffled_contexts_cannot_pose_as_a_reference_run(
+        self, tmp_path, capsys
+    ):
+        # Without its header, the shuffled run's eval file used to carry
+        # "strategy": null, and analyze paired it with itself as the
+        # reference run: delta 0.0, exit 0.
+        contexts = without_header("contexts-shuffled.jsonl", tmp_path)
+        message = f"error: {contexts} line 1: expected a stage header carrying 'config_digest'\n"
+        qa = GOLDEN / "input" / "qa.jsonl"
+        dataset = ["--dataset", "golden",
+                   "--datasets-config", GOLDEN / "input" / "benchmarks.json"]
+        predictions, evals = tmp_path / "predictions.jsonl", tmp_path / "eval.jsonl"
+        assert run("predict", "--qa", qa, "--contexts", contexts, *dataset,
+                   "--backend", "mock-echo", "--seed", 7, "--out", predictions) == 2
+        assert capsys.readouterr().err == message
+        assert run("eval", "--qa", qa, "--contexts", contexts, *dataset, "--predictions",
+                   GOLDEN / "expected" / "predictions-shuffled-mock-echo.jsonl",
+                   "--seed", 7, "--out", evals) == 2
+        assert capsys.readouterr().err == message
+        assert not predictions.exists() and not evals.exists()
 
 
 class TestFlagScope:
@@ -601,6 +687,7 @@ class TestFlagScope:
          "--endpoint", "http://127.0.0.1:9/c", "--timeout", 5),
         ("predict", "--qa", "q.jsonl", "--contexts", "c.jsonl", "--dataset", "toy",
          "--endpoint", "http://127.0.0.1:9/c", "--max-attempts", 1),
+        ("analyze", "--qa", "q.jsonl", "--eval", "e.jsonl", "--no-perplexity"),
     ])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         assert run(*argv) == 1
@@ -609,7 +696,7 @@ class TestFlagScope:
     def test_out_defaults_to_the_stage_file_name(self, bench, monkeypatch):
         monkeypatch.chdir(bench["dir"])
         assert run("order", "--corpus", bench["corpus"], "--strategy", "standard") == 0
-        assert load_orders(bench["dir"] / "orders.jsonl")
+        assert load_orders(bench["dir"] / "orders.jsonl")[1]
 
     def test_flag_inventory(self):
         # Every option each subcommand accepts; a new knob must change this table.
@@ -621,7 +708,7 @@ class TestFlagScope:
             "predict": ["--backend", "--config", "--contexts", *datasets, "--endpoint",
                         "--max-new-tokens", "--no-logprobs", "--parallelism", "--qa"],
             "eval": ["--contexts", *datasets, "--predictions", "--qa"],
-            "analyze": ["--eval", "--no-perplexity", "--qa"],
+            "analyze": ["--eval", "--qa"],
             "sample": ["--datasets", "--draws", "--strategy"],
         }
         (subparsers,) = [a for a in build_parser()._actions
@@ -721,8 +808,8 @@ class TestAnalyzeCommand:
     )
     def test_bad_header_value_exits_2(self, bench, capsys, key, value, message):
         paths = run_pipeline(bench)
-        header, rows = read_stage_records(paths["evals"])
-        write_records(paths["evals"], [{**header, key: value}, *(r for _, r in rows)])
+        header, rows = stage_records(paths["evals"])
+        write_records(paths["evals"], [{**header, key: value}, *rows])
         capsys.readouterr()
         assert run("analyze", "--qa", bench["qa"], "--eval", paths["evals"],
                    "--out", bench["dir"] / "analysis.json") == 2
@@ -743,7 +830,28 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == f"error: {evals} line 2: {message}\n"
         assert not out.exists()
 
-    def test_missing_rop_exits_2_unless_skipped(self, bench, capsys):
+    def test_rows_without_rop_are_left_out_of_perplexity(self, tmp_path):
+        # A failed request leaves its eval row without a perplexity.
+        lines = (GOLDEN / "expected" / "predictions-standard-mock-echo.jsonl").read_text(
+            encoding="utf-8").splitlines(True)
+        lines[1] = json.dumps({"example_id": "a-total", "error": "timed out"}) + "\n"
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("".join(lines), encoding="utf-8")
+        evals, out = tmp_path / "eval.jsonl", tmp_path / "analysis.json"
+        qa = GOLDEN / "input" / "qa.jsonl"
+        assert run("eval", "--qa", qa, "--predictions", predictions,
+                   "--contexts", GOLDEN / "expected" / "contexts-standard.jsonl",
+                   "--dataset", "golden",
+                   "--datasets-config", GOLDEN / "input" / "benchmarks.json",
+                   "--out", evals) == 0
+        assert stage_records(evals)[1][0]["rop"] is None
+        assert run("analyze", "--qa", qa, "--eval", evals, "--out", out) == 0
+        assert json.loads(out.read_text())["report"]["perplexity"] == {"golden": {
+            "mean_rop_all": 2.0, "mean_rop_correct": None, "mean_rop_incorrect": 2.0,
+            "n_correct": 0, "n_incorrect": 8,
+        }}
+
+    def test_run_without_logprobs_reports_null_perplexity(self, bench):
         d = bench["dir"]
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", d / "orders.jsonl")
@@ -757,10 +865,23 @@ class TestAnalyzeCommand:
             "--datasets-config", bench["config"], "--out", d / "eval.jsonl")
         out = d / "analysis.json"
         assert run("analyze", "--qa", bench["qa"], "--eval", d / "eval.jsonl",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["report"]["perplexity"] == {"toy": {
+            "mean_rop_all": None, "mean_rop_correct": None, "mean_rop_incorrect": None,
+            "n_correct": 0, "n_incorrect": 0,
+        }}
+
+    def test_overflowing_perplexity_mean_exits_2(self, tmp_path, capsys):
+        text = (GOLDEN / "expected" / "eval-standard-mock-echo.jsonl").read_text(
+            encoding="utf-8")
+        assert text.count('"rop": 2.0') == 9
+        evals = tmp_path / "eval.jsonl"
+        evals.write_text(text.replace('"rop": 2.0', '"rop": 1e308'), encoding="utf-8")
+        out = tmp_path / "analysis.json"
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", evals,
                    "--out", out) == 2
-        assert run("analyze", "--qa", bench["qa"], "--eval", d / "eval.jsonl",
-                   "--no-perplexity", "--out", out) == 0
-        assert json.loads(out.read_text())["report"]["perplexity"] is None
+        assert capsys.readouterr().err == "error: mean answer perplexity overflows a float\n"
+        assert not out.exists()
 
 
 class TestSampleCommand:
@@ -778,8 +899,8 @@ class TestSampleCommand:
         run("sample", "--datasets", "x=100", "--datasets", "y=300",
             "--strategy", "normalized", "--draws", 8000, "--seed", 3,
             "--out", out)
-        _, rows = read_stage_records(out)
-        draws = [r["dataset"] for _, r in rows]
+        _, rows = stage_records(out)
+        draws = [r["dataset"] for r in rows]
         share = draws.count("y") / len(draws)
         # Binomial 5 sigma around p = 0.75.
         assert abs(share - 0.75) < 5 * math.sqrt(0.75 * 0.25 / len(draws))
@@ -788,8 +909,8 @@ class TestSampleCommand:
         out = tmp_path / "s.jsonl"
         run("sample", "--datasets", "x=10", "--strategy", "uniform",
             "--draws", 50, "--seed", 1, "--out", out)
-        _, rows = read_stage_records(out)
-        assert all(0 <= r["index"] < 10 for _, r in rows)
+        _, rows = stage_records(out)
+        assert all(0 <= r["index"] < 10 for r in rows)
 
     def test_bad_size_spec_is_usage_error(self, tmp_path):
         assert run("sample", "--datasets", "x:100", "--strategy", "uniform",
@@ -821,7 +942,7 @@ class TestReproducibility:
                 "--seed", 2, "--out", d / "orders.jsonl")
         headers = []
         for sub in ("one", "two"):
-            header, _ = read_stage_records(tmp_path / sub / "orders.jsonl")
+            header, _ = stage_records(tmp_path / sub / "orders.jsonl")
             headers.append(header)
         assert headers[0] == headers[1]
 

@@ -1,7 +1,7 @@
 import pytest
 
 from docqa.errors import DataError
-from docqa.jsonl import parse_rows, read_header
+from docqa.jsonl import parse_rows, read_stage_file
 
 
 class Row:
@@ -32,22 +32,32 @@ class TestParseRows:
             parse_rows("f.jsonl", rows, Row, "row_id")
 
 
-class TestReadHeader:
-    def test_returns_header_without_parsing_later_lines(self, tmp_path):
-        path = tmp_path / "stage.jsonl"
-        path.write_text('{"config_digest": "abc", "stage": "x"}\nnot json\n')
-        assert read_header(path) == {"config_digest": "abc", "stage": "x"}
 
-    def test_headerless_file_gives_none(self, tmp_path):
+class TestReadStageFile:
+    def test_returns_header_and_parsed_rows(self, tmp_path):
+        path = tmp_path / "stage.jsonl"
+        path.write_text('{"config_digest": "abc", "stage": "x"}\n{"id": "a"}\n{"other": 1}\n')
+        with pytest.raises(DataError, match=r"stage\.jsonl line 3: 'id'$"):
+            read_stage_file(path, Row, "row_id")
+        path.write_text('{"config_digest": "abc", "stage": "x"}\n{"id": "a"}\n')
+        header, rows = read_stage_file(path, Row, "row_id")
+        assert header == {"config_digest": "abc", "stage": "x"}
+        assert [r.row_id for r in rows] == ["a"]
+
+    def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"id": "a"}\n')
-        assert read_header(path) is None
+        with pytest.raises(DataError, match=r"rows\.jsonl line 1: expected a stage header"):
+            read_stage_file(path, Row, "row_id")
 
-    def test_empty_file_gives_none(self, tmp_path):
+    def test_header_after_a_blank_line_rejected(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('\n{"config_digest": "abc"}\n')
+        with pytest.raises(DataError, match=r"rows\.jsonl line 1: expected a stage header"):
+            read_stage_file(path, Row, "row_id")
+
+    def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert read_header(path) is None
-
-    def test_missing_file_names_path(self, tmp_path):
-        with pytest.raises(DataError, match="file not found"):
-            read_header(tmp_path / "absent.jsonl")
+        with pytest.raises(DataError, match=r"empty\.jsonl line 1: expected a stage header"):
+            read_stage_file(path, Row, "row_id")

@@ -645,7 +645,7 @@ class TestPredictOverHTTP:
         scripted_server.script = [CUT_SHORT_503]
         out = tmp_path / "pred.jsonl"
         assert predict_over_http(server_url(scripted_server), out, "--parallelism", "2") == 3
-        predictions = load_predictions(out)
+        _, predictions = load_predictions(out)
         assert len(predictions) == 9
         assert {p.error for p in predictions} == {"endpoint returned 503: "}
         assert len(scripted_server.requests) == 9

@@ -188,7 +188,8 @@ class TestReadingOrderType:
         ]
         path = tmp_path / "orders.jsonl"
         write_stage_file(path, {"config_digest": "0"}, (o.to_record() for o in orders))
-        loaded = load_orders(path)
+        header, loaded = load_orders(path)
+        assert header == {"config_digest": "0"}
         assert [o.doc_id for o in loaded] == ["plain", "g", "s"]
         assert [o.strategy for o in loaded] == [
             "standard",
@@ -226,10 +227,11 @@ class TestReadingOrderType:
 
     def test_load_rejects_bad_permutation(self, tmp_path):
         path = tmp_path / "orders.jsonl"
-        path.write_text(
-            '{"doc_id": "d", "strategy": "standard", "params": {}, "permutation": [0, 0]}\n'
-        )
-        with pytest.raises(DataError, match="line 1"):
+        row = {"doc_id": "d", "strategy": "standard", "params": {}, "permutation": [0, 0]}
+        write_stage_file(path, {"config_digest": "0"}, [row])
+        with pytest.raises(
+            DataError, match=r"line 2: permutation of doc 'd' is not a bijection on 0\.\.N-1$"
+        ):
             load_orders(path)
 
 

@@ -56,7 +56,7 @@ def test_cli_pipeline_demo_runs_as_written(tmp_path, monkeypatch, capsys):
     ]
     for argv, code, _ in results:
         assert code == 0, argv
-    [context] = load_contexts(tmp_path / "demo" / "contexts.jsonl")
+    _, [context] = load_contexts(tmp_path / "demo" / "contexts.jsonl")
     assert context.text == "INVOICE total due: $120 paid march"
     eval_out = results[3][2]
     assert eval_out.strip() == "demo anls: 100.0 (2 examples)"

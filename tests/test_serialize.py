@@ -16,6 +16,9 @@ from docqa.serialize import (
 )
 from layouts import make_document
 
+# The header line every contexts file starts with.
+HEADER = '{"config_digest": "0"}\n'
+
 
 def doc_with_texts(texts, doc_id="d0"):
     boxes = [(12.0 * i, 0.0, 12.0 * i + 10.0, 4.0) for i in range(len(texts))]
@@ -163,7 +166,8 @@ class TestContextsFile:
         ctx = build_context(doc, standard_order(doc))
         path = tmp_path / "contexts.jsonl"
         write_stage_file(path, {"config_digest": "0"}, [context_to_record(ctx)])
-        loaded = load_contexts(path)
+        header, loaded = load_contexts(path)
+        assert header == {"config_digest": "0"}
         assert len(loaded) == 1
         assert loaded[0].doc_id == "d0"
         assert loaded[0].text == "Hello World"
@@ -174,12 +178,12 @@ class TestContextsFile:
         for row in ('{"doc_id": "d", "context": "a", "token_count": -1}',
                     '{"doc_id": "d", "context": "a b", "token_count": 99}',
                     '{"doc_id": "d", "context": "a", "token_count": true}'):
-            path.write_text(row + "\n")
-            with pytest.raises(DataError, match="line 1: token_count"):
+            path.write_text(HEADER + row + "\n")
+            with pytest.raises(DataError, match="line 2: token_count"):
                 load_contexts(path)
 
     def test_load_rejects_non_string_context(self, tmp_path):
         path = tmp_path / "contexts.jsonl"
-        path.write_text('{"doc_id": "d", "context": 5, "token_count": 1}\n')
-        with pytest.raises(DataError, match="line 1: context must be a string"):
+        path.write_text(HEADER + '{"doc_id": "d", "context": 5, "token_count": 1}\n')
+        with pytest.raises(DataError, match="line 2: context must be a string"):
             load_contexts(path)
