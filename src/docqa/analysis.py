@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .datasets import DatasetConfig, QARecord
 from .errors import DataError
 from .jsonl import read_stage_file
-from .metrics import DEFAULT_ANLS_TAU, contains_words, score, word_haystack
+from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
@@ -156,10 +156,6 @@ def answer_in_text(answers: Sequence[str], haystack: str) -> bool:
     return any(contains_words(haystack, a) for a in answers)
 
 
-def _records_by_id(records: Iterable[QARecord]) -> dict[str, QARecord]:
-    return {r.example_id: r for r in records}
-
-
 def answer_presence_report(
     rows: Sequence[EvalRow],
     records: Iterable[QARecord],
@@ -173,7 +169,7 @@ def answer_presence_report(
     questions are excluded for the datasets in GENRE_FILTERED_DATASETS.
     Rows whose answer_in_text is unset are skipped.
     """
-    by_id = _records_by_id(records)
+    by_id = {r.example_id: r for r in records}
     drop_genre = dataset in GENRE_FILTERED_DATASETS
     kept: list[EvalRow] = []
     for r in rows:
@@ -216,26 +212,29 @@ def context_length_report(rows: Sequence[EvalRow]) -> tuple[float | None, float 
 
 
 def order_sensitivity_report(
-    scores_by_dataset: Mapping[str, Mapping[str, float]],
-    median_len_by_dataset: Mapping[str, float],
+    reference: Mapping[str, Sequence[EvalRow]],
+    shuffled: Mapping[str, Sequence[EvalRow]],
 ) -> list[OrderSensitivityRow]:
-    """Score drop from shuffling word order, one row per dataset,
-    sorted by median context length so the length trend reads off
-    directly."""
+    """Score drop from shuffling word order, one row per dataset with a
+    shuffled run: the reference run's dataset_score minus the shuffled
+    run's, next to the reference run's median context length. Rows are
+    sorted by that median so the length trend reads off directly. Both runs
+    must cover the same examples."""
     out: list[OrderSensitivityRow] = []
-    for dataset, per_strategy in scores_by_dataset.items():
-        for strategy in ("standard", "shuffled"):
-            if strategy not in per_strategy:
-                raise DataError(f"dataset {dataset!r} has no {strategy!r} score")
-        if dataset not in median_len_by_dataset:
-            raise DataError(f"dataset {dataset!r} has no median context length")
-        out.append(
-            OrderSensitivityRow(
-                dataset=dataset,
-                median_len=median_len_by_dataset[dataset],
-                delta=per_strategy["standard"] - per_strategy["shuffled"],
+    for dataset, shuffled_rows in shuffled.items():
+        reference_rows = reference.get(dataset)
+        if reference_rows is None:
+            raise DataError(f"dataset {dataset!r} has a shuffled run but no reference run")
+        if {r.example_id for r in reference_rows} != {r.example_id for r in shuffled_rows}:
+            raise DataError(
+                f"dataset {dataset!r}: the shuffled run covers other examples "
+                "than the reference run"
             )
+        delta = dataset_score([r.score for r in reference_rows]) - dataset_score(
+            [r.score for r in shuffled_rows]
         )
+        median_len = statistics.median(r.context_token_len for r in reference_rows)
+        out.append(OrderSensitivityRow(dataset=dataset, median_len=median_len, delta=delta))
     out.sort(key=lambda r: (r.median_len, r.dataset))
     return out
 
@@ -372,3 +371,20 @@ def prediction_from_record(record: Mapping) -> Prediction:
 def load_predictions(path) -> tuple[dict, list[Prediction]]:
     """Read a predictions file's header and predictions."""
     return read_stage_file(path, prediction_from_record, "example_id")
+
+
+def load_eval(path) -> tuple[dict, list[EvalRow]]:
+    """Read an eval file's header and rows. The header must name its
+    `dataset` and `strategy`; its `aggregate` is for display only, and every
+    number analyze reports comes from the rows."""
+    header, rows = read_stage_file(path, eval_row_from_record, "example_id")
+    for key in ("dataset", "strategy"):
+        if key not in header:
+            raise DataError(f"eval file {path} header is missing {key!r}")
+    dataset, strategy = header["dataset"], header["strategy"]
+    where = f"eval file {path} header"
+    if not isinstance(dataset, str) or not dataset:
+        raise DataError(f"{where}: dataset must be a non-empty string, got {dataset!r}")
+    if strategy is not None and not isinstance(strategy, str):
+        raise DataError(f"{where}: strategy must be a string or null, got {strategy!r}")
+    return header, rows

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import random
-import statistics
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -27,9 +26,9 @@ from .analysis import (
     Prediction,
     answer_presence_report,
     context_length_report,
-    eval_row_from_record,
     eval_row_to_record,
     evaluate_rows,
+    load_eval,
     load_predictions,
     order_sensitivity_report,
     prediction_to_record,
@@ -38,7 +37,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
 from .geometry import load_ocr_corpus
-from .jsonl import read_stage_file, write_stage_file
+from .jsonl import write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -325,6 +324,15 @@ def cmd_eval(args) -> int:
     records = load_qa(args.qa)
     _, predictions = load_predictions(args.predictions)
     ctx_header, contexts = load_contexts(args.contexts)
+    # analyze tells reference runs from shuffled ones by this field alone.
+    if "strategy" not in ctx_header:
+        raise DataError(f"{args.contexts} line 1: header is missing 'strategy'")
+    strategy = ctx_header["strategy"]
+    if strategy is not None and strategy not in OrderStrategy:
+        raise DataError(
+            f"{args.contexts} line 1: header strategy must be one of "
+            f"{', '.join(OrderStrategy)} or null, got {strategy!r}"
+        )
     config = _dataset_config(args)
 
     rows = evaluate_rows(records, predictions, contexts, config)
@@ -336,7 +344,7 @@ def cmd_eval(args) -> int:
         (eval_row_to_record(r) for r in rows),
         dataset=args.dataset,
         metric=metric,
-        strategy=ctx_header.get("strategy"),
+        strategy=strategy,
         aggregate=aggregate,
         n=len(rows),
     )
@@ -344,61 +352,39 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_file(path):
-    header, rows = read_stage_file(path, eval_row_from_record, "example_id")
-    for key in ("dataset", "strategy", "aggregate"):
-        if key not in header:
-            raise DataError(f"eval file {path} header is missing {key!r}")
-    dataset, strategy, aggregate = header["dataset"], header["strategy"], header["aggregate"]
-    where = f"eval file {path} header"
-    if not isinstance(dataset, str) or not dataset:
-        raise DataError(f"{where}: dataset must be a non-empty string, got {dataset!r}")
-    if strategy is not None and not isinstance(strategy, str):
-        raise DataError(f"{where}: strategy must be a string or null, got {strategy!r}")
-    # Exact types keep bools out; the chained bounds also reject nan.
-    if type(aggregate) not in (int, float) or not -math.inf < aggregate < math.inf:
-        raise DataError(f"{where}: aggregate must be a finite number, got {aggregate!r}")
-    return header, rows
-
-
 def cmd_analyze(args) -> int:
-    records = []
-    seen_ids = set()
+    records = {}
     for qa_path in args.qa:
         for record in load_qa(qa_path):
-            if record.example_id in seen_ids:
+            if record.example_id in records:
                 raise DataError(f"duplicate example {record.example_id!r} across QA files")
-            seen_ids.add(record.example_id)
-            records.append(record)
+            records[record.example_id] = record
 
-    # The reference run for a dataset is its one non-shuffled eval file;
-    # shuffled runs exist only to be contrasted against it.
-    reference_rows: dict[str, list] = {}
-    aggregates: dict[tuple[str, str], float] = {}
+    # Each dataset has one reference run, its non-shuffled eval file, whatever
+    # ordering that run used; a shuffled run exists only to be contrasted
+    # against it.
+    reference: dict[str, list] = {}
+    shuffled: dict[str, list] = {}
+    strategies = set()
     for path in args.eval:
-        header, rows = _load_eval_file(path)
-        dataset = header["dataset"]
-        strategy = header["strategy"]
-        key = (dataset, strategy)
-        if key in aggregates:
-            raise DataError(f"two eval files cover dataset {dataset!r} strategy {strategy!r}")
-        aggregates[key] = header["aggregate"]
-        if strategy != "shuffled":
-            if dataset in reference_rows:
-                raise DataError(
-                    f"dataset {dataset!r} has more than one non-shuffled eval file; "
-                    "pass a single reference run per dataset"
-                )
-            reference_rows[dataset] = rows
+        header, rows = load_eval(path)
+        dataset, strategy = header["dataset"], header["strategy"]
+        runs = shuffled if strategy == "shuffled" else reference
+        if dataset in runs:
+            if strategy == "shuffled":
+                raise DataError(f"two eval files cover dataset {dataset!r} strategy 'shuffled'")
+            raise DataError(
+                f"dataset {dataset!r} has more than one non-shuffled eval file; "
+                "pass a single reference run per dataset"
+            )
+        runs[dataset] = rows
+        if strategy:
+            strategies.add(strategy)
 
-    perplexity = {
-        dataset: zero_shot_perplexity(rows)._asdict()
-        for dataset, rows in sorted(reference_rows.items())
-    }
-    presence = {}
-    lengths = {}
-    for dataset, rows in sorted(reference_rows.items()):
-        pct_correct, pct_incorrect = answer_presence_report(rows, records, dataset)
+    perplexity, presence, lengths = {}, {}, {}
+    for dataset, rows in sorted(reference.items()):
+        perplexity[dataset] = zero_shot_perplexity(rows)._asdict()
+        pct_correct, pct_incorrect = answer_presence_report(rows, records.values(), dataset)
         presence[dataset] = {"pct_correct": pct_correct, "pct_incorrect": pct_incorrect}
         norm_correct, norm_incorrect = context_length_report(rows)
         lengths[dataset] = {
@@ -406,31 +392,13 @@ def cmd_analyze(args) -> int:
             "normalized_median_incorrect": norm_incorrect,
         }
 
-    # The report's baseline slot is the dataset's reference run, whatever
-    # ordering that run used.
-    shuffled_datasets = sorted({ds for ds, strat in aggregates if strat == "shuffled"})
-    scores_by_dataset = {}
-    for ds in shuffled_datasets:
-        per_strategy = {"shuffled": aggregates[(ds, "shuffled")]}
-        reference = [
-            agg for (d, strat), agg in aggregates.items()
-            if d == ds and strat != "shuffled"
-        ]
-        if reference:
-            per_strategy["standard"] = reference[0]
-        scores_by_dataset[ds] = per_strategy
-    medians = {
-        ds: statistics.median(r.context_token_len for r in rows)
-        for ds, rows in reference_rows.items()
-        if rows
-    }
-    sensitivity = [row._asdict() for row in order_sensitivity_report(scores_by_dataset, medians)]
+    sensitivity = [row._asdict() for row in order_sensitivity_report(reference, shuffled)]
 
     settings = {
         "stage": "analyze",
         "seed": args.seed,
-        "datasets": sorted({ds for ds, _ in aggregates}),
-        "strategies": sorted({strat for _, strat in aggregates if strat}),
+        "datasets": sorted(reference),
+        "strategies": sorted(strategies),
     }
     payload = {
         "config_digest": config_digest(settings),

@@ -65,23 +65,18 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
-    total = len(ctx.text.split())
-    if total <= budget:
-        return ctx if ctx.token_count == total else ctx._replace(token_count=total)
+    if ctx.token_count <= budget:
+        return ctx
     # Whitespace counts are additive over pieces, so accumulate directly.
-    kept = 0
-    running = 0
+    kept = tokens = 0
     for piece in ctx.pieces:
-        running += len(piece.split())
-        if running > budget:
+        count = len(piece.split())
+        if tokens + count > budget:
             break
+        tokens += count
         kept += 1
-    text = " ".join(ctx.pieces[:kept])
-    return ctx._replace(
-        text=text,
-        token_count=len(text.split()),
-        pieces=ctx.pieces[:kept],
-    )
+    pieces = ctx.pieces[:kept]
+    return ctx._replace(text=" ".join(pieces), token_count=tokens, pieces=pieces)
 
 
 _CONTEXT_PREFIX = "Context: "

@@ -321,23 +321,31 @@ class TestContextLengthReport:
 
 class TestOrderSensitivityReport:
     def test_delta_and_sort(self):
-        scores = {
-            "big": {"standard": 78.5, "shuffled": 60.0},
-            "small": {"standard": 50.0, "shuffled": 50.0},
+        reference = {
+            "big": [row("b0", score=1.0, length=800), row("b1", score=0.5, length=1000)],
+            "small": [row("s0", score=0.5, length=40)],
+            "unshuffled": [row("u0")],
         }
-        medians = {"big": 900, "small": 40}
-        rows = order_sensitivity_report(scores, medians)
+        shuffled = {
+            "big": [row("b1", score=0.5, length=5), row("b0", score=0.5, length=5)],
+            "small": [row("s0", score=0.5, length=5)],
+        }
+        rows = order_sensitivity_report(reference, shuffled)
+        # Medians come from the reference run; a dataset without a shuffled
+        # run gets no row.
         assert [(r.dataset, r.median_len) for r in rows] == [("small", 40), ("big", 900)]
-        assert rows[0].delta == pytest.approx(0.0)
-        assert rows[1].delta == pytest.approx(18.5)
+        assert rows[0].delta == 0.0
+        assert rows[1].delta == pytest.approx(25.0)
 
     def test_missing_strategy_rejected(self):
-        with pytest.raises(DataError, match="shuffled"):
-            order_sensitivity_report({"d": {"standard": 10.0}}, {"d": 5})
+        with pytest.raises(DataError, match="'d' has a shuffled run but no reference run"):
+            order_sensitivity_report({"other": [row("e0")]}, {"d": [row("e0")]})
 
-    def test_missing_median_rejected(self):
-        with pytest.raises(DataError, match="median"):
-            order_sensitivity_report({"d": {"standard": 1.0, "shuffled": 0.5}}, {})
+    def test_runs_over_different_examples_rejected(self):
+        reference = {"d": [row("e0"), row("e1")]}
+        for shuffled_rows in ([row("e0")], [row("e0"), row("e2")]):
+            with pytest.raises(DataError, match="dataset 'd': the shuffled run covers other"):
+                order_sensitivity_report(reference, {"d": shuffled_rows})
 
 
 class TestEvaluateRows:

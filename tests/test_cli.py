@@ -594,6 +594,14 @@ def without_header(name, tmp_path):
     return path
 
 
+def with_header(name, tmp_path, header):
+    """A copy of golden/expected/`name` whose header line is `header`."""
+    lines = (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)
+    path = tmp_path / name
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    return path
+
+
 def stage_input_argv(consumer, bad):
     """The command `consumer` reading `bad` as its stage input; every other
     input is a golden file."""
@@ -663,6 +671,34 @@ class TestStageHeaders:
                    "--seed", 7, "--out", evals) == 2
         assert capsys.readouterr().err == message
         assert not predictions.exists() and not evals.exists()
+
+
+    @pytest.mark.parametrize("header, message", [
+        ({"config_digest": "0"}, "header is missing 'strategy'"),
+        ({"config_digest": "0", "strategy": "bogus"}, "got 'bogus'"),
+        ({"config_digest": "0", "strategy": 5}, "got 5"),
+    ], ids=["missing", "unknown", "number"])
+    def test_contexts_header_without_a_strategy_exits_2_in_eval(
+        self, tmp_path, capsys, header, message
+    ):
+        # eval used to copy whatever it found, writing "strategy": null for a
+        # missing one, and analyze then paired the shuffled run with itself:
+        # delta 0.0, exit 0.
+        contexts = with_header("contexts-shuffled.jsonl", tmp_path, header)
+        evals = tmp_path / "eval.jsonl"
+        assert run(*stage_input_argv("contexts to eval", contexts), "--out", evals) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {contexts} line 1: header ")
+        assert err.endswith(f"{message}\n")
+        assert not evals.exists()
+
+    def test_null_contexts_strategy_is_kept_by_eval(self, tmp_path):
+        name = "contexts-standard.jsonl"
+        header = {**stage_records(GOLDEN / "expected" / name)[0], "strategy": None}
+        contexts = with_header(name, tmp_path, header)
+        evals = tmp_path / "eval.jsonl"
+        assert run(*stage_input_argv("contexts to eval", contexts), "--out", evals) == 0
+        assert stage_records(evals)[0]["strategy"] is None
 
 
 class TestFlagScope:
@@ -765,10 +801,15 @@ class TestAnalyzeCommand:
     def test_two_reference_runs_for_one_dataset_exit_2(self, bench, capsys):
         standard = run_pipeline(bench, strategy="standard", suffix="-std")
         raster = run_pipeline(bench, strategy="raster_scan", suffix="-ras")
-        assert run("analyze", "--qa", bench["qa"],
-                   "--eval", standard["evals"], "--eval", raster["evals"],
-                   "--out", bench["dir"] / "analysis.json") == 2
-        assert "non-shuffled" in capsys.readouterr().err
+        again = run_pipeline(bench, strategy="standard", seed=8, suffix="-std2")
+        for second in (raster, again):
+            assert run("analyze", "--qa", bench["qa"],
+                       "--eval", standard["evals"], "--eval", second["evals"],
+                       "--out", bench["dir"] / "analysis.json") == 2
+            assert capsys.readouterr().err == (
+                "error: dataset 'toy' has more than one non-shuffled eval file; "
+                "pass a single reference run per dataset\n"
+            )
 
     def test_example_repeated_across_qa_files_exits_2(self, bench, capsys):
         standard = run_pipeline(bench, strategy="standard", suffix="-std")
@@ -799,12 +840,8 @@ class TestAnalyzeCommand:
         [
             ("dataset", ["golden"], "dataset must be a non-empty string, got ['golden']"),
             ("strategy", 5, "strategy must be a string or null, got 5"),
-            ("aggregate", "12", "aggregate must be a finite number, got '12'"),
-            ("aggregate", True, "aggregate must be a finite number, got True"),
-            ("aggregate", math.nan, "aggregate must be a finite number, got nan"),
         ],
-        ids=["dataset list", "strategy number", "aggregate string", "aggregate bool",
-             "aggregate nan"],
+        ids=["dataset list", "strategy number"],
     )
     def test_bad_header_value_exits_2(self, bench, capsys, key, value, message):
         paths = run_pipeline(bench)
@@ -816,6 +853,59 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == (
             f"error: eval file {paths['evals']} header: {message}\n"
         )
+
+    @pytest.mark.parametrize(
+        "standard, shuffled",
+        [(1.7e308, -1.7e308), ("12", "12"), (True, True), (math.nan, math.nan),
+         (None, None)],
+        ids=["aggregate overflow", "aggregate string", "aggregate bool", "aggregate nan",
+             "aggregate missing"],
+    )
+    def test_header_aggregate_is_not_read(self, tmp_path, standard, shuffled):
+        # The report comes from the rows: the header aggregates (None drops
+        # the key) change nothing. Their difference used to be the delta, and
+        # this overflowing pair ended analyze with a traceback.
+        evals = []
+        for strategy, aggregate in (("standard", standard), ("shuffled", shuffled)):
+            name = f"eval-{strategy}-mock-echo.jsonl"
+            header = stage_records(GOLDEN / "expected" / name)[0]
+            if aggregate is None:
+                del header["aggregate"]
+            else:
+                header["aggregate"] = aggregate
+            evals += ["--eval", with_header(name, tmp_path, header)]
+        out = tmp_path / "analysis.json"
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", *evals,
+                   "--seed", 7, "--out", out) == 0
+        expected = GOLDEN / "expected" / "analysis-standard-mock-echo.json"
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_shuffled_run_over_other_examples_exits_2(self, tmp_path, capsys):
+        # With one row fewer the shuffled run used to be contrasted anyway:
+        # a delta over different examples, exit 0.
+        lines = (GOLDEN / "expected" / "eval-shuffled-mock-echo.jsonl").read_text(
+            encoding="utf-8").splitlines(True)
+        shuffled = tmp_path / "eval-shuffled.jsonl"
+        shuffled.write_text("".join(lines[:-1]), encoding="utf-8")
+        out = tmp_path / "analysis.json"
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl",
+                   "--eval", GOLDEN / "expected" / "eval-standard-mock-echo.jsonl",
+                   "--eval", shuffled, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset 'golden': the shuffled run covers other examples "
+            "than the reference run\n"
+        )
+        assert not out.exists()
+
+    def test_shuffled_run_without_reference_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "analysis.json"
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl",
+                   "--eval", GOLDEN / "expected" / "eval-shuffled-mock-echo.jsonl",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset 'golden' has a shuffled run but no reference run\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new, message", [
         ('"rop": 2.0', '"rop": NaN', "rop must be a finite number >= 1, got nan"),
