@@ -11,7 +11,6 @@ parsers, not by the records themselves, which are plain named tuples.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -19,6 +18,7 @@ from .datasets import DatasetConfig, QARecord
 from .errors import DataError
 from .jsonl import read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
+from .ordering import OrderStrategy
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
@@ -193,19 +193,30 @@ def answer_presence_report(
     return pct(correct), pct(incorrect)
 
 
+def _median(values: Iterable[int]) -> float:
+    """The middle value, or the mean of the two middle values for an even
+    count. Like statistics.median, an odd count returns the element itself,
+    so a median of ints stays an int and is written as one."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def context_length_report(rows: Sequence[EvalRow]) -> tuple[float | None, float | None]:
     """Median context length of each correctness set, normalized by the
     median over all rows."""
     if not rows:
         raise DataError("rows must be non-empty")
-    dataset_median = statistics.median(r.context_token_len for r in rows)
+    dataset_median = _median(r.context_token_len for r in rows)
     if dataset_median == 0:
         raise DataError("dataset median context length is zero")
 
     def normalized(subset: list[EvalRow]) -> float | None:
         if not subset:
             return None
-        return statistics.median(r.context_token_len for r in subset) / dataset_median
+        return _median(r.context_token_len for r in subset) / dataset_median
 
     correct, incorrect = split_by_correctness(rows)
     return normalized(correct), normalized(incorrect)
@@ -233,7 +244,7 @@ def order_sensitivity_report(
         delta = dataset_score([r.score for r in reference_rows]) - dataset_score(
             [r.score for r in shuffled_rows]
         )
-        median_len = statistics.median(r.context_token_len for r in reference_rows)
+        median_len = _median(r.context_token_len for r in reference_rows)
         out.append(OrderSensitivityRow(dataset=dataset, median_len=median_len, delta=delta))
     out.sort(key=lambda r: (r.median_len, r.dataset))
     return out
@@ -374,10 +385,13 @@ def load_predictions(path) -> tuple[dict, list[Prediction]]:
 
 
 def load_eval(path) -> tuple[dict, list[EvalRow]]:
-    """Read an eval file's header and rows. The header must name its
-    `dataset` and `strategy`; its `aggregate` is for display only, and every
-    number analyze reports comes from the rows."""
+    """Read an eval file's header and rows. The file must hold at least one
+    row, and its header must name its `dataset` and `strategy`; its
+    `aggregate` is for display only, and every number analyze reports comes
+    from the rows."""
     header, rows = read_stage_file(path, eval_row_from_record, "example_id")
+    if not rows:
+        raise DataError(f"eval file {path} has no rows")
     for key in ("dataset", "strategy"):
         if key not in header:
             raise DataError(f"eval file {path} header is missing {key!r}")
@@ -385,6 +399,10 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     where = f"eval file {path} header"
     if not isinstance(dataset, str) or not dataset:
         raise DataError(f"{where}: dataset must be a non-empty string, got {dataset!r}")
-    if strategy is not None and not isinstance(strategy, str):
-        raise DataError(f"{where}: strategy must be a string or null, got {strategy!r}")
+    # analyze takes any strategy but "shuffled" as the dataset's reference run.
+    if strategy is not None and strategy not in OrderStrategy:
+        raise DataError(
+            f"{where}: strategy must be one of {', '.join(OrderStrategy)} or null, "
+            f"got {strategy!r}"
+        )
     return header, rows

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 endpoint failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -527,6 +528,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Stage records hold no reference cycles, so reference counting frees
+    # them all; the cyclic collector would only re-walk every parsed word as
+    # a command allocates them. It is paused for the command, and the
+    # caller's setting is put back on every way out.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

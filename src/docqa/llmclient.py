@@ -276,7 +276,7 @@ class HTTPBackend:
         import http.client
 
         data = json.dumps(payload).encode("utf-8")
-        last_error: Exception | None = None
+        last_error = ""
         for attempt in range(1, self.max_attempts + 1):
             conn = None
             try:
@@ -298,7 +298,10 @@ class HTTPBackend:
             except (OSError, http.client.HTTPException) as exc:
                 if conn is not None:
                     conn.close()
-                last_error = exc
+                # The message only: keeping the exception would tie it, its
+                # traceback and this frame (and the request body) into a cycle
+                # that only the paused collector could free.
+                last_error = str(exc)
                 if attempt < self.max_attempts:
                     jitter = 0.5 + 0.5 * self.jitter_rng.random()
                     self.sleeper(self.backoff_base * 2 ** (attempt - 1) * jitter)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from conftest import toy_benchmark, write_dataset_config
-from docqa.cli import build_parser, config_digest, derive_seed, main
+from docqa import cli
+from docqa.cli import UsageError, build_parser, config_digest, derive_seed, main
+from docqa.errors import DataError, EndpointError
 from docqa.jsonl import read_records, write_records
 from docqa.ordering import load_orders
 from docqa.serialize import load_contexts
@@ -839,9 +842,13 @@ class TestAnalyzeCommand:
         "key, value, message",
         [
             ("dataset", ["golden"], "dataset must be a non-empty string, got ['golden']"),
-            ("strategy", 5, "strategy must be a string or null, got 5"),
+            ("strategy", 5,
+             "strategy must be one of standard, raster_scan, shuffled or null, got 5"),
+            # Any strategy but "shuffled" used to be taken as the reference run.
+            ("strategy", "bogus",
+             "strategy must be one of standard, raster_scan, shuffled or null, got 'bogus'"),
         ],
-        ids=["dataset list", "strategy number"],
+        ids=["dataset list", "strategy number", "strategy unknown"],
     )
     def test_bad_header_value_exits_2(self, bench, capsys, key, value, message):
         paths = run_pipeline(bench)
@@ -853,6 +860,18 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == (
             f"error: eval file {paths['evals']} header: {message}\n"
         )
+
+    def test_eval_file_without_rows_exits_2(self, tmp_path, capsys):
+        # It used to fail later, with "rows must be non-empty" and no path.
+        name = "eval-standard-mock-echo.jsonl"
+        empty = tmp_path / name
+        empty.write_text(
+            (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)[0],
+            encoding="utf-8",
+        )
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", empty,
+                   "--out", tmp_path / "analysis.json") == 2
+        assert capsys.readouterr().err == f"error: eval file {empty} has no rows\n"
 
     @pytest.mark.parametrize(
         "standard, shuffled",
@@ -1059,13 +1078,137 @@ class TestTopLevel:
         assert result.returncode == 2, result.stderr
         assert result.stderr == "error: file not found: missing.jsonl\n"
 
-    def test_import_loads_no_dataclasses_or_importlib_resources(self):
-        # -S keeps site's own imports out of the picture.
-        code = ("import sys, docqa.cli; "
-                "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))")
+    @staticmethod
+    def loaded_by_import(modules):
+        """Those of `modules` that `import docqa.cli` loads in a fresh
+        interpreter; -S keeps site's own imports out of the picture."""
+        code = f"import sys, docqa.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        return result.stdout
+
+    def test_import_loads_no_dataclasses_or_importlib_resources(self):
+        assert self.loaded_by_import({"dataclasses", "importlib.resources"}) == "[]\n"
+
+    def test_import_loads_no_statistics_or_its_number_tower(self):
+        # A median of context lengths is all docqa needs of statistics.
+        modules = {"statistics", "fractions", "decimal", "numbers"}
+        assert self.loaded_by_import(modules) == "[]\n"
+
+
+def _raise(exc):
+    raise exc
+
+
+class TestCollectorPause:
+    """main runs a command with the cyclic collector paused and leaves the
+    collector as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc enabled", "gc disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (lambda args: 0, 0),
+            (lambda args: 3, 3),
+            (lambda args: _raise(UsageError("u")), 1),
+            (lambda args: _raise(DataError("d")), 2),
+            (lambda args: _raise(EndpointError("e")), 3),
+            (lambda args: _raise(RuntimeError("boom")), None),
+        ],
+        ids=["exit 0", "exit 3 returned", "exit 1", "exit 2", "exit 3 raised", "raises"],
+    )
+    def test_command_runs_paused_and_state_is_restored(
+        self, collector, monkeypatch, capsys, command, code
+    ):
+        seen = []
+
+        def fake_order(args):
+            seen.append(gc.isenabled())
+            return command(args)
+
+        monkeypatch.setattr(cli, "cmd_order", fake_order)
+        argv = ["order", "--corpus", "c.jsonl", "--strategy", "standard"]
+        if code is None:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("argv, code", [([], 1), (["--help"], 0)],
+                             ids=["usage error", "help"])
+    def test_state_is_restored_after_argument_errors(self, collector, capsys, argv, code):
+        assert main(argv) == code
+        assert gc.isenabled() is collector
+
+
+def scaled_golden_inputs(out, copies):
+    """The golden corpus and QA file repeated `copies` times under fresh ids,
+    with every box coordinate written as a float."""
+    docs = [record for _, record in read_records(GOLDEN / "input" / "corpus.jsonl")]
+    qa = [record for _, record in read_records(GOLDEN / "input" / "qa.jsonl")]
+    corpus_rows, qa_rows = [], []
+    for k in range(copies):
+        for doc in docs:
+            words = [{"text": w["text"], "box": [float(v) for v in w["box"]]}
+                     for w in doc["words"]]
+            corpus_rows.append({**doc, "doc_id": f"{doc['doc_id']}-{k}", "words": words})
+        for record in qa:
+            qa_rows.append({**record, "example_id": f"{record['example_id']}-{k}",
+                            "doc_id": f"{record['doc_id']}-{k}"})
+    write_records(out / "corpus.jsonl", corpus_rows)
+    write_records(out / "qa.jsonl", qa_rows)
+    return out / "corpus.jsonl", out / "qa.jsonl"
+
+
+def cyclic_garbage_per_command(corpus, qa, d):
+    """For each pipeline command run on `corpus` and `qa`, writing into `d`,
+    the number of unreachable objects a full collection finds right after it.
+    The collector stays off throughout, so no automatic collection takes
+    part of a command's garbage before it is counted."""
+    config = GOLDEN / "input" / "benchmarks.json"
+    dataset = ["--dataset", "golden", "--datasets-config", config]
+    commands = [
+        ["order", "--corpus", corpus, "--strategy", "raster_scan",
+         "--out", d / "orders.jsonl"],
+        ["serialize", "--corpus", corpus, "--orders", d / "orders.jsonl",
+         "--budget", 19, *dataset, "--out", d / "contexts.jsonl"],
+        ["predict", "--qa", qa, "--contexts", d / "contexts.jsonl",
+         "--backend", "mock-answer-key", *dataset, "--out", d / "predictions.jsonl"],
+        ["eval", "--qa", qa, "--predictions", d / "predictions.jsonl",
+         "--contexts", d / "contexts.jsonl", *dataset, "--out", d / "eval.jsonl"],
+        ["analyze", "--qa", qa, "--eval", d / "eval.jsonl",
+         "--out", d / "analysis.json"],
+    ]
+    garbage = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in commands:
+            gc.collect()
+            assert run(*argv) == 0
+            garbage.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    return garbage
+
+
+def test_paused_collector_leaves_no_garbage_that_grows_with_the_input(tmp_path, capsys):
+    # With the collector paused, a cycle per record would pile up until the
+    # command ends; the pipeline's records hold none, so what is left is the
+    # command's fixed overhead (its argument parser) whatever the input size.
+    golden = (GOLDEN / "input" / "corpus.jsonl", GOLDEN / "input" / "qa.jsonl", tmp_path)
+    large = (*scaled_golden_inputs(tmp_path, 12), tmp_path)
+    cyclic_garbage_per_command(*golden)  # one-time set-up garbage, if any
+    assert cyclic_garbage_per_command(*large) == cyclic_garbage_per_command(*golden)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -479,6 +480,35 @@ class TestRetries:
         )
         with pytest.raises(EndpointError, match="2 attempts"):
             backend.complete(request_for("x", "q?"))
+
+    def test_failed_attempts_leave_no_reference_cycles(self):
+        # cli.main pauses the cyclic collector for a whole predict run, so a
+        # cycle per failed attempt would hold its request body until the end.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        backend = HTTPBackend(
+            f"http://127.0.0.1:{port}/complete", max_attempts=3, sleeper=lambda s: None
+        )
+
+        def message():
+            try:
+                backend.complete(request_for("x", "q?"))
+            except EndpointError as exc:
+                return str(exc)
+
+        gc.collect()
+        # Every object a collection finds unreachable goes to gc.garbage.
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert "3 attempts" in message()
+            gc.collect()
+            in_cycles = [o for o in gc.garbage if isinstance(o, OSError)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert in_cycles == []
 
     def test_max_attempts_validated(self):
         bad = [
