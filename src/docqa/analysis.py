@@ -193,7 +193,7 @@ def answer_presence_report(
     return pct(correct), pct(incorrect)
 
 
-def _median(values: Iterable[int]) -> float:
+def _median(values: Iterable[int]) -> int | float:
     """The middle value, or the mean of the two middle values for an even
     count. Like statistics.median, an odd count returns the element itself,
     so a median of ints stays an int and is written as one."""

@@ -528,10 +528,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Stage records hold no reference cycles, so reference counting frees
-    # them all; the cyclic collector would only re-walk every parsed word as
-    # a command allocates them. It is paused for the command, and the
-    # caller's setting is put back on every way out.
+    # A corpus load allocates strings and a tuple per word, and the cyclic
+    # collector would re-walk them all as they are allocated; the stage
+    # records form no cycles, so reference counting frees them. The
+    # collector is paused for the command, and the caller's setting is put
+    # back on every way out.
     enabled = gc.isenabled()
     gc.disable()
     try:

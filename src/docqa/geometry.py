@@ -10,15 +10,8 @@ resolutions); inverted boxes are not.
 
 Every word check lives in `document_from_record`, which validates a corpus
 record in a single pass over its `words` array; `_word_fault` only composes
-the message for the word that failed. A box whose four coordinates JSON
-already parsed as floats, the usual case, has its types checked in one test
-and is kept as those floats (so -0.0 stays -0.0); any other box has each
-coordinate's type checked and is widened by float(). Both paths apply the
-same bounds and text checks, give the same tuple and fail with the same
-message.
-
-Nothing changes a Document after construction (its columns are tuples), so
-it is safe to share across threads.
+the message for the word that failed. Nothing changes a Document after
+construction (its columns are tuples), so it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -111,15 +104,11 @@ def document_from_record(record: dict[str, Any]) -> Document:
         if type(box) is not list or len(box) != 4:
             break
         x_min, y_min, x_max, y_max = box
-        floats = type(x_min) is type(y_min) is type(x_max) is type(y_max) is float
         if not (
-            (
-                floats
-                or type(x_min) in _NUMBER
-                and type(y_min) in _NUMBER
-                and type(x_max) in _NUMBER
-                and type(y_max) in _NUMBER
-            )
+            type(x_min) in _NUMBER
+            and type(y_min) in _NUMBER
+            and type(x_max) in _NUMBER
+            and type(y_max) in _NUMBER
             and -_LIMIT <= x_min <= x_max <= _LIMIT
             and -_LIMIT <= y_min <= y_max <= _LIMIT
             and type(text) is str
@@ -128,10 +117,7 @@ def document_from_record(record: dict[str, Any]) -> Document:
         ):
             break
         texts.append(text)
-        if floats:
-            boxes.append(tuple(box))
-        else:
-            boxes.append((float(x_min), float(y_min), float(x_max), float(y_max)))
+        boxes.append((float(x_min), float(y_min), float(x_max), float(y_max)))
     else:
         return Document(doc_id, tuple(texts), tuple(boxes), flag)
     position = len(texts)

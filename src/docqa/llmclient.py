@@ -298,9 +298,9 @@ class HTTPBackend:
             except (OSError, http.client.HTTPException) as exc:
                 if conn is not None:
                     conn.close()
-                # The message only: keeping the exception would tie it, its
-                # traceback and this frame (and the request body) into a cycle
-                # that only the paused collector could free.
+                # The message only: the exception, its traceback and this
+                # frame (with the request body) form a cycle, which would
+                # outlive the attempt while cli.main has the collector paused.
                 last_error = str(exc)
                 if attempt < self.max_attempts:
                     jitter = 0.5 + 0.5 * self.jitter_rng.random()

@@ -1153,16 +1153,13 @@ class TestCollectorPause:
 
 
 def scaled_golden_inputs(out, copies):
-    """The golden corpus and QA file repeated `copies` times under fresh ids,
-    with every box coordinate written as a float."""
+    """The golden corpus and QA file repeated `copies` times under fresh ids."""
     docs = [record for _, record in read_records(GOLDEN / "input" / "corpus.jsonl")]
     qa = [record for _, record in read_records(GOLDEN / "input" / "qa.jsonl")]
     corpus_rows, qa_rows = [], []
     for k in range(copies):
         for doc in docs:
-            words = [{"text": w["text"], "box": [float(v) for v in w["box"]]}
-                     for w in doc["words"]]
-            corpus_rows.append({**doc, "doc_id": f"{doc['doc_id']}-{k}", "words": words})
+            corpus_rows.append({**doc, "doc_id": f"{doc['doc_id']}-{k}"})
         for record in qa:
             qa_rows.append({**record, "example_id": f"{record['example_id']}-{k}",
                             "doc_id": f"{record['doc_id']}-{k}"})

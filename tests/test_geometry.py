@@ -49,43 +49,6 @@ class TestBoundingBox:
         assert box == (1.0, 2.0, 3.0, 4.0)
         assert all(type(v) is float for v in box)
 
-    @pytest.mark.parametrize(
-        "box, same",
-        [
-            ([1.5, 2.0, 3.25, 4.0], [1.5, 2, 3.25, 4]),
-            ([1.0, 2.0, 3.0, 4.0], [1, 2, 3, 4]),
-            ([-0.0, -0.0, 0.0, 0.0], [-0.0, -0.0, 0, 0]),
-            ([-0.0, 0.0, 1e308, 2.5], [-0.0, 0, 10**308, 2.5]),
-        ],
-        ids=["fractional", "integral", "negative zero", "large"],
-    )
-    def test_float_and_other_boxes_load_alike(self, box, same):
-        # An all-float box keeps the parsed floats; any other box is widened
-        # coordinate by coordinate. Both give a tuple of floats, -0.0 intact.
-        loaded = [document_from_record(one_word(b, text="w")) for b in (box, same)]
-        assert [doc.texts for doc in loaded] == [("w",), ("w",)]
-        for doc in loaded:
-            (got,) = doc.boxes
-            assert type(got) is tuple
-            assert all(type(v) is float for v in got)
-            assert [repr(v) for v in got] == [repr(float(v)) for v in box]
-
-    @pytest.mark.parametrize(
-        "box, text, message",
-        [
-            ([0.0, True, 1.0, 1.0], "w", "y_min must be a number, got True"),
-            ([0.0, 0.0, 1.0, float("nan")], "w", "y_max must be finite, got nan"),
-            ([0.0, 0.0, float("inf"), 1.0], "w", "x_max must be finite, got inf"),
-            ([5.0, 0.0, 3.0, 1.0], "w", r"inverted box: x_min 5\.0 > x_max 3\.0"),
-            ([0.0, 0.0, 1.0, 1.0], " w", "surrounding whitespace"),
-            ([0.0, 0.0, 1.0, 1.0], "", "word text must be a non-empty string"),
-        ],
-        ids=["bool", "nan", "inf", "inverted", "padded text", "empty text"],
-    )
-    def test_float_box_faults_rejected(self, box, text, message):
-        with pytest.raises(ValueError, match=message):
-            document_from_record(one_word(box, text=text))
-
     def test_inverted_x_rejected(self):
         with pytest.raises(ValueError, match=r"inverted box: x_min 5\.0 > x_max 3\.0"):
             document_from_record(one_word([5, 0, 3, 1]))
