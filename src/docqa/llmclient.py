@@ -350,7 +350,9 @@ def predict_batch(
     outstanding, responses aligned with requests.
 
     An endpoint failure occupies its slot in the result list so one bad
-    example cannot sink the rest of the batch. With one in flight the
+    example cannot sink the rest of the batch; the slot holds a new
+    EndpointError with the failure's message and no traceback or cause, so
+    the failed call's frames can be freed at once. With one in flight the
     requests run in the calling thread, with no pool.
     """
     if max_in_flight < 1:
@@ -362,7 +364,7 @@ def predict_batch(
         try:
             return backend.complete(request)
         except EndpointError as exc:
-            return exc
+            return EndpointError(str(exc))
 
     if max_in_flight == 1:
         return [run(request) for request in requests_batch]

@@ -8,14 +8,21 @@ Each strategy turns a Document into a permutation of its word indices:
   leftmost remaining word as the line seed, gather every remaining word whose
   vertical centroid distance to the seed is within line_threshold_factor
   times the seed box height, and emit the gathered line left to right.
-  It runs as a sorted-window scan in O(N log N) and is exact: the words are
-  sorted once by (centroid_y, centroid_x, index), so the seed is always the
-  remaining word with the smallest centroid_y and every remaining word lies
-  at or below it. The distance to the seed then never decreases along the
-  sorted order, so a line is exactly the contiguous run that starts at the
-  seed and ends at the first word out of tolerance, and the next seed is the
-  word right after that run.
+  It runs as a sorted-window scan in O(N log N) and is exact. The word
+  indices are sorted once by vertical centroid; the sort is stable, so words
+  tied on it stay in index order. The seed is then always the remaining word
+  with the smallest vertical centroid (the lowest horizontal centroid, then
+  index, among those tied on it), and every remaining word lies at or below
+  it. The distance to the seed never decreases along the sorted order, so a
+  line is exactly the contiguous run that starts at the seed and ends at the
+  first word out of tolerance, and the next seed is the word right after that
+  run. A line is emitted sorted by index, then stably by horizontal centroid.
 - shuffled: a seeded Fisher-Yates pass, the control arm for order ablations.
+  Position i swaps with j drawn from random.Random(seed) by rejection: take
+  (i + 1).bit_length() random bits from getrandbits, and draw again while the
+  value exceeds i. These are the draws randrange(i + 1) makes on CPython
+  3.10-3.13, so the permutation rests on this module and the Mersenne Twister
+  alone.
 
 All functions are pure over immutable inputs, so ordering a corpus is
 embarrassingly parallel across documents. Only orders read from a file are
@@ -27,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from operator import itemgetter
 from typing import Any, Mapping, NamedTuple
 
 from .errors import DataError
@@ -67,16 +73,23 @@ class ReadingOrder(NamedTuple):
             raise ValueError(f"doc_id must be a non-empty string, got {doc_id!r}")
         if strategy not in OrderStrategy:
             raise ValueError(f"unknown strategy {strategy!r}, expected one of {OrderStrategy}")
-        permutation = tuple(permutation)
+        if type(permutation) is not list:
+            raise ValueError(f"permutation of doc {doc_id!r} must be a list, got {permutation!r}")
         for entry in permutation:
             if type(entry) is not int:
                 raise ValueError(
                     f"permutation of doc {doc_id!r} holds a non-integer entry {entry!r}"
                 )
-        params = dict(record.get("params", {}))
-        if sorted(permutation) != list(range(len(permutation))):
+        params = record.get("params", {})
+        if type(params) is not dict:
+            raise ValueError(f"params of doc {doc_id!r} must be an object, got {params!r}")
+        # N entries that include every index 0..N-1 hold each exactly once;
+        # unlike a sort, this stays linear on a shuffled permutation.
+        if not set(permutation).issuperset(range(len(permutation))):
             raise ValueError(f"permutation of doc {doc_id!r} is not a bijection on 0..N-1")
-        return cls(doc_id=doc_id, permutation=permutation, strategy=strategy, params=params)
+        return cls(
+            doc_id=doc_id, permutation=tuple(permutation), strategy=strategy, params=dict(params)
+        )
 
 
 def standard_order(doc: Document) -> ReadingOrder:
@@ -102,25 +115,36 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
     if type(factor) not in (int, float) or not 0 < factor < math.inf:
         raise ValueError(f"line_threshold_factor must be a finite number > 0, got {factor!r}")
     factor = float(factor)
-    # "Uppermost and leftmost" as a lexicographic key; the index breaks exact
-    # centroid ties so the result never depends on input order. The height
-    # rides along and is never compared, since indices are unique.
-    keyed = sorted(
-        ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0, index, y_max - y_min)
-        for index, (x_min, y_min, x_max, y_max) in enumerate(doc.boxes)
-    )
+    boxes = doc.boxes
+    cy = [(y_min + y_max) / 2.0 for _, y_min, _, y_max in boxes]
+    cx = [(x_min + x_max) / 2.0 for x_min, _, x_max, _ in boxes]
+    # A stable sort, so words tied on cy stay in index order.
+    order = sorted(range(len(cy)), key=cy.__getitem__)
     permutation: list[int] = []
+    n = len(order)
     start = 0
-    while start < len(keyed):
-        seed_y, _, _, seed_height = keyed[start]
-        tolerance = factor * seed_height
+    while start < n:
+        seed_y = cy[order[start]]
+        tie_end = start + 1
+        while tie_end < n and cy[order[tie_end]] == seed_y:
+            tie_end += 1
+        if tie_end - start > 1:
+            # The seed is the lowest (cx, index) among the words tied at
+            # seed_y. Putting the whole tie run in that order also keeps the
+            # scan exact when seed_y overflowed to infinity, where the
+            # predicate below rejects the seed's own ties.
+            order[start:tie_end] = sorted(order[start:tie_end], key=cx.__getitem__)
+        _, y_min, _, y_max = boxes[order[start]]
+        tolerance = factor * (y_max - y_min)
         end = start + 1
         # The same predicate as the line definition, not a bisect on
         # seed_y + tolerance: the two can round differently.
-        while end < len(keyed) and abs(keyed[end][0] - seed_y) <= tolerance:
+        while end < n and abs(cy[order[end]] - seed_y) <= tolerance:
             end += 1
-        line = sorted(keyed[start:end], key=itemgetter(1, 2))
-        permutation.extend(key[2] for key in line)
+        line = order[start:end]
+        line.sort()
+        line.sort(key=cx.__getitem__)
+        permutation += line
         start = end
     return ReadingOrder(
         doc_id=doc.doc_id,
@@ -133,15 +157,20 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
 def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
     """Fisher-Yates shuffle driven by a Mersenne Twister seeded with `seed`.
 
-    The loop is spelled out (rather than delegated to random.shuffle) so the
-    permutation for a given seed is pinned by this module alone.
+    The loop and its draw rule (see the module docstring) are spelled out,
+    rather than delegated to random.shuffle or randrange, so the permutation
+    for a given seed is pinned by this module alone.
     """
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an unsigned integer, got {seed!r}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     permutation = list(range(len(doc)))
     for i in range(len(permutation) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        # randrange(i + 1) on CPython 3.10-3.13, without its wrapper.
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         permutation[i], permutation[j] = permutation[j], permutation[i]
     return ReadingOrder(
         doc_id=doc.doc_id,

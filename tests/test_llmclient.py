@@ -196,6 +196,31 @@ class TestClientBatch:
         assert isinstance(results[1], EndpointError)
         assert results[2].text == "ok"
 
+    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    def test_failures_keep_no_frames_alive(self, max_in_flight):
+        class RefusingBackend:
+            def complete(self, request):
+                try:
+                    raise OSError("connection refused")
+                except OSError as exc:
+                    raise EndpointError(f"request failed: {exc}") from exc
+
+        reqs = [request_for(f"w{i}", "q?") for i in range(100)]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            results = predict_batch(RefusingBackend(), reqs, max_in_flight=max_in_flight)
+            assert all(r.__traceback__ is None and r.__cause__ is None for r in results)
+            assert [str(r) for r in results] == ["request failed: connection refused"] * 100
+            del results
+            # Raised errors kept as results would hold their frames, and
+            # through them the pool's futures, in cycles only gc can free.
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_repeat_batches_identical(self):
         backend = MockBackend(rule="echo_last_word")
         reqs = [request_for(f"w{i}", "q?") for i in range(5)]

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
@@ -79,6 +81,43 @@ class TestRasterScan:
             got = list(raster_scan_order(doc).permutation)
             assert got == raster_oracle(doc, 0.5), doc.doc_id
 
+    def test_seed_is_the_leftmost_of_words_tied_on_height_center(self):
+        # Words 0 and 1 share a vertical center of 11. The left one, word 1,
+        # is the seed: its height 2 gives a tolerance of 1, so word 2, 3
+        # below, starts its own line. Word 0's height 12 would have let it
+        # join, between the two.
+        doc = doc_from_boxes(
+            [
+                (20, 5, 30, 17),  # tall, right
+                (0, 10, 10, 12),  # short, left
+                (10, 13, 20, 15),  # center 14, between them
+            ]
+        )
+        assert list(raster_scan_order(doc).permutation) == [1, 0, 2]
+        assert raster_oracle(doc) == [1, 0, 2]
+
+    def test_centers_that_overflow_to_infinity(self):
+        # Finite boxes whose vertical centers overflow to inf: the distance
+        # between two such words is nan, so each is a line of its own, taken
+        # left to right. raster_oracle cannot check this page: the seed's
+        # own distance is nan, so its line never takes the seed.
+        top = 1.7e308
+        doc = doc_from_boxes(
+            [
+                (20, top, 21, top),
+                (0, 0, 1, 1),
+                (10, top, 11, top),
+                (0, top, 1, top),
+            ]
+        )
+        assert list(raster_scan_order(doc, 3.0).permutation) == [1, 3, 2, 0]
+        # Words 0 and 1 center at -inf, with an infinite tolerance. Word 0's
+        # line stops at word 1 (nan), and word 1's takes word 2 (distance
+        # inf), so word 2 is read after word 0 although it lies left of it.
+        low = -1.7e308
+        doc = doc_from_boxes([(0, low, 1, -1.6e308), (20, low, 21, -1.6e308), (-10, 0, -9, 1)])
+        assert list(raster_scan_order(doc, 1e300).permutation) == [0, 2, 1]
+
     def test_threshold_factor_is_honored(self):
         # Rows 10 apart, box height 4: factor 0.5 keeps them separate lines,
         # a large factor swallows everything into one line.
@@ -148,6 +187,17 @@ class TestShuffledOrder:
         with pytest.raises(ValueError):
             shuffled_order(doc, -1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63])
+    def test_pinned_permutations(self, seed):
+        # Permutations as randrange(i + 1) drew them on CPython 3.11; the
+        # 256- and 257-word ones as the first 16 hex digits of the sha256 of
+        # their JSON list.
+        for n, expected in PINNED_SHUFFLES[seed].items():
+            perm = list(shuffled_order(doc_from_boxes([(0, 0, 1, 1)] * n), seed).permutation)
+            if isinstance(expected, str):
+                perm = hashlib.sha256(json.dumps(perm).encode()).hexdigest()[:16]
+            assert perm == expected, n
+
     def test_uniform_over_permutations(self):
         # 10,000 seeded shuffles of 5 items: every one of the 120 permutations
         # should land within 5 sigma of the uniform expectation.
@@ -164,6 +214,25 @@ class TestShuffledOrder:
             assert abs(count - draws * p) <= 5 * sigma, perm
 
 
+PINNED_SHUFFLES = {
+    0: {
+        0: [], 1: [0], 2: [0, 1], 3: [0, 2, 1], 4: [2, 0, 1, 3], 5: [2, 1, 0, 4, 3],
+        8: [4, 1, 5, 2, 0, 3, 7, 6], 9: [7, 5, 1, 3, 4, 2, 0, 8, 6],
+        256: "2d64a8af937add06", 257: "9e64a2c9e301cc4b",
+    },
+    1: {
+        0: [], 1: [0], 2: [1, 0], 3: [1, 2, 0], 4: [3, 0, 2, 1], 5: [2, 3, 4, 0, 1],
+        8: [3, 6, 1, 5, 7, 0, 4, 2], 9: [5, 6, 7, 4, 3, 0, 8, 1, 2],
+        256: "210ffaadfabfb225", 257: "971e68c600ac3515",
+    },
+    2**63: {
+        0: [], 1: [0], 2: [0, 1], 3: [0, 1, 2], 4: [1, 2, 0, 3], 5: [1, 2, 0, 3, 4],
+        8: [3, 2, 5, 0, 4, 7, 1, 6], 9: [3, 2, 5, 0, 4, 7, 1, 6, 8],
+        256: "3800d12a74a2bbb3", 257: "90f71fe3f3bf040c",
+    },
+}
+
+
 def order_record(perm):
     return {"doc_id": "d0", "strategy": "shuffled", "params": {"seed": 0}, "permutation": perm}
 
@@ -174,6 +243,48 @@ class TestReadingOrderType:
             ReadingOrder.from_record(order_record([0, 0, 1]))
         with pytest.raises(ValueError, match="not a bijection"):
             ReadingOrder.from_record(order_record([0, 2]))
+
+    def test_empty_permutation_accepted(self):
+        assert ReadingOrder.from_record(order_record([])).permutation == ()
+
+    @pytest.mark.parametrize(
+        "perm, message",
+        [
+            ([0, True], "holds a non-integer entry True"),
+            ([0, 1.0], "holds a non-integer entry 1.0"),
+            (["0", 1], "holds a non-integer entry '0'"),
+            ([1, 1], "is not a bijection on 0..N-1"),
+            ([-1, 0], "is not a bijection on 0..N-1"),
+            ([0, 2], "is not a bijection on 0..N-1"),
+        ],
+        ids=["bool", "float", "str", "duplicate", "negative", "out of range"],
+    )
+    def test_bad_entries_rejected_with_the_same_messages(self, perm, message):
+        with pytest.raises(ValueError) as info:
+            ReadingOrder.from_record(order_record(perm))
+        assert str(info.value) == f"permutation of doc 'd0' {message}"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("params", [["seed", 5]], "params of doc 'd0' must be an object, got [['seed', 5]]"),
+            ("params", None, "params of doc 'd0' must be an object, got None"),
+            ("permutation", "01", "permutation of doc 'd0' must be a list, got '01'"),
+            ("permutation", None, "permutation of doc 'd0' must be a list, got None"),
+            ("permutation", {"0": 0}, "permutation of doc 'd0' must be a list, got {'0': 0}"),
+        ],
+        ids=["params pairs", "params null", "permutation string", "permutation null",
+             "permutation object"],
+    )
+    def test_mistyped_fields_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            ReadingOrder.from_record({**order_record([0, 1]), field: value})
+        assert str(info.value) == message
+
+    def test_missing_params_read_as_empty(self):
+        record = order_record([1, 0])
+        del record["params"]
+        assert ReadingOrder.from_record(record).params == {}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="zigzag"):
@@ -268,6 +379,27 @@ snapped_documents = st.lists(
 def test_raster_matches_oracle_on_snapped_layouts(doc, factor):
     order = raster_scan_order(doc, line_threshold_factor=factor)
     assert list(order.permutation) == raster_oracle(doc, factor)
+
+
+# Coordinates on a half-unit grid with small sizes, so vertical centers tie
+# often between boxes of different heights; zero and negative-zero sizes and
+# coordinates are common.
+_half_units = st.integers(-2, 12).map(lambda k: k / 2.0)
+_sizes = st.sampled_from([-0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+quantized_documents = st.lists(
+    st.tuples(st.one_of(st.just(-0.0), _half_units), st.one_of(st.just(-0.0), _half_units),
+              _sizes, _sizes),
+    max_size=24,
+).map(lambda boxes: doc_from_boxes([(x, y, x + w, y + h) for x, y, w, h in boxes]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=quantized_documents)
+def test_raster_matches_oracle_on_quantized_layouts_with_ties(doc):
+    for factor in (0.1, 0.5, 1.0, 3.0):
+        order = raster_scan_order(doc, line_threshold_factor=factor)
+        assert list(order.permutation) == raster_oracle(doc, factor), factor
 
 
 @settings(max_examples=60)
