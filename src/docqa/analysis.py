@@ -386,13 +386,13 @@ def load_predictions(path) -> tuple[dict, list[Prediction]]:
 
 def load_eval(path) -> tuple[dict, list[EvalRow]]:
     """Read an eval file's header and rows. The file must hold at least one
-    row, and its header must name its `dataset` and `strategy`; its
-    `aggregate` is for display only, and every number analyze reports comes
-    from the rows."""
+    row, and its header must name its `dataset` and `strategy` and count its
+    rows in `n`, so a file cut short is refused; its `aggregate` is for
+    display only, and every number analyze reports comes from the rows."""
     header, rows = read_stage_file(path, eval_row_from_record, "example_id")
     if not rows:
         raise DataError(f"eval file {path} has no rows")
-    for key in ("dataset", "strategy"):
+    for key in ("dataset", "strategy", "n"):
         if key not in header:
             raise DataError(f"eval file {path} header is missing {key!r}")
     dataset, strategy = header["dataset"], header["strategy"]
@@ -405,4 +405,7 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
             f"{where}: strategy must be one of {', '.join(OrderStrategy)} or null, "
             f"got {strategy!r}"
         )
+    n = header["n"]
+    if type(n) is not int or n != len(rows):
+        raise DataError(f"{where}: n is {n!r}, but the file holds {len(rows)} rows")
     return header, rows

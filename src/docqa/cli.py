@@ -528,8 +528,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # A corpus load allocates strings and a tuple per word, and the cyclic
-    # collector would re-walk them all as they are allocated; the stage
+    # A corpus load parses a dict, a list and strings per word, and the
+    # cyclic collector would re-walk them all as they are allocated; the stage
     # records form no cycles, so reference counting frees them. The
     # collector is paused for the command, and the caller's setting is put
     # back on every way out.

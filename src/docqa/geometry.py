@@ -1,23 +1,27 @@
 """OCR data model: columnar documents and corpus files.
 
-A Document holds one page's words as two parallel columns in file order:
-`texts[k]` is word k's text and `boxes[k]` its box as the tuple
-(x_min, y_min, x_max, y_max). Coordinates live in image pixel space with the
-origin at the top-left corner and y growing downward. OCR engines emit
-fractional pixels, so coordinates are stored as floats; integer inputs are
-widened on load. Zero-area boxes are legal (a glyph can collapse at tiny
-resolutions); inverted boxes are not.
+A Document holds one page's words in file order as two columns: `texts[k]`
+is word k's text, and `coords` is one float64 array holding every box,
+four entries per word, so word k's box (x_min, y_min, x_max, y_max) is
+`coords[4*k : 4*k + 4]`. A page's boxes thus cost 32 bytes a word, with no
+tuple or float object per coordinate; `coords[1::4]` reads every y_min by
+stride. Coordinates live in image pixel space with the origin at the
+top-left corner and y growing downward. OCR engines emit fractional pixels,
+so coordinates are stored as floats; integer inputs are widened on load,
+exactly as float() widens them. Zero-area boxes are legal (a glyph can
+collapse at tiny resolutions); inverted boxes are not.
 
 Every word check lives in `document_from_record`, which validates a corpus
 record in a single pass over its `words` array; `_word_fault` only composes
-the message for the word that failed. Nothing changes a Document after
-construction (its columns are tuples), so it is safe to share across threads.
+the message for the word that failed. Nothing in docqa changes a Document
+after construction, so it is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from array import array
 from typing import Any
 
 from .jsonl import parse_rows, read_records
@@ -37,22 +41,30 @@ class Document:
     word count, which is why this is not a named tuple.
     """
 
-    __slots__ = ("doc_id", "texts", "boxes", "provided_order_is_reading_order")
+    __slots__ = ("doc_id", "texts", "coords", "provided_order_is_reading_order")
 
     def __init__(
         self,
         doc_id: str,
         texts: tuple[str, ...],
-        boxes: tuple[tuple[float, float, float, float], ...],
+        coords: array,
         provided_order_is_reading_order: bool,
     ) -> None:
         self.doc_id = doc_id
         self.texts = texts
-        self.boxes = boxes
+        self.coords = coords
         self.provided_order_is_reading_order = provided_order_is_reading_order
 
     def __len__(self) -> int:
         return len(self.texts)
+
+    @property
+    def boxes(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Each word's (x_min, y_min, x_max, y_max), built from `coords` on
+        every read. For tests and readers outside the pipeline; read it once,
+        outside any loop."""
+        c = self.coords
+        return tuple(zip(c[0::4], c[1::4], c[2::4], c[3::4]))
 
 
 def _word_fault(payload: Any) -> str:
@@ -95,7 +107,7 @@ def document_from_record(record: dict[str, Any]) -> Document:
     if not isinstance(raw_words, list):
         raise ValueError("record is missing the words array")
     texts: list[str] = []
-    boxes: list[tuple[float, float, float, float]] = []
+    coords: list[int | float] = []
     for payload in raw_words:
         if type(payload) is not dict:
             break
@@ -117,9 +129,10 @@ def document_from_record(record: dict[str, Any]) -> Document:
         ):
             break
         texts.append(text)
-        boxes.append((float(x_min), float(y_min), float(x_max), float(y_max)))
+        coords += box
     else:
-        return Document(doc_id, tuple(texts), tuple(boxes), flag)
+        # The array widens int coordinates as float() does.
+        return Document(doc_id, tuple(texts), array("d", coords), flag)
     position = len(texts)
     raise ValueError(f"doc {doc_id} word {position}: {_word_fault(raw_words[position])}")
 

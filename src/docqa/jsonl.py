@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -45,16 +46,13 @@ def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, 
         raise DataError(f"{path}: cannot read: {exc}") from exc
 
 
-def write_records(path: str | os.PathLike[str], records: Iterable[dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-
-
 # Stage outputs carry a provenance header as their first line, and stage
 # readers require it; user-supplied inputs (corpus, QA) never have one.
 HEADER_KEY = "config_digest"
+
+# One encoder for every stage line; json.dumps with keywords builds a new one
+# per call.
+_encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
 def write_stage_file(
@@ -63,13 +61,24 @@ def write_stage_file(
     records: Iterable[dict[str, Any]],
 ) -> None:
     """Write the header line, then one line per record. A nan or infinite
-    float raises ValueError: no stage may write a file that is not JSON."""
+    float raises ValueError: no stage may write a file that is not JSON.
+
+    The lines go to a temporary file beside `path`, which then replaces it,
+    so a failed write leaves no partial file and `path` keeps what it held.
+    """
     if HEADER_KEY not in header:
         raise ValueError(f"stage header must carry {HEADER_KEY!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in chain((header,), records):
-            handle.write(json.dumps(record, ensure_ascii=False, allow_nan=False))
-            handle.write("\n")
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            for record in chain((header,), records):
+                handle.write(_encode(record))
+                handle.write("\n")
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
 
 
 def read_stage_file(

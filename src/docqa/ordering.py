@@ -16,7 +16,11 @@ Each strategy turns a Document into a permutation of its word indices:
   it. The distance to the seed never decreases along the sorted order, so a
   line is exactly the contiguous run that starts at the seed and ends at the
   first word out of tolerance, and the next seed is the word right after that
-  run. A line is emitted sorted by index, then stably by horizontal centroid.
+  run. One exception: a vertical centroid can overflow to +-inf, and a seed
+  there lies nan away from the words tied with it, so its line skips them
+  and they stay as the next seeds. A line is emitted sorted by index, then
+  stably by horizontal centroid. Centroids and the seed height are read from
+  the Document's coords array by stride.
 - shuffled: a seeded Fisher-Yates pass, the control arm for order ablations.
   Position i swaps with j drawn from random.Random(seed) by rejection: take
   (i + 1).bit_length() random bits from getrandbits, and draw again while the
@@ -115,9 +119,11 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
     if type(factor) not in (int, float) or not 0 < factor < math.inf:
         raise ValueError(f"line_threshold_factor must be a finite number > 0, got {factor!r}")
     factor = float(factor)
-    boxes = doc.boxes
-    cy = [(y_min + y_max) / 2.0 for _, y_min, _, y_max in boxes]
-    cx = [(x_min + x_max) / 2.0 for x_min, _, x_max, _ in boxes]
+    coords = doc.coords
+    top = coords[1::4]
+    bottom = coords[3::4]
+    cy = [(y_min + y_max) / 2.0 for y_min, y_max in zip(top, bottom)]
+    cx = [(x_min + x_max) / 2.0 for x_min, x_max in zip(coords[0::4], coords[2::4])]
     # A stable sort, so words tied on cy stay in index order.
     order = sorted(range(len(cy)), key=cy.__getitem__)
     permutation: list[int] = []
@@ -134,13 +140,19 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
             # scan exact when seed_y overflowed to infinity, where the
             # predicate below rejects the seed's own ties.
             order[start:tie_end] = sorted(order[start:tie_end], key=cx.__getitem__)
-        _, y_min, _, y_max = boxes[order[start]]
-        tolerance = factor * (y_max - y_min)
-        end = start + 1
-        # The same predicate as the line definition, not a bisect on
+        seed = order[start]
+        tolerance = factor * (bottom[seed] - top[seed])
+        # A finite seed_y takes its whole tie run (distance 0). The same
+        # predicate as the line definition, not a bisect on
         # seed_y + tolerance: the two can round differently.
+        end = tie_end
         while end < n and abs(cy[order[end]] - seed_y) <= tolerance:
             end += 1
+        if math.isinf(seed_y):
+            # The seed's ties lie nan away from it, so its line skips them;
+            # they stay, in order, as the next seeds.
+            order[start + 1 : end] = order[tie_end:end] + order[start + 1 : tie_end]
+            end -= tie_end - start - 1
         line = order[start:end]
         line.sort()
         line.sort(key=cx.__getitem__)

@@ -10,6 +10,9 @@ whitespace-separated tokens, so an OCR word with an internal space such as
 "new york" counts as two. Budgets are enforced by keeping the longest prefix
 of whole words that fits; a word is never split. Contexts files are checked
 row by row in `context_from_record`; the records themselves check nothing.
+A loaded context carries no word pieces (`pieces` is None), since no stage
+that reads a contexts file truncates it; `truncate_context` then splits the
+text on single spaces.
 """
 
 from __future__ import annotations
@@ -28,14 +31,14 @@ class SerializedContext(NamedTuple):
 
     pieces holds the word texts in serialization order, joined by single
     spaces into text, so truncation can respect word boundaries even when a
-    word carries an internal space; for contexts loaded back from disk it is
-    rebuilt by splitting on single spaces.
+    word carries an internal space; it is None for contexts loaded back from
+    disk.
     """
 
     doc_id: str
     text: str
     token_count: int
-    pieces: tuple[str, ...]
+    pieces: tuple[str, ...] | None
 
 
 def build_context(doc: Document, order: ReadingOrder) -> SerializedContext:
@@ -67,15 +70,18 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
     if ctx.token_count <= budget:
         return ctx
+    pieces = ctx.pieces
+    if pieces is None:
+        pieces = tuple(ctx.text.split(" "))
     # Whitespace counts are additive over pieces, so accumulate directly.
     kept = tokens = 0
-    for piece in ctx.pieces:
+    for piece in pieces:
         count = len(piece.split())
         if tokens + count > budget:
             break
         tokens += count
         kept += 1
-    pieces = ctx.pieces[:kept]
+    pieces = pieces[:kept]
     return ctx._replace(text=" ".join(pieces), token_count=tokens, pieces=pieces)
 
 
@@ -131,8 +137,7 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
     words = len(text.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")
-    pieces = tuple(text.split(" ")) if text else ()
-    return SerializedContext(doc_id=doc_id, text=text, token_count=token_count, pieces=pieces)
+    return SerializedContext(doc_id=doc_id, text=text, token_count=token_count, pieces=None)
 
 
 def load_contexts(

@@ -67,6 +67,15 @@ def write_dataset_config(path, names, metric="exact_match", context_budget=1024,
     return path
 
 
+def write_records(path, records):
+    """A JSONL file with one line per record, written as given: no header is
+    added, and no value is checked."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False))
+            handle.write("\n")
+
+
 _OUTCOME_LABELS = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}
 _acceptance_outcomes = {}
 

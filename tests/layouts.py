@@ -33,12 +33,14 @@ def make_document(doc_id, texts, boxes, reading_ordered=False) -> Document:
 
 
 def raster_oracle(doc: Document, factor: float = 0.5) -> list[int]:
+    boxes = doc.boxes
+
     def centroid_key(index):
-        x_min, y_min, x_max, y_max = doc.boxes[index]
+        x_min, y_min, x_max, y_max = boxes[index]
         return ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0, index)
 
     def height(index):
-        return doc.boxes[index][3] - doc.boxes[index][1]
+        return boxes[index][3] - boxes[index][1]
 
     remaining = list(range(len(doc)))
     emitted: list[int] = []
@@ -49,7 +51,13 @@ def raster_oracle(doc: Document, factor: float = 0.5) -> list[int]:
                 seed = word
         tolerance = factor * height(seed)
         seed_y = centroid_key(seed)[0]
-        line = [word for word in remaining if abs(centroid_key(word)[0] - seed_y) <= tolerance]
+        # The seed always joins its own line: a center that overflowed to
+        # +-inf lies nan away from itself.
+        line = [
+            word
+            for word in remaining
+            if word == seed or abs(centroid_key(word)[0] - seed_y) <= tolerance
+        ]
         line.sort(key=lambda word: centroid_key(word)[1:])
         emitted.extend(line)
         line_ids = set(line)

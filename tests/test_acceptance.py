@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import toy_benchmark, write_dataset_config
+from conftest import toy_benchmark, write_dataset_config, write_records
 from docqa.analysis import (
     EvalRow,
     TokenLogProb,
@@ -21,7 +21,7 @@ from docqa.analysis import (
 )
 from docqa.cli import main
 from docqa.datasets import load_dataset_configs, sample_mixture
-from docqa.jsonl import read_records, write_records
+from docqa.jsonl import read_records
 from docqa.metrics import anls_single, levenshtein, relaxed_accuracy
 from docqa.ordering import raster_scan_order
 from docqa.datasets import QARecord

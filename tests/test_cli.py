@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import toy_benchmark, write_dataset_config
+from conftest import toy_benchmark, write_dataset_config, write_records
 from docqa import cli
 from docqa.cli import UsageError, build_parser, config_digest, derive_seed, main
 from docqa.errors import DataError, EndpointError
-from docqa.jsonl import read_records, write_records
+from docqa.jsonl import read_records
 from docqa.ordering import load_orders
 from docqa.serialize import load_contexts
 
@@ -901,11 +901,12 @@ class TestAnalyzeCommand:
 
     def test_shuffled_run_over_other_examples_exits_2(self, tmp_path, capsys):
         # With one row fewer the shuffled run used to be contrasted anyway:
-        # a delta over different examples, exit 0.
-        lines = (GOLDEN / "expected" / "eval-shuffled-mock-echo.jsonl").read_text(
-            encoding="utf-8").splitlines(True)
+        # a delta over different examples, exit 0. The header counts the
+        # rows left, so the file is whole and only the examples differ.
+        name = "eval-shuffled-mock-echo.jsonl"
+        header, rows = stage_records(GOLDEN / "expected" / name)
         shuffled = tmp_path / "eval-shuffled.jsonl"
-        shuffled.write_text("".join(lines[:-1]), encoding="utf-8")
+        write_records(shuffled, [{**header, "n": len(rows) - 1}, *rows[:-1]])
         out = tmp_path / "analysis.json"
         assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl",
                    "--eval", GOLDEN / "expected" / "eval-standard-mock-echo.jsonl",
@@ -915,6 +916,36 @@ class TestAnalyzeCommand:
             "than the reference run\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("n, kept", [(9, 4), (9, 8), (10, 9), (True, 1), ("9", 9)],
+                             ids=["cut at 4", "cut at 8", "n too high", "n bool", "n string"])
+    def test_eval_file_whose_header_miscounts_its_rows_exits_2(
+        self, tmp_path, capsys, n, kept
+    ):
+        # A file cut at a line boundary used to be analyzed over its prefix:
+        # a report over 4 examples, exit 0.
+        name = "eval-standard-mock-echo.jsonl"
+        header, rows = stage_records(GOLDEN / "expected" / name)
+        assert header["n"] == len(rows) == 9
+        torn = tmp_path / name
+        write_records(torn, [{**header, "n": n}, *rows[:kept]])
+        out = tmp_path / "analysis.json"
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", torn,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: eval file {torn} header: n is {n!r}, but the file holds {kept} rows\n"
+        )
+        assert not out.exists()
+
+    def test_eval_header_without_a_row_count_exits_2(self, tmp_path, capsys):
+        name = "eval-standard-mock-echo.jsonl"
+        header, rows = stage_records(GOLDEN / "expected" / name)
+        del header["n"]
+        uncounted = tmp_path / name
+        write_records(uncounted, [header, *rows])
+        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", uncounted,
+                   "--out", tmp_path / "analysis.json") == 2
+        assert capsys.readouterr().err == f"error: eval file {uncounted} header is missing 'n'\n"
 
     def test_shuffled_run_without_reference_exits_2(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"

@@ -1,5 +1,9 @@
 import json
+import math
+import random
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -48,6 +52,15 @@ class TestBoundingBox:
         (box,) = document_from_record(one_word([1, 2, 3, 4])).boxes
         assert box == (1.0, 2.0, 3.0, 4.0)
         assert all(type(v) is float for v in box)
+
+    def test_integer_coordinates_widen_as_float_does(self):
+        # 2**53 + 1 rounds to an even neighbour; the largest finite integer
+        # widens to the largest float; -0.0 keeps its sign.
+        big, edge = 2**53 + 1, int(sys.float_info.max)
+        doc = document_from_record(one_word([-0.0, big, edge, edge]))
+        assert list(doc.coords) == [float(-0.0), float(big), float(edge), float(edge)]
+        assert doc.coords[1] == 2.0**53 and doc.coords[2] == sys.float_info.max
+        assert math.copysign(1.0, doc.coords[0]) == -1.0
 
     def test_inverted_x_rejected(self):
         with pytest.raises(ValueError, match=r"inverted box: x_min 5\.0 > x_max 3\.0"):
@@ -123,6 +136,40 @@ class TestDocument:
         doc = document_from_record({"doc_id": "d0", "reading_ordered": True, "words": []})
         assert len(doc) == 0
         assert doc.texts == () and doc.boxes == ()
+        assert doc.coords == array("d")
+
+    def test_boxes_are_one_float64_column(self):
+        boxes = [(0, 1, 2, 3), (4.5, 5.5, 6.5, 7.5), (8, 9, 10, 11)]
+        doc = make_document("d0", ["a", "b", "c"], boxes)
+        assert type(doc.coords) is array and doc.coords.typecode == "d"
+        assert len(doc.coords) == 4 * len(doc)
+        assert list(doc.coords) == [float(v) for box in boxes for v in box]
+        assert doc.boxes == tuple(tuple(map(float, box)) for box in boxes)
+
+    def test_loaded_page_retains_few_bytes_per_word(self, tmp_path):
+        # A word's text costs about 60 bytes here and its box 32 in the
+        # coords column. A tuple of four float objects per box retained
+        # about 240 bytes a word in all.
+        rng = random.Random(7)
+        words = []
+        for k in range(3000):
+            x, y = rng.uniform(0, 2000), rng.uniform(0, 3000)
+            box = [x, y, x + rng.uniform(5, 60), y + rng.uniform(8, 14)]
+            words.append({"text": f"word{k}", "box": box})
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            json.dumps({"doc_id": "page", "reading_ordered": False, "words": words}) + "\n"
+        )
+        del words
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            docs = load_ocr_corpus(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(docs[0]) == 3000
+        assert retained / 3000 < 150
 
 
 class TestLoadCorpus:
@@ -246,6 +293,8 @@ LOADER_FAULTS = [
      "doc d1 word 1: y_min must be a number, got '1'"),
     ("bool coordinate", faulty_doc({"text": "w", "box": [True, 0, 1, 1]}),
      "doc d1 word 1: x_min must be a number, got True"),
+    ("bool last coordinate", faulty_doc({"text": "w", "box": [0, 0, 1, False]}),
+     "doc d1 word 1: y_max must be a number, got False"),
     ("inf coordinate", faulty_doc({"text": "w", "box": [0, 0, float("inf"), 1]}),
      "doc d1 word 1: x_max must be finite, got inf"),
     ("nan coordinate", faulty_doc({"text": "w", "box": [0, 0, 1, float("nan")]}),

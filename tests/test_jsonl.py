@@ -1,7 +1,11 @@
+import json
+import math
+import os
+
 import pytest
 
 from docqa.errors import DataError
-from docqa.jsonl import parse_rows, read_stage_file
+from docqa.jsonl import parse_rows, read_stage_file, write_stage_file
 
 
 class Row:
@@ -61,3 +65,53 @@ class TestReadStageFile:
         path.write_text("")
         with pytest.raises(DataError, match=r"empty\.jsonl line 1: expected a stage header"):
             read_stage_file(path, Row, "row_id")
+
+
+def rows_then_interrupt():
+    yield {"id": "a"}
+    raise KeyboardInterrupt
+
+
+class TestWriteStageFile:
+    HEADER = {"config_digest": "abc"}
+
+    def test_writes_header_then_rows_as_compact_utf8_json(self, tmp_path):
+        path = tmp_path / "stage.jsonl"
+        rows = [{"id": "é", "x": [1.5, None]}, {"id": "b", "s": "\u2028"}]
+        write_stage_file(path, self.HEADER, rows)
+        expected = "".join(
+            json.dumps(record, ensure_ascii=False) + "\n" for record in [self.HEADER, *rows]
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert os.listdir(tmp_path) == ["stage.jsonl"]
+
+    def test_mode_is_that_of_a_newly_opened_file(self, tmp_path):
+        reference = tmp_path / "reference"
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        path = tmp_path / "stage.jsonl"
+        write_stage_file(path, self.HEADER, [])
+        assert os.stat(path).st_mode == os.stat(reference).st_mode
+
+    @pytest.mark.parametrize(
+        "rows, exc",
+        [([{"id": "a"}, {"id": "b", "score": math.nan}], ValueError),
+         (rows_then_interrupt(), KeyboardInterrupt)],
+        ids=["nan row", "interrupted"],
+    )
+    def test_a_write_that_fails_midway_leaves_no_file(self, tmp_path, rows, exc):
+        # The file used to be written in place, so a failure left the rows
+        # before it: a prefix that parses, cut at a line boundary.
+        path = tmp_path / "stage.jsonl"
+        with pytest.raises(exc):
+            write_stage_file(path, self.HEADER, rows)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "stage.jsonl"
+        write_stage_file(path, self.HEADER, [{"id": "old"}])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_stage_file(path, self.HEADER, [{"id": "new", "score": math.inf}])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["stage.jsonl"]

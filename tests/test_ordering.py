@@ -99,8 +99,7 @@ class TestRasterScan:
     def test_centers_that_overflow_to_infinity(self):
         # Finite boxes whose vertical centers overflow to inf: the distance
         # between two such words is nan, so each is a line of its own, taken
-        # left to right. raster_oracle cannot check this page: the seed's
-        # own distance is nan, so its line never takes the seed.
+        # left to right.
         top = 1.7e308
         doc = doc_from_boxes(
             [
@@ -111,12 +110,14 @@ class TestRasterScan:
             ]
         )
         assert list(raster_scan_order(doc, 3.0).permutation) == [1, 3, 2, 0]
-        # Words 0 and 1 center at -inf, with an infinite tolerance. Word 0's
-        # line stops at word 1 (nan), and word 1's takes word 2 (distance
-        # inf), so word 2 is read after word 0 although it lies left of it.
+        assert raster_oracle(doc, 3.0) == [1, 3, 2, 0]
+        # Words 0 and 1 center at -inf, with an infinite tolerance. Word 1
+        # lies nan away from the seed, word 0, and word 2 inf away, so word
+        # 0's line is words 2 and 0, and word 1 is a line of its own.
         low = -1.7e308
         doc = doc_from_boxes([(0, low, 1, -1.6e308), (20, low, 21, -1.6e308), (-10, 0, -9, 1)])
-        assert list(raster_scan_order(doc, 1e300).permutation) == [0, 2, 1]
+        assert list(raster_scan_order(doc, 1e300).permutation) == [2, 0, 1]
+        assert raster_oracle(doc, 1e300) == [2, 0, 1]
 
     def test_threshold_factor_is_honored(self):
         # Rows 10 apart, box height 4: factor 0.5 keeps them separate lines,
@@ -400,6 +401,21 @@ def test_raster_matches_oracle_on_quantized_layouts_with_ties(doc):
     for factor in (0.1, 0.5, 1.0, 3.0):
         order = raster_scan_order(doc, line_threshold_factor=factor)
         assert list(order.permutation) == raster_oracle(doc, factor), factor
+
+
+# Vertical extents near the float limit, so centers overflow to +-inf and
+# tie there, and tolerances can be infinite.
+_far = st.sampled_from([-1.7e308, -1.6e308, -1.5e308, 0.0, 1.5e308, 1.6e308, 1.7e308])
+overflowing_documents = st.lists(
+    st.tuples(st.integers(-2, 2), _far, _far), max_size=10
+).map(lambda boxes: doc_from_boxes([(x, min(a, b), x + 1, max(a, b)) for x, a, b in boxes]))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(doc=overflowing_documents, factor=st.sampled_from([0.5, 3.0, 1e300]))
+def test_raster_matches_oracle_where_centers_overflow(doc, factor):
+    order = raster_scan_order(doc, line_threshold_factor=factor)
+    assert list(order.permutation) == raster_oracle(doc, factor)
 
 
 @settings(max_examples=60)

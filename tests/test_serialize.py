@@ -172,6 +172,27 @@ class TestContextsFile:
         assert loaded[0].doc_id == "d0"
         assert loaded[0].text == "Hello World"
         assert loaded[0].token_count == 2
+        assert loaded[0].pieces is None
+
+    # Truncating a loaded context splits its text on single spaces; these
+    # values are the ones the loader's own split gave.
+    @pytest.mark.parametrize("text, budget, kept, tokens", [
+        ("new york  city", 1, "new", 1),
+        ("new york  city", 2, "new york ", 2),
+        ("a\tb c", 1, "", 0),
+        ("a\tb c", 2, "a\tb", 2),
+        ("d  e f g", 1, "d ", 1),
+        ("d  e f g", 2, "d  e", 2),
+        ("d  e f g", 3, "d  e f", 3),
+    ])
+    def test_truncating_a_loaded_context(self, tmp_path, text, budget, kept, tokens):
+        path = tmp_path / "contexts.jsonl"
+        row = {"doc_id": "d", "context": text, "token_count": len(text.split())}
+        write_stage_file(path, {"config_digest": "0"}, [row])
+        _, (ctx,) = load_contexts(path)
+        out = truncate_context(ctx, budget)
+        assert (out.text, out.token_count) == (kept, tokens)
+        assert " ".join(out.pieces) == kept
 
     def test_load_rejects_bad_token_count(self, tmp_path):
         path = tmp_path / "contexts.jsonl"
