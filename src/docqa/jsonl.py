@@ -65,6 +65,7 @@ def write_stage_file(
 
     The lines go to a temporary file beside `path`, which then replaces it,
     so a failed write leaves no partial file and `path` keeps what it held.
+    A file that cannot be written is a DataError naming `path`.
     """
     if HEADER_KEY not in header:
         raise ValueError(f"stage header must carry {HEADER_KEY!r}")
@@ -75,9 +76,11 @@ def write_stage_file(
                 handle.write(_encode(record))
                 handle.write("\n")
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
         raise
 
 

@@ -107,6 +107,18 @@ class TestWriteStageFile:
             write_stage_file(path, self.HEADER, rows)
         assert os.listdir(tmp_path) == []
 
+    def test_an_unwritable_path_is_a_data_error_naming_it(self, tmp_path):
+        # The error used to be an OSError; with the temporary file it would
+        # name that file instead of the output.
+        path = tmp_path / "missing" / "stage.jsonl"
+        with pytest.raises(DataError, match=rf"^{path}: cannot write: No such file"):
+            write_stage_file(path, self.HEADER, [])
+        directory = tmp_path / "taken"
+        directory.mkdir()
+        with pytest.raises(DataError, match=rf"^{directory}: cannot write: Is a directory"):
+            write_stage_file(directory, self.HEADER, [])
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(directory) == []
+
     def test_a_failed_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "stage.jsonl"
         write_stage_file(path, self.HEADER, [{"id": "old"}])
