@@ -53,6 +53,7 @@ from .serialize import (
     build_prompt,
     context_to_record,
     load_contexts,
+    prompt_parts,
     truncate_context,
 )
 
@@ -227,7 +228,7 @@ def cmd_serialize(args) -> int:
     return EXIT_OK
 
 
-def _build_backend(args, records, requests_batch):
+def _build_backend(args, records, contexts_by_doc):
     if args.backend != "http":
         for flag, value in (("--endpoint", args.endpoint), ("--config", args.config)):
             if value is not None:
@@ -237,11 +238,13 @@ def _build_backend(args, records, requests_batch):
     if args.backend == "mock-echo":
         return MockBackend(rule="echo_last_word")
     if args.backend == "mock-answer-key":
-        # Keyed by the prompt each record sends, so documents that share a
-        # question keep their own golds; records with identical prompts pool.
-        key: dict[str, list[str]] = {}
-        for record, request in zip(records, requests_batch):
-            key.setdefault(request.prompt, []).extend(record.answers)
+        # Keyed by the (context, question) pair the mock parses out of each
+        # record's prompt, so documents that share a question keep their own
+        # golds; records with identical prompts pool.
+        key: dict[tuple[str, str], list[str]] = {}
+        for record in records:
+            parts = prompt_parts(contexts_by_doc[record.doc_id], record.question)
+            key.setdefault(parts, []).extend(record.answers)
         return MockBackend(rule="answer_key", answer_key=key)
     if not args.endpoint:
         raise UsageError("the http backend needs an endpoint: pass --endpoint")
@@ -256,6 +259,12 @@ def _build_backend(args, records, requests_batch):
         raise DataError(f"config file {args.config}: {exc}") from exc
 
 
+def _prediction(record, result) -> Prediction:
+    if isinstance(result, EndpointError):
+        return Prediction(example_id=record.example_id, text="", error=str(result))
+    return Prediction(example_id=record.example_id, text=result.text, tokens=result.tokens)
+
+
 def cmd_predict(args) -> int:
     records = load_qa(args.qa)
     _, contexts = load_contexts(args.contexts)
@@ -264,43 +273,29 @@ def cmd_predict(args) -> int:
     want_logprobs = not args.no_logprobs
 
     contexts_by_doc = {c.doc_id: c for c in contexts}
-    requests_batch = []
     for record in records:
-        ctx = contexts_by_doc.get(record.doc_id)
-        if ctx is None:
+        if record.doc_id not in contexts_by_doc:
             raise DataError(
                 f"no context for doc {record.doc_id!r} (example {record.example_id!r})"
             )
-        prompt = build_prompt(ctx, record.question)
-        requests_batch.append(
-            InferenceRequest(
-                prompt=prompt.text,
-                max_new_tokens=max_new_tokens,
-                want_logprobs=want_logprobs,
-            )
-        )
 
-    backend = _build_backend(args, records, requests_batch)
+    backend = _build_backend(args, records, contexts_by_doc)
+    # Each prompt is built as predict_batch pulls its request, so only the
+    # requests in flight hold one.
+    requests = (
+        InferenceRequest(
+            prompt=build_prompt(contexts_by_doc[record.doc_id], record.question).text,
+            max_new_tokens=max_new_tokens,
+            want_logprobs=want_logprobs,
+        )
+        for record in records
+    )
     try:
-        results = predict_batch(backend, requests_batch, max_in_flight=args.parallelism)
+        results = predict_batch(backend, requests, max_in_flight=args.parallelism)
     finally:
         if isinstance(backend, HTTPBackend):
             backend.close()
-
-    predictions = []
-    failures = 0
-    for record, result in zip(records, results):
-        if isinstance(result, EndpointError):
-            failures += 1
-            predictions.append(
-                Prediction(example_id=record.example_id, text="", error=str(result))
-            )
-        else:
-            predictions.append(
-                Prediction(
-                    example_id=record.example_id, text=result.text, tokens=result.tokens
-                )
-            )
+    failures = sum(isinstance(result, EndpointError) for result in results)
 
     settings = {
         "dataset": args.dataset,
@@ -310,13 +305,13 @@ def cmd_predict(args) -> int:
     }
     out = _write_stage(
         args, "predict", "predictions.jsonl", settings,
-        (prediction_to_record(p) for p in predictions),
+        (prediction_to_record(_prediction(r, result)) for r, result in zip(records, results)),
         dataset=args.dataset,
         backend=args.backend,
     )
-    print(f"wrote {len(predictions)} predictions to {out}")
+    print(f"wrote {len(results)} predictions to {out}")
     if failures:
-        print(f"{failures} of {len(predictions)} requests failed", file=sys.stderr)
+        print(f"{failures} of {len(results)} requests failed", file=sys.stderr)
         return EXIT_ENDPOINT
     return EXIT_OK
 

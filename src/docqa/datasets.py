@@ -22,13 +22,16 @@ from .metrics import MetricKind
 # The only question flags with defined behavior downstream.
 KNOWN_FLAGS = frozenset({"yes_no", "genre"})
 
+# Every record without flags shares this one set instead of holding its own.
+NO_FLAGS: frozenset[str] = frozenset()
+
 
 class QARecord(NamedTuple):
     example_id: str
     doc_id: str
     question: str
     answers: tuple[str, ...]
-    flags: frozenset[str] = frozenset()
+    flags: frozenset[str] = NO_FLAGS
 
 
 def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
@@ -51,7 +54,7 @@ def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
         raise ValueError("question must be a non-empty string")
     if not answers or not all(isinstance(a, str) for a in answers):
         raise ValueError("answers must be a non-empty list of strings")
-    flags = frozenset(flags)
+    flags = frozenset(flags) if flags else NO_FLAGS
     unknown = flags - KNOWN_FLAGS
     if unknown:
         raise ValueError(f"unknown flag {sorted(unknown)[0]!r}")

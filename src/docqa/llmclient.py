@@ -1,5 +1,8 @@
 """Backends for a text-completion endpoint (HTTP and a deterministic
-mock), plus predict_batch, which fans a batch out to one of them.
+mock), plus predict_batch, which fans a batch out to one of them. The
+batch is any iterable of requests and is pulled only a bounded window
+ahead of the responses, so a caller that builds each prompt as it is
+pulled holds the prompts of the requests in flight, not of the batch.
 
 The wire protocol is one JSON POST per completion: the request carries
 {"prompt", "max_new_tokens", "logprobs"} and the response {"text",
@@ -28,7 +31,7 @@ import random
 import threading
 import time
 import urllib.parse
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import TokenLogProb, token_from_record
 from .errors import EndpointError
@@ -36,6 +39,10 @@ from .metrics import contains_words, word_haystack
 from .serialize import parse_prompt
 
 MOCK_RULES = ("echo_last_word", "answer_key")
+
+# predict_batch keeps this many requests submitted per worker, so the workers
+# never wait on the caller, while the rest of the batch stays unbuilt.
+QUEUED_PER_WORKER = 16
 
 # Every mock token gets probability one half, so answer perplexity has
 # the closed form 2.0 regardless of answer length.
@@ -85,19 +92,23 @@ class MockBackend:
 
     Rules: "echo_last_word" answers with the final context word, which
     makes serialization order visible in the output; "answer_key"
-    looks the full prompt up in the answer key and answers with the
+    looks the (context, question) pair that serialize.parse_prompt
+    recovers from the prompt up in the answer key and answers with the
     first of its gold answers that is a run of whole words of the context
     (metrics.contains_words), or "unknown" when none does, imitating a
     reader that can only copy evidence it was actually given. Keying by
-    prompt rather than by question keeps two documents that ask the same
-    question apart. Each distinct context is normalized once and kept; two
-    threads that miss the cache together only repeat that work.
+    the context as well as the question keeps two documents that ask the
+    same question apart. parse_prompt is injective on template prompts, so
+    two prompts share a key exactly when they are equal, and a key holds
+    only strings its caller already has rather than a copy of every prompt.
+    Each distinct context is normalized once and kept; two threads that
+    miss the cache together only repeat that work.
     """
 
     def __init__(
         self,
         rule: str,
-        answer_key: Mapping[str, Sequence[str]] | None = None,
+        answer_key: Mapping[tuple[str, str], Sequence[str]] | None = None,
     ) -> None:
         if rule not in MOCK_RULES:
             raise ValueError(f"unknown mock rule {rule!r}, expected one of {MOCK_RULES}")
@@ -108,14 +119,14 @@ class MockBackend:
         self._haystacks: dict[str, str] = {}
 
     def _answer(self, prompt: str) -> str:
-        context_text, _ = parse_prompt(prompt)
+        context_text, question = parse_prompt(prompt)
         if self.rule == "echo_last_word":
             words = context_text.rsplit(None, 1)
             return words[-1] if words else ""
         haystack = self._haystacks.get(context_text)
         if haystack is None:
             haystack = self._haystacks[context_text] = word_haystack(context_text)
-        for gold in self.answer_key.get(prompt, ()):
+        for gold in self.answer_key.get((context_text, question), ()):
             if contains_words(haystack, gold):
                 return gold
         return "unknown"
@@ -343,22 +354,27 @@ class HTTPBackend:
 
 def predict_batch(
     backend,
-    requests_batch: Sequence[InferenceRequest],
+    requests: Iterable[InferenceRequest],
     max_in_flight: int = 1,
 ) -> list[InferenceResponse | EndpointError]:
-    """Complete a batch on `backend` with at most `max_in_flight` requests
+    """Complete `requests` on `backend` with at most `max_in_flight`
     outstanding, responses aligned with requests.
+
+    `requests` may be any iterable, and is pulled lazily: with one in flight
+    the requests run in the calling thread, one pulled per result, with no
+    pool; otherwise at most QUEUED_PER_WORKER * max_in_flight requests are
+    pulled ahead of the results collected, so a generator that builds each
+    request as it is pulled never has the whole batch in memory.
 
     An endpoint failure occupies its slot in the result list so one bad
     example cannot sink the rest of the batch; the slot holds a new
     EndpointError with the failure's message and no traceback or cause, so
-    the failed call's frames can be freed at once. With one in flight the
-    requests run in the calling thread, with no pool.
+    the failed call's frames can be freed at once. Any other exception,
+    from the backend or from `requests`, propagates, and the requests still
+    queued are cancelled rather than run.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be at least 1")
-    if not requests_batch:
-        return []
 
     def run(request: InferenceRequest) -> InferenceResponse | EndpointError:
         try:
@@ -367,8 +383,23 @@ def predict_batch(
             return EndpointError(str(exc))
 
     if max_in_flight == 1:
-        return [run(request) for request in requests_batch]
+        return [run(request) for request in requests]
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
+    window = QUEUED_PER_WORKER * max_in_flight
+    results: list[InferenceResponse | EndpointError] = []
+    pending: deque = deque()
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(run, requests_batch))
+        try:
+            for request in requests:
+                pending.append(pool.submit(run, request))
+                if len(pending) == window:
+                    results.append(pending.popleft().result())
+            while pending:
+                results.append(pending.popleft().result())
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
+    return results

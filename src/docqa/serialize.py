@@ -117,6 +117,16 @@ def parse_prompt(text: str) -> tuple[str, str]:
     return inner[:marker], inner[marker + len(_QUESTION_SEP) :]
 
 
+def prompt_parts(ctx: SerializedContext, question: str) -> tuple[str, str]:
+    """parse_prompt(build_prompt(ctx, question).text), without building the
+    prompt when the question cannot move the split: with no "Question: " in
+    it, the last question marker is the template's own, so the parts are
+    (ctx.text, question) themselves."""
+    if _QUESTION_SEP[1:] not in question:
+        return ctx.text, question
+    return parse_prompt(build_prompt(ctx, question).text)
+
+
 def context_to_record(ctx: SerializedContext) -> dict[str, Any]:
     return {"doc_id": ctx.doc_id, "context": ctx.text, "token_count": ctx.token_count}
 

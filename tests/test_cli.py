@@ -5,21 +5,25 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import toy_benchmark, write_dataset_config, write_records
+from layouts import corpus_record
 from docqa import cli
 from docqa.cli import UsageError, build_parser, config_digest, derive_seed, main
 from docqa.errors import DataError, EndpointError
 from docqa.jsonl import read_records
 from docqa.ordering import load_orders
-from docqa.serialize import load_contexts
+from docqa.serialize import build_prompt, load_contexts
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# Four word boxes on one line, left to right.
+LINE_BOXES = [(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(4)]
 
 
 def run(*argv):
@@ -294,6 +298,40 @@ class TestPredictCommand:
         preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])[1]}
         assert preds[qa[0]["example_id"]] == qa[0]["answers"][0]
         assert preds[qa[1]["example_id"]] == qa[0]["answers"][0]
+
+    def test_mock_answer_key_answers_a_question_holding_the_marker(self, bench):
+        # The prompt splits on the question's own marker, so the mock reads
+        # part of the question as context; the key must follow that split.
+        qa = bench["qa_records"]
+        qa[0]["question"] = "which Question: comes first?"
+        write_records(bench["qa"], qa)
+        paths = run_pipeline(bench)
+        from docqa.analysis import load_predictions
+
+        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])[1]}
+        assert preds[qa[0]["example_id"]] == qa[0]["answers"][0]
+
+    def test_mock_answer_key_pools_equal_prompts_from_different_questions(self, bench):
+        # "alpha beta" asked "x Question: what?" and "alpha beta Question: x"
+        # asked "what?" are one prompt, so their golds pool: the first
+        # record's gold answers both.
+        docs = [
+            corpus_record("short", ["alpha", "beta"], LINE_BOXES[:2], reading_ordered=True),
+            corpus_record("long", ["alpha", "beta", "Question:", "x"], LINE_BOXES,
+                          reading_ordered=True),
+        ]
+        qa = [
+            {"example_id": "e0", "doc_id": "short", "question": "x Question: what?",
+             "answers": ["alpha"]},
+            {"example_id": "e1", "doc_id": "long", "question": "what?", "answers": ["missing"]},
+        ]
+        write_records(bench["corpus"], docs)
+        write_records(bench["qa"], qa)
+        paths = run_pipeline(bench)
+        from docqa.analysis import load_predictions
+
+        preds = {p.example_id: p.text for p in load_predictions(paths["predictions"])[1]}
+        assert preds == {"e0": "alpha", "e1": "alpha"}
 
     def test_no_logprobs_flag(self, bench):
         d = bench["dir"]
@@ -1240,3 +1278,34 @@ def test_paused_collector_leaves_no_garbage_that_grows_with_the_input(tmp_path, 
     large = (*scaled_golden_inputs(tmp_path, 12), tmp_path)
     cyclic_garbage_per_command(*golden)  # one-time set-up garbage, if any
     assert cyclic_garbage_per_command(*large) == cyclic_garbage_per_command(*golden)
+
+
+def test_predict_holds_no_more_than_the_prompts_in_flight(tmp_path, capsys):
+    # Every prompt carries its page's whole context, so 20 questions on a
+    # page are 20 copies of it; predict must build each as its request goes
+    # out instead of holding the batch. The bound is relative to the
+    # prompts' size, so it holds whatever a Python version's objects cost.
+    bench = {"dir": tmp_path}
+    docs, qa = toy_benchmark("mem", n_docs=20, words_per_doc=1000, qa_per_doc=20)
+    bench["corpus"], bench["qa"] = tmp_path / "corpus.jsonl", tmp_path / "qa.jsonl"
+    write_records(bench["corpus"], docs)
+    write_records(bench["qa"], qa)
+    bench["config"] = write_dataset_config(tmp_path / "benchmarks.json", ["toy"])
+    paths = run_pipeline(bench)
+    _, contexts = load_contexts(paths["contexts"])
+    by_doc = {c.doc_id: c for c in contexts}
+    prompt_chars = sum(len(build_prompt(by_doc[r["doc_id"]], r["question"]).text) for r in qa)
+
+    tracemalloc.start()
+    try:
+        assert run(
+            "predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
+            "--dataset", "toy", "--datasets-config", bench["config"],
+            "--backend", "mock-answer-key", "--seed", 7, "--out", tmp_path / "again.jsonl",
+        ) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(qa) == 400
+    assert (tmp_path / "again.jsonl").read_bytes() == paths["predictions"].read_bytes()
+    assert peak < prompt_chars / 2, (peak, prompt_chars)

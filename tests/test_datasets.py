@@ -49,6 +49,20 @@ class TestLoadQA:
         write_qa(path, [{"example_id": "e", "doc_id": "d", "question": "q?", "answers": ["a"]}])
         assert load_qa(path)[0].flags == frozenset()
 
+    def test_records_without_flags_share_one_flags_set(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        rows = [
+            {"example_id": "e0", "doc_id": "d", "question": "q?", "answers": ["a"]},
+            {"example_id": "e1", "doc_id": "d", "question": "q?", "answers": ["a"], "flags": []},
+            QA_OK[0] | {"example_id": "e2"},
+            QA_OK[1] | {"example_id": "e3"},
+        ]
+        write_qa(path, rows)
+        records = load_qa(path)
+        assert records[0].flags is records[1].flags is records[2].flags
+        assert [r.flags for r in records] == [frozenset()] * 3 + [frozenset({"yes_no"})]
+        assert isinstance(records[0].flags, frozenset)
+
     def test_empty_answers_rejected(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         write_qa(path, [{"example_id": "e", "doc_id": "d", "question": "q?", "answers": []}])

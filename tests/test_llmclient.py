@@ -13,7 +13,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import write_dataset_config, write_records
 from docqa import cli
 from docqa.analysis import load_predictions, reading_order_perplexity
 from docqa.errors import EndpointError
@@ -24,7 +27,8 @@ from docqa.llmclient import (
     MockBackend,
     predict_batch,
 )
-from docqa.serialize import SerializedContext, build_prompt
+from docqa.metrics import contains_words, word_haystack
+from docqa.serialize import SerializedContext, build_prompt, parse_prompt
 
 
 def prompt_for(context_text, question):
@@ -81,7 +85,7 @@ class TestMockEcho:
 
 def answer_key_backend(context_text, golds):
     """A mock whose key gives each question, asked of context_text, its golds."""
-    key = {prompt_for(context_text, question): answers for question, answers in golds.items()}
+    key = {(context_text, question): answers for question, answers in golds.items()}
     return MockBackend(rule="answer_key", answer_key=key)
 
 
@@ -124,8 +128,8 @@ class TestMockAnswerKey:
 
     def test_same_question_on_two_contexts_keeps_each_gold(self):
         key = {
-            prompt_for("total due 42", "total?"): ("42",),
-            prompt_for("total due 17", "total?"): ("17",),
+            ("total due 42", "total?"): ("42",),
+            ("total due 17", "total?"): ("17",),
         }
         backend = MockBackend(rule="answer_key", answer_key=key)
         assert backend.complete(request_for("total due 42", "total?")).text == "42"
@@ -134,6 +138,63 @@ class TestMockAnswerKey:
     def test_rule_name_validated(self):
         with pytest.raises(ValueError, match="rule"):
             MockBackend(rule="oracle")
+
+
+# Contexts and questions drawn from the template's own markers, so a marker
+# inside a question or context, and the splits it allows, come up often.
+MARKER_TEXT = st.lists(
+    st.sampled_from(("Question: ", " Question: ", " Answer:", "Context: ", " ", "a", "b")),
+    max_size=5,
+).map("".join)
+GOLDS = st.lists(st.sampled_from(("a", "b", "a b", "Question:", "zz")), min_size=1, max_size=2)
+
+
+def answers_keyed_by_prompt(prompts, golds):
+    """The mock's answers under an answer key keyed by the whole prompt:
+    records with equal prompts pool their golds, and each prompt gets the
+    first pooled gold that is a run of whole words of its context."""
+    key = {}
+    for prompt, answers in zip(prompts, golds):
+        key.setdefault(prompt, []).extend(answers)
+    out = []
+    for prompt in prompts:
+        haystack = word_haystack(parse_prompt(prompt)[0])
+        out.append(next((g for g in key[prompt] if contains_words(haystack, g)), "unknown"))
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    contexts=st.lists(MARKER_TEXT, min_size=1, max_size=3),
+    records=st.lists(
+        st.tuples(st.integers(0, 2), MARKER_TEXT.filter(bool), GOLDS), min_size=1, max_size=6
+    ),
+)
+def test_answer_key_answers_as_a_key_by_whole_prompt(tmp_path, contexts, records):
+    contexts_path = tmp_path / "contexts.jsonl"
+    write_records(contexts_path, [{"config_digest": "0", "strategy": "standard"}] + [
+        {"doc_id": f"d{i}", "context": text, "token_count": len(text.split())}
+        for i, text in enumerate(contexts)
+    ])
+    qa_path = tmp_path / "qa.jsonl"
+    write_records(qa_path, [
+        {"example_id": f"e{n}", "doc_id": f"d{doc % len(contexts)}", "question": question,
+         "answers": golds}
+        for n, (doc, question, golds) in enumerate(records)
+    ])
+    config = write_dataset_config(tmp_path / "benchmarks.json", ["toy"])
+    out = tmp_path / "predictions.jsonl"
+    assert cli.main([
+        "predict", "--qa", str(qa_path), "--contexts", str(contexts_path),
+        "--dataset", "toy", "--datasets-config", str(config),
+        "--backend", "mock-answer-key", "--out", str(out),
+    ]) == 0
+
+    prompts = [prompt_for(contexts[doc % len(contexts)], q) for doc, q, _ in records]
+    expected = answers_keyed_by_prompt(prompts, [golds for _, _, golds in records])
+    _, predictions = load_predictions(out)
+    assert [p.text for p in predictions] == [" ".join(a.split()) for a in expected]
 
 
 class TestMockTokens:
@@ -231,6 +292,101 @@ class TestClientBatch:
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError):
             predict_batch(MockBackend(rule="echo_last_word"), [], max_in_flight=0)
+
+
+class CountingBackend:
+    """Echoes the last context word and counts the calls that returned."""
+
+    def __init__(self, gate=None):
+        self.done = 0
+        self.gate = gate
+        self._lock = threading.Lock()
+        self._echo = MockBackend(rule="echo_last_word")
+
+    def complete(self, request):
+        if self.gate is not None:
+            assert self.gate.wait(timeout=10)
+        response = self._echo.complete(request)
+        with self._lock:
+            self.done += 1
+        return response
+
+
+# predict_batch keeps at most this many requests queued per worker.
+QUEUED_PER_WORKER = 16
+
+
+class TestLazyBatch:
+    """predict_batch pulls its requests only a bounded window ahead."""
+
+    def test_serial_path_pulls_one_request_per_result(self):
+        backend = CountingBackend()
+        done_at_pull = []
+
+        def requests():
+            for i in range(10):
+                done_at_pull.append(backend.done)
+                yield request_for(f"w{i}", "q?")
+
+        results = predict_batch(backend, requests(), max_in_flight=1)
+        assert [r.text for r in results] == [f"w{i}" for i in range(10)]
+        assert done_at_pull == list(range(10))
+
+    def test_pool_pulls_a_bounded_window_ahead(self):
+        window = QUEUED_PER_WORKER * 2
+        gate = threading.Event()
+        backend = CountingBackend(gate)
+        ahead = []
+
+        def requests():
+            for i in range(10 * window):
+                ahead.append(i - backend.done)
+                # The workers wait until a full window has been pulled, so
+                # a pool that pulls further ahead shows it at once.
+                if i + 1 == window:
+                    gate.set()
+                yield request_for(f"w{i}", "q?")
+
+        results = predict_batch(backend, requests(), max_in_flight=2)
+        assert [r.text for r in results] == [f"w{i}" for i in range(10 * window)]
+        assert max(ahead) < window
+
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_empty_generator_gives_an_empty_list(self, max_in_flight):
+        backend = MockBackend(rule="echo_last_word")
+        assert predict_batch(backend, (r for r in ()), max_in_flight=max_in_flight) == []
+
+    def test_zero_in_flight_raises_before_pulling(self):
+        pulled = []
+
+        def requests():
+            pulled.append(1)
+            yield request_for("w", "q?")
+
+        with pytest.raises(ValueError, match="max_in_flight"):
+            predict_batch(MockBackend(rule="echo_last_word"), requests(), max_in_flight=0)
+        assert pulled == []
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    def test_other_errors_propagate_and_cancel_the_queue(self, max_in_flight):
+        calls = []
+
+        class BrokenBackend:
+            def complete(self, request):
+                calls.append(request.prompt)
+                if len(calls) == 1:
+                    raise RuntimeError("backend bug")
+                time.sleep(0.002)
+                return InferenceResponse(text="ok", model_id="stub")
+
+        reqs = [request_for(f"w{i}", "q?") for i in range(200)]
+        with pytest.raises(RuntimeError, match="backend bug"):
+            predict_batch(BrokenBackend(), iter(reqs), max_in_flight=max_in_flight)
+        ran = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == ran
+        # Only requests pulled before the error surfaced can have run.
+        assert ran <= (1 if max_in_flight == 1 else QUEUED_PER_WORKER * max_in_flight)
 
 
 # Seconds a "stall" step waits before answering; the retry tests give the
