@@ -12,8 +12,21 @@ The fixture in tests/golden/input is three reading-ordered documents:
 
 The pipeline runs order, serialize, predict and eval for every strategy
 with both mock backends, then analyze per backend and reference strategy.
-tests/golden/expected holds what the pipeline wrote; any change to a stage's
-bytes has to update those files in the same change.
+
+A second config, input/metrics.json, holds one dataset per remaining metric,
+each with its own QA file over the same corpus, run on the standard and
+shuffled contexts with the answer-key mock:
+
+- ocrvqa (exact_match) has a genre question, which its answer-presence
+  report must drop, and a yes/no question;
+- chartqa (relaxed_accuracy) is also scored on a hand-written predictions
+  file holding an error row and numbers within 5% of their golds;
+- textvqa (vqa_accuracy) has panels where fewer than 3 answers match, and
+  is predicted once more without logprobs.
+
+analyze then contrasts ocrvqa and chartqa, whose median context lengths
+differ. tests/golden/expected holds what the pipeline wrote; any change to a
+stage's bytes has to update those files in the same change.
 """
 
 import json
@@ -28,6 +41,16 @@ STRATEGIES = ("standard", "raster_scan", "shuffled")
 BACKENDS = ("mock-echo", "mock-answer-key")
 BUDGET = 19
 SEED = 7
+# The metrics fixture's predict and eval runs: (dataset, contexts strategy,
+# extra predict flags).
+METRIC_RUNS = (
+    ("ocrvqa", "standard", ()),
+    ("ocrvqa", "shuffled", ()),
+    ("chartqa", "standard", ()),
+    ("chartqa", "shuffled", ()),
+    ("textvqa", "standard", ()),
+    ("textvqa", "standard", ("--no-logprobs",)),
+)
 
 
 def _run(*argv):
@@ -60,12 +83,38 @@ def run_stages(out: Path) -> None:
                  "--seed", SEED, "--out", out / f"analysis-{reference}-{backend}.json")
 
 
+def run_metric_stages(out: Path) -> None:
+    """Score the metrics fixture on the contexts `run_stages` wrote into `out`."""
+    config = INPUT / "metrics.json"
+    for dataset, strategy, extra in METRIC_RUNS:
+        qa = INPUT / f"qa-{dataset}.jsonl"
+        contexts = out / f"contexts-{strategy}.jsonl"
+        flags = ("--dataset", dataset, "--datasets-config", config, "--seed", SEED)
+        name = f"{dataset}-{strategy}{'-no-logprobs' if extra else ''}.jsonl"
+        _run("predict", "--qa", qa, "--contexts", contexts, "--backend", "mock-answer-key",
+             *extra, *flags, "--out", out / f"predictions-{name}")
+        _run("eval", "--qa", qa, "--predictions", out / f"predictions-{name}",
+             "--contexts", contexts, *flags, "--out", out / f"eval-{name}")
+    _run("eval", "--qa", INPUT / "qa-chartqa.jsonl",
+         "--predictions", INPUT / "predictions-chartqa-handwritten.jsonl",
+         "--contexts", out / "contexts-standard.jsonl", "--dataset", "chartqa",
+         "--datasets-config", config, "--seed", SEED,
+         "--out", out / "eval-chartqa-handwritten.jsonl")
+    analyze = ["analyze", "--seed", SEED, "--out", out / "analysis-ocrvqa-chartqa.json"]
+    for dataset in ("ocrvqa", "chartqa"):
+        analyze += ["--qa", INPUT / f"qa-{dataset}.jsonl"]
+        for strategy in ("standard", "shuffled"):
+            analyze += ["--eval", out / f"eval-{dataset}-{strategy}.jsonl"]
+    _run(*analyze)
+
+
 def _rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
 def test_stage_outputs_match_goldens(tmp_path):
     run_stages(tmp_path)
+    run_metric_stages(tmp_path)
     expected = sorted(p.name for p in EXPECTED.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     differing = [
@@ -99,3 +148,39 @@ def test_fixture_covers_its_edge_cases():
             for other in group:
                 present = other["answers"][0] in standard[record["doc_id"]]["context"]
                 assert present == (other is record)
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def test_metric_fixture_covers_its_edge_cases():
+    datasets = json.loads((INPUT / "metrics.json").read_text())["datasets"]
+    assert {name: d["metric"] for name, d in datasets.items()} == {
+        "ocrvqa": "exact_match", "chartqa": "relaxed_accuracy", "textvqa": "vqa_accuracy",
+    }
+    qa = {
+        name: [json.loads(line) for line in (INPUT / f"qa-{name}.jsonl").read_text().splitlines()]
+        for name in datasets
+    }
+    ids = [json.loads(line)["example_id"]
+           for path in INPUT.glob("qa*.jsonl") for line in path.read_text().splitlines()]
+    assert len(ids) == len(set(ids))
+    assert {"genre", "yes_no"} <= {flag for r in qa["ocrvqa"] for flag in r["flags"]}
+
+    said = {r["example_id"]: r["text"] for r in _rows(EXPECTED / "predictions-textvqa-standard.jsonl")}
+    assert any(0 < r["answers"].count(said[r["example_id"]]) < 3 for r in qa["textvqa"])
+
+    golds = {r["example_id"]: r["answers"] for r in qa["chartqa"]}
+    handwritten = _rows(INPUT / "predictions-chartqa-handwritten.jsonl")
+    assert any("error" in r for r in handwritten)
+    near = [
+        r for r in handwritten if "text" in r
+        for gold in map(_number, golds[r["example_id"]])
+        if gold is not None and _number(r["text"]) not in (None, gold)
+        and abs(_number(r["text"]) - gold) <= 0.05 * abs(gold)
+    ]
+    assert near
