@@ -18,7 +18,7 @@ from .datasets import DatasetConfig, QARecord
 from .errors import DataError
 from .jsonl import read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
-from .ordering import OrderStrategy
+from .ordering import check_strategy
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
@@ -400,11 +400,7 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     if not isinstance(dataset, str) or not dataset:
         raise DataError(f"{where}: dataset must be a non-empty string, got {dataset!r}")
     # analyze takes any strategy but "shuffled" as the dataset's reference run.
-    if strategy is not None and strategy not in OrderStrategy:
-        raise DataError(
-            f"{where}: strategy must be one of {', '.join(OrderStrategy)} or null, "
-            f"got {strategy!r}"
-        )
+    check_strategy(strategy, f"{where}:")
     n = header["n"]
     if type(n) is not int or n != len(rows):
         raise DataError(f"{where}: n is {n!r}, but the file holds {len(rows)} rows")

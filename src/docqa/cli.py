@@ -38,11 +38,12 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
 from .geometry import load_ocr_corpus
-from .jsonl import write_stage_file
+from .jsonl import read_json, write_atomically, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
     OrderStrategy,
+    check_strategy,
     load_orders,
     raster_scan_order,
     shuffled_order,
@@ -85,13 +86,7 @@ def config_digest(settings: Mapping[str, Any]) -> str:
 def load_run_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise DataError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(payload) - RUN_CONFIG_KEYS)
@@ -268,8 +263,7 @@ def _prediction(record, result) -> Prediction:
 def cmd_predict(args) -> int:
     records = load_qa(args.qa)
     _, contexts = load_contexts(args.contexts)
-    config = _dataset_config(args)
-    max_new_tokens = args.max_new_tokens or config.target_budget
+    max_new_tokens = _dataset_config(args).target_budget
     want_logprobs = not args.no_logprobs
 
     contexts_by_doc = {c.doc_id: c for c in contexts}
@@ -324,11 +318,7 @@ def cmd_eval(args) -> int:
     if "strategy" not in ctx_header:
         raise DataError(f"{args.contexts} line 1: header is missing 'strategy'")
     strategy = ctx_header["strategy"]
-    if strategy is not None and strategy not in OrderStrategy:
-        raise DataError(
-            f"{args.contexts} line 1: header strategy must be one of "
-            f"{', '.join(OrderStrategy)} or null, got {strategy!r}"
-        )
+    check_strategy(strategy, f"{args.contexts} line 1: header")
     config = _dataset_config(args)
 
     rows = evaluate_rows(records, predictions, contexts, config)
@@ -407,8 +397,7 @@ def cmd_analyze(args) -> int:
         },
     }
     out = _out_path(args, "analysis.json")
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    out.write_text(text + "\n", encoding="utf-8")
+    write_atomically(out, (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), "\n"))
     print(f"wrote analysis report to {out}")
     return EXIT_OK
 
@@ -478,10 +467,6 @@ def build_parser() -> _Parser:
     )
     predict.add_argument("--config", help="JSON file: timeout, max_attempts, backoff_base")
     predict.add_argument("--endpoint", type=_endpoint, help="completion endpoint URL")
-    predict.add_argument(
-        "--max-new-tokens", type=_positive_int,
-        help="completion budget (default: the dataset's answer budget)",
-    )
     predict.add_argument("--no-logprobs", action="store_true")
     predict.add_argument(
         "--parallelism", type=_positive_int, default=1,

@@ -10,13 +10,12 @@ records themselves, plain named tuples, do not.
 from __future__ import annotations
 
 import bisect
-import json
 import os
 import random
 from typing import Any, NamedTuple, Sequence
 
 from .errors import DataError
-from .jsonl import parse_rows, read_records
+from .jsonl import parse_rows, read_json, read_records
 from .metrics import MetricKind
 
 # The only question flags with defined behavior downstream.
@@ -85,15 +84,7 @@ def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str
     """Read a dataset config file; with no path, the bundled benchmark defaults."""
     if path is None:
         path = BUNDLED_CONFIGS
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("datasets"), dict):
         raise DataError(f"{path}: expected an object with a 'datasets' object")
     configs: dict[str, DatasetConfig] = {}

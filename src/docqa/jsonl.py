@@ -1,4 +1,5 @@
-"""Newline-delimited JSON helpers used by every file-facing module.
+"""The one place docqa opens a file: JSONL records, JSON config files, and
+atomic writes of every output.
 
 Stage files start with a provenance header line: `config_digest` (a digest
 of the stage's semantic settings, run seed included), `stage`, the seed
@@ -6,8 +7,9 @@ derived for that stage, then fields specific to the stage. Paths never enter
 the digest, so a rerun in another directory writes the same bytes. Stage
 files are read only through `read_stage_file`, which rejects a file whose
 line 1 is not such a header. Every loader turns rows into values through
-`parse_rows`, which names the file and line of a bad or repeated row. A file that is missing, cannot be opened (a
-directory, say) or is not UTF-8 is a DataError naming it.
+`parse_rows`, which names the file and line of a bad or repeated row. A file
+that is missing, cannot be opened (a directory, say), is not UTF-8 or is not
+JSON, and an output that cannot be written, is a DataError naming it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,20 @@ def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, 
         raise DataError(f"{path}: cannot read: {exc}") from exc
 
 
+def read_json(path: str | os.PathLike[str]) -> Any:
+    """The JSON value a whole file holds, such as a config file; a fault is a
+    DataError worded as read_records words it."""
+    if not os.path.exists(path):
+        raise DataError(f"file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+
+
 # Stage outputs carry a provenance header as their first line, and stage
 # readers require it; user-supplied inputs (corpus, QA) never have one.
 HEADER_KEY = "config_digest"
@@ -55,33 +71,36 @@ HEADER_KEY = "config_digest"
 _encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
+def write_atomically(path: str | os.PathLike[str], chunks: Iterable[str]) -> None:
+    """Write the `chunks` as UTF-8 to a temporary file beside `path`, which
+    then replaces it, so a failed write leaves no partial file and `path`
+    keeps what it held. An OSError becomes a DataError naming `path`; any
+    other exception, one raised while producing `chunks` included, propagates.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException as exc:
+        with suppress(OSError):  # a failed open may have left nothing to remove
+            os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+        raise
+
+
 def write_stage_file(
     path: str | os.PathLike[str],
     header: dict[str, Any],
     records: Iterable[dict[str, Any]],
 ) -> None:
-    """Write the header line, then one line per record. A nan or infinite
-    float raises ValueError: no stage may write a file that is not JSON.
-
-    The lines go to a temporary file beside `path`, which then replaces it,
-    so a failed write leaves no partial file and `path` keeps what it held.
-    A file that cannot be written is a DataError naming `path`.
-    """
+    """Write the header line, then one line per record, through
+    write_atomically. A nan or infinite float raises ValueError: no stage
+    may write a file that is not JSON."""
     if HEADER_KEY not in header:
         raise ValueError(f"stage header must carry {HEADER_KEY!r}")
-    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            for record in chain((header,), records):
-                handle.write(_encode(record))
-                handle.write("\n")
-        os.replace(temporary, path)
-    except BaseException as exc:
-        with suppress(FileNotFoundError):
-            os.remove(temporary)
-        if isinstance(exc, OSError):
-            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
-        raise
+    write_atomically(path, (_encode(record) + "\n" for record in chain((header,), records)))
 
 
 def read_stage_file(

@@ -92,17 +92,15 @@ class MockBackend:
 
     Rules: "echo_last_word" answers with the final context word, which
     makes serialization order visible in the output; "answer_key"
-    looks the (context, question) pair that serialize.parse_prompt
-    recovers from the prompt up in the answer key and answers with the
-    first of its gold answers that is a run of whole words of the context
-    (metrics.contains_words), or "unknown" when none does, imitating a
-    reader that can only copy evidence it was actually given. Keying by
-    the context as well as the question keeps two documents that ask the
-    same question apart. parse_prompt is injective on template prompts, so
-    two prompts share a key exactly when they are equal, and a key holds
-    only strings its caller already has rather than a copy of every prompt.
-    Each distinct context is normalized once and kept; two threads that
-    miss the cache together only repeat that work.
+    answers the (context, question) pair that serialize.parse_prompt
+    recovers from the prompt with the first of the pair's gold answers that
+    is a run of whole words of the context (metrics.contains_words), or
+    "unknown" when none is (or the key lacks the pair), imitating a reader
+    that can only copy evidence it was actually given. Keying by the context
+    keeps two documents that ask the same question apart; parse_prompt is
+    injective on template prompts, so two prompts share a key exactly when
+    they are equal. The answers are decided when the backend is built, each
+    distinct context normalized once, so a request is one lookup.
     """
 
     def __init__(
@@ -115,21 +113,19 @@ class MockBackend:
         if rule == "answer_key" and answer_key is None:
             raise ValueError("answer_key rule needs an answer key")
         self.rule = rule
-        self.answer_key = dict(answer_key) if answer_key is not None else {}
-        self._haystacks: dict[str, str] = {}
+        key = answer_key or {}
+        haystacks = {text: word_haystack(text) for text in {pair[0] for pair in key}}
+        self.answers = {
+            pair: next((g for g in golds if contains_words(haystacks[pair[0]], g)), "unknown")
+            for pair, golds in key.items()
+        }
 
     def _answer(self, prompt: str) -> str:
         context_text, question = parse_prompt(prompt)
         if self.rule == "echo_last_word":
             words = context_text.rsplit(None, 1)
             return words[-1] if words else ""
-        haystack = self._haystacks.get(context_text)
-        if haystack is None:
-            haystack = self._haystacks[context_text] = word_haystack(context_text)
-        for gold in self.answer_key.get((context_text, question), ()):
-            if contains_words(haystack, gold):
-                return gold
-        return "unknown"
+        return self.answers.get((context_text, question), "unknown")
 
     def complete(self, request: InferenceRequest) -> InferenceResponse:
         pieces = _pieces(self._answer(request.prompt))

@@ -48,6 +48,14 @@ from .jsonl import read_stage_file
 OrderStrategy = ("standard", "raster_scan", "shuffled")
 
 
+def check_strategy(strategy: Any, where: str) -> None:
+    """Refuse a stage header's `strategy` unless it is one of OrderStrategy
+    or null (inputs of mixed strategies); the DataError starts with `where`."""
+    if strategy is not None and strategy not in OrderStrategy:
+        choices = ", ".join(OrderStrategy)
+        raise DataError(f"{where} strategy must be one of {choices} or null, got {strategy!r}")
+
+
 class ReadingOrder(NamedTuple):
     """A permutation of word indices plus the recipe (one of OrderStrategy,
     and its parameters) that produced it."""

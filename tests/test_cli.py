@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import json
 import math
@@ -565,7 +566,7 @@ def unreadable_input_argv(flag, bad, bench, paths):
 
 
 class TestBadInputFiles:
-    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing", "not json"])
     @pytest.mark.parametrize(
         "flag", ["--corpus", "--orders", "--qa", "--datasets-config", "--config"]
     )
@@ -574,8 +575,10 @@ class TestBadInputFiles:
         bad = bench["dir"] / "bad-input"
         if kind == "directory":
             bad.mkdir()
-        else:
+        elif kind == "not utf-8":
             bad.write_bytes(b'\xff{"doc_id": "x"}\n')
+        elif kind == "not json":
+            bad.write_text("timeout = 3\n")
         out = bench["dir"] / "out.jsonl"
         capsys.readouterr()
         assert run(*unreadable_input_argv(flag, bad, bench, paths), "--out", out) == 2
@@ -583,6 +586,24 @@ class TestBadInputFiles:
         assert err.startswith("error: ") and str(bad) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--datasets-config", "--config"])
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "file not found: {bad}"),
+        ("not json", "{bad}: invalid JSON: Expecting value"),
+    ])
+    def test_config_file_faults_read_as_every_other_input(
+        self, bench, capsys, flag, kind, message
+    ):
+        # --config used to have its own reader, worded apart from the others.
+        paths = run_pipeline(bench)
+        bad = bench["dir"] / "bad-config.json"
+        if kind == "not json":
+            bad.write_text("timeout = 3\n")
+        capsys.readouterr()
+        argv = unreadable_input_argv(flag, bad, bench, paths)
+        assert run(*argv, "--out", bench["dir"] / "out.jsonl") == 2
+        assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
 
     def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"
@@ -783,7 +804,7 @@ class TestFlagScope:
             "order": ["--corpus", "--strategy", "--threshold-factor"],
             "serialize": ["--budget", "--corpus", "--orders", *datasets],
             "predict": ["--backend", "--config", "--contexts", *datasets, "--endpoint",
-                        "--max-new-tokens", "--no-logprobs", "--parallelism", "--qa"],
+                        "--no-logprobs", "--parallelism", "--qa"],
             "eval": ["--contexts", *datasets, "--predictions", "--qa"],
             "analyze": ["--eval", "--qa"],
             "sample": ["--datasets", "--draws", "--strategy"],
@@ -806,6 +827,43 @@ class TestAnalyzeCommand:
                    "--eval", standard["evals"], "--eval", shuffled["evals"],
                    "--out", out, *extra)
         return code, out
+
+    # The golden fixture's reference and shuffled runs; analyze over them at
+    # seed 7 writes golden/expected/analysis-standard-mock-answer-key.json.
+    GOLDEN_RUNS = (
+        "--qa", GOLDEN / "input" / "qa.jsonl",
+        "--eval", GOLDEN / "expected" / "eval-standard-mock-answer-key.jsonl",
+        "--eval", GOLDEN / "expected" / "eval-shuffled-mock-answer-key.jsonl",
+    )
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_an_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, target):
+        # analyze used to write its report in place, and both of these ended
+        # in a traceback.
+        out, reason = tmp_path / "missing" / "a.json", "No such file or directory"
+        if target == "directory":
+            out, reason = tmp_path / "taken", "Is a directory"
+            out.mkdir()
+        assert run("analyze", *self.GOLDEN_RUNS, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {out}: cannot write: {reason}\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_a_failed_write_keeps_the_existing_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "analysis.json"
+        assert run("analyze", *self.GOLDEN_RUNS, "--seed", 7, "--out", out) == 0
+        before = out.read_bytes()
+        assert before == (GOLDEN / "expected" / "analysis-standard-mock-answer-key.json").read_bytes()
+
+        def refuse(source, target):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        capsys.readouterr()
+        # Another seed, so the report that failed to land differs from it.
+        assert run("analyze", *self.GOLDEN_RUNS, "--seed", 8, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {out}: cannot write: {os.strerror(errno.EXDEV)}\n"
+        assert out.read_bytes() == before
+        assert os.listdir(tmp_path) == ["analysis.json"]
 
     def test_report_has_exactly_four_keys(self, bench):
         code, out = self.analyze(bench)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import pytest
 
 from docqa.errors import DataError
-from docqa.jsonl import parse_rows, read_stage_file, write_stage_file
+from docqa.jsonl import parse_rows, read_json, read_stage_file, write_atomically, write_stage_file
 
 
 class Row:
@@ -35,6 +36,33 @@ class TestParseRows:
         with pytest.raises(DataError, match=r"^f\.jsonl line 3: duplicate row_id 'a'$"):
             parse_rows("f.jsonl", rows, Row, "row_id")
 
+
+
+class TestReadJson:
+    def test_returns_the_whole_value(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"a": [1, 2.5, null]}\n', encoding="utf-8")
+        assert read_json(path) == {"a": [1, 2.5, None]}
+        path.write_text("[1]", encoding="utf-8")
+        assert read_json(path) == [1]
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "file not found: {path}"),
+        (b"{oops", "{path}: invalid JSON: Expecting property name enclosed in double quotes"),
+        (b"", "{path}: invalid JSON: Expecting value"),
+        (b'\xff{"a": 1}', "{path}: cannot read: 'utf-8' codec can't decode"),
+    ], ids=["missing", "not json", "empty", "not utf-8"])
+    def test_faults_are_worded_as_read_records_words_them(self, tmp_path, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError) as caught:
+            read_json(path)
+        assert str(caught.value).startswith(message.format(path=path))
+
+    def test_a_directory_cannot_be_read(self, tmp_path):
+        with pytest.raises(DataError, match=rf"^{tmp_path}: cannot read: "):
+            read_json(tmp_path)
 
 
 class TestReadStageFile:
@@ -119,6 +147,7 @@ class TestWriteStageFile:
             write_stage_file(directory, self.HEADER, [])
         assert os.listdir(tmp_path) == ["taken"] and os.listdir(directory) == []
 
+
     def test_a_failed_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "stage.jsonl"
         write_stage_file(path, self.HEADER, [{"id": "old"}])
@@ -127,3 +156,35 @@ class TestWriteStageFile:
             write_stage_file(path, self.HEADER, [{"id": "new", "score": math.inf}])
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["stage.jsonl"]
+
+
+class TestWriteAtomically:
+    def test_writes_the_chunks_in_order(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n", encoding="utf-8")
+        write_atomically(path, ("{\n", '  "é": 1\n', "}", "\n"))
+        assert path.read_bytes() == '{\n  "é": 1\n}\n'.encode("utf-8")
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_a_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old\n", encoding="utf-8")
+
+        def refuse(source, target):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(DataError, match=rf"^{path}: cannot write: Invalid cross-device link$"):
+            write_atomically(path, ("new\n",))
+        assert os.listdir(tmp_path) == ["report.json"]
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_a_directory_in_the_temporary_files_place_is_reported_and_kept(self, tmp_path):
+        # Removing the temporary file used to raise on it, so the error that
+        # escaped was that removal's, as a traceback.
+        path = tmp_path / "report.json"
+        squatter = tmp_path / f"report.json.{os.getpid()}.tmp"
+        squatter.mkdir()
+        with pytest.raises(DataError, match=rf"^{path}: cannot write: Is a directory$"):
+            write_atomically(path, ("new\n",))
+        assert sorted(os.listdir(tmp_path)) == [squatter.name]

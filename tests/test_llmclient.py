@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_dataset_config, write_records
-from docqa import cli
+from docqa import cli, llmclient
 from docqa.analysis import load_predictions, reading_order_perplexity
 from docqa.errors import EndpointError
 from docqa.llmclient import (
@@ -134,6 +135,33 @@ class TestMockAnswerKey:
         backend = MockBackend(rule="answer_key", answer_key=key)
         assert backend.complete(request_for("total due 42", "total?")).text == "42"
         assert backend.complete(request_for("total due 17", "total?")).text == "17"
+
+    def test_keeps_no_copy_of_a_context_after_answering(self):
+        # The mock used to normalize each context on its first request and
+        # keep the result, keyed by a copy of the context sliced out of that
+        # prompt: two more copies of every page for the whole run. Now every
+        # answer is decided when the mock is built. Only what docqa's own
+        # lines allocated counts; the interpreter keeps freed tuples on its
+        # free lists, which tracemalloc still sees.
+        contexts = [" ".join(f"p{page}w{i}" for i in range(1000)) for page in range(20)]
+        key = {
+            (text, f"question {q}?"): ("absent", f"p{page}w{q * 7}")
+            for page, text in enumerate(contexts) for q in range(20)
+        }
+        requests = [request_for(text, question) for text, question in key]
+        golds = [answers[1] for answers in key.values()]
+        tracemalloc.start()
+        try:
+            backend = MockBackend(rule="answer_key", answer_key=key)
+            right = sum(backend.complete(r).text == g for r, g in zip(requests, golds))
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        docqa_lines = tracemalloc.Filter(True, str(Path(llmclient.__file__).parent / "*"))
+        held = sum(s.size for s in snapshot.filter_traces([docqa_lines]).statistics("filename"))
+        assert right == len(requests) == 400
+        context_chars = sum(map(len, contexts))
+        assert held < context_chars / 4, (held, context_chars)
 
     def test_rule_name_validated(self):
         with pytest.raises(ValueError, match="rule"):
