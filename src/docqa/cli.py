@@ -397,7 +397,7 @@ def cmd_analyze(args) -> int:
         },
     }
     out = _out_path(args, "analysis.json")
-    write_atomically(out, (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), "\n"))
+    write_atomically(out, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
     print(f"wrote analysis report to {out}")
     return EXIT_OK
 

@@ -71,16 +71,19 @@ HEADER_KEY = "config_digest"
 _encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
-def write_atomically(path: str | os.PathLike[str], chunks: Iterable[str]) -> None:
-    """Write the `chunks` as UTF-8 to a temporary file beside `path`, which
-    then replaces it, so a failed write leaves no partial file and `path`
-    keeps what it held. An OSError becomes a DataError naming `path`; any
-    other exception, one raised while producing `chunks` included, propagates.
+def write_atomically(path: str | os.PathLike[str], lines: Iterable[str]) -> None:
+    """Write each of `lines`, then a newline, as UTF-8 to a temporary file
+    beside `path`, which then replaces it, so a failed write leaves no
+    partial file and `path` keeps what it held. An OSError becomes a
+    DataError naming `path`; any other exception, one raised while producing
+    `lines` included, propagates.
     """
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            for line in lines:
+                handle.write(line)
+                handle.write("\n")
         os.replace(temporary, path)
     except BaseException as exc:
         with suppress(OSError):  # a failed open may have left nothing to remove
@@ -100,7 +103,7 @@ def write_stage_file(
     may write a file that is not JSON."""
     if HEADER_KEY not in header:
         raise ValueError(f"stage header must carry {HEADER_KEY!r}")
-    write_atomically(path, (_encode(record) + "\n" for record in chain((header,), records)))
+    write_atomically(path, map(_encode, chain((header,), records)))
 
 
 def read_stage_file(

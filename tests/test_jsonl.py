@@ -159,11 +159,11 @@ class TestWriteStageFile:
 
 
 class TestWriteAtomically:
-    def test_writes_the_chunks_in_order(self, tmp_path):
+    def test_writes_each_line_then_a_newline(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("old\n", encoding="utf-8")
-        write_atomically(path, ("{\n", '  "é": 1\n', "}", "\n"))
-        assert path.read_bytes() == '{\n  "é": 1\n}\n'.encode("utf-8")
+        write_atomically(path, ['{\n  "é": 1\n}', ""])
+        assert path.read_bytes() == '{\n  "é": 1\n}\n\n'.encode("utf-8")
         assert os.listdir(tmp_path) == ["report.json"]
 
     def test_a_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
@@ -175,7 +175,7 @@ class TestWriteAtomically:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(DataError, match=rf"^{path}: cannot write: Invalid cross-device link$"):
-            write_atomically(path, ("new\n",))
+            write_atomically(path, ["new"])
         assert os.listdir(tmp_path) == ["report.json"]
         assert path.read_text(encoding="utf-8") == "old\n"
 
@@ -186,5 +186,5 @@ class TestWriteAtomically:
         squatter = tmp_path / f"report.json.{os.getpid()}.tmp"
         squatter.mkdir()
         with pytest.raises(DataError, match=rf"^{path}: cannot write: Is a directory$"):
-            write_atomically(path, ("new\n",))
+            write_atomically(path, ["new"])
         assert sorted(os.listdir(tmp_path)) == [squatter.name]
