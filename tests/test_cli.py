@@ -839,16 +839,18 @@ class TestAnalyzeCommand:
         out = tmp_path / "analysis.json"
         assert run("analyze", *self.GOLDEN_RUNS, "--seed", 7, "--out", out) == 0
         before = out.read_bytes()
-        assert before == (GOLDEN / "expected" / "analysis-standard-mock-answer-key.json").read_bytes()
+        golden = GOLDEN / "expected" / "analysis-standard-mock-answer-key.json"
+        assert before == golden.read_bytes()
+        reason = os.strerror(errno.EXDEV)
 
         def refuse(source, target):
-            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            raise OSError(errno.EXDEV, reason)
 
         monkeypatch.setattr(os, "replace", refuse)
         capsys.readouterr()
         # Another seed, so the report that failed to land differs from it.
         assert run("analyze", *self.GOLDEN_RUNS, "--seed", 8, "--out", out) == 2
-        assert capsys.readouterr().err == f"error: {out}: cannot write: {os.strerror(errno.EXDEV)}\n"
+        assert capsys.readouterr().err == f"error: {out}: cannot write: {reason}\n"
         assert out.read_bytes() == before
         assert os.listdir(tmp_path) == ["analysis.json"]
 

@@ -171,7 +171,8 @@ def test_metric_fixture_covers_its_edge_cases():
     assert len(ids) == len(set(ids))
     assert {"genre", "yes_no"} <= {flag for r in qa["ocrvqa"] for flag in r["flags"]}
 
-    said = {r["example_id"]: r["text"] for r in _rows(EXPECTED / "predictions-textvqa-standard.jsonl")}
+    predictions = _rows(EXPECTED / "predictions-textvqa-standard.jsonl")
+    said = {r["example_id"]: r["text"] for r in predictions}
     assert any(0 < r["answers"].count(said[r["example_id"]]) < 3 for r in qa["textvqa"])
 
     golds = {r["example_id"]: r["answers"] for r in qa["chartqa"]}
