@@ -12,10 +12,15 @@ The fixture in tests/golden/input is three reading-ordered documents:
 
 The pipeline runs order, serialize, predict and eval for every strategy
 with both mock backends, then analyze per backend and reference strategy.
+It also orders the corpus by raster scan at a line threshold factor of 4.0,
+whose 48-point tolerance for 12-point words merges rows 30 points apart
+(every factor from 0.1 to 2.0 gives the default's order), and draws a
+training schedule with each mixture kind over two datasets of unequal size.
 
 A second config, input/metrics.json, holds one dataset per remaining metric,
-each with its own QA file over the same corpus, run on the standard and
-shuffled contexts with the answer-key mock:
+each with its own QA file over the same corpus. Each dataset serializes the
+standard and shuffled orders with the budget its config gives, and is
+predicted with the answer-key mock:
 
 - ocrvqa (exact_match) has a genre question, which its answer-presence
   report must drop, and a yes/no question;
@@ -41,6 +46,11 @@ STRATEGIES = ("standard", "raster_scan", "shuffled")
 BACKENDS = ("mock-echo", "mock-answer-key")
 BUDGET = 19
 SEED = 7
+THRESHOLD_FACTOR = 4.0
+# Dataset sizes for the sample runs: under the normalized mixture the larger
+# one is drawn far more often than under the uniform one.
+SAMPLE_SIZES = ("small=3", "large=40")
+SAMPLE_DRAWS = 12
 # The metrics fixture's predict and eval runs: (dataset, contexts strategy,
 # extra predict flags).
 METRIC_RUNS = (
@@ -81,15 +91,25 @@ def run_stages(out: Path) -> None:
                  "--eval", out / f"eval-{reference}-{backend}.jsonl",
                  "--eval", out / f"eval-shuffled-{backend}.jsonl",
                  "--seed", SEED, "--out", out / f"analysis-{reference}-{backend}.json")
+    _run("order", "--corpus", corpus, "--strategy", "raster_scan",
+         "--threshold-factor", THRESHOLD_FACTOR, "--seed", SEED,
+         "--out", out / f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl")
+    sizes = [flag for size in SAMPLE_SIZES for flag in ("--datasets", size)]
+    for kind in ("uniform", "normalized"):
+        _run("sample", *sizes, "--strategy", kind, "--draws", SAMPLE_DRAWS, "--seed", SEED,
+             "--out", out / f"schedule-{kind}.jsonl")
 
 
 def run_metric_stages(out: Path) -> None:
-    """Score the metrics fixture on the contexts `run_stages` wrote into `out`."""
+    """Score the metrics fixture on the orders `run_stages` wrote into `out`."""
     config = INPUT / "metrics.json"
     for dataset, strategy, extra in METRIC_RUNS:
         qa = INPUT / f"qa-{dataset}.jsonl"
-        contexts = out / f"contexts-{strategy}.jsonl"
+        contexts = out / f"contexts-{dataset}-{strategy}.jsonl"
         flags = ("--dataset", dataset, "--datasets-config", config, "--seed", SEED)
+        if not contexts.exists():
+            _run("serialize", "--corpus", INPUT / "corpus.jsonl",
+                 "--orders", out / f"orders-{strategy}.jsonl", *flags, "--out", contexts)
         name = f"{dataset}-{strategy}{'-no-logprobs' if extra else ''}.jsonl"
         _run("predict", "--qa", qa, "--contexts", contexts, "--backend", "mock-answer-key",
              *extra, *flags, "--out", out / f"predictions-{name}")
@@ -97,7 +117,7 @@ def run_metric_stages(out: Path) -> None:
              "--contexts", contexts, *flags, "--out", out / f"eval-{name}")
     _run("eval", "--qa", INPUT / "qa-chartqa.jsonl",
          "--predictions", INPUT / "predictions-chartqa-handwritten.jsonl",
-         "--contexts", out / "contexts-standard.jsonl", "--dataset", "chartqa",
+         "--contexts", out / "contexts-chartqa-standard.jsonl", "--dataset", "chartqa",
          "--datasets-config", config, "--seed", SEED,
          "--out", out / "eval-chartqa-handwritten.jsonl")
     analyze = ["analyze", "--seed", SEED, "--out", out / "analysis-ocrvqa-chartqa.json"]
@@ -137,6 +157,15 @@ def test_fixture_covers_its_edge_cases():
     assert any(r["token_count"] < words_per_doc[d] for d, r in standard.items())
     assert all(r["token_count"] <= BUDGET for r in standard.values())
 
+    def permutations(name):
+        return [r["permutation"] for r in _rows(EXPECTED / name)]
+    assert permutations(f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl") != permutations(
+        "orders-raster_scan.jsonl")
+
+    def draws_of_large(kind):
+        return sum(r["dataset"] == "large" for r in _rows(EXPECTED / f"schedule-{kind}.jsonl"))
+    assert draws_of_large("uniform") < draws_of_large("normalized")
+
     records = [json.loads(line) for line in (INPUT / "qa.jsonl").read_text().splitlines()]
     by_question = {}
     for record in records:
@@ -170,6 +199,12 @@ def test_metric_fixture_covers_its_edge_cases():
            for path in INPUT.glob("qa*.jsonl") for line in path.read_text().splitlines()]
     assert len(ids) == len(set(ids))
     assert {"genre", "yes_no"} <= {flag for r in qa["ocrvqa"] for flag in r["flags"]}
+
+    for dataset, strategy, _ in METRIC_RUNS:
+        contexts = EXPECTED / f"contexts-{dataset}-{strategy}.jsonl"
+        header = json.loads(contexts.read_text().splitlines()[0])
+        assert (header["dataset"], header["budget"]) == (dataset, BUDGET)
+        assert _rows(contexts) == _rows(EXPECTED / f"contexts-{strategy}.jsonl")
 
     predictions = _rows(EXPECTED / "predictions-textvqa-standard.jsonl")
     said = {r["example_id"]: r["text"] for r in predictions}
