@@ -191,9 +191,7 @@ def cmd_order(args) -> int:
 def cmd_serialize(args) -> int:
     docs = load_ocr_corpus(args.corpus)
     _, orders = load_orders(args.orders)
-    budget = args.budget
-    if budget is None and args.dataset is not None:
-        budget = _dataset_config(args).context_budget
+    budget = _dataset_config(args).context_budget
 
     corpus_ids = {doc.doc_id for doc in docs}
     order_by_doc = {order.doc_id: order for order in orders}
@@ -207,8 +205,7 @@ def cmd_serialize(args) -> int:
     contexts = []
     for doc in docs:
         ctx = build_context(doc, order_by_doc[doc.doc_id])
-        if budget is not None:
-            ctx = truncate_context(ctx, budget)
+        ctx = truncate_context(ctx, budget)
         contexts.append(ctx)
 
     strategies = sorted({o.strategy for o in orders})
@@ -448,10 +445,8 @@ def build_parser() -> _Parser:
     serialize_cmd.add_argument("--corpus", required=True)
     serialize_cmd.add_argument("--orders", required=True)
     serialize_cmd.add_argument(
-        "--budget", type=_positive_int,
-        help="context token budget (default: the dataset's budget)",
+        "--dataset", required=True, help="dataset whose context_budget cuts each context"
     )
-    serialize_cmd.add_argument("--dataset", help="dataset whose budget applies")
     serialize_cmd.add_argument("--datasets-config", help="dataset config JSON override")
     serialize_cmd.set_defaults(func=cmd_serialize)
 

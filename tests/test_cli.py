@@ -67,6 +67,13 @@ def bench(tmp_path):
     }
 
 
+def budget_flags(bench, budget):
+    """serialize flags that cut the toy dataset's contexts to `budget` tokens."""
+    config = write_dataset_config(bench["dir"] / f"budget-{budget}.json", ["toy"],
+                                  context_budget=budget)
+    return ("--dataset", "toy", "--datasets-config", config)
+
+
 def run_pipeline(bench, strategy="standard", seed=7, suffix=""):
     """order -> serialize -> predict(mock) -> eval; returns the file paths."""
     d = bench["dir"]
@@ -197,8 +204,21 @@ class TestSerializeCommand:
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", orders)
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
-                   "--budget", 5, "--out", contexts) == 0
-        assert all(c.token_count <= 5 for c in load_contexts(contexts)[1])
+                   *budget_flags(bench, 5), "--out", contexts) == 0
+        header, loaded = load_contexts(contexts)
+        assert all(c.token_count <= 5 for c in loaded)
+        assert any(c.token_count < len(doc["words"]) for c, doc in zip(loaded, bench["docs"]))
+        assert (header["dataset"], header["budget"]) == ("toy", 5)
+
+    def test_dataset_is_required(self, bench, capsys):
+        orders = bench["dir"] / "orders.jsonl"
+        contexts = bench["dir"] / "contexts.jsonl"
+        run("order", "--corpus", bench["corpus"], "--strategy", "standard",
+            "--out", orders)
+        assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
+                   "--datasets-config", bench["config"], "--out", contexts) == 1
+        assert "the following arguments are required: --dataset" in capsys.readouterr().err
+        assert not contexts.exists()
 
     def test_doc_mismatch_exits_2(self, bench, capsys):
         docs, _ = toy_benchmark("other", n_docs=1, words_per_doc=4)
@@ -208,7 +228,7 @@ class TestSerializeCommand:
         run("order", "--corpus", other_corpus, "--strategy", "standard",
             "--out", orders)
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
-                   "--budget", 5) == 2
+                   *budget_flags(bench, 5)) == 2
         assert "other-d0" in capsys.readouterr().err
 
     def test_non_integer_permutation_exits_2(self, bench, capsys):
@@ -220,7 +240,7 @@ class TestSerializeCommand:
         records[1]["permutation"] = [i + 0.7 for i in records[1]["permutation"]]
         write_records(orders, [header, *records])
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
-                   "--budget", 5) == 2
+                   *budget_flags(bench, 5)) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "non-integer entry 0.7" in err
 
@@ -255,7 +275,8 @@ class TestPredictCommand:
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", d / "orders.jsonl")
         run("serialize", "--corpus", bench["corpus"], "--orders", d / "orders.jsonl",
-            "--budget", 1024, "--out", d / "contexts.jsonl")
+            "--dataset", "toy", "--datasets-config", bench["config"],
+            "--out", d / "contexts.jsonl")
         assert run("predict", "--qa", bench["qa"], "--contexts", d / "contexts.jsonl",
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "mock-echo", "--out", d / "pred.jsonl") == 0
@@ -339,7 +360,8 @@ class TestPredictCommand:
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", d / "orders.jsonl")
         run("serialize", "--corpus", bench["corpus"], "--orders", d / "orders.jsonl",
-            "--budget", 1024, "--out", d / "contexts.jsonl")
+            "--dataset", "toy", "--datasets-config", bench["config"],
+            "--out", d / "contexts.jsonl")
         run("predict", "--qa", bench["qa"], "--contexts", d / "contexts.jsonl",
             "--dataset", "toy", "--datasets-config", bench["config"],
             "--backend", "mock-echo", "--no-logprobs", "--out", d / "pred.jsonl")
@@ -358,7 +380,8 @@ class TestPredictCommand:
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", d / "orders.jsonl")
         run("serialize", "--corpus", bench["corpus"], "--orders", d / "orders.jsonl",
-            "--budget", 1024, "--out", d / "contexts.jsonl")
+            "--dataset", "toy", "--datasets-config", bench["config"],
+            "--out", d / "contexts.jsonl")
         (d / "run-config.json").write_text('{"max_attempts": 1}')
         code = run("predict", "--qa", bench["qa"], "--contexts", d / "contexts.jsonl",
                    "--dataset", "toy", "--datasets-config", bench["config"],
@@ -377,7 +400,8 @@ class TestPredictCommand:
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", d / "orders.jsonl")
         run("serialize", "--corpus", bench["corpus"], "--orders", d / "orders.jsonl",
-            "--budget", 1024, "--out", d / "contexts.jsonl")
+            "--dataset", "toy", "--datasets-config", bench["config"],
+            "--out", d / "contexts.jsonl")
         assert run("predict", "--qa", bench["qa"], "--contexts", d / "contexts.jsonl",
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "http", "--out", d / "pred.jsonl") == 1
@@ -554,7 +578,8 @@ def unreadable_input_argv(flag, bad, bench, paths):
     predict = ["predict", "--contexts", paths["contexts"], "--dataset", "toy"]
     return {
         "--corpus": ["order", "--corpus", bad, "--strategy", "standard"],
-        "--orders": ["serialize", "--corpus", bench["corpus"], "--orders", bad, "--budget", 5],
+        "--orders": ["serialize", "--corpus", bench["corpus"], "--orders", bad,
+                     *budget_flags(bench, 5)],
         "--qa": [*predict, "--qa", bad, "--datasets-config", bench["config"],
                  "--backend", "mock-echo"],
         "--datasets-config": [*predict, "--qa", bench["qa"], "--datasets-config", bad,
@@ -599,7 +624,7 @@ class TestBadInputFiles:
             {"doc_id": ["toy-d0"], "strategy": "standard", "permutation": list(range(8))},
         ])
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
-                   "--budget", 5, "--out", bench["dir"] / "contexts.jsonl") == 2
+                   *budget_flags(bench, 5), "--out", bench["dir"] / "contexts.jsonl") == 2
         assert capsys.readouterr().err == (
             f"error: {orders} line 2: doc_id must be a non-empty string, got ['toy-d0']\n"
         )
@@ -658,7 +683,7 @@ def stage_input_argv(consumer, bad):
     dataset = ["--dataset", "golden", "--datasets-config", GOLDEN / "input" / "benchmarks.json"]
     return {
         "orders to serialize": ["serialize", "--corpus", GOLDEN / "input" / "corpus.jsonl",
-                                "--orders", bad, "--budget", 19],
+                                "--orders", bad, *dataset],
         "contexts to predict": ["predict", "--qa", qa, "--contexts", bad, *dataset,
                                 "--backend", "mock-echo"],
         "contexts to eval": ["eval", "--qa", qa, "--contexts", bad, *dataset,
@@ -773,6 +798,8 @@ class TestFlagScope:
         ("predict", "--qa", "q.jsonl", "--contexts", "c.jsonl", "--dataset", "toy",
          "--endpoint", "http://127.0.0.1:9/c", "--max-attempts", 1),
         ("analyze", "--qa", "q.jsonl", "--eval", "e.jsonl", "--no-perplexity"),
+        ("serialize", "--corpus", "c.jsonl", "--orders", "o.jsonl", "--dataset", "toy",
+         "--budget", 5),
     ])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         assert run(*argv) == 1
@@ -789,7 +816,7 @@ class TestFlagScope:
         datasets = ["--dataset", "--datasets-config"]
         expected = {
             "order": ["--corpus", "--strategy", "--threshold-factor"],
-            "serialize": ["--budget", "--corpus", "--orders", *datasets],
+            "serialize": ["--corpus", "--orders", *datasets],
             "predict": ["--backend", "--config", "--contexts", *datasets, "--endpoint",
                         "--no-logprobs", "--parallelism", "--qa"],
             "eval": ["--contexts", *datasets, "--predictions", "--qa"],
@@ -1081,7 +1108,8 @@ class TestAnalyzeCommand:
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
             "--out", d / "orders.jsonl")
         run("serialize", "--corpus", bench["corpus"], "--orders", d / "orders.jsonl",
-            "--budget", 1024, "--out", d / "contexts.jsonl")
+            "--dataset", "toy", "--datasets-config", bench["config"],
+            "--out", d / "contexts.jsonl")
         run("predict", "--qa", bench["qa"], "--contexts", d / "contexts.jsonl",
             "--dataset", "toy", "--datasets-config", bench["config"],
             "--backend", "mock-echo", "--no-logprobs", "--out", d / "pred.jsonl")
@@ -1295,7 +1323,7 @@ def cyclic_garbage_per_command(corpus, qa, d):
         ["order", "--corpus", corpus, "--strategy", "raster_scan",
          "--out", d / "orders.jsonl"],
         ["serialize", "--corpus", corpus, "--orders", d / "orders.jsonl",
-         "--budget", 19, *dataset, "--out", d / "contexts.jsonl"],
+         *dataset, "--out", d / "contexts.jsonl"],
         ["predict", "--qa", qa, "--contexts", d / "contexts.jsonl",
          "--backend", "mock-answer-key", *dataset, "--out", d / "predictions.jsonl"],
         ["eval", "--qa", qa, "--predictions", d / "predictions.jsonl",

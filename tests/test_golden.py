@@ -77,8 +77,8 @@ def run_stages(out: Path) -> None:
         contexts = out / f"contexts-{strategy}.jsonl"
         _run("order", "--corpus", corpus, "--strategy", strategy, "--seed", SEED,
              "--out", orders)
-        _run("serialize", "--corpus", corpus, "--orders", orders, "--budget", BUDGET,
-             *dataset, "--out", contexts)
+        _run("serialize", "--corpus", corpus, "--orders", orders, *dataset,
+             "--out", contexts)
         for backend in BACKENDS:
             predictions = out / f"predictions-{strategy}-{backend}.jsonl"
             _run("predict", "--qa", qa, "--contexts", contexts, "--backend", backend,
@@ -156,6 +156,8 @@ def test_fixture_covers_its_edge_cases():
                      for doc in docs}
     assert any(r["token_count"] < words_per_doc[d] for d, r in standard.items())
     assert all(r["token_count"] <= BUDGET for r in standard.values())
+    config = json.loads((INPUT / "benchmarks.json").read_text())
+    assert config["datasets"]["golden"]["context_budget"] == BUDGET
 
     def permutations(name):
         return [r["permutation"] for r in _rows(EXPECTED / name)]
