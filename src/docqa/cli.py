@@ -153,6 +153,18 @@ def _dataset_config(args):
     return configs[args.dataset]
 
 
+def _check_header(path, header, **expected) -> None:
+    """Refuse a stage input whose header was written for another dataset or
+    budget than this run's."""
+    found = {key: header.get(key) for key in expected}
+    if found != expected:
+        def show(fields):
+            return ", ".join(f"{key} {value!r}" for key, value in fields.items())
+        raise DataError(
+            f"{path} line 1: header has {show(found)}, this run needs {show(expected)}"
+        )
+
+
 def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
     """Write a stage file whose header digests the run seed plus `settings`."""
     out = _out_path(args, default_name)
@@ -259,8 +271,10 @@ def _prediction(record, result) -> Prediction:
 
 def cmd_predict(args) -> int:
     records = load_qa(args.qa)
-    _, contexts = load_contexts(args.contexts)
-    max_new_tokens = _dataset_config(args).target_budget
+    ctx_header, contexts = load_contexts(args.contexts)
+    config = _dataset_config(args)
+    _check_header(args.contexts, ctx_header, dataset=args.dataset, budget=config.context_budget)
+    max_new_tokens = config.target_budget
     want_logprobs = not args.no_logprobs
 
     contexts_by_doc = {c.doc_id: c for c in contexts}
@@ -309,7 +323,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     records = load_qa(args.qa)
-    _, predictions = load_predictions(args.predictions)
+    pred_header, predictions = load_predictions(args.predictions)
     ctx_header, contexts = load_contexts(args.contexts)
     # analyze tells reference runs from shuffled ones by this field alone.
     if "strategy" not in ctx_header:
@@ -317,6 +331,8 @@ def cmd_eval(args) -> int:
     strategy = ctx_header["strategy"]
     check_strategy(strategy, f"{args.contexts} line 1: header")
     config = _dataset_config(args)
+    _check_header(args.predictions, pred_header, dataset=args.dataset)
+    _check_header(args.contexts, ctx_header, dataset=args.dataset, budget=config.context_budget)
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
@@ -454,7 +470,7 @@ def build_parser() -> _Parser:
         "predict", parents=[common], help="run contexts and questions through a model"
     )
     predict.add_argument("--qa", required=True)
-    predict.add_argument("--contexts", required=True)
+    predict.add_argument("--contexts", required=True, help="contexts serialized for --dataset")
     predict.add_argument("--dataset", required=True)
     predict.add_argument("--datasets-config")
     predict.add_argument(
@@ -473,8 +489,8 @@ def build_parser() -> _Parser:
         "eval", parents=[common], help="score predictions with the dataset metric"
     )
     eval_cmd.add_argument("--qa", required=True)
-    eval_cmd.add_argument("--predictions", required=True)
-    eval_cmd.add_argument("--contexts", required=True)
+    eval_cmd.add_argument("--predictions", required=True, help="predictions for --dataset")
+    eval_cmd.add_argument("--contexts", required=True, help="contexts serialized for --dataset")
     eval_cmd.add_argument("--dataset", required=True)
     eval_cmd.add_argument("--datasets-config")
     eval_cmd.set_defaults(func=cmd_eval)

@@ -775,6 +775,87 @@ class TestStageHeaders:
         assert stage_records(evals)[0]["strategy"] is None
 
 
+def metric_argv(command, dataset, contexts, predictions=None, config=None):
+    """`command` over the metrics fixture's `dataset`, reading `contexts`
+    (and, for eval, `predictions`) from golden/expected."""
+    expected = GOLDEN / "expected"
+    argv = [command, "--qa", GOLDEN / "input" / f"qa-{dataset}.jsonl",
+            "--contexts", expected / contexts, "--dataset", dataset,
+            "--datasets-config", config or GOLDEN / "input" / "metrics.json"]
+    if command == "predict":
+        return [*argv, "--backend", "mock-answer-key"]
+    return [*argv, "--predictions", expected / predictions]
+
+
+class TestInputsMadeForTheDataset:
+    # predict and eval used to take any contexts file: the metrics fixture's
+    # ocrvqa, chartqa and textvqa runs were scored over the golden dataset's
+    # contexts, and every command exited 0.
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_contexts_of_another_dataset_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out.jsonl"
+        argv = metric_argv(command, "ocrvqa", "contexts-standard.jsonl",
+                           "predictions-ocrvqa-standard.jsonl")
+        assert run(*argv, "--out", out) == 2
+        contexts = GOLDEN / "expected" / "contexts-standard.jsonl"
+        assert capsys.readouterr() == ("", (
+            f"error: {contexts} line 1: header has dataset 'golden', budget 19, "
+            "this run needs dataset 'ocrvqa', budget 19\n"
+        ))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_contexts_cut_to_another_budget_exit_2(self, tmp_path, capsys, command):
+        config = write_dataset_config(tmp_path / "metrics.json", ["ocrvqa"],
+                                      context_budget=128)
+        out = tmp_path / "out.jsonl"
+        argv = metric_argv(command, "ocrvqa", "contexts-ocrvqa-standard.jsonl",
+                           "predictions-ocrvqa-standard.jsonl", config)
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("line 1: header has dataset 'ocrvqa', budget 19, "
+                            "this run needs dataset 'ocrvqa', budget 128\n")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_contexts_header_without_dataset_and_budget_exits_2(self, tmp_path, capsys,
+                                                                 command):
+        name = "contexts-ocrvqa-standard.jsonl"
+        header = stage_records(GOLDEN / "expected" / name)[0]
+        del header["dataset"], header["budget"]
+        contexts = with_header(name, tmp_path, header)
+        out = tmp_path / "out.jsonl"
+        argv = metric_argv(command, "ocrvqa", contexts, "predictions-ocrvqa-standard.jsonl")
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {contexts} line 1: header has dataset None, budget None, "
+            "this run needs dataset 'ocrvqa', budget 19\n"
+        )
+        assert not out.exists()
+
+    def test_predictions_of_another_dataset_exit_2_in_eval(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        argv = metric_argv("eval", "ocrvqa", "contexts-ocrvqa-standard.jsonl",
+                           "predictions-chartqa-standard.jsonl")
+        assert run(*argv, "--out", out) == 2
+        predictions = GOLDEN / "expected" / "predictions-chartqa-standard.jsonl"
+        assert capsys.readouterr().err == (
+            f"error: {predictions} line 1: header has dataset 'chartqa', "
+            "this run needs dataset 'ocrvqa'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_inputs_made_for_the_dataset_pass(self, tmp_path, command):
+        argv = metric_argv(command, "ocrvqa", "contexts-ocrvqa-standard.jsonl",
+                           "predictions-ocrvqa-standard.jsonl")
+        assert run(*argv, "--seed", 7, "--out", tmp_path / "out.jsonl") == 0
+        name = "predictions" if command == "predict" else "eval"
+        assert (tmp_path / "out.jsonl").read_bytes() == (
+            GOLDEN / "expected" / f"{name}-ocrvqa-standard.jsonl").read_bytes()
+
+
 class TestFlagScope:
     def test_config_and_parallelism_are_predict_options(self, bench, capsys):
         paths = run_pipeline(bench)
