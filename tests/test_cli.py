@@ -792,46 +792,30 @@ class TestInputsMadeForTheDataset:
     # ocrvqa, chartqa and textvqa runs were scored over the golden dataset's
     # contexts, and every command exited 0.
     @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_contexts_of_another_dataset_exit_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("case", ["another dataset", "another budget", "no dataset"])
+    def test_contexts_not_made_for_the_run_exit_2(self, tmp_path, capsys, command, case):
+        contexts = GOLDEN / "expected" / "contexts-ocrvqa-standard.jsonl"
+        config, has, needs = None, "dataset 'ocrvqa', budget 19", 19
+        if case == "another dataset":
+            contexts = GOLDEN / "expected" / "contexts-standard.jsonl"
+            has = "dataset 'golden', budget 19"
+        elif case == "another budget":
+            config = write_dataset_config(tmp_path / "metrics.json", ["ocrvqa"],
+                                          context_budget=128)
+            needs = 128
+        else:
+            header = stage_records(contexts)[0]
+            del header["dataset"], header["budget"]
+            contexts = with_header(contexts.name, tmp_path, header)
+            has = "dataset None, budget None"
         out = tmp_path / "out.jsonl"
-        argv = metric_argv(command, "ocrvqa", "contexts-standard.jsonl",
-                           "predictions-ocrvqa-standard.jsonl")
+        argv = metric_argv(command, "ocrvqa", contexts, "predictions-ocrvqa-standard.jsonl",
+                           config)
         assert run(*argv, "--out", out) == 2
-        contexts = GOLDEN / "expected" / "contexts-standard.jsonl"
         assert capsys.readouterr() == ("", (
-            f"error: {contexts} line 1: header has dataset 'golden', budget 19, "
-            "this run needs dataset 'ocrvqa', budget 19\n"
+            f"error: {contexts} line 1: header has {has}, "
+            f"this run needs dataset 'ocrvqa', budget {needs}\n"
         ))
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_contexts_cut_to_another_budget_exit_2(self, tmp_path, capsys, command):
-        config = write_dataset_config(tmp_path / "metrics.json", ["ocrvqa"],
-                                      context_budget=128)
-        out = tmp_path / "out.jsonl"
-        argv = metric_argv(command, "ocrvqa", "contexts-ocrvqa-standard.jsonl",
-                           "predictions-ocrvqa-standard.jsonl", config)
-        assert run(*argv, "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.endswith("line 1: header has dataset 'ocrvqa', budget 19, "
-                            "this run needs dataset 'ocrvqa', budget 128\n")
-        assert len(err.splitlines()) == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_contexts_header_without_dataset_and_budget_exits_2(self, tmp_path, capsys,
-                                                                 command):
-        name = "contexts-ocrvqa-standard.jsonl"
-        header = stage_records(GOLDEN / "expected" / name)[0]
-        del header["dataset"], header["budget"]
-        contexts = with_header(name, tmp_path, header)
-        out = tmp_path / "out.jsonl"
-        argv = metric_argv(command, "ocrvqa", contexts, "predictions-ocrvqa-standard.jsonl")
-        assert run(*argv, "--out", out) == 2
-        assert capsys.readouterr().err == (
-            f"error: {contexts} line 1: header has dataset None, budget None, "
-            "this run needs dataset 'ocrvqa', budget 19\n"
-        )
         assert not out.exists()
 
     def test_predictions_of_another_dataset_exit_2_in_eval(self, tmp_path, capsys):
@@ -845,15 +829,6 @@ class TestInputsMadeForTheDataset:
             "this run needs dataset 'ocrvqa'\n"
         )
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_inputs_made_for_the_dataset_pass(self, tmp_path, command):
-        argv = metric_argv(command, "ocrvqa", "contexts-ocrvqa-standard.jsonl",
-                           "predictions-ocrvqa-standard.jsonl")
-        assert run(*argv, "--seed", 7, "--out", tmp_path / "out.jsonl") == 0
-        name = "predictions" if command == "predict" else "eval"
-        assert (tmp_path / "out.jsonl").read_bytes() == (
-            GOLDEN / "expected" / f"{name}-ocrvqa-standard.jsonl").read_bytes()
 
 
 class TestFlagScope:
