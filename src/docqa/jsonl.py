@@ -10,6 +10,12 @@ line 1 is not such a header. Every loader turns rows into values through
 `parse_rows`, which names the file and line of a bad or repeated row. A file
 that is missing, cannot be opened (a directory, say), is not UTF-8 or is not
 JSON, and an output that cannot be written, is a DataError naming it.
+
+A line is decoded by one raw_decode call from its first character, kept
+when the value ends the line. Any other line (blank, padded with whitespace,
+with data after the value, a BOM, or not JSON) goes through line.strip() and
+json.loads, so every line reads as json.loads reads it, faults included. A
+value nested past the recursion limit is invalid JSON, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -24,6 +30,14 @@ from .errors import DataError
 
 T = TypeVar("T")
 
+# One decoder for every line: json.loads is a Python wrapper that skips
+# whitespace around the value before and after this same C scan.
+_decode = json.JSONDecoder().raw_decode
+# What may follow a value that raw_decode read from the start of a line for
+# json.loads to read the same value: the newline, or nothing on a last line.
+_LINE_ENDS = ("\n", "")
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
 
 def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) for each non-blank line of a JSONL file.
@@ -35,12 +49,19 @@ def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, 
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path} line {line_no}: invalid JSON: {exc.msg}") from exc
+                    record, end = _decode(line)
+                except (ValueError, RecursionError):
+                    end = 0
+                if not end or line[end:] not in _LINE_ENDS:
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"{path} line {line_no}: invalid JSON: {exc.msg}") from exc
+                    except RecursionError as exc:
+                        raise DataError(f"{path} line {line_no}: {_TOO_DEEP}") from exc
                 if not isinstance(record, dict):
                     raise DataError(f"{path} line {line_no}: expected a JSON object")
                 yield line_no, record
@@ -60,6 +81,8 @@ def read_json(path: str | os.PathLike[str]) -> Any:
         raise DataError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: {_TOO_DEEP}") from exc
 
 
 # Stage outputs carry a provenance header as their first line, and stage

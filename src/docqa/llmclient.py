@@ -326,7 +326,7 @@ class HTTPBackend:
         raw = self._post(payload)
         try:
             body = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise EndpointError(f"endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(body, dict):
             raise EndpointError(f"endpoint returned {type(body).__name__}, expected object")

@@ -46,12 +46,16 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Edit distance with unit-cost insert, delete, and substitute, capped.
 
     Returns the exact distance when it is at most `cap`, and `cap + 1`
-    otherwise. A length gap larger than `cap` returns at once; otherwise
-    only the diagonal band of half-width `cap` is filled (cells outside it
-    are at least their distance from the diagonal, so more than `cap`), and
-    the scan stops once a whole row of the band exceeds `cap` (Ukkonen
-    1985). `cap=None`, or any cap of at least the longer length, makes the
-    band the full table and the result exact.
+    otherwise. Two lower bounds on the distance return at once when they
+    exceed `cap`: the length gap, and, under a cap below the longer length,
+    the longer length minus the characters the strings share (counted with
+    multiplicity; every matched pair of an alignment uses one). Either way
+    the distance is more than `cap`, so the result is the one the table
+    would give. Otherwise only the diagonal band of half-width `cap` is
+    filled (cells outside it are at least their distance from the diagonal,
+    so more than `cap`), and the scan stops once a whole row of the band
+    exceeds `cap` (Ukkonen 1985). `cap=None`, or any cap of at least the
+    longer length, makes the band the full table and the result exact.
 
     Operates on Unicode code points; no grapheme clustering is attempted.
     """
@@ -67,6 +71,16 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
     over = cap + 1
     if n - m > cap:
         return over
+    if cap < n:
+        # An alignment pairs at most the characters the strings share,
+        # counted with multiplicity, and each other character of `a` costs an
+        # edit, so n - shared is a lower bound on the distance.
+        shared = 0
+        for char in set(a).intersection(b):
+            in_a, in_b = a.count(char), b.count(char)
+            shared += in_a if in_a < in_b else in_b
+        if n - shared > cap:
+            return over
     # Every cell keeps min(true distance, over) exact; values above `over`
     # only ever mean "more than cap".
     previous = list(range(m + 1))

@@ -591,7 +591,9 @@ def unreadable_input_argv(flag, bad, bench, paths):
 
 
 class TestBadInputFiles:
-    @pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing", "not json"])
+    @pytest.mark.parametrize(
+        "kind", ["directory", "not utf-8", "missing", "not json", "nested too deeply"]
+    )
     @pytest.mark.parametrize(
         "flag", ["--corpus", "--orders", "--qa", "--datasets-config", "--config"]
     )
@@ -604,6 +606,9 @@ class TestBadInputFiles:
             bad.write_bytes(b'\xff{"doc_id": "x"}\n')
         elif kind == "not json":
             bad.write_text("timeout = 3\n")
+        elif kind == "nested too deeply":
+            # Past the recursion limit json raised RecursionError, a traceback.
+            bad.write_text("[" * 100_000 + "\n")
         out = bench["dir"] / "out.jsonl"
         capsys.readouterr()
         assert run(*unreadable_input_argv(flag, bad, bench, paths), "--out", out) == 2
@@ -616,6 +621,8 @@ class TestBadInputFiles:
             assert err == f"error: file not found: {bad}\n"
         if kind == "not json":
             assert ": invalid JSON: Expecting value" in err
+        if kind == "nested too deeply":
+            assert err.endswith(": invalid JSON: nested too deeply\n")
 
     def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"

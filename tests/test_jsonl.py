@@ -4,9 +4,18 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from docqa.errors import DataError
-from docqa.jsonl import parse_rows, read_json, read_stage_file, write_atomically, write_stage_file
+from docqa.jsonl import (
+    parse_rows,
+    read_json,
+    read_records,
+    read_stage_file,
+    write_atomically,
+    write_stage_file,
+)
 
 
 class Row:
@@ -38,6 +47,80 @@ class TestParseRows:
 
 
 
+def reference_read(path):
+    """(pairs, error message) as read_records words them, by line.strip()
+    and json.loads on every line."""
+    pairs = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return pairs, f"{path} line {line_no}: invalid JSON: {exc.msg}"
+            if not isinstance(record, dict):
+                return pairs, f"{path} line {line_no}: expected a JSON object"
+            pairs.append((line_no, record))
+    return pairs, None
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats() | TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+    max_leaves=6,
+)
+OBJECTS = st.dictionaries(TEXT, JSON_VALUES, max_size=3)
+
+
+def encoded(values):
+    return st.builds(lambda value, ascii: json.dumps(value, ensure_ascii=ascii),
+                     values, st.booleans())
+
+
+# Mostly records, so a file often has several lines before its first fault.
+BODIES = st.one_of(
+    encoded(OBJECTS),
+    encoded(OBJECTS),
+    encoded(JSON_VALUES),
+    st.tuples(encoded(OBJECTS), st.sampled_from(["x", "{}", "]"])).map("".join),
+    TEXT,
+)
+# JSON whitespace, then whitespace that str.strip drops and JSON does not.
+PADDING = st.text(" \t\r\x0c\x85\u3000", max_size=2)
+LINES = st.tuples(PADDING, BODIES, PADDING, st.sampled_from(["\n", "\r\n"])).map("".join)
+
+
+class TestReadRecords:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(LINES, max_size=6), bom=st.booleans(), final_newline=st.booleans())
+    def test_reads_every_line_as_json_loads_does(self, tmp_path, lines, bom, final_newline):
+        text = "".join(lines)
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "records.jsonl"
+        path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+        pairs, error = [], None
+        try:
+            pairs.extend(read_records(path))
+        except DataError as exc:
+            error = str(exc)
+        # repr, so a nan compares equal to itself and -0.0 apart from 0.0.
+        assert repr((pairs, error)) == repr(reference_read(path))
+
+    @pytest.mark.parametrize("lead", ["", " "], ids=["at the start", "padded"])
+    def test_a_line_nested_too_deeply_is_invalid_json(self, tmp_path, lead):
+        # json raised RecursionError, which left the command as a traceback.
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": 1}\n' + lead + "[" * 100_000 + "\n", encoding="utf-8")
+        records = read_records(path)
+        assert next(records) == (1, {"a": 1})
+        with pytest.raises(DataError, match=rf"^{path} line 2: invalid JSON: nested too deeply$"):
+            next(records)
+
+
 class TestReadJson:
     def test_returns_the_whole_value(self, tmp_path):
         path = tmp_path / "config.json"
@@ -51,7 +134,8 @@ class TestReadJson:
         (b"{oops", "{path}: invalid JSON: Expecting property name enclosed in double quotes"),
         (b"", "{path}: invalid JSON: Expecting value"),
         (b'\xff{"a": 1}', "{path}: cannot read: 'utf-8' codec can't decode"),
-    ], ids=["missing", "not json", "empty", "not utf-8"])
+        (b"[" * 100_000, "{path}: invalid JSON: nested too deeply"),
+    ], ids=["missing", "not json", "empty", "not utf-8", "nested too deeply"])
     def test_faults_are_worded_as_read_records_words_them(self, tmp_path, content, message):
         path = tmp_path / "config.json"
         if content is not None:

@@ -619,6 +619,15 @@ class TestHTTPBackend:
         with pytest.raises(EndpointError, match="JSON"):
             backend.complete(request_for("x", "q?"))
 
+    def test_reply_nested_too_deeply_is_invalid_json_and_not_retried(self, scripted_server):
+        # json.loads raised RecursionError here, which escaped predict_batch
+        # and lost every finished answer.
+        scripted_server.script = [(200, "[" * 100_000)]
+        backend = HTTPBackend(server_url(scripted_server), sleeper=lambda s: None)
+        with pytest.raises(EndpointError, match="^endpoint returned invalid JSON: "):
+            backend.complete(request_for("x", "q?"))
+        assert len(scripted_server.requests) == 1
+
     def test_positive_logprob_rejected(self, scripted_server):
         scripted_server.script = [
             (200, {"text": "x", "model_id": "m",

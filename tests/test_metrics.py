@@ -23,6 +23,10 @@ from oracles import oracle_anls, oracle_levenshtein, random_unicode_string
 short_text = st.text(max_size=10)
 # A small alphabet makes near matches, and so distances near a cap, common.
 small_alphabet_text = st.text(alphabet="abc ", max_size=12)
+# Two alphabets sharing only "c": pairs share few characters, so the
+# shared-character bound, not the length gap, decides most capped calls.
+left_text = st.text(alphabet="abc", max_size=12)
+right_text = st.text(alphabet="cxyz", max_size=12)
 
 
 class TestNormalize:
@@ -89,6 +93,14 @@ class TestLevenshtein:
         else:
             assert levenshtein(a, b, cap) > cap
 
+    @given(a=left_text, b=right_text, cap=st.integers(0, 14))
+    def test_cap_is_exact_when_the_strings_share_few_characters(self, a, b, cap):
+        expected = oracle_levenshtein(a, b)
+        if expected <= cap:
+            assert levenshtein(a, b, cap) == expected
+        else:
+            assert levenshtein(a, b, cap) == cap + 1
+
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             levenshtein("a", "b", -1)
@@ -120,6 +132,13 @@ class TestAnls:
     def test_empty_golds_rejected(self):
         with pytest.raises(DataError):
             anls_single("x", [], 0.5)
+
+    def test_gold_sharing_no_character_scores_zero(self):
+        # tau 0.5 caps the distance at 8, and the length gap is 7, but the
+        # strings share no character, so the distance is at least 14.
+        assert oracle_levenshtein("unknown", "flabeam deacis") == 14
+        assert levenshtein("unknown", "flabeam deacis", 8) == 9
+        assert anls_single("unknown", ["flabeam deacis"], 0.5) == 0.0
 
     def test_tau_out_of_range_rejected(self):
         with pytest.raises(ValueError):
