@@ -11,6 +11,10 @@ so coordinates are stored as floats; integer inputs are widened on load,
 exactly as float() widens them. Zero-area boxes are legal (a glyph can
 collapse at tiny resolutions); inverted boxes are not.
 
+`load_ocr_corpus` keeps each corpus it validated in the corpus cache
+(`jsonl.load_cached`), so a corpus that this code already loaded once comes
+back from there unparsed.
+
 Every word check lives in `document_from_record`, which validates a corpus
 record in a single pass over its `words` array; `_word_fault` only composes
 the message for the word that failed. Nothing in docqa changes a Document
@@ -24,7 +28,7 @@ import sys
 from array import array
 from typing import Any
 
-from .jsonl import parse_rows, read_records
+from .jsonl import load_cached, parse_rows, read_records
 
 _NUMBER = frozenset({int, float})
 # A coordinate is finite iff it lies within +-_LIMIT; NaN fails every bound.
@@ -137,11 +141,29 @@ def document_from_record(record: dict[str, Any]) -> Document:
     raise ValueError(f"doc {doc_id} word {position}: {_word_fault(raw_words[position])}")
 
 
+def _pack(doc: Document) -> tuple:
+    return doc.doc_id, doc.texts, doc.coords.tobytes(), doc.provided_order_is_reading_order
+
+
+def _unpack(fields: tuple) -> Document:
+    doc_id, texts, coords, flag = fields
+    boxes = array("d")
+    boxes.frombytes(coords)
+    return Document(doc_id, texts, boxes, flag)
+
+
 def load_ocr_corpus(path: str | os.PathLike[str]) -> list[Document]:
-    """Read a corpus file (one document per line) into validated Documents.
+    """Read a corpus file (one document per line) into validated Documents,
+    from the corpus cache when these bytes were validated before.
 
     Word order from the file is preserved exactly. Raises DataError naming
     the offending line, document, and word on any schema or invariant
-    violation.
+    violation; a corpus that raises is never cached.
     """
-    return parse_rows(path, read_records(path), document_from_record, "doc_id")
+    return load_cached(
+        path,
+        __file__,
+        lambda: parse_rows(path, read_records(path), document_from_record, "doc_id"),
+        _pack,
+        _unpack,
+    )

@@ -1,5 +1,5 @@
-"""The one place docqa opens a file: JSONL records, JSON config files, and
-atomic writes of every output.
+"""The one place docqa opens a file: JSONL records, JSON config files,
+atomic writes of every output, and the corpus cache.
 
 Stage files start with a provenance header line: `config_digest` (a digest
 of the stage's semantic settings, run seed included), `stage`, the seed
@@ -15,13 +15,27 @@ A line is decoded by one raw_decode call from its first character, kept
 when the value ends the line. Any other line (blank, padded with whitespace,
 with data after the value, a BOM, or not JSON) goes through line.strip() and
 json.loads, so every line reads as json.loads reads it, faults included. A
-value nested past the recursion limit is invalid JSON, not a RecursionError.
+value nested past the recursion limit, or holding an integer longer than
+sys.get_int_max_str_digits() allows, is invalid JSON, not a RecursionError or
+a bare ValueError.
+
+The corpus cache (`load_cached`) keeps each validated corpus as marshal data
+under `$XDG_CACHE_HOME/docqa/corpus/<key>` (`~/.cache` when that is unset),
+keyed by the corpus bytes and the source of the modules that read and check
+it. An entry is a document count, then one length-prefixed blob per
+document, then a sha256 of everything before it. Any fault of the cache,
+from an unwritable directory to a corrupt entry, only means the corpus is
+parsed as if there were no cache.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import marshal
 import os
+import stat
+import sys
 from contextlib import suppress
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -37,6 +51,9 @@ _decode = json.JSONDecoder().raw_decode
 # json.loads to read the same value: the newline, or nothing on a last line.
 _LINE_ENDS = ("\n", "")
 _TOO_DEEP = "invalid JSON: nested too deeply"
+# json raises a bare ValueError, worded for the programmer, for an integer
+# with more digits than sys.get_int_max_str_digits() allows.
+TOO_LONG = "invalid JSON: integer has too many digits"
 
 
 def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -60,6 +77,8 @@ def read_records(path: str | os.PathLike[str]) -> Iterator[tuple[int, dict[str, 
                         record = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise DataError(f"{path} line {line_no}: invalid JSON: {exc.msg}") from exc
+                    except ValueError as exc:
+                        raise DataError(f"{path} line {line_no}: {TOO_LONG}") from exc
                     except RecursionError as exc:
                         raise DataError(f"{path} line {line_no}: {_TOO_DEEP}") from exc
                 if not isinstance(record, dict):
@@ -81,6 +100,8 @@ def read_json(path: str | os.PathLike[str]) -> Any:
         raise DataError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {TOO_LONG}") from exc
     except RecursionError as exc:
         raise DataError(f"{path}: {_TOO_DEEP}") from exc
 
@@ -101,18 +122,29 @@ def write_atomically(path: str | os.PathLike[str], lines: Iterable[str]) -> None
     DataError naming `path`; any other exception, one raised while producing
     `lines` included, propagates.
     """
+    def write(handle) -> None:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
+
+    try:
+        _replace(path, "w", write)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
+def _replace(path: str | os.PathLike[str], mode: str, write: Callable[[Any], None]) -> None:
+    """Call `write` on a temporary file beside `path` opened in `mode`
+    (UTF-8 for text), then rename it over `path`; on any exception remove
+    the temporary file and re-raise."""
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+        with open(temporary, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            write(handle)
         os.replace(temporary, path)
-    except BaseException as exc:
+    except BaseException:
         with suppress(OSError):  # a failed open may have left nothing to remove
             os.remove(temporary)
-        if isinstance(exc, OSError):
-            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
         raise
 
 
@@ -168,3 +200,108 @@ def parse_rows(
         seen.add(ident)
         out.append(value)
     return out
+
+
+_CHUNK = 1 << 20
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "docqa", "corpus")
+
+
+def _file_digest(path: str | os.PathLike[str]) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(_CHUNK), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _identity(info: os.stat_result) -> tuple[int, int, int]:
+    return info.st_size, info.st_mtime_ns, info.st_ino
+
+
+def load_cached(
+    path: str | os.PathLike[str],
+    source: str,
+    parse: Callable[[], list[T]],
+    pack: Callable[[T], tuple],
+    unpack: Callable[[tuple], T],
+) -> list[T]:
+    """`parse()`, the values read from the file at `path`, kept in the corpus
+    cache under a key that digests that file's bytes, the module file
+    `source`, this module's file, marshal.version and sys.byteorder.
+
+    A hit returns `unpack` of each stored tuple. A miss returns `parse()`,
+    whose exceptions propagate, and stores `pack` of each value, as long as
+    the file's size, mtime and inode are the same after parsing as before
+    hashing. Only a regular file is cached.
+    """
+    entry = None
+    with suppress(OSError):
+        before = os.stat(path)
+        if stat.S_ISREG(before.st_mode):
+            digest = hashlib.sha256()
+            for name in (path, source, __file__):
+                digest.update(_file_digest(name))
+            digest.update(f"{marshal.version} {sys.byteorder}".encode())
+            entry = os.path.join(_cache_dir(), digest.hexdigest())
+    if entry is None:
+        return parse()
+    values = _read_entry(entry, unpack)
+    if values is not None:
+        return values
+    values = parse()
+    with suppress(OSError):
+        if _identity(os.stat(path)) == _identity(before):
+            os.makedirs(os.path.dirname(entry), exist_ok=True)
+            _replace(entry, "wb", lambda handle: _write_entry(handle, values, pack))
+    return values
+
+
+def _write_entry(handle, values: list[T], pack: Callable[[T], tuple]) -> None:
+    digest = hashlib.sha256()
+
+    def put(data: bytes) -> None:
+        digest.update(data)
+        handle.write(data)
+
+    put(len(values).to_bytes(8, "little"))
+    for value in values:
+        blob = marshal.dumps(pack(value))
+        put(len(blob).to_bytes(8, "little"))
+        put(blob)
+    handle.write(digest.digest())
+
+
+def _read_entry(entry: str, unpack: Callable[[tuple], T]) -> list[T] | None:
+    """The values a cache entry holds, or None when it is missing, short,
+    corrupt or undecodable. The checksum is verified before any blob is
+    unmarshalled; the blobs are then read one at a time."""
+    try:
+        with open(entry, "rb") as handle:
+            end = os.fstat(handle.fileno()).st_size - _DIGEST_SIZE
+            digest = hashlib.sha256()
+            remaining = end
+            while remaining > 0:
+                chunk = handle.read(min(_CHUNK, remaining))
+                if not chunk:
+                    return None
+                digest.update(chunk)
+                remaining -= len(chunk)
+            if end < 8 or handle.read() != digest.digest():
+                return None
+            handle.seek(0)
+            values = []
+            for _ in range(int.from_bytes(handle.read(8), "little")):
+                size = int.from_bytes(handle.read(8), "little")
+                if handle.tell() + size > end:
+                    return None
+                values.append(unpack(marshal.loads(handle.read(size))))
+            return values if handle.tell() == end else None
+    except (OSError, EOFError, ValueError, TypeError):
+        return None

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import TokenLogProb, token_from_record
 from .errors import EndpointError
+from .jsonl import TOO_LONG
 from .metrics import contains_words, word_haystack
 from .serialize import parse_prompt
 
@@ -326,8 +327,10 @@ class HTTPBackend:
         raw = self._post(payload)
         try:
             body = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise EndpointError(f"endpoint returned invalid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise EndpointError(f"endpoint returned {TOO_LONG}") from exc
         if not isinstance(body, dict):
             raise EndpointError(f"endpoint returned {type(body).__name__}, expected object")
         try:

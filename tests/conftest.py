@@ -1,9 +1,20 @@
 """Shared fixtures: a synthetic benchmark small enough to push through the
-whole pipeline in-process, plus the acceptance summary printer."""
+whole pipeline in-process, a corpus cache of each test's own, plus the
+acceptance summary printer."""
 
 import json
 
+import pytest
 from layouts import corpus_record
+
+
+@pytest.fixture(autouse=True)
+def corpus_cache(tmp_path_factory, monkeypatch):
+    """An empty corpus cache for each test, outside its tmp_path, so no test
+    reads or writes the user's cache; subprocesses inherit it."""
+    root = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "docqa" / "corpus"
 
 
 def phrase_words(name, d, j):

@@ -592,7 +592,8 @@ def unreadable_input_argv(flag, bad, bench, paths):
 
 class TestBadInputFiles:
     @pytest.mark.parametrize(
-        "kind", ["directory", "not utf-8", "missing", "not json", "nested too deeply"]
+        "kind", ["directory", "not utf-8", "missing", "not json", "nested too deeply",
+                 "integer too long"]
     )
     @pytest.mark.parametrize(
         "flag", ["--corpus", "--orders", "--qa", "--datasets-config", "--config"]
@@ -609,6 +610,10 @@ class TestBadInputFiles:
         elif kind == "nested too deeply":
             # Past the recursion limit json raised RecursionError, a traceback.
             bad.write_text("[" * 100_000 + "\n")
+        elif kind == "integer too long":
+            # json raised a bare ValueError past sys.get_int_max_str_digits(),
+            # a traceback.
+            bad.write_text('{"doc_id": ' + "1" * 5000 + "}\n")
         out = bench["dir"] / "out.jsonl"
         capsys.readouterr()
         assert run(*unreadable_input_argv(flag, bad, bench, paths), "--out", out) == 2
@@ -623,6 +628,8 @@ class TestBadInputFiles:
             assert ": invalid JSON: Expecting value" in err
         if kind == "nested too deeply":
             assert err.endswith(": invalid JSON: nested too deeply\n")
+        if kind == "integer too long":
+            assert err.endswith(": invalid JSON: integer has too many digits\n")
 
     def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"

@@ -30,13 +30,16 @@ predicted with the answer-key mock:
   is predicted once more without logprobs.
 
 analyze then contrasts ocrvqa and chartqa, whose median context lengths
-differ. tests/golden/expected holds what the pipeline wrote; any change to a
-stage's bytes has to update those files in the same change.
+differ. Every order and serialize command then runs a second time against
+the corpus cache the first run filled, and must write the same bytes.
+tests/golden/expected holds what the pipeline wrote; any change to a stage's
+bytes has to update those files in the same change.
 """
 
 import json
 from pathlib import Path
 
+from docqa import geometry
 from docqa.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,17 +71,35 @@ def _run(*argv):
     assert code == 0, argv
 
 
-def run_stages(out: Path) -> None:
-    """Write every stage file of the fixture pipeline into `out`."""
-    corpus, qa, config = INPUT / "corpus.jsonl", INPUT / "qa.jsonl", INPUT / "benchmarks.json"
-    dataset = ("--dataset", "golden", "--datasets-config", config, "--seed", SEED)
+def corpus_stages(out: Path):
+    """The argv of every order and serialize command of both fixtures, the
+    commands that read the corpus, writing into `out`."""
+    corpus = INPUT / "corpus.jsonl"
+    dataset = ("--dataset", "golden", "--datasets-config", INPUT / "benchmarks.json",
+               "--seed", SEED)
     for strategy in STRATEGIES:
         orders = out / f"orders-{strategy}.jsonl"
+        yield ("order", "--corpus", corpus, "--strategy", strategy, "--seed", SEED,
+               "--out", orders)
+        yield ("serialize", "--corpus", corpus, "--orders", orders, *dataset,
+               "--out", out / f"contexts-{strategy}.jsonl")
+    yield ("order", "--corpus", corpus, "--strategy", "raster_scan",
+           "--threshold-factor", THRESHOLD_FACTOR, "--seed", SEED,
+           "--out", out / f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl")
+    for dataset, strategy in dict.fromkeys((d, s) for d, s, _ in METRIC_RUNS):
+        yield ("serialize", "--corpus", corpus, "--orders", out / f"orders-{strategy}.jsonl",
+               "--dataset", dataset, "--datasets-config", INPUT / "metrics.json",
+               "--seed", SEED, "--out", out / f"contexts-{dataset}-{strategy}.jsonl")
+
+
+def run_stages(out: Path) -> None:
+    """Write every stage file of the fixture pipeline into `out`."""
+    qa, config = INPUT / "qa.jsonl", INPUT / "benchmarks.json"
+    dataset = ("--dataset", "golden", "--datasets-config", config, "--seed", SEED)
+    for argv in corpus_stages(out):
+        _run(*argv)
+    for strategy in STRATEGIES:
         contexts = out / f"contexts-{strategy}.jsonl"
-        _run("order", "--corpus", corpus, "--strategy", strategy, "--seed", SEED,
-             "--out", orders)
-        _run("serialize", "--corpus", corpus, "--orders", orders, *dataset,
-             "--out", contexts)
         for backend in BACKENDS:
             predictions = out / f"predictions-{strategy}-{backend}.jsonl"
             _run("predict", "--qa", qa, "--contexts", contexts, "--backend", backend,
@@ -91,9 +112,6 @@ def run_stages(out: Path) -> None:
                  "--eval", out / f"eval-{reference}-{backend}.jsonl",
                  "--eval", out / f"eval-shuffled-{backend}.jsonl",
                  "--seed", SEED, "--out", out / f"analysis-{reference}-{backend}.json")
-    _run("order", "--corpus", corpus, "--strategy", "raster_scan",
-         "--threshold-factor", THRESHOLD_FACTOR, "--seed", SEED,
-         "--out", out / f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl")
     sizes = [flag for size in SAMPLE_SIZES for flag in ("--datasets", size)]
     for kind in ("uniform", "normalized"):
         _run("sample", *sizes, "--strategy", kind, "--draws", SAMPLE_DRAWS, "--seed", SEED,
@@ -101,15 +119,12 @@ def run_stages(out: Path) -> None:
 
 
 def run_metric_stages(out: Path) -> None:
-    """Score the metrics fixture on the orders `run_stages` wrote into `out`."""
+    """Score the metrics fixture on the contexts `run_stages` wrote into `out`."""
     config = INPUT / "metrics.json"
     for dataset, strategy, extra in METRIC_RUNS:
         qa = INPUT / f"qa-{dataset}.jsonl"
         contexts = out / f"contexts-{dataset}-{strategy}.jsonl"
         flags = ("--dataset", dataset, "--datasets-config", config, "--seed", SEED)
-        if not contexts.exists():
-            _run("serialize", "--corpus", INPUT / "corpus.jsonl",
-                 "--orders", out / f"orders-{strategy}.jsonl", *flags, "--out", contexts)
         name = f"{dataset}-{strategy}{'-no-logprobs' if extra else ''}.jsonl"
         _run("predict", "--qa", qa, "--contexts", contexts, "--backend", "mock-answer-key",
              *extra, *flags, "--out", out / f"predictions-{name}")
@@ -132,16 +147,31 @@ def _rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
-def test_stage_outputs_match_goldens(tmp_path):
-    run_stages(tmp_path)
-    run_metric_stages(tmp_path)
-    expected = sorted(p.name for p in EXPECTED.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == expected
-    differing = [
-        name for name in expected
-        if (tmp_path / name).read_bytes() != (EXPECTED / name).read_bytes()
+def _differing(out):
+    """Names of the files in `out` whose bytes differ from their golden file."""
+    return [
+        p.name for p in sorted(out.iterdir()) if p.read_bytes() != (EXPECTED / p.name).read_bytes()
     ]
-    assert differing == []
+
+
+def test_stage_outputs_match_goldens(tmp_path, corpus_cache, monkeypatch):
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    run_stages(cold)
+    run_metric_stages(cold)
+    assert sorted(p.name for p in cold.iterdir()) == sorted(p.name for p in EXPECTED.iterdir())
+    assert _differing(cold) == []
+    # Both fixtures read one corpus, so every load but the first was a hit.
+    assert len(list(corpus_cache.iterdir())) == 1
+
+    def refuse_to_parse(path):
+        raise AssertionError(f"{path} was parsed with a warm cache")
+
+    monkeypatch.setattr(geometry, "read_records", refuse_to_parse)
+    for argv in corpus_stages(warm):
+        _run(*argv)
+    assert _differing(warm) == []
 
 
 def test_fixture_covers_its_edge_cases():

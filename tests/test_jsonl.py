@@ -120,6 +120,17 @@ class TestReadRecords:
         with pytest.raises(DataError, match=rf"^{path} line 2: invalid JSON: nested too deeply$"):
             next(records)
 
+    @pytest.mark.parametrize("lead", ["", " "], ids=["at the start", "padded"])
+    def test_an_integer_with_too_many_digits_is_invalid_json(self, tmp_path, lead):
+        # json raised a bare ValueError, which left the command as a traceback.
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": 1}\n' + lead + '{"a": ' + "1" * 5000 + "}\n", encoding="utf-8")
+        records = read_records(path)
+        assert next(records) == (1, {"a": 1})
+        message = rf"^{path} line 2: invalid JSON: integer has too many digits$"
+        with pytest.raises(DataError, match=message):
+            next(records)
+
 
 class TestReadJson:
     def test_returns_the_whole_value(self, tmp_path):
@@ -135,7 +146,9 @@ class TestReadJson:
         (b"", "{path}: invalid JSON: Expecting value"),
         (b'\xff{"a": 1}', "{path}: cannot read: 'utf-8' codec can't decode"),
         (b"[" * 100_000, "{path}: invalid JSON: nested too deeply"),
-    ], ids=["missing", "not json", "empty", "not utf-8", "nested too deeply"])
+        (b"1" * 5000, "{path}: invalid JSON: integer has too many digits"),
+    ], ids=["missing", "not json", "empty", "not utf-8", "nested too deeply",
+            "integer too long"])
     def test_faults_are_worded_as_read_records_words_them(self, tmp_path, content, message):
         path = tmp_path / "config.json"
         if content is not None:

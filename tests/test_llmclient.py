@@ -628,6 +628,17 @@ class TestHTTPBackend:
             backend.complete(request_for("x", "q?"))
         assert len(scripted_server.requests) == 1
 
+    def test_reply_with_too_long_an_integer_is_invalid_json(self, scripted_server):
+        # json.loads raised a bare ValueError here, reported with advice for
+        # the programmer about sys.set_int_max_str_digits().
+        scripted_server.script = [(200, '{"text": "x", "model_id": ' + "1" * 5000 + "}")]
+        backend = HTTPBackend(server_url(scripted_server), sleeper=lambda s: None)
+        with pytest.raises(
+            EndpointError, match="^endpoint returned invalid JSON: integer has too many digits$"
+        ):
+            backend.complete(request_for("x", "q?"))
+        assert len(scripted_server.requests) == 1
+
     def test_positive_logprob_rejected(self, scripted_server):
         scripted_server.script = [
             (200, {"text": "x", "model_id": "m",

@@ -3,8 +3,9 @@
 A refactor that renames or removes a traced function would otherwise only
 make the benchmark print a warning and report 0 for that layer, and one that
 routes `eval` around a traced function would make that layer read 0 with no
-warning at all. The check runs in a subprocess, so the tracer's wrappers never
-leak into other tests.
+warning at all. A corpus load that the corpus cache serves must still be
+spanned and counted, with no parse span. The check runs in a subprocess, so
+the tracer's wrappers never leak into other tests.
 """
 
 import subprocess
@@ -29,6 +30,13 @@ assert words == 38, f"counted {{words}} corpus words"
 names = {{span[2] for span in recorder.spans}}
 assert tracer.PARSE_SPAN in names, f"no parse span among {{sorted(names)}}"
 assert "geometry.load_ocr_corpus" in names, f"no load span among {{sorted(names)}}"
+# The second load is a hit in the corpus cache: spanned and counted, not parsed.
+first = len(recorder.spans)
+geometry.load_ocr_corpus({corpus!r})
+words = recorder.counters["geometry.load_ocr_corpus.words"]
+assert words == 2 * 38, f"counted {{words - 38}} corpus words on a hit"
+names = [span[2] for span in recorder.spans[first:]]
+assert names == ["geometry.load_ocr_corpus"], f"spans of a hit: {{names}}"
 
 code = docqa.cli.main([
     "eval", "--qa", {qa!r}, "--predictions", {predictions!r}, "--contexts", {contexts!r},
