@@ -4,7 +4,9 @@ The six benchmark configs ship as a versioned JSON file next to this module
 so a reproduction run has one source of truth for metric choice and budgets.
 Mixture sampling is with replacement: each draw is independent, matching how
 training schedules consume them. The loaders check every record; the
-records themselves, plain named tuples, do not.
+records themselves, plain named tuples, do not. `load_qa` keeps each QA file
+it validated in the corpus cache (`jsonl.load_cached`), so a QA file that
+this code already loaded once comes back from there unparsed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from typing import Any, NamedTuple, Sequence
 
 from .errors import DataError
-from .jsonl import parse_rows, read_json, read_records
+from .jsonl import load_cached, parse_rows, read_json, read_records
 from .metrics import MetricKind
 
 # The only question flags with defined behavior downstream.
@@ -60,9 +62,23 @@ def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
     return QARecord(example_id, doc_id, question, tuple(answers), flags)
 
 
+def _unpack(fields: tuple) -> QARecord:
+    example_id, doc_id, question, answers, flags = fields
+    # marshal gives each empty set it reads a frozenset of its own.
+    return QARecord(example_id, doc_id, question, answers, flags or NO_FLAGS)
+
+
 def load_qa(path: str | os.PathLike[str]) -> list[QARecord]:
-    """Read a QA file (one record per line) into validated QARecords."""
-    return parse_rows(path, read_records(path), qa_record_from_dict, "example_id")
+    """Read a QA file (one record per line) into validated QARecords, from
+    the corpus cache when these bytes were validated before; a file that
+    raises is never cached."""
+    return load_cached(
+        path,
+        __file__,
+        lambda: parse_rows(path, read_records(path), qa_record_from_dict, "example_id"),
+        tuple,
+        _unpack,
+    )
 
 
 class DatasetConfig(NamedTuple):

@@ -62,14 +62,6 @@ class Document:
     def __len__(self) -> int:
         return len(self.texts)
 
-    @property
-    def boxes(self) -> tuple[tuple[float, float, float, float], ...]:
-        """Each word's (x_min, y_min, x_max, y_max), built from `coords` on
-        every read. For tests and readers outside the pipeline; read it once,
-        outside any loop."""
-        c = self.coords
-        return tuple(zip(c[0::4], c[1::4], c[2::4], c[3::4]))
-
 
 def _word_fault(payload: Any) -> str:
     """The first rule of document_from_record that this word entry breaks."""

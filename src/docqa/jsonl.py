@@ -1,5 +1,5 @@
 """The one place docqa opens a file: JSONL records, JSON config files,
-atomic writes of every output, and the corpus cache.
+atomic writes of every output, and the corpus cache of validated inputs.
 
 Stage files start with a provenance header line: `config_digest` (a digest
 of the stage's semantic settings, run seed included), `stage`, the seed
@@ -19,13 +19,15 @@ value nested past the recursion limit, or holding an integer longer than
 sys.get_int_max_str_digits() allows, is invalid JSON, not a RecursionError or
 a bare ValueError.
 
-The corpus cache (`load_cached`) keeps each validated corpus as marshal data
-under `$XDG_CACHE_HOME/docqa/corpus/<key>` (`~/.cache` when that is unset),
-keyed by the corpus bytes and the source of the modules that read and check
-it. An entry is a document count, then one length-prefixed blob per
-document, then a sha256 of everything before it. Any fault of the cache,
-from an unwritable directory to a corrupt entry, only means the corpus is
-parsed as if there were no cache.
+The corpus cache (`load_cached`) keeps each validated corpus or QA file as
+marshal data under `$XDG_CACHE_HOME/docqa/corpus/<key>` (`~/.cache` when
+that is unset), keyed by the file's bytes and the source of the modules that
+read and check it. An entry is a batch count, then one length-prefixed
+marshal list per batch of consecutive values, each batch closed once its
+values' marshal data reach about 64 KiB, then a sha256 of everything before
+it. Any fault of the cache, from an unwritable directory to a corrupt entry,
+only means the file is parsed as if there were no cache. Stage files are
+never cached.
 """
 
 from __future__ import annotations
@@ -203,6 +205,12 @@ def parse_rows(
 
 
 _CHUNK = 1 << 20
+# An entry holds its values in batches of about this many bytes of marshal
+# data: thousands of small values (QA records) unmarshal in a few calls, and
+# a large one (a dense page) still gets a batch of its own, so a hit, which
+# unmarshals one batch at a time, holds at most 64 KiB plus one value's
+# marshal data at once.
+_BATCH_BYTES = 64 << 10
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
@@ -237,9 +245,9 @@ def load_cached(
     `source`, this module's file, marshal.version and sys.byteorder.
 
     A hit returns `unpack` of each stored tuple. A miss returns `parse()`,
-    whose exceptions propagate, and stores `pack` of each value, as long as
-    the file's size, mtime and inode are the same after parsing as before
-    hashing. Only a regular file is cached.
+    whose exceptions propagate, and stores `pack` of each value, in batches
+    of about _BATCH_BYTES, as long as the file's size, mtime and inode are
+    the same after parsing as before hashing. Only a regular file is cached.
     """
     entry = None
     with suppress(OSError):
@@ -264,24 +272,37 @@ def load_cached(
 
 
 def _write_entry(handle, values: list[T], pack: Callable[[T], tuple]) -> None:
+    # Where each batch ends: a batch is closed once the marshal data of its
+    # values reach _BATCH_BYTES.
+    ends = []
+    size = 0
+    for index, value in enumerate(values, start=1):
+        size += len(marshal.dumps(pack(value)))
+        if size >= _BATCH_BYTES:
+            ends.append(index)
+            size = 0
+    if size:
+        ends.append(len(values))
     digest = hashlib.sha256()
 
     def put(data: bytes) -> None:
         digest.update(data)
         handle.write(data)
 
-    put(len(values).to_bytes(8, "little"))
-    for value in values:
-        blob = marshal.dumps(pack(value))
+    put(len(ends).to_bytes(8, "little"))
+    start = 0
+    for end in ends:
+        blob = marshal.dumps([pack(value) for value in values[start:end]])
         put(len(blob).to_bytes(8, "little"))
         put(blob)
+        start = end
     handle.write(digest.digest())
 
 
 def _read_entry(entry: str, unpack: Callable[[tuple], T]) -> list[T] | None:
     """The values a cache entry holds, or None when it is missing, short,
-    corrupt or undecodable. The checksum is verified before any blob is
-    unmarshalled; the blobs are then read one at a time."""
+    corrupt or undecodable. The checksum is verified before any batch is
+    unmarshalled; the batches are then read one at a time."""
     try:
         with open(entry, "rb") as handle:
             end = os.fstat(handle.fileno()).st_size - _DIGEST_SIZE
@@ -301,7 +322,13 @@ def _read_entry(entry: str, unpack: Callable[[tuple], T]) -> list[T] | None:
                 size = int.from_bytes(handle.read(8), "little")
                 if handle.tell() + size > end:
                     return None
-                values.append(unpack(marshal.loads(handle.read(size))))
+                batch = marshal.loads(handle.read(size))
+                if type(batch) is not list:
+                    return None
+                values += map(unpack, batch)
+                # Freed before the next read: a dense page's data kept alive
+                # across it raises the peak RSS of a corpus load.
+                del batch
             return values if handle.tell() == end else None
     except (OSError, EOFError, ValueError, TypeError):
         return None

@@ -32,8 +32,14 @@ def make_document(doc_id, texts, boxes, reading_ordered=False) -> Document:
     return document_from_record(corpus_record(doc_id, texts, boxes, reading_ordered))
 
 
+def word_boxes(doc: Document) -> tuple[tuple[float, float, float, float], ...]:
+    """Each word's (x_min, y_min, x_max, y_max), read from `doc.coords`."""
+    c = doc.coords
+    return tuple(zip(c[0::4], c[1::4], c[2::4], c[3::4]))
+
+
 def raster_oracle(doc: Document, factor: float = 0.5) -> list[int]:
-    boxes = doc.boxes
+    boxes = word_boxes(doc)
 
     def centroid_key(index):
         x_min, y_min, x_max, y_max = boxes[index]
@@ -146,10 +152,11 @@ def permuted_copy(doc: Document, seed: int) -> Document:
     """Same geometry and texts, word array in a new order."""
     order = list(range(len(doc)))
     random.Random(seed).shuffle(order)
+    boxes = word_boxes(doc)
     return make_document(
         doc.doc_id,
         [doc.texts[j] for j in order],
-        [doc.boxes[j] for j in order],
+        [boxes[j] for j in order],
         doc.provided_order_is_reading_order,
     )
 
@@ -158,7 +165,7 @@ def scaled_copy(doc: Document, factor: float) -> Document:
     return make_document(
         doc.doc_id,
         doc.texts,
-        [tuple(coordinate * factor for coordinate in box) for box in doc.boxes],
+        [tuple(coordinate * factor for coordinate in box) for box in word_boxes(doc)],
         doc.provided_order_is_reading_order,
     )
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from docqa.errors import DataError
 from docqa.geometry import document_from_record, load_ocr_corpus
 from docqa.ordering import raster_scan_order
-from layouts import make_document
+from layouts import make_document, word_boxes
 
 
 def one_word(box, text="w"):
@@ -38,7 +38,7 @@ class TestBoundingBox:
         assert scan(boxes) == [2, 0, 1, 3]
 
     def test_centroid_degenerate_point_box(self):
-        assert document_from_record(one_word([0, 0, 0, 0])).boxes == ((0.0, 0.0, 0.0, 0.0),)
+        assert word_boxes(document_from_record(one_word([0, 0, 0, 0]))) == ((0.0, 0.0, 0.0, 0.0),)
         assert scan([(0, 0, 0, 0), (-1, -1, 1, 1)]) == [0, 1]
         assert scan([(0, 0, 0, 0), (-1, -1, 0.5, 1)]) == [1, 0]
 
@@ -49,7 +49,7 @@ class TestBoundingBox:
         assert scan(boxes) == [2, 0, 1]
 
     def test_integer_coordinates_widen_to_float(self):
-        (box,) = document_from_record(one_word([1, 2, 3, 4])).boxes
+        (box,) = word_boxes(document_from_record(one_word([1, 2, 3, 4])))
         assert box == (1.0, 2.0, 3.0, 4.0)
         assert all(type(v) is float for v in box)
 
@@ -72,7 +72,7 @@ class TestBoundingBox:
 
     def test_zero_area_box_is_legal(self):
         doc = document_from_record(one_word([7, 7, 7, 7]))
-        assert doc.boxes == ((7.0, 7.0, 7.0, 7.0),)
+        assert word_boxes(doc) == ((7.0, 7.0, 7.0, 7.0),)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="x_max must be finite"):
@@ -128,14 +128,14 @@ class TestWord:
         record["words"].pop()
         doc = document_from_record(record)
         assert doc.texts == ("b", "a")
-        assert doc.boxes == ((5.0, 0.0, 6.0, 1.0), (0.0, 0.0, 1.0, 1.0))
+        assert word_boxes(doc) == ((5.0, 0.0, 6.0, 1.0), (0.0, 0.0, 1.0, 1.0))
 
 
 class TestDocument:
     def test_empty_document_is_legal(self):
         doc = document_from_record({"doc_id": "d0", "reading_ordered": True, "words": []})
         assert len(doc) == 0
-        assert doc.texts == () and doc.boxes == ()
+        assert doc.texts == () and word_boxes(doc) == ()
         assert doc.coords == array("d")
 
     def test_boxes_are_one_float64_column(self):
@@ -144,7 +144,7 @@ class TestDocument:
         assert type(doc.coords) is array and doc.coords.typecode == "d"
         assert len(doc.coords) == 4 * len(doc)
         assert list(doc.coords) == [float(v) for box in boxes for v in box]
-        assert doc.boxes == tuple(tuple(map(float, box)) for box in boxes)
+        assert word_boxes(doc) == tuple(tuple(map(float, box)) for box in boxes)
 
     def test_loaded_page_retains_few_bytes_per_word(self, tmp_path):
         # A word's text costs about 60 bytes here and its box 32 in the
@@ -192,7 +192,7 @@ class TestLoadCorpus:
         assert len(docs) == 1
         assert len(docs[0]) == 2
         assert docs[0].texts == ("Hello", "World")
-        assert docs[0].boxes == ((0.0, 0.0, 10.0, 5.0), (12.0, 0.0, 22.0, 5.0))
+        assert word_boxes(docs[0]) == ((0.0, 0.0, 10.0, 5.0), (12.0, 0.0, 22.0, 5.0))
 
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -266,7 +266,7 @@ def test_corpus_round_trip(tmp_path_factory, words, reading_ordered):
     assert doc.doc_id == "roundtrip"
     assert doc.provided_order_is_reading_order is reading_ordered
     assert doc.texts == tuple(texts)
-    assert doc.boxes == tuple(boxes)
+    assert word_boxes(doc) == tuple(boxes)
     assert len(doc) == len(words)
 
 

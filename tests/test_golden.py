@@ -30,8 +30,9 @@ predicted with the answer-key mock:
   is predicted once more without logprobs.
 
 analyze then contrasts ocrvqa and chartqa, whose median context lengths
-differ. Every order and serialize command then runs a second time against
-the corpus cache the first run filled, and must write the same bytes.
+differ. The whole pipeline then runs a second time against the corpus cache
+the first run filled, parsing neither the corpus nor a QA file, and must
+write the same bytes.
 tests/golden/expected holds what the pipeline wrote; any change to a stage's
 bytes has to update those files in the same change.
 """
@@ -39,7 +40,7 @@ bytes has to update those files in the same change.
 import json
 from pathlib import Path
 
-from docqa import geometry
+from docqa import datasets, geometry
 from docqa.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,33 +72,23 @@ def _run(*argv):
     assert code == 0, argv
 
 
-def corpus_stages(out: Path):
-    """The argv of every order and serialize command of both fixtures, the
-    commands that read the corpus, writing into `out`."""
-    corpus = INPUT / "corpus.jsonl"
-    dataset = ("--dataset", "golden", "--datasets-config", INPUT / "benchmarks.json",
-               "--seed", SEED)
-    for strategy in STRATEGIES:
-        orders = out / f"orders-{strategy}.jsonl"
-        yield ("order", "--corpus", corpus, "--strategy", strategy, "--seed", SEED,
-               "--out", orders)
-        yield ("serialize", "--corpus", corpus, "--orders", orders, *dataset,
-               "--out", out / f"contexts-{strategy}.jsonl")
-    yield ("order", "--corpus", corpus, "--strategy", "raster_scan",
-           "--threshold-factor", THRESHOLD_FACTOR, "--seed", SEED,
-           "--out", out / f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl")
-    for dataset, strategy in dict.fromkeys((d, s) for d, s, _ in METRIC_RUNS):
-        yield ("serialize", "--corpus", corpus, "--orders", out / f"orders-{strategy}.jsonl",
-               "--dataset", dataset, "--datasets-config", INPUT / "metrics.json",
-               "--seed", SEED, "--out", out / f"contexts-{dataset}-{strategy}.jsonl")
-
-
 def run_stages(out: Path) -> None:
     """Write every stage file of the fixture pipeline into `out`."""
-    qa, config = INPUT / "qa.jsonl", INPUT / "benchmarks.json"
+    corpus, qa, config = INPUT / "corpus.jsonl", INPUT / "qa.jsonl", INPUT / "benchmarks.json"
     dataset = ("--dataset", "golden", "--datasets-config", config, "--seed", SEED)
-    for argv in corpus_stages(out):
-        _run(*argv)
+    for strategy in STRATEGIES:
+        orders = out / f"orders-{strategy}.jsonl"
+        _run("order", "--corpus", corpus, "--strategy", strategy, "--seed", SEED,
+             "--out", orders)
+        _run("serialize", "--corpus", corpus, "--orders", orders, *dataset,
+             "--out", out / f"contexts-{strategy}.jsonl")
+    _run("order", "--corpus", corpus, "--strategy", "raster_scan",
+         "--threshold-factor", THRESHOLD_FACTOR, "--seed", SEED,
+         "--out", out / f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl")
+    for name, strategy in dict.fromkeys((d, s) for d, s, _ in METRIC_RUNS):
+        _run("serialize", "--corpus", corpus, "--orders", out / f"orders-{strategy}.jsonl",
+             "--dataset", name, "--datasets-config", INPUT / "metrics.json",
+             "--seed", SEED, "--out", out / f"contexts-{name}-{strategy}.jsonl")
     for strategy in STRATEGIES:
         contexts = out / f"contexts-{strategy}.jsonl"
         for backend in BACKENDS:
@@ -162,15 +153,19 @@ def test_stage_outputs_match_goldens(tmp_path, corpus_cache, monkeypatch):
     run_metric_stages(cold)
     assert sorted(p.name for p in cold.iterdir()) == sorted(p.name for p in EXPECTED.iterdir())
     assert _differing(cold) == []
-    # Both fixtures read one corpus, so every load but the first was a hit.
-    assert len(list(corpus_cache.iterdir())) == 1
+    # One entry for the corpus and one per QA file: every load but the first
+    # of each file was a hit.
+    qa_files = {"qa.jsonl", *(f"qa-{dataset}.jsonl" for dataset, _, _ in METRIC_RUNS)}
+    assert len(list(corpus_cache.iterdir())) == 1 + len(qa_files)
 
     def refuse_to_parse(path):
         raise AssertionError(f"{path} was parsed with a warm cache")
 
     monkeypatch.setattr(geometry, "read_records", refuse_to_parse)
-    for argv in corpus_stages(warm):
-        _run(*argv)
+    monkeypatch.setattr(datasets, "read_records", refuse_to_parse)
+    run_stages(warm)
+    run_metric_stages(warm)
+    assert sorted(p.name for p in warm.iterdir()) == sorted(p.name for p in EXPECTED.iterdir())
     assert _differing(warm) == []
 
 

@@ -25,6 +25,7 @@ from layouts import (
     scaled_copy,
     text_sequence,
     two_column_layout,
+    word_boxes,
 )
 
 
@@ -293,8 +294,9 @@ class TestReadingOrderType:
 
     def test_round_trip_through_orders_file(self, tmp_path):
         doc = grid_layout("g", rows=2, cols=2)
+        plain = make_document("plain", doc.texts, word_boxes(doc), reading_ordered=True)
         orders = [
-            standard_order(make_document("plain", doc.texts, doc.boxes, reading_ordered=True)),
+            standard_order(plain),
             raster_scan_order(doc),
             shuffled_order(grid_layout("s", rows=2, cols=2), 42),
         ]
