@@ -140,10 +140,6 @@ def _dataset_size(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(f"size in {text!r} is not an integer")
 
 
-def _out_path(args, default_name: str) -> Path:
-    return Path(args.out or default_name)
-
-
 def _dataset_config(args):
     configs = load_dataset_configs(args.datasets_config)
     if args.dataset not in configs:
@@ -167,7 +163,7 @@ def _check_header(path, header, **expected) -> None:
 
 def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
     """Write a stage file whose header digests the run seed plus `settings`."""
-    out = _out_path(args, default_name)
+    out = Path(args.out or default_name)
     header = {
         "config_digest": config_digest({"stage": stage, "seed": args.seed, **settings}),
         "stage": stage,
@@ -179,14 +175,20 @@ def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
 
 
 def cmd_order(args) -> int:
+    if args.threshold_factor is not None and args.strategy != "raster_scan":
+        raise UsageError(
+            "--threshold-factor applies only to --strategy raster_scan, "
+            f"not --strategy {args.strategy}"
+        )
     docs = load_ocr_corpus(args.corpus)
     stage_seed = derive_seed(args.seed, "order")
     settings = {"strategy": args.strategy}
     if args.strategy == "standard":
         orders = [standard_order(doc) for doc in docs]
     elif args.strategy == "raster_scan":
-        settings["threshold_factor"] = args.threshold_factor
-        orders = [raster_scan_order(doc, args.threshold_factor) for doc in docs]
+        factor = 0.5 if args.threshold_factor is None else args.threshold_factor
+        settings["threshold_factor"] = factor
+        orders = [raster_scan_order(doc, factor) for doc in docs]
     else:
         # Per-document seeds keep same-length documents from sharing a
         # permutation.
@@ -409,7 +411,7 @@ def cmd_analyze(args) -> int:
             "order_sensitivity": sensitivity,
         },
     }
-    out = _out_path(args, "analysis.json")
+    out = Path(args.out or "analysis.json")
     write_atomically(out, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
     print(f"wrote analysis report to {out}")
     return EXIT_OK
@@ -450,8 +452,9 @@ def build_parser() -> _Parser:
         choices=OrderStrategy,
     )
     order.add_argument(
-        "--threshold-factor", type=_positive_finite_float, default=0.5,
-        help="line grouping tolerance as a fraction of seed word height",
+        "--threshold-factor", type=_positive_finite_float,
+        help="raster_scan only: line grouping tolerance as a fraction of seed word "
+        "height (default 0.5)",
     )
     order.set_defaults(func=cmd_order)
 

@@ -169,6 +169,17 @@ class TestOrderCommand:
         _, orders = load_orders(out)
         assert orders[0].params == {"line_threshold_factor": 0.75}
 
+    @pytest.mark.parametrize("strategy", ["standard", "shuffled"])
+    def test_threshold_factor_needs_raster_scan(self, bench, capsys, strategy):
+        out = bench["dir"] / "orders.jsonl"
+        assert run("order", "--corpus", bench["corpus"], "--strategy", strategy,
+                   "--threshold-factor", "4.0", "--seed", 7, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: --threshold-factor applies only to --strategy raster_scan, "
+            f"not --strategy {strategy}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
     def test_bad_threshold_factor_is_usage_error(self, bench, capsys, factor):
         out = bench["dir"] / "orders.jsonl"

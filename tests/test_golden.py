@@ -1,6 +1,9 @@
 """Every stage file, byte for byte, against committed golden outputs.
 
-The fixture in tests/golden/input is three reading-ordered documents:
+golden/plan.txt holds the golden run, one docqa command per line, and
+golden/replay.py replays it and compares what it writes with
+golden/expected. The fixture in golden/input is three reading-ordered
+documents:
 
 - invoice-a has two columns whose rows share baselines, so the provided
   order (column by column) differs from the raster scan (row by row); it
@@ -10,17 +13,14 @@ The fixture in tests/golden/input is three reading-ordered documents:
 - memo-c is longer than the 19-token budget, and the word "los angeles"
   straddles the cut, so truncation must drop it whole.
 
-The pipeline runs order, serialize, predict and eval for every strategy
-with both mock backends, then analyze per backend and reference strategy.
-It also orders the corpus by raster scan at a line threshold factor of 4.0,
-whose 48-point tolerance for 12-point words merges rows 30 points apart
-(every factor from 0.1 to 2.0 gives the default's order), and draws a
+The plan orders the corpus by raster scan at a line threshold factor of 4.0
+as well, whose 48-point tolerance for 12-point words merges rows 30 points
+apart (every factor from 0.1 to 2.0 gives the default's order), and draws a
 training schedule with each mixture kind over two datasets of unequal size.
 
 A second config, input/metrics.json, holds one dataset per remaining metric,
-each with its own QA file over the same corpus. Each dataset serializes the
-standard and shuffled orders with the budget its config gives, and is
-predicted with the answer-key mock:
+each with its own QA file over the same corpus, serialized with the budget
+its config gives and predicted with the answer-key mock:
 
 - ocrvqa (exact_match) has a genre question, which its answer-presence
   report must drop, and a yes/no question;
@@ -30,143 +30,82 @@ predicted with the answer-key mock:
   is predicted once more without logprobs.
 
 analyze then contrasts ocrvqa and chartqa, whose median context lengths
-differ. The whole pipeline then runs a second time against the corpus cache
-the first run filled, parsing neither the corpus nor a QA file, and must
-write the same bytes.
-tests/golden/expected holds what the pipeline wrote; any change to a stage's
-bytes has to update those files in the same change.
+differ. The whole plan then runs a second time against the corpus cache the
+first run filled, parsing neither the corpus nor a QA file, and must write
+the same bytes. Any change to a stage's bytes has to update golden/expected
+in the same change.
 """
 
 import json
-from pathlib import Path
+
+import pytest
+from golden import replay
 
 from docqa import datasets, geometry
 from docqa.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-INPUT = GOLDEN / "input"
-EXPECTED = GOLDEN / "expected"
-STRATEGIES = ("standard", "raster_scan", "shuffled")
-BACKENDS = ("mock-echo", "mock-answer-key")
+INPUT = replay.INPUT
+EXPECTED = replay.EXPECTED
 BUDGET = 19
-SEED = 7
-THRESHOLD_FACTOR = 4.0
-# Dataset sizes for the sample runs: under the normalized mixture the larger
-# one is drawn far more often than under the uniform one.
-SAMPLE_SIZES = ("small=3", "large=40")
-SAMPLE_DRAWS = 12
-# The metrics fixture's predict and eval runs: (dataset, contexts strategy,
-# extra predict flags).
-METRIC_RUNS = (
-    ("ocrvqa", "standard", ()),
-    ("ocrvqa", "shuffled", ()),
-    ("chartqa", "standard", ()),
-    ("chartqa", "shuffled", ()),
-    ("textvqa", "standard", ()),
-    ("textvqa", "standard", ("--no-logprobs",)),
-)
-
-
-def _run(*argv):
-    code = main([str(a) for a in argv])
-    assert code == 0, argv
-
-
-def run_stages(out: Path) -> None:
-    """Write every stage file of the fixture pipeline into `out`."""
-    corpus, qa, config = INPUT / "corpus.jsonl", INPUT / "qa.jsonl", INPUT / "benchmarks.json"
-    dataset = ("--dataset", "golden", "--datasets-config", config, "--seed", SEED)
-    for strategy in STRATEGIES:
-        orders = out / f"orders-{strategy}.jsonl"
-        _run("order", "--corpus", corpus, "--strategy", strategy, "--seed", SEED,
-             "--out", orders)
-        _run("serialize", "--corpus", corpus, "--orders", orders, *dataset,
-             "--out", out / f"contexts-{strategy}.jsonl")
-    _run("order", "--corpus", corpus, "--strategy", "raster_scan",
-         "--threshold-factor", THRESHOLD_FACTOR, "--seed", SEED,
-         "--out", out / f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl")
-    for name, strategy in dict.fromkeys((d, s) for d, s, _ in METRIC_RUNS):
-        _run("serialize", "--corpus", corpus, "--orders", out / f"orders-{strategy}.jsonl",
-             "--dataset", name, "--datasets-config", INPUT / "metrics.json",
-             "--seed", SEED, "--out", out / f"contexts-{name}-{strategy}.jsonl")
-    for strategy in STRATEGIES:
-        contexts = out / f"contexts-{strategy}.jsonl"
-        for backend in BACKENDS:
-            predictions = out / f"predictions-{strategy}-{backend}.jsonl"
-            _run("predict", "--qa", qa, "--contexts", contexts, "--backend", backend,
-                 *dataset, "--out", predictions)
-            _run("eval", "--qa", qa, "--predictions", predictions, "--contexts", contexts,
-                 *dataset, "--out", out / f"eval-{strategy}-{backend}.jsonl")
-    for backend in BACKENDS:
-        for reference in ("standard", "raster_scan"):
-            _run("analyze", "--qa", qa,
-                 "--eval", out / f"eval-{reference}-{backend}.jsonl",
-                 "--eval", out / f"eval-shuffled-{backend}.jsonl",
-                 "--seed", SEED, "--out", out / f"analysis-{reference}-{backend}.json")
-    sizes = [flag for size in SAMPLE_SIZES for flag in ("--datasets", size)]
-    for kind in ("uniform", "normalized"):
-        _run("sample", *sizes, "--strategy", kind, "--draws", SAMPLE_DRAWS, "--seed", SEED,
-             "--out", out / f"schedule-{kind}.jsonl")
-
-
-def run_metric_stages(out: Path) -> None:
-    """Score the metrics fixture on the contexts `run_stages` wrote into `out`."""
-    config = INPUT / "metrics.json"
-    for dataset, strategy, extra in METRIC_RUNS:
-        qa = INPUT / f"qa-{dataset}.jsonl"
-        contexts = out / f"contexts-{dataset}-{strategy}.jsonl"
-        flags = ("--dataset", dataset, "--datasets-config", config, "--seed", SEED)
-        name = f"{dataset}-{strategy}{'-no-logprobs' if extra else ''}.jsonl"
-        _run("predict", "--qa", qa, "--contexts", contexts, "--backend", "mock-answer-key",
-             *extra, *flags, "--out", out / f"predictions-{name}")
-        _run("eval", "--qa", qa, "--predictions", out / f"predictions-{name}",
-             "--contexts", contexts, *flags, "--out", out / f"eval-{name}")
-    _run("eval", "--qa", INPUT / "qa-chartqa.jsonl",
-         "--predictions", INPUT / "predictions-chartqa-handwritten.jsonl",
-         "--contexts", out / "contexts-chartqa-standard.jsonl", "--dataset", "chartqa",
-         "--datasets-config", config, "--seed", SEED,
-         "--out", out / "eval-chartqa-handwritten.jsonl")
-    analyze = ["analyze", "--seed", SEED, "--out", out / "analysis-ocrvqa-chartqa.json"]
-    for dataset in ("ocrvqa", "chartqa"):
-        analyze += ["--qa", INPUT / f"qa-{dataset}.jsonl"]
-        for strategy in ("standard", "shuffled"):
-            analyze += ["--eval", out / f"eval-{dataset}-{strategy}.jsonl"]
-    _run(*analyze)
 
 
 def _rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
-def _differing(out):
-    """Names of the files in `out` whose bytes differ from their golden file."""
-    return [
-        p.name for p in sorted(out.iterdir()) if p.read_bytes() != (EXPECTED / p.name).read_bytes()
-    ]
-
-
 def test_stage_outputs_match_goldens(tmp_path, corpus_cache, monkeypatch):
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     cold.mkdir()
     warm.mkdir()
-    run_stages(cold)
-    run_metric_stages(cold)
-    assert sorted(p.name for p in cold.iterdir()) == sorted(p.name for p in EXPECTED.iterdir())
-    assert _differing(cold) == []
-    # One entry for the corpus and one per QA file: every load but the first
-    # of each file was a hit.
-    qa_files = {"qa.jsonl", *(f"qa-{dataset}.jsonl" for dataset, _, _ in METRIC_RUNS)}
-    assert len(list(corpus_cache.iterdir())) == 1 + len(qa_files)
+    assert replay.replay(cold, main) == []
+    # One entry per file loaded as a corpus or a QA file: every load but the
+    # first of each file was a hit.
+    loaded = {argv[i + 1] for _, _, _, argv in replay.read_plan()
+              for i, arg in enumerate(argv) if arg in ("--corpus", "--qa")}
+    assert len(loaded) == 5
+    assert len(list(corpus_cache.iterdir())) == len(loaded)
 
     def refuse_to_parse(path):
         raise AssertionError(f"{path} was parsed with a warm cache")
 
     monkeypatch.setattr(geometry, "read_records", refuse_to_parse)
     monkeypatch.setattr(datasets, "read_records", refuse_to_parse)
-    run_stages(warm)
-    run_metric_stages(warm)
-    assert sorted(p.name for p in warm.iterdir()) == sorted(p.name for p in EXPECTED.iterdir())
-    assert _differing(warm) == []
+    assert replay.replay(warm, main) == []
+
+
+ORDER = "order --corpus {input}/corpus.jsonl --seed 7 --strategy"
+STANDARD = f"{ORDER} standard --out orders-standard.jsonl"
+REFUSED = f"{ORDER} standard --threshold-factor 4.0 --out refused.jsonl"
+
+
+# Small plans against a copy of expected files, each with one mistake the
+# replay must name, by file or by plan line.
+@pytest.mark.parametrize("lines, expected, flip, problem", [
+    ([STANDARD, f"exit=1 {REFUSED}"], ["orders-standard.jsonl"], False, None),
+    ([STANDARD], ["orders-standard.jsonl"], True, "orders-standard.jsonl: differs from "),
+    ([STANDARD, f"exit=2 {REFUSED}"], ["orders-standard.jsonl"], False,
+     f"plan.txt line 2: exit 1, expected 2: exit=2 {REFUSED}"),
+    ([STANDARD, f"{ORDER} shuffled --out orders-shuffled.jsonl"], ["orders-standard.jsonl"],
+     False, "orders-shuffled.jsonl: not in "),
+    ([STANDARD], ["orders-standard.jsonl", "orders-shuffled.jsonl"], False,
+     "orders-shuffled.jsonl: missing from "),
+], ids=["match", "flipped-byte", "wrong-exit", "stray-file", "missing-file"])
+def test_replay_reports_each_mismatch(tmp_path, lines, expected, flip, problem):
+    plan, golden, out = tmp_path / "plan.txt", tmp_path / "expected", tmp_path / "out"
+    plan.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    golden.mkdir()
+    out.mkdir()
+    for name in expected:
+        data = bytearray((EXPECTED / name).read_bytes())
+        if flip:
+            data[len(data) // 2] ^= 1
+        (golden / name).write_bytes(data)
+    problems = replay.replay(out, main, plan, golden)
+    if problem is None:
+        assert problems == []
+    else:
+        [found] = problems
+        assert found.startswith(problem)
 
 
 def test_fixture_covers_its_edge_cases():
@@ -186,7 +125,7 @@ def test_fixture_covers_its_edge_cases():
 
     def permutations(name):
         return [r["permutation"] for r in _rows(EXPECTED / name)]
-    assert permutations(f"orders-raster_scan-{THRESHOLD_FACTOR}.jsonl") != permutations(
+    assert permutations("orders-raster_scan-4.0.jsonl") != permutations(
         "orders-raster_scan.jsonl")
 
     def draws_of_large(kind):
@@ -227,11 +166,12 @@ def test_metric_fixture_covers_its_edge_cases():
     assert len(ids) == len(set(ids))
     assert {"genre", "yes_no"} <= {flag for r in qa["ocrvqa"] for flag in r["flags"]}
 
-    for dataset, strategy, _ in METRIC_RUNS:
-        contexts = EXPECTED / f"contexts-{dataset}-{strategy}.jsonl"
-        header = json.loads(contexts.read_text().splitlines()[0])
-        assert (header["dataset"], header["budget"]) == (dataset, BUDGET)
-        assert _rows(contexts) == _rows(EXPECTED / f"contexts-{strategy}.jsonl")
+    for name in datasets:
+        for contexts in EXPECTED.glob(f"contexts-{name}-*.jsonl"):
+            strategy = contexts.stem.removeprefix(f"contexts-{name}-")
+            header = json.loads(contexts.read_text().splitlines()[0])
+            assert (header["dataset"], header["budget"]) == (name, BUDGET)
+            assert _rows(contexts) == _rows(EXPECTED / f"contexts-{strategy}.jsonl")
 
     predictions = _rows(EXPECTED / "predictions-textvqa-standard.jsonl")
     said = {r["example_id"]: r["text"] for r in predictions}
