@@ -46,16 +46,14 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Edit distance with unit-cost insert, delete, and substitute, capped.
 
     Returns the exact distance when it is at most `cap`, and `cap + 1`
-    otherwise. Two lower bounds on the distance return at once when they
-    exceed `cap`: the length gap, and, under a cap below the longer length,
-    the longer length minus the characters the strings share (counted with
-    multiplicity; every matched pair of an alignment uses one). Either way
-    the distance is more than `cap`, so the result is the one the table
-    would give. Otherwise only the diagonal band of half-width `cap` is
-    filled (cells outside it are at least their distance from the diagonal,
-    so more than `cap`), and the scan stops once a whole row of the band
-    exceeds `cap` (Ukkonen 1985). `cap=None`, or any cap of at least the
-    longer length, makes the band the full table and the result exact.
+    otherwise; `cap=None` means no cap. Two lower bounds on the distance
+    return `cap + 1` before any bit work when they exceed `cap`: the length
+    gap, and, under a cap below the longer length, the longer length minus
+    the characters the strings share (counted with multiplicity; every
+    matched pair of an alignment uses one). Otherwise the bit-parallel
+    recurrence of Myers 1999, as Hyyrö 2001 states it, gives the exact
+    distance: per character of the longer string, one column of the table
+    held as two ints of vertical +1 and -1 deltas.
 
     Operates on Unicode code points; no grapheme clustering is attempted.
     """
@@ -81,27 +79,25 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
             shared += in_a if in_a < in_b else in_b
         if n - shared > cap:
             return over
-    # Every cell keeps min(true distance, over) exact; values above `over`
-    # only ever mean "more than cap".
-    previous = list(range(m + 1))
-    for i, char_a in enumerate(a, start=1):
-        lo = i - cap if i > cap else 1
-        hi = i + cap if i + cap < m else m
-        current = [over] * (m + 1)
-        if lo == 1:
-            current[0] = i
-        left = current[lo - 1]
-        for j in range(lo, hi + 1):
-            value = previous[j - 1] + (char_a != b[j - 1])
-            if previous[j] < value:
-                value = previous[j] + 1
-            if left < value:
-                value = left + 1
-            current[j] = left = value
-        if min(current[lo - 1 : hi + 1]) > cap:
-            return over
-        previous = current
-    return min(previous[m], over)
+    if not b:
+        return n
+    # Bit j of a mask stands for row j + 1 of the current column, and every
+    # `~` is masked to the m bits of the column. Row 0 of the last column is
+    # n, so the distance is n plus that column's vertical deltas.
+    match: dict[str, int] = {}
+    for j, char in enumerate(b):
+        match[char] = match.get(char, 0) | 1 << j
+    full = (1 << m) - 1
+    plus, minus = full, 0
+    for char in a:
+        eq = match.get(char, 0)
+        xv = eq | minus
+        xh = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = (minus | (full & ~(xh | plus))) << 1 | 1
+        h_minus = (plus & xh) << 1
+        plus = full & (h_minus | ~(xv | h_plus))
+        minus = h_plus & xv
+    return min(n + plus.bit_count() - minus.bit_count(), over)
 
 
 def _require_golds(golds: Sequence[str]) -> None:
