@@ -149,9 +149,11 @@ _encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 def write_atomically(path: str | os.PathLike[str], lines: Iterable[str]) -> None:
     """Write each of `lines`, then a newline, as UTF-8 to a temporary file
     beside `path`, which then replaces it, so a failed write leaves no
-    partial file and `path` keeps what it held. An OSError becomes a
-    DataError naming `path`; any other exception, one raised while producing
-    `lines` included, propagates.
+    partial file and `path` keeps what it held. A `path` that exists and is
+    neither a regular file nor a directory (a FIFO or a device, say) is
+    refused before anything is written, since the rename would replace it.
+    An OSError becomes a DataError naming `path`; any other exception, one
+    raised while producing `lines` included, propagates.
     """
     def write(handle) -> None:
         for line in lines:
@@ -159,6 +161,9 @@ def write_atomically(path: str | os.PathLike[str], lines: Iterable[str]) -> None
             handle.write("\n")
 
     try:
+        with suppress(FileNotFoundError):
+            if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+                raise DataError(f"{path}: cannot write: not a regular file")
         _replace(path, "w", write)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc

@@ -1332,6 +1332,17 @@ class TestSampleCommand:
         )
         assert "Traceback" not in err and not out.exists()
 
+    def test_an_out_that_is_a_fifo_exits_2_and_is_kept(self, tmp_path, capsys):
+        # The temporary file used to be renamed over the FIFO: exit 0, and a
+        # regular file where the FIFO had been.
+        out = tmp_path / "s.jsonl"
+        os.mkfifo(out)
+        assert run("sample", "--datasets", "x=3", "--strategy", "uniform",
+                   "--draws", 2, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {out}: cannot write: not a regular file\n"
+        assert out.is_fifo()
+        assert os.listdir(tmp_path) == ["s.jsonl"]
+
     def test_zero_size_exits_2(self, tmp_path):
         assert run("sample", "--datasets", "x=0", "--strategy", "uniform",
                    "--draws", 10, "--out", tmp_path / "s.jsonl") == 2
