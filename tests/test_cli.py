@@ -984,17 +984,22 @@ class TestAnalyzeCommand:
         "--eval", GOLDEN / "expected" / "eval-shuffled-mock-answer-key.jsonl",
     )
 
-    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory", "fifo"])
     def test_an_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, target):
-        # analyze used to write its report in place, and both of these ended
-        # in a traceback.
+        # analyze used to write its report in place, and the first two ended
+        # in a traceback. The temporary file used to be renamed over a FIFO:
+        # exit 0, and a regular file where the FIFO had been.
         out, reason = tmp_path / "missing" / "a.json", "No such file or directory"
         if target == "directory":
             out, reason = tmp_path / "taken", "Is a directory"
             out.mkdir()
+        elif target == "fifo":
+            out, reason = tmp_path / "pipe", "not a regular file"
+            os.mkfifo(out)
         assert run("analyze", *self.GOLDEN_RUNS, "--out", out) == 2
         assert capsys.readouterr().err == f"error: {out}: cannot write: {reason}\n"
         assert list(tmp_path.rglob("*.tmp")) == []
+        assert out.is_fifo() == (target == "fifo")
 
     def test_a_failed_write_keeps_the_existing_report(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "analysis.json"
@@ -1331,17 +1336,6 @@ class TestSampleCommand:
             "docqa sample: error: argument --datasets: name in '\\udcff=3' is not valid Unicode"
         )
         assert "Traceback" not in err and not out.exists()
-
-    def test_an_out_that_is_a_fifo_exits_2_and_is_kept(self, tmp_path, capsys):
-        # The temporary file used to be renamed over the FIFO: exit 0, and a
-        # regular file where the FIFO had been.
-        out = tmp_path / "s.jsonl"
-        os.mkfifo(out)
-        assert run("sample", "--datasets", "x=3", "--strategy", "uniform",
-                   "--draws", 2, "--out", out) == 2
-        assert capsys.readouterr().err == f"error: {out}: cannot write: not a regular file\n"
-        assert out.is_fifo()
-        assert os.listdir(tmp_path) == ["s.jsonl"]
 
     def test_zero_size_exits_2(self, tmp_path):
         assert run("sample", "--datasets", "x=0", "--strategy", "uniform",

@@ -29,6 +29,22 @@ left_text = st.text(alphabet="abc", max_size=12)
 right_text = st.text(alphabet="cxyz", max_size=12)
 
 
+def edit_randomly(rng: random.Random, text: str, pool: str, edits: int) -> str:
+    """`text` after `edits` random inserts, deletes and substitutions, each
+    new character drawn from `pool`."""
+    chars = list(text)
+    for _ in range(edits):
+        at = rng.randrange(len(chars) + 1)
+        kind = rng.randrange(3) if at < len(chars) else 0
+        if kind == 0:
+            chars.insert(at, rng.choice(pool))
+        elif kind == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(pool)
+    return "".join(chars)
+
+
 class TestNormalize:
     def test_lowercases_trims_and_collapses(self):
         assert normalize("  The\tTotal \n Due ") == "the total due"
@@ -91,7 +107,7 @@ class TestLevenshtein:
         if expected <= cap:
             assert levenshtein(a, b, cap) == expected
         else:
-            assert levenshtein(a, b, cap) > cap
+            assert levenshtein(a, b, cap) == cap + 1
 
     @given(a=left_text, b=right_text, cap=st.integers(0, 14))
     def test_cap_is_exact_when_the_strings_share_few_characters(self, a, b, cap):
@@ -104,6 +120,29 @@ class TestLevenshtein:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             levenshtein("a", "b", -1)
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abcdefghij", "unicode"])
+    def test_matches_dp_oracle_on_long_strings_at_every_cap(self, alphabet):
+        # Up to 200 characters, so the bit vectors run past 64 bits. Every
+        # other pair is a string and an edited copy of it, for distances well
+        # under the length, as ANLS sees them.
+        rng = random.Random(f"long-{alphabet}")
+        pool = "é中𝄞x" if alphabet == "unicode" else alphabet
+
+        def draw():
+            if alphabet == "unicode":
+                return random_unicode_string(rng, 200)
+            return "".join(rng.choice(alphabet) for _ in range(rng.randrange(201)))
+
+        for k in range(16):
+            a = draw()
+            b = draw() if k % 2 else edit_randomly(rng, a, pool, rng.randrange(1, 40))
+            d = oracle_levenshtein(a, b)
+            for cap in (None, 0, d - 1, d, d + 1, 64):
+                if cap is not None and cap < 0:
+                    continue
+                expected = d if cap is None or d <= cap else cap + 1
+                assert levenshtein(a, b, cap) == expected, (a, b, cap)
 
 
 class TestAnls:
@@ -151,6 +190,19 @@ class TestAnls:
             golds = [random_unicode_string(rng) for _ in range(rng.randint(1, 4))]
             tau = rng.choice([0.0, 0.25, 0.5, 0.8, 1.0])
             assert anls_single(pred, golds, tau) == oracle_anls(pred, golds, tau)
+
+    def test_matches_oracle_with_a_gold_past_100_characters(self):
+        # The cap and the bit vectors both run past 64. The edit counts put
+        # the similarity on both sides of tau.
+        rng = random.Random("long-gold")
+        words = "total due invoice march $120.00 acct no. école 中文 paid".split()
+        for edits in (5, 30, 55, 90):
+            gold = ""
+            while len(gold) <= 100:
+                gold += rng.choice(words) + " "
+            pred = edit_randomly(rng, gold, "abc é", edits)
+            golds = [random_unicode_string(rng, 200), gold]
+            assert anls_single(pred, golds, 0.5) == oracle_anls(pred, golds, 0.5)
 
     @given(data=st.data())
     def test_cap_boundary_matches_oracle_exactly(self, data):
