@@ -38,7 +38,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError
 from .geometry import load_ocr_corpus
-from .jsonl import read_json, write_atomically, write_stage_file
+from .jsonl import write_atomically, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -54,7 +54,6 @@ from .serialize import (
     build_prompt,
     context_to_record,
     load_contexts,
-    prompt_parts,
     truncate_context,
 )
 
@@ -62,10 +61,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ENDPOINT = 3
-
-# HTTPBackend keywords a --config file may carry; anything else is a typo.
-RUN_CONFIG_KEYS = frozenset({"timeout", "max_attempts", "backoff_base"})
-
 
 class UsageError(Exception):
     """Bad invocation discovered after argument parsing."""
@@ -81,18 +76,6 @@ def config_digest(settings: Mapping[str, Any]) -> str:
     """Short fingerprint of a stage's semantic settings."""
     canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def load_run_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(payload) - RUN_CONFIG_KEYS)
-    if unknown:
-        raise DataError(f"config file {path} has unknown keys: {unknown}")
-    return payload
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,27 +230,14 @@ def _build_backend(args, records, contexts_by_doc):
                     f"{flag} applies only to --backend http, not --backend {args.backend}"
                 )
     if args.backend == "mock-echo":
-        return MockBackend(rule="echo_last_word")
+        return MockBackend()
     if args.backend == "mock-answer-key":
-        # Keyed by the (context, question) pair the mock parses out of each
-        # record's prompt, so documents that share a question keep their own
-        # golds; records with identical prompts pool.
-        key: dict[tuple[str, str], list[str]] = {}
-        for record in records:
-            parts = prompt_parts(contexts_by_doc[record.doc_id], record.question)
-            key.setdefault(parts, []).extend(record.answers)
-        return MockBackend(rule="answer_key", answer_key=key)
+        return MockBackend((contexts_by_doc[r.doc_id], r.question, r.answers) for r in records)
     if not args.endpoint:
         raise UsageError("the http backend needs an endpoint: pass --endpoint")
-    run_config = load_run_config(args.config)
-    try:
-        return HTTPBackend(
-            args.endpoint,
-            jitter_rng=random.Random(derive_seed(args.seed, "predict")),
-            **run_config,
-        )
-    except ValueError as exc:
-        raise DataError(f"config file {args.config}: {exc}") from exc
+    return HTTPBackend.from_config(
+        args.endpoint, args.config, random.Random(derive_seed(args.seed, "predict"))
+    )
 
 
 def _prediction(record, result) -> Prediction:

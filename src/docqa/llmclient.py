@@ -31,15 +31,13 @@ import random
 import threading
 import time
 import urllib.parse
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analysis import TokenLogProb, token_from_record
-from .errors import EndpointError
-from .jsonl import decode
+from .errors import DataError, EndpointError
+from .jsonl import decode, read_json
 from .metrics import contains_words, word_haystack
-from .serialize import parse_prompt
-
-MOCK_RULES = ("echo_last_word", "answer_key")
+from .serialize import SerializedContext, parse_prompt, prompt_parts
 
 # predict_batch keeps this many requests submitted per worker, so the workers
 # never wait on the caller, while the rest of the batch stays unbuilt.
@@ -91,42 +89,46 @@ def _pieces(answer: str) -> list[str]:
 class MockBackend:
     """Deterministic stand-in backend, a pure function of the prompt.
 
-    Rules: "echo_last_word" answers with the final context word, which
-    makes serialization order visible in the output; "answer_key"
-    answers the (context, question) pair that serialize.parse_prompt
-    recovers from the prompt with the first of the pair's gold answers that
-    is a run of whole words of the context (metrics.contains_words), or
-    "unknown" when none is (or the key lacks the pair), imitating a reader
-    that can only copy evidence it was actually given. Keying by the context
-    keeps two documents that ask the same question apart; parse_prompt is
-    injective on template prompts, so two prompts share a key exactly when
-    they are equal. The answers are decided when the backend is built, each
-    distinct context normalized once, so a request is one lookup.
+    Built with no records, it answers with the final context word, which
+    makes serialization order visible in the output. Built from records,
+    each a (SerializedContext, question, golds) triple, it answers the
+    (context, question) pair that serialize.parse_prompt recovers from the
+    prompt with the first of the pair's golds that is a run of whole words
+    of the context (metrics.contains_words), or "unknown" when none is or no
+    record has the pair, imitating a reader that can only copy evidence it
+    was actually given. Records pool their golds by serialize.prompt_parts,
+    the pair parsed out of the record's own prompt: two documents that ask
+    the same question keep theirs apart, and records whose prompts are equal
+    pool theirs. Every answer is decided when the backend is built, each
+    distinct context normalized once, into a table keyed by context text,
+    then by question, so a request is one lookup.
     """
 
     def __init__(
-        self,
-        rule: str,
-        answer_key: Mapping[tuple[str, str], Sequence[str]] | None = None,
+        self, records: Iterable[tuple[SerializedContext, str, Sequence[str]]] | None = None
     ) -> None:
-        if rule not in MOCK_RULES:
-            raise ValueError(f"unknown mock rule {rule!r}, expected one of {MOCK_RULES}")
-        if rule == "answer_key" and answer_key is None:
-            raise ValueError("answer_key rule needs an answer key")
-        self.rule = rule
-        key = answer_key or {}
-        haystacks = {text: word_haystack(text) for text in {pair[0] for pair in key}}
-        self.answers = {
-            pair: next((g for g in golds if contains_words(haystacks[pair[0]], g)), "unknown")
-            for pair, golds in key.items()
-        }
+        self.answers: dict[str, dict[str, str]] | None = None
+        if records is None:
+            return
+        pooled: dict[str, dict] = {}
+        for ctx, question, golds in records:
+            context_text, question = prompt_parts(ctx, question)
+            pooled.setdefault(context_text, {}).setdefault(question, []).extend(golds)
+        for context_text, questions in pooled.items():
+            haystack = word_haystack(context_text)
+            for question, golds in questions.items():
+                questions[question] = next(
+                    (g for g in golds if contains_words(haystack, g)), "unknown"
+                )
+        self.answers = pooled
 
     def _answer(self, prompt: str) -> str:
         context_text, question = parse_prompt(prompt)
-        if self.rule == "echo_last_word":
+        if self.answers is None:
             words = context_text.rsplit(None, 1)
             return words[-1] if words else ""
-        return self.answers.get((context_text, question), "unknown")
+        questions = self.answers.get(context_text)
+        return "unknown" if questions is None else questions.get(question, "unknown")
 
     def complete(self, request: InferenceRequest) -> InferenceResponse:
         pieces = _pieces(self._answer(request.prompt))
@@ -167,6 +169,10 @@ def _proxy_for(parts: urllib.parse.SplitResult) -> tuple[str, dict[str, str]] | 
         creds = base64.b64encode(user_pass.encode()).decode("ascii")
         auth["Proxy-Authorization"] = "Basic " + creds
     return urllib.parse.unquote(proxy_parts.netloc.rpartition("@")[2]), auth
+
+
+# The HTTPBackend keywords a --config file may carry; anything else is a typo.
+CONFIG_KEYS = frozenset({"timeout", "max_attempts", "backoff_base"})
 
 
 class HTTPBackend:
@@ -234,6 +240,25 @@ class HTTPBackend:
             else:
                 self._target = urllib.parse.urlunsplit(parts._replace(fragment=""))
                 self._headers.update(auth)
+
+    @classmethod
+    def from_config(
+        cls, endpoint: str, path: str | None, jitter_rng: random.Random
+    ) -> HTTPBackend:
+        """A backend for `endpoint` with the CONFIG_KEYS settings of the JSON
+        object in the file `path` (none when `path` is None); a file that
+        cannot be read, holds anything else or gives a bad value is a
+        DataError naming it."""
+        config = {} if path is None else read_json(path)
+        if not isinstance(config, dict):
+            raise DataError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(config) - CONFIG_KEYS)
+        if unknown:
+            raise DataError(f"config file {path} has unknown keys: {unknown}")
+        try:
+            return cls(endpoint, jitter_rng=jitter_rng, **config)
+        except ValueError as exc:
+            raise DataError(f"config file {path}: {exc}") from exc
 
     def _new_connection(self):
         import http.client

@@ -32,9 +32,12 @@ from docqa.metrics import contains_words, word_haystack
 from docqa.serialize import SerializedContext, build_prompt, parse_prompt
 
 
+def context_for(context_text, doc_id="d"):
+    return SerializedContext(doc_id=doc_id, text=context_text, token_count=0, pieces=())
+
+
 def prompt_for(context_text, question):
-    ctx = SerializedContext(doc_id="d", text=context_text, token_count=0, pieces=())
-    return build_prompt(ctx, question).text
+    return build_prompt(context_for(context_text), question).text
 
 
 def request_for(context_text, question, max_new_tokens=32, want_logprobs=True):
@@ -63,31 +66,32 @@ class TestResponseValidation:
 
 class TestMockEcho:
     def test_echoes_last_context_word(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         response = backend.complete(request_for("a b c", "which word?"))
         assert response.text == "c"
 
     def test_empty_context_yields_empty_answer(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         response = backend.complete(request_for("", "which word?"))
         assert response.text == ""
         assert response.tokens == ()
 
     def test_deterministic(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         req = request_for("alpha beta", "q?")
         assert backend.complete(req) == backend.complete(req)
 
     def test_logprobs_omitted_when_not_requested(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         response = backend.complete(request_for("a b", "q?", want_logprobs=False))
         assert response.tokens is None
 
 
 def answer_key_backend(context_text, golds):
-    """A mock whose key gives each question, asked of context_text, its golds."""
-    key = {(context_text, question): answers for question, answers in golds.items()}
-    return MockBackend(rule="answer_key", answer_key=key)
+    """A mock built from one record per question, asked of context_text, with
+    its golds."""
+    ctx = context_for(context_text)
+    return MockBackend((ctx, question, answers) for question, answers in golds.items())
 
 
 class TestMockAnswerKey:
@@ -128,11 +132,11 @@ class TestMockAnswerKey:
         assert response.text == "unknown"
 
     def test_same_question_on_two_contexts_keeps_each_gold(self):
-        key = {
-            ("total due 42", "total?"): ("42",),
-            ("total due 17", "total?"): ("17",),
-        }
-        backend = MockBackend(rule="answer_key", answer_key=key)
+        records = [
+            (context_for("total due 42", "d1"), "total?", ("42",)),
+            (context_for("total due 17", "d2"), "total?", ("17",)),
+        ]
+        backend = MockBackend(records)
         assert backend.complete(request_for("total due 42", "total?")).text == "42"
         assert backend.complete(request_for("total due 17", "total?")).text == "17"
 
@@ -150,9 +154,11 @@ class TestMockAnswerKey:
         }
         requests = [request_for(text, question) for text, question in key]
         golds = [answers[1] for answers in key.values()]
+        pages = {text: context_for(text, f"d{page}") for page, text in enumerate(contexts)}
+        records = [(pages[text], question, answers) for (text, question), answers in key.items()]
         tracemalloc.start()
         try:
-            backend = MockBackend(rule="answer_key", answer_key=key)
+            backend = MockBackend(records)
             right = sum(backend.complete(r).text == g for r, g in zip(requests, golds))
             snapshot = tracemalloc.take_snapshot()
         finally:
@@ -163,9 +169,30 @@ class TestMockAnswerKey:
         context_chars = sum(map(len, contexts))
         assert held < context_chars / 4, (held, context_chars)
 
-    def test_rule_name_validated(self):
-        with pytest.raises(ValueError, match="rule"):
-            MockBackend(rule="oracle")
+    def test_records_pool_by_the_pair_their_prompt_parses_to(self):
+        # The prompt of d3's question parses back as context
+        # "total due 42 Question: what is the", question "total?": d4's own
+        # pair, so the two pool their golds under it, while d1 and d2 ask the
+        # same question of two documents and keep theirs apart.
+        records = [
+            (context_for("total due 42", "d1"), "total?", ("42",)),
+            (context_for("total due 17", "d2"), "total?", ("17",)),
+            (context_for("total due 42", "d3"), "what is the Question: total?", ("absent", "42")),
+            (context_for("total due 42 Question: what is the", "d4"), "total?", ("due",)),
+            (context_for("total due 17", "d5"), "owed?", ("absent",)),
+        ]
+        backend = MockBackend(records)
+        asked = [
+            ("total due 42", "total?", "42"),
+            ("total due 17", "total?", "17"),
+            ("total due 42", "what is the Question: total?", "42"),
+            ("total due 42 Question: what is the", "total?", "42"),
+            ("total due 17", "owed?", "unknown"),
+            ("total due 17", "other?", "unknown"),
+            ("total due 99", "total?", "unknown"),
+        ]
+        for context_text, question, answer in asked:
+            assert backend.complete(request_for(context_text, question)).text == answer
 
 
 # Contexts and questions drawn from the template's own markers, so a marker
@@ -263,13 +290,13 @@ class FlakyBackend:
 
 class TestClientBatch:
     def test_sequential_batch_preserves_order(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         reqs = [request_for(f"w{i}", "q?") for i in range(10)]
         responses = predict_batch(backend, reqs, max_in_flight=1)
         assert [r.text for r in responses] == [f"w{i}" for i in range(10)]
 
     def test_concurrent_batch_preserves_order(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         reqs = [request_for(f"w{i}", "q?") for i in range(20)]
         responses = predict_batch(backend, reqs, max_in_flight=4)
         assert [r.text for r in responses] == [f"w{i}" for i in range(20)]
@@ -312,7 +339,7 @@ class TestClientBatch:
                 gc.enable()
 
     def test_repeat_batches_identical(self):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         reqs = [request_for(f"w{i}", "q?") for i in range(5)]
         assert predict_batch(backend, reqs, max_in_flight=3) == predict_batch(
             backend, reqs, max_in_flight=3
@@ -320,7 +347,7 @@ class TestClientBatch:
 
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError):
-            predict_batch(MockBackend(rule="echo_last_word"), [], max_in_flight=0)
+            predict_batch(MockBackend(), [], max_in_flight=0)
 
 
 class CountingBackend:
@@ -330,7 +357,7 @@ class CountingBackend:
         self.done = 0
         self.gate = gate
         self._lock = threading.Lock()
-        self._echo = MockBackend(rule="echo_last_word")
+        self._echo = MockBackend()
 
     def complete(self, request):
         if self.gate is not None:
@@ -382,7 +409,7 @@ class TestLazyBatch:
 
     @pytest.mark.parametrize("max_in_flight", [1, 3])
     def test_empty_generator_gives_an_empty_list(self, max_in_flight):
-        backend = MockBackend(rule="echo_last_word")
+        backend = MockBackend()
         assert predict_batch(backend, (r for r in ()), max_in_flight=max_in_flight) == []
 
     def test_zero_in_flight_raises_before_pulling(self):
@@ -393,7 +420,7 @@ class TestLazyBatch:
             yield request_for("w", "q?")
 
         with pytest.raises(ValueError, match="max_in_flight"):
-            predict_batch(MockBackend(rule="echo_last_word"), requests(), max_in_flight=0)
+            predict_batch(MockBackend(), requests(), max_in_flight=0)
         assert pulled == []
 
     @pytest.mark.parametrize("max_in_flight", [1, 2])
