@@ -149,22 +149,29 @@ _encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 def write_atomically(path: str | os.PathLike[str], lines: Iterable[str]) -> None:
     """Write each of `lines`, then a newline, as UTF-8 to a temporary file
     beside `path`, which then replaces it, so a failed write leaves no
-    partial file and `path` keeps what it held. A `path` that exists and is
-    neither a regular file nor a directory (a FIFO or a device, say) is
-    refused before anything is written, since the rename would replace it.
-    An OSError becomes a DataError naming `path`; any other exception, one
-    raised while producing `lines` included, propagates.
+    partial file and `path` keeps what it held. A symbolic link is written
+    through: the file it points at is replaced and the link stays. A target
+    that exists keeps its permission bits (setuid and setgid aside); one
+    that is neither a regular file nor a directory (a FIFO or a device, say)
+    is refused before anything is written, since the rename would replace
+    it. An OSError becomes a DataError naming `path`; any other exception,
+    one raised while producing `lines` included, propagates.
     """
     def write(handle) -> None:
         for line in lines:
             handle.write(line)
             handle.write("\n")
+        if permissions is not None:
+            os.chmod(handle.fileno(), permissions)
 
+    target, permissions = os.path.realpath(path), None
     try:
         with suppress(FileNotFoundError):
-            if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            mode = os.stat(target).st_mode
+            if stat.S_IFMT(mode) not in (stat.S_IFREG, stat.S_IFDIR):
                 raise DataError(f"{path}: cannot write: not a regular file")
-        _replace(path, "w", write)
+            permissions = stat.S_IMODE(mode) & 0o777
+        _replace(target, "w", write)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 

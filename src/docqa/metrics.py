@@ -184,7 +184,13 @@ def relaxed_accuracy(pred: str, golds: Sequence[str]) -> Score:
 
 
 def vqa_accuracy(pred: str, golds: Sequence[str]) -> Score:
-    """min(matching annotator answers / 3, 1) over the gold answer panel."""
+    """min(matching annotator answers / 3, 1) over the whole gold answer panel.
+
+    The VQA evaluation instead averages this over the leave-one-annotator-out
+    subsets of the panel: for 1, 2 and 3 matches out of 10 answers it gives
+    0.3, 0.6 and 0.9 where this gives 1/3, 2/3 and 1, so an example can score
+    up to 10 points higher here.
+    """
     _require_golds(golds)
     pred_n = normalize(pred)
     matches = sum(1 for gold in golds if normalize(gold) == pred_n)

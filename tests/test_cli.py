@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -1320,6 +1321,45 @@ class TestSampleCommand:
             "--draws", 50, "--seed", 1, "--out", out)
         _, rows = stage_records(out)
         assert all(0 <= r["index"] < 10 for r in rows)
+
+    SAMPLE = ("sample", "--datasets", "x=3", "--strategy", "uniform", "--draws", 2)
+
+    def test_out_through_a_symlink_replaces_the_file_it_points_at(self, tmp_path):
+        # The temporary file used to be renamed over the link itself: a
+        # regular file where the link had been, and the old bytes left in
+        # the file it pointed at.
+        (tmp_path / "runs").mkdir()
+        real = tmp_path / "runs" / "real.jsonl"
+        real.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(Path("runs") / "real.jsonl")
+        fresh = tmp_path / "fresh.jsonl"
+        assert run(*self.SAMPLE, "--out", fresh) == 0
+        assert run(*self.SAMPLE, "--out", link) == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("runs", "real.jsonl")
+        assert real.read_bytes() == fresh.read_bytes()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "before, after", [(0o600, 0o600), (0o444, 0o444), (0o4755, 0o755)],
+        ids=["0600", "0444", "setuid 4755"],
+    )
+    def test_out_keeps_the_permission_bits_of_the_file_it_replaces(
+        self, tmp_path, before, after
+    ):
+        # A file a user made private used to come back with the umask's
+        # default bits, world-readable under umask 022.
+        out = tmp_path / "priv.jsonl"
+        out.write_text("old\n")
+        out.chmod(before)
+        assert run(*self.SAMPLE, "--out", out) == 0
+        assert out.read_text() != "old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == after
+        umask = os.umask(0)
+        os.umask(umask)
+        new = tmp_path / "new.jsonl"
+        assert run(*self.SAMPLE, "--out", new) == 0
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
 
     def test_bad_size_spec_is_usage_error(self, tmp_path):
         assert run("sample", "--datasets", "x:100", "--strategy", "uniform",
