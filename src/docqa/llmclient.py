@@ -242,9 +242,7 @@ class HTTPBackend:
                 self._headers.update(auth)
 
     @classmethod
-    def from_config(
-        cls, endpoint: str, path: str | None, jitter_rng: random.Random
-    ) -> HTTPBackend:
+    def from_config(cls, endpoint: str, path: str | None, jitter_rng: random.Random) -> HTTPBackend:
         """A backend for `endpoint` with the CONFIG_KEYS settings of the JSON
         object in the file `path` (none when `path` is None); a file that
         cannot be read, holds anything else or gives a bad value is a
