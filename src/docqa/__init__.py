@@ -11,8 +11,9 @@ The pipeline stages live in their own modules and compose through plain data:
 - llmclient: endpoint and mock backends, plus the predict_batch fan-out
 - cli: file-based pipeline commands
 
-Records are checked once, where they enter: the file loaders, the endpoint
-parser (`HTTPBackend.complete`) and the CLI's argument types. The records
+Records are checked once, where they enter, by the value rules of
+docqa.errors: the file loaders, the endpoint parser (`HTTPBackend.complete`)
+and the CLI's argument types. The records
 (named tuples, and the Document class) check nothing, so untrusted data
 should go through a loader.
 """

@@ -5,7 +5,8 @@ and derives the three diagnostics we lean on when a benchmark number
 looks off: perplexity of the generated answer, whether any gold answer
 appears verbatim in the serialized context, and how context length
 relates to correctness. Records are checked by the *_from_record
-parsers, not by the records themselves, which are plain named tuples.
+parsers, with the value rules of docqa.errors, not by the records
+themselves, which are plain named tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datasets import DatasetConfig, QARecord
-from .errors import DataError
+from .errors import DataError, check_int, check_number, check_str, check_type
 from .jsonl import read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
 from .ordering import check_strategy
@@ -24,9 +25,6 @@ from .serialize import SerializedContext
 # Genre questions are multiple-choice over a closed label set, so
 # "answer in context" is meaningless only for the book-cover set.
 GENRE_FILTERED_DATASETS = frozenset({"ocrvqa"})
-
-_FLOAT_MAX = sys.float_info.max
-
 
 class TokenLogProb(NamedTuple):
     """One generated token with its log probability (natural log, <= 0)."""
@@ -46,19 +44,23 @@ class Prediction(NamedTuple):
 
 def token_from_record(record: Mapping) -> TokenLogProb:
     """A token from a predictions-file or endpoint {"text", "logprob"} object."""
-    text = record["text"]
-    value = record["logprob"]
-    if not isinstance(text, str):
-        raise ValueError("token_text must be a string")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("logprob must be a number")
-    # Bounds before float(), which raises OverflowError on a huge integer;
-    # they also reject nan.
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ValueError(f"logprob must be finite, got {value!r}")
-    if value > 0:
-        raise ValueError(f"logprob must be <= 0, got {value!r}")
-    return TokenLogProb(token_text=text, logprob=float(value))
+    return TokenLogProb(
+        token_text=check_type("token_text", record["text"], str),
+        logprob=float(check_number("logprob", record["logprob"], high=0)),
+    )
+
+
+def completion_tokens(text: str, raw_tokens) -> tuple[TokenLogProb, ...] | None:
+    """The tokens of a completion whose text is `text`, from a list of
+    {"text", "logprob"} objects or null; the token texts must concatenate
+    to `text`. Predictions files and endpoint replies are both read so."""
+    if check_type("tokens", raw_tokens, list, null=True) is None:
+        return None
+    tokens = tuple(map(token_from_record, raw_tokens))
+    joined = "".join(t.token_text for t in tokens)
+    if joined != text:
+        raise ValueError(f"token pieces {joined!r} do not concatenate to text {text!r}")
+    return tokens
 
 
 class EvalRow(NamedTuple):
@@ -312,45 +314,18 @@ def eval_row_to_record(row: EvalRow) -> dict:
 
 
 def eval_row_from_record(record: Mapping) -> EvalRow:
-    example_id = record.get("example_id")
-    if not isinstance(example_id, str) or not example_id:
-        raise ValueError("example_id must be a non-empty string")
-    score_value = record.get("score")
-    if isinstance(score_value, bool) or not isinstance(score_value, (int, float)):
-        raise ValueError("score must be a number")
-    # The chained bounds also reject nan.
-    if not 0.0 <= score_value <= 1.0:
-        raise ValueError(f"score must lie in [0, 1], got {score_value!r}")
-    correct = record.get("correct")
-    if not isinstance(correct, bool):
-        raise ValueError("correct must be a boolean")
-    length = record.get("context_token_len")
-    if isinstance(length, bool) or not isinstance(length, int) or length < 0:
-        raise ValueError("context_token_len must be a non-negative integer")
+    example_id = check_str("example_id", record.get("example_id"))
+    score_value = float(check_number("score", record.get("score"), 0, 1))
+    correct = check_type("correct", record.get("correct"), bool)
     # No context holds more tokens than a str holds characters; past this
     # bound the median's division would overflow a float.
-    if length > sys.maxsize:
-        raise ValueError(f"context_token_len must be at most {sys.maxsize}")
-    in_text = record.get("answer_in_text")
-    if in_text is not None and not isinstance(in_text, bool):
-        raise ValueError("answer_in_text must be a boolean or null")
+    length = check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize)
+    in_text = check_type("answer_in_text", record.get("answer_in_text"), bool, null=True)
     rop = record.get("rop")
     if rop is not None:
-        if isinstance(rop, bool) or not isinstance(rop, (int, float)):
-            raise ValueError("rop must be a number or null")
-        # exp of a non-negative mean, so at least 1; the bounds also reject
-        # nan and an integer too large for a float.
-        if not 1.0 <= rop <= _FLOAT_MAX:
-            raise ValueError(f"rop must be a finite number >= 1, got {rop!r}")
-        rop = float(rop)
-    return EvalRow(
-        example_id=example_id,
-        score=float(score_value),
-        correct=correct,
-        context_token_len=length,
-        answer_in_text=in_text,
-        rop=rop,
-    )
+        # exp of a non-negative mean, so at least 1.
+        rop = float(check_number("rop", rop, 1))
+    return EvalRow(example_id, score_value, correct, length, in_text, rop)
 
 
 def prediction_to_record(pred: Prediction) -> dict:
@@ -363,24 +338,11 @@ def prediction_to_record(pred: Prediction) -> dict:
 
 
 def prediction_from_record(record: Mapping) -> Prediction:
-    example_id = record.get("example_id")
-    if not isinstance(example_id, str) or not example_id:
-        raise ValueError("example_id must be a non-empty string")
+    example_id = check_str("example_id", record.get("example_id"))
     if "error" in record:
-        error = record["error"]
-        if not isinstance(error, str) or not error:
-            raise ValueError("error must be a non-empty string")
-        return Prediction(example_id=example_id, text="", tokens=None, error=error)
-    text = record.get("text")
-    if not isinstance(text, str):
-        raise ValueError("text must be a string")
-    raw_tokens = record.get("tokens")
-    tokens = None
-    if raw_tokens is not None:
-        if not isinstance(raw_tokens, list):
-            raise ValueError("tokens must be a list or null")
-        tokens = tuple(token_from_record(t) for t in raw_tokens)
-    return Prediction(example_id=example_id, text=text, tokens=tokens)
+        return Prediction(example_id, "", None, check_str("error", record["error"]))
+    text = check_type("text", record.get("text"), str)
+    return Prediction(example_id, text, completion_tokens(text, record.get("tokens")))
 
 
 def load_predictions(path) -> tuple[dict, list[Prediction]]:
@@ -399,13 +361,14 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     for key in ("dataset", "strategy", "n"):
         if key not in header:
             raise DataError(f"eval file {path} header is missing {key!r}")
-    dataset, strategy = header["dataset"], header["strategy"]
     where = f"eval file {path} header"
-    if not isinstance(dataset, str) or not dataset:
-        raise DataError(f"{where}: dataset must be a non-empty string, got {dataset!r}")
+    try:
+        check_str("dataset", header["dataset"])
+        check_int("n", header["n"])
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
     # analyze takes any strategy but "shuffled" as the dataset's reference run.
-    check_strategy(strategy, f"{where}:")
-    n = header["n"]
-    if type(n) is not int or n != len(rows):
-        raise DataError(f"{where}: n is {n!r}, but the file holds {len(rows)} rows")
+    check_strategy(header["strategy"], f"{where}:")
+    if header["n"] != len(rows):
+        raise DataError(f"{where}: n is {header['n']!r}, but the file holds {len(rows)} rows")
     return header, rows

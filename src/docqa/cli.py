@@ -8,6 +8,7 @@ produced it; paths never enter the digest, which keeps reruns in a
 different directory byte-identical.
 
 Exit codes: 0 success, 1 usage, 2 data validation, 3 endpoint failure.
+Numeric arguments are checked by the value rules of docqa.errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import gc
 import hashlib
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -36,7 +36,7 @@ from .analysis import (
     zero_shot_perplexity,
 )
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
-from .errors import DataError, EndpointError
+from .errors import DataError, EndpointError, check_int, check_number
 from .geometry import load_ocr_corpus
 from .jsonl import write_atomically, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
@@ -86,24 +86,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _checked(convert, rule, *bounds, **options):
+    """An argparse type: the argument `convert`ed, which `rule` must then
+    admit; text that `convert` refuses goes to the rule as it is, so every
+    fault is worded by the rule."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            return rule("value", value, *bounds, **options)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
-def _positive_finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+_positive_int = _checked(int, check_int, 1)
+_positive_finite_float = _checked(float, check_number, 0, above=True)
 
 
 def _endpoint(text: str) -> str:

@@ -3,8 +3,9 @@
 The six benchmark configs ship as a versioned JSON file next to this module
 so a reproduction run has one source of truth for metric choice and budgets.
 Mixture sampling is with replacement: each draw is independent, matching how
-training schedules consume them. The loaders check every record; the
-records themselves, plain named tuples, do not. `load_qa` keeps each QA file
+training schedules consume them. The loaders check every record with the
+value rules of docqa.errors; the records themselves, plain named tuples, do
+not. `load_qa` keeps each QA file
 it validated in the corpus cache (`jsonl.load_cached`), so a QA file that
 this code already loaded once comes back from there unparsed.
 """
@@ -16,7 +17,7 @@ import os
 import random
 from typing import Any, NamedTuple, Sequence
 
-from .errors import DataError
+from .errors import DataError, check_int, check_number, check_str, check_type
 from .jsonl import load_cached, parse_rows, read_json, read_records
 from .metrics import MetricKind
 
@@ -37,23 +38,15 @@ class QARecord(NamedTuple):
 
 def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
     try:
-        example_id = record["example_id"]
-        doc_id = record["doc_id"]
-        question = record["question"]
-        answers = record["answers"]
+        # A string would pass tuple() as one answer per character.
+        answers = check_type("answers", record["answers"], list)
+        flags = check_type("flags", record.get("flags", []), list)
+        example_id = check_str("example_id", record["example_id"])
+        doc_id = check_str("doc_id", record["doc_id"])
+        question = check_str("question", record["question"])
     except KeyError as exc:
         raise ValueError(f"QA record is missing {exc.args[0]!r}") from exc
-    flags = record.get("flags", [])
-    # A string would pass tuple() as one answer per character.
-    for name, value in (("answers", answers), ("flags", flags)):
-        if not isinstance(value, list):
-            raise ValueError(f"{name} must be a list, got {value!r}")
-    for name, value in (("example_id", example_id), ("doc_id", doc_id)):
-        if not isinstance(value, str) or not value:
-            raise ValueError(f"{name} must be a non-empty string")
-    if not isinstance(question, str) or not question:
-        raise ValueError("question must be a non-empty string")
-    if not answers or not all(isinstance(a, str) for a in answers):
+    if not answers or not all(type(a) is str for a in answers):
         raise ValueError("answers must be a non-empty list of strings")
     flags = frozenset(flags) if flags else NO_FLAGS
     unknown = flags - KNOWN_FLAGS
@@ -109,17 +102,11 @@ def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str
             raise DataError(f"{path}: dataset {name!r} must be an object, got {entry!r}")
         try:
             metric = entry["metric"]
-            context_budget = entry["context_budget"]
-            target_budget = entry["target_budget"]
-            tau = entry["anls_tau"]
             if metric not in MetricKind:
                 raise ValueError(f"unknown metric {metric!r}, expected one of {MetricKind}")
-            budgets = (("context_budget", context_budget), ("target_budget", target_budget))
-            for key, value in budgets:
-                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise ValueError(f"{key} must be a positive integer, got {value!r}")
-            if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
-                raise ValueError(f"anls_tau must be a number in [0, 1], got {tau!r}")
+            context_budget = check_int("context_budget", entry["context_budget"], 1)
+            target_budget = check_int("target_budget", entry["target_budget"], 1)
+            tau = check_number("anls_tau", entry["anls_tau"], 0, 1)
         except KeyError as exc:
             raise DataError(f"{path}: dataset {name!r} is missing {exc.args[0]!r}") from exc
         except ValueError as exc:
@@ -147,19 +134,17 @@ def sample_mixture(
     """
     if kind not in MixtureKind:
         raise ValueError(f"unknown mixture kind {kind!r}, expected one of {MixtureKind}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an unsigned integer, got {seed!r}")
+    check_int("seed", seed, 0)
     if not datasets:
         raise DataError("dataset list is empty")
     names = [name for name, _ in datasets]
     if len(set(names)) != len(names):
         raise DataError("dataset names must be unique")
-    sizes = [size for _, size in datasets]
-    for name, size in datasets:
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise DataError(f"dataset {name!r} must have size >= 1, got {size!r}")
-    if not isinstance(n_draws, int) or isinstance(n_draws, bool) or n_draws < 1:
-        raise ValueError(f"n_draws must be a positive integer, got {n_draws!r}")
+    try:
+        sizes = [check_int(f"size of dataset {name!r}", size, 1) for name, size in datasets]
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    check_int("n_draws", n_draws, 1)
 
     rng = random.Random(seed)
     draws: list[tuple[str, int]] = []

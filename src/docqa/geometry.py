@@ -17,22 +17,21 @@ back from there unparsed.
 
 Every word check lives in `document_from_record`, which validates a corpus
 record in a single pass over its `words` array; `_word_fault` only composes
-the message for the word that failed. Nothing in docqa changes a Document
-after construction, so it is safe to share across threads.
+the message for the word that failed, by the value rules of docqa.errors.
+Nothing in docqa changes a Document after construction, so it is safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from array import array
 from typing import Any
 
+from .errors import FLOAT_MAX, check_number, check_str, check_type
 from .jsonl import load_cached, parse_rows, read_records
 
 _NUMBER = frozenset({int, float})
-# A coordinate is finite iff it lies within +-_LIMIT; NaN fails every bound.
-_LIMIT = sys.float_info.max
 _COORDINATES = ("x_min", "y_min", "x_max", "y_max")
 
 
@@ -65,24 +64,20 @@ class Document:
 
 def _word_fault(payload: Any) -> str:
     """The first rule of document_from_record that this word entry breaks."""
-    if type(payload) is not dict:
-        return "word entry must be an object"
-    box = payload.get("box")
-    if type(box) is not list or len(box) != 4:
-        return f"box must be [x_min, y_min, x_max, y_max], got {box!r}"
-    for name, value in zip(_COORDINATES, box):
-        if type(value) not in _NUMBER:
-            return f"{name} must be a number, got {value!r}"
-        if not -_LIMIT <= value <= _LIMIT:
-            return f"{name} must be finite, got {value!r}"
-    x_min, y_min, x_max, y_max = box
-    if x_min > x_max:
-        return f"inverted box: x_min {float(x_min)} > x_max {float(x_max)}"
-    if y_min > y_max:
-        return f"inverted box: y_min {float(y_min)} > y_max {float(y_max)}"
-    text = payload.get("text")
-    if type(text) is not str or not text:
-        return "word text must be a non-empty string"
+    try:
+        box = check_type("word entry", payload, dict).get("box")
+        if type(box) is not list or len(box) != 4:
+            return f"box must be [x_min, y_min, x_max, y_max], got {box!r}"
+        for name, value in zip(_COORDINATES, box):
+            check_number(name, value)
+        x_min, y_min, x_max, y_max = box
+        if x_min > x_max:
+            return f"inverted box: x_min {float(x_min)} > x_max {float(x_max)}"
+        if y_min > y_max:
+            return f"inverted box: y_min {float(y_min)} > y_max {float(y_max)}"
+        text = check_str("word text", payload.get("text"))
+    except ValueError as exc:
+        return str(exc)
     return f"word text carries surrounding whitespace: {text!r}"
 
 
@@ -93,15 +88,9 @@ def document_from_record(record: dict[str, Any]) -> Document:
     (bools excluded), finite and not inverted, and whose `text` is a
     non-empty string without surrounding whitespace.
     """
-    doc_id = record.get("doc_id")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise ValueError("record is missing a doc_id string")
-    flag = record.get("reading_ordered")
-    if not isinstance(flag, bool):
-        raise ValueError("record is missing the reading_ordered boolean")
-    raw_words = record.get("words")
-    if not isinstance(raw_words, list):
-        raise ValueError("record is missing the words array")
+    doc_id = check_str("doc_id", record.get("doc_id"))
+    flag = check_type("reading_ordered", record.get("reading_ordered"), bool)
+    raw_words = check_type("words", record.get("words"), list)
     texts: list[str] = []
     coords: list[int | float] = []
     for payload in raw_words:
@@ -117,8 +106,8 @@ def document_from_record(record: dict[str, Any]) -> Document:
             and type(y_min) in _NUMBER
             and type(x_max) in _NUMBER
             and type(y_max) in _NUMBER
-            and -_LIMIT <= x_min <= x_max <= _LIMIT
-            and -_LIMIT <= y_min <= y_max <= _LIMIT
+            and -FLOAT_MAX <= x_min <= x_max <= FLOAT_MAX
+            and -FLOAT_MAX <= y_min <= y_max <= FLOAT_MAX
             and type(text) is str
             and text
             and text.strip() == text

@@ -42,6 +42,7 @@ from contextlib import suppress
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
+from . import errors
 from .errors import DataError
 
 T = TypeVar("T")
@@ -283,7 +284,8 @@ def load_cached(
 ) -> list[T]:
     """`parse()`, the values read from the file at `path`, kept in the corpus
     cache under a key that digests that file's bytes, the module file
-    `source`, this module's file, marshal.version and sys.byteorder.
+    `source`, the value rules' module (errors.py), this module's file,
+    marshal.version and sys.byteorder.
 
     A hit returns `unpack` of each stored tuple. A miss returns `parse()`,
     whose exceptions propagate, and stores `pack` of each value, in batches
@@ -295,7 +297,7 @@ def load_cached(
         before = os.stat(path)
         if stat.S_ISREG(before.st_mode):
             digest = hashlib.sha256()
-            for name in (path, source, __file__):
+            for name in (path, source, errors.__file__, __file__):
                 digest.update(_file_digest(name))
             digest.update(f"{marshal.version} {sys.byteorder}".encode())
             entry = os.path.join(_cache_dir(), digest.hexdigest())

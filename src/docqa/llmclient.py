@@ -19,8 +19,9 @@ HTTP framing are retried, each on a fresh connection; a status outside 2xx
 (any 3xx included, which is never followed), a body jsonl.decode refuses and
 a malformed body are not. Proxies come from http_proxy/https_proxy/no_proxy
 (CONNECT for https, Basic credentials from the proxy URL), and HTTPS is
-verified against the system trust store. HTTPBackend.complete checks every
-response body; the records do not.
+verified against the system trust store. HTTPBackend checks its settings
+and every response body by the value rules of docqa.errors; the records do
+not.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ import json
 import math
 import random
 import threading
-import time
 import urllib.parse
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .analysis import TokenLogProb, token_from_record
-from .errors import DataError, EndpointError
+from .analysis import TokenLogProb, completion_tokens
+from .errors import DataError, EndpointError, check_int, check_number, check_str, check_type
 from .jsonl import decode, read_json
 from .metrics import contains_words, word_haystack
 from .serialize import SerializedContext, parse_prompt, prompt_parts
@@ -174,6 +174,13 @@ def _proxy_for(parts: urllib.parse.SplitResult) -> tuple[str, dict[str, str]] | 
 # The HTTPBackend keywords a --config file may carry; anything else is a typo.
 CONFIG_KEYS = frozenset({"timeout", "max_attempts", "backoff_base"})
 
+# Socket timeouts and lock waits overflow past this many seconds; it bounds
+# timeout, backoff_base and every backoff.
+TIMEOUT_MAX = threading.TIMEOUT_MAX
+# The default sleeper waits on an event that is never set: it takes any delay
+# up to TIMEOUT_MAX, where time.sleep can fail with EINVAL.
+_sleep = threading.Event().wait
+
 
 class HTTPBackend:
     """Talks to a live endpoint; retries only transport failures.
@@ -198,20 +205,12 @@ class HTTPBackend:
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         jitter_rng: random.Random | None = None,
-        sleeper: Callable[[float], None] = time.sleep,
+        sleeper: Callable[[float], object] = _sleep,
     ) -> None:
-        check_endpoint(endpoint)
-        # Exact types keep bools out; the chained bounds also reject nan.
-        if type(max_attempts) is not int or max_attempts < 1:
-            raise ValueError(f"max_attempts must be an integer >= 1, got {max_attempts!r}")
-        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
-        if type(backoff_base) not in (int, float) or not 0 <= backoff_base < math.inf:
-            raise ValueError(f"backoff_base must be a finite number >= 0, got {backoff_base!r}")
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
+        self.endpoint = check_endpoint(endpoint)
+        self.max_attempts = check_int("max_attempts", max_attempts, 1)
+        self.timeout = check_number("timeout", timeout, 0, TIMEOUT_MAX, above=True)
+        self.backoff_base = check_number("backoff_base", backoff_base, 0, TIMEOUT_MAX)
         self.jitter_rng = jitter_rng if jitter_rng is not None else random.Random()
         self.sleeper = sleeper
         self._idle: list = []
@@ -334,12 +333,19 @@ class HTTPBackend:
                 # outlive the attempt while cli.main has the collector paused.
                 last_error = str(exc)
                 if attempt < self.max_attempts:
-                    jitter = 0.5 + 0.5 * self.jitter_rng.random()
-                    self.sleeper(self.backoff_base * 2 ** (attempt - 1) * jitter)
+                    self.sleeper(self.backoff(attempt))
         raise EndpointError(
             f"endpoint {self.endpoint} unreachable after {self.max_attempts} attempts: "
             f"{last_error}"
         )
+
+    def backoff(self, attempt: int) -> float:
+        """The wait after failed attempt `attempt` (1-based): backoff_base *
+        2**(attempt - 1), scaled by a jitter in [0.5, 1) and capped at
+        TIMEOUT_MAX. The exponent stops at 1023, as 2.0**1024 overflows; a
+        product past the float range is inf, which the cap takes."""
+        jitter = 0.5 + 0.5 * self.jitter_rng.random()
+        return min(self.backoff_base * 2.0 ** min(attempt - 1, 1023) * jitter, TIMEOUT_MAX)
 
     def complete(self, request: InferenceRequest) -> InferenceResponse:
         payload = {
@@ -354,18 +360,9 @@ class HTTPBackend:
         if not isinstance(body, dict):
             raise EndpointError(f"endpoint returned {type(body).__name__}, expected object")
         try:
-            tokens = None
-            if request.want_logprobs and body.get("tokens") is not None:
-                tokens = tuple(token_from_record(t) for t in body["tokens"])
-            text = body["text"]
-            model_id = body["model_id"]
-            if not isinstance(text, str):
-                raise ValueError("text must be a string")
-            if not isinstance(model_id, str) or not model_id:
-                raise ValueError("model_id must be a non-empty string")
-            joined = None if tokens is None else "".join(t.token_text for t in tokens)
-            if joined not in (None, text):
-                raise ValueError(f"token pieces {joined!r} do not concatenate to text {text!r}")
+            text = check_type("text", body["text"], str)
+            model_id = check_str("model_id", body["model_id"])
+            tokens = completion_tokens(text, body.get("tokens")) if request.want_logprobs else None
         except (KeyError, TypeError, ValueError) as exc:
             raise EndpointError(f"malformed endpoint response: {exc}") from exc
         return InferenceResponse(text=text, model_id=model_id, tokens=tokens)

@@ -29,8 +29,9 @@ Each strategy turns a Document into a permutation of its word indices:
   alone.
 
 All functions are pure over immutable inputs, so ordering a corpus is
-embarrassingly parallel across documents. Only orders read from a file are
-checked, in ReadingOrder.from_record.
+embarrassingly parallel across documents. Orders read from a file are
+checked in ReadingOrder.from_record, and each strategy checks its parameter,
+both by the value rules of docqa.errors.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import os
 import random
 from typing import Any, Mapping, NamedTuple
 
-from .errors import DataError
+from .errors import DataError, check_int, check_number, check_str, check_type
 from .geometry import Document
 from .jsonl import read_stage_file
 
@@ -76,25 +77,19 @@ class ReadingOrder(NamedTuple):
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ReadingOrder":
         try:
-            doc_id = record["doc_id"]
-            permutation = record["permutation"]
+            doc_id = check_str("doc_id", record["doc_id"])
             strategy = record["strategy"]
+            permutation = check_type(f"permutation of doc {doc_id!r}", record["permutation"], list)
         except KeyError as exc:
             raise ValueError(f"order record is missing {exc.args[0]!r}") from exc
-        if not isinstance(doc_id, str) or not doc_id:
-            raise ValueError(f"doc_id must be a non-empty string, got {doc_id!r}")
         if strategy not in OrderStrategy:
             raise ValueError(f"unknown strategy {strategy!r}, expected one of {OrderStrategy}")
-        if type(permutation) is not list:
-            raise ValueError(f"permutation of doc {doc_id!r} must be a list, got {permutation!r}")
         for entry in permutation:
             if type(entry) is not int:
                 raise ValueError(
                     f"permutation of doc {doc_id!r} holds a non-integer entry {entry!r}"
                 )
-        params = record.get("params", {})
-        if type(params) is not dict:
-            raise ValueError(f"params of doc {doc_id!r} must be an object, got {params!r}")
+        params = check_type(f"params of doc {doc_id!r}", record.get("params", {}), dict)
         # N entries that include every index 0..N-1 hold each exactly once;
         # unlike a sort, this stays linear on a shuffled permutation.
         if not set(permutation).issuperset(range(len(permutation))):
@@ -122,11 +117,7 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
     line_threshold_factor (a finite number > 0) scales the seed box height
     into the vertical tolerance that decides line membership.
     """
-    factor = line_threshold_factor
-    # Exact types keep bools out; the chained bounds also reject nan.
-    if type(factor) not in (int, float) or not 0 < factor < math.inf:
-        raise ValueError(f"line_threshold_factor must be a finite number > 0, got {factor!r}")
-    factor = float(factor)
+    factor = float(check_number("line_threshold_factor", line_threshold_factor, 0, above=True))
     coords = doc.coords
     top = coords[1::4]
     bottom = coords[3::4]
@@ -181,9 +172,7 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
     rather than delegated to random.shuffle or randrange, so the permutation
     for a given seed is pinned by this module alone.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an unsigned integer, got {seed!r}")
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = random.Random(check_int("seed", seed, 0)).getrandbits
     permutation = list(range(len(doc)))
     for i in range(len(permutation) - 1, 0, -1):
         # randrange(i + 1) on CPython 3.10-3.13, without its wrapper.

@@ -9,7 +9,8 @@ and stays byte-identical for identical inputs. A token budget counts
 whitespace-separated tokens, so an OCR word with an internal space such as
 "new york" counts as two. Budgets are enforced by keeping the longest prefix
 of whole words that fits; a word is never split. Contexts files are checked
-row by row in `context_from_record`; the records themselves check nothing.
+row by row in `context_from_record`, by the value rules of docqa.errors; the
+records themselves check nothing.
 A loaded context carries no word pieces (`pieces` is None), since no stage
 that reads a contexts file truncates it; `truncate_context` then splits the
 text on single spaces.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import os
 from typing import Any, NamedTuple
 
-from .errors import DataError
+from .errors import DataError, check_int, check_str, check_type
 from .geometry import Document
 from .jsonl import read_stage_file
 from .ordering import ReadingOrder
@@ -66,8 +67,7 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
     Idempotent; an already-fitting context is returned unchanged. When even
     the first word exceeds the budget the context collapses to empty.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    check_int("budget", budget, 1)
     if ctx.token_count <= budget:
         return ctx
     pieces = ctx.pieces
@@ -133,17 +133,11 @@ def context_to_record(ctx: SerializedContext) -> dict[str, Any]:
 
 def context_from_record(record: dict[str, Any]) -> SerializedContext:
     try:
-        doc_id = record["doc_id"]
-        text = record["context"]
-        token_count = record["token_count"]
+        doc_id = check_str("doc_id", record["doc_id"])
+        text = check_type("context", record["context"], str)
+        token_count = check_int("token_count", record["token_count"])
     except KeyError as exc:
         raise ValueError(f"context record is missing {exc.args[0]!r}") from exc
-    if not isinstance(doc_id, str) or not doc_id:
-        raise ValueError(f"doc_id must be a non-empty string, got {doc_id!r}")
-    if not isinstance(text, str):
-        raise ValueError(f"context must be a string, got {text!r}")
-    if type(token_count) is not int:
-        raise ValueError(f"token_count must be an integer, got {token_count!r}")
     words = len(text.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")

@@ -45,14 +45,15 @@ def row(example_id, score=1.0, correct=True, length=10, in_text=True, rop=None):
 
 class TestTokenLogProb:
     def test_positive_logprob_rejected(self):
-        with pytest.raises(ValueError, match="logprob must be <= 0"):
+        with pytest.raises(ValueError) as info:
             token_from_record({"text": "t", "logprob": 0.01})
+        assert str(info.value) == "logprob must be a finite number <= 0, got 0.01"
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="logprob must be finite"):
-            token_from_record({"text": "t", "logprob": float("-inf")})
-        with pytest.raises(ValueError, match="logprob must be finite"):
-            token_from_record({"text": "t", "logprob": -(10**400)})
+        for value in (float("-inf"), -(10**400)):
+            with pytest.raises(ValueError) as info:
+                token_from_record({"text": "t", "logprob": value})
+            assert str(info.value) == f"logprob must be a finite number <= 0, got {value!r}"
 
     def test_zero_is_legal(self):
         assert token_from_record({"text": "t", "logprob": 0}) == TokenLogProb("t", 0.0)
@@ -432,6 +433,14 @@ class TestEvalRowRecords:
             "answer_in_text": None,
             "rop": None,
         }
+        rules = {
+            "example_id": "a non-empty string",
+            "score": "a number in [0, 1]",
+            "correct": "a boolean",
+            "context_token_len": f"an integer in [0, {sys.maxsize}]",
+            "answer_in_text": "a boolean or null",
+            "rop": "a finite number >= 1",
+        }
         for key, bad in [
             ("example_id", ""),
             ("score", "1"),
@@ -449,15 +458,16 @@ class TestEvalRowRecords:
             # Two such rows overflowed analyze's median, a traceback.
             ("context_token_len", sys.maxsize + 1),
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 eval_row_from_record({**good, key: bad})
+            assert str(info.value) == f"{key} must be {rules[key]}, got {bad!r}"
 
 
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
         predictions = [
-            Prediction(example_id="e0", text="a b", tokens=tuple(lp(-0.5, -0.25))),
+            Prediction(example_id="e0", text="t0t1", tokens=tuple(lp(-0.5, -0.25))),
             Prediction(example_id="e1", text="c", tokens=None),
             Prediction(example_id="e2", text="", tokens=None, error="timed out"),
         ]

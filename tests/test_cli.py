@@ -18,6 +18,7 @@ from docqa import cli
 from docqa.cli import UsageError, build_parser, config_digest, derive_seed, main
 from docqa.errors import DataError, EndpointError
 from docqa.jsonl import read_records
+from docqa.llmclient import TIMEOUT_MAX
 from docqa.ordering import load_orders
 from docqa.serialize import build_prompt, load_contexts
 
@@ -181,14 +182,18 @@ class TestOrderCommand:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
-    def test_bad_threshold_factor_is_usage_error(self, bench, capsys, factor):
+    @pytest.mark.parametrize("factor, shown", [
+        ("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("1e400", "inf"),
+        ("x", "'x'"),
+    ], ids=["0", "-1", "nan", "inf", "1e400", "x"])
+    def test_bad_threshold_factor_is_usage_error(self, bench, capsys, factor, shown):
         out = bench["dir"] / "orders.jsonl"
         assert run("order", "--corpus", bench["corpus"], "--strategy", "raster_scan",
                    "--threshold-factor", factor, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[-1].endswith(
-            f"argument --threshold-factor: expected a finite number > 0, got {factor!r}"
+        assert err.splitlines()[-1] == (
+            "docqa order: error: argument --threshold-factor: "
+            f"value must be a finite number > 0, got {shown}"
         )
         assert "Traceback" not in err
         assert not out.exists()
@@ -278,6 +283,27 @@ class TestSerializeCommand:
                    "--dataset", "toy", "--datasets-config", config) == 2
         err = capsys.readouterr().err
         assert str(config) in err and named in err
+
+
+# Each --config that predict refuses, and what its error says after the
+# file name. The id of a case is its config text, the long one aside.
+BAD_RUN_CONFIGS = [
+    ('{"max_attempts": 0}', ": max_attempts must be an integer >= 1, got 0"),
+    ('{"max_attempts": "3"}', ": max_attempts must be an integer >= 1, got '3'"),
+    ('{"max_attempts": true}', ": max_attempts must be an integer >= 1, got True"),
+    ('{"timeout": "x"}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 'x'"),
+    ('{"timeout": 0}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 0"),
+    ('{"backoff_base": -1}', f": backoff_base must be a number in [0, {TIMEOUT_MAX}], got -1"),
+    ('{"endpoint": "http://127.0.0.1:9/c"}', " has unknown keys: ['endpoint']"),
+    # These passed, and then overflowed a socket timeout or time.sleep:
+    # an OverflowError traceback, exit 1.
+    ('{"timeout": 1e10}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 10000000000.0"),
+    ('{"timeout": 1e300}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 1e+300"),
+    ('{"timeout": 1' + "0" * 400 + "}",
+     f": timeout must be a number in (0, {TIMEOUT_MAX}], got 1" + "0" * 400),
+    ('{"backoff_base": 1e300, "max_attempts": 2}',
+     f": backoff_base must be a number in [0, {TIMEOUT_MAX}], got 1e+300"),
+]
 
 
 class TestPredictCommand:
@@ -499,16 +525,11 @@ class TestPredictCommand:
         assert "error: argument --endpoint: endpoint 'http://127.0.0.1:9/café' is not ASCII" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("config", [
-        '{"max_attempts": 0}',
-        '{"max_attempts": "3"}',
-        '{"max_attempts": true}',
-        '{"timeout": "x"}',
-        '{"timeout": 0}',
-        '{"backoff_base": -1}',
-        '{"endpoint": "http://127.0.0.1:9/c"}',
-    ])
-    def test_bad_run_config_exits_2_naming_the_file(self, bench, capsys, config):
+    @pytest.mark.parametrize(
+        "config, fault", BAD_RUN_CONFIGS,
+        ids=[config if len(config) < 50 else "timeout 10**400" for config, _ in BAD_RUN_CONFIGS],
+    )
+    def test_bad_run_config_exits_2_naming_the_file(self, bench, capsys, config, fault):
         paths = run_pipeline(bench)
         config_path = bench["dir"] / "run-config.json"
         config_path.write_text(config)
@@ -517,9 +538,7 @@ class TestPredictCommand:
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "http", "--endpoint", "http://127.0.0.1:9/c",
                    "--config", config_path, "--out", bench["dir"] / "p2.jsonl") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config file {config_path}")
-        assert len(err.splitlines()) == 1 and err.count("config file") == 1
+        assert capsys.readouterr().err == f"error: config file {config_path}{fault}\n"
 
     @pytest.mark.parametrize("backend", ["mock-echo", "mock-answer-key"])
     @pytest.mark.parametrize("flag", ["--endpoint", "--config"])
@@ -581,7 +600,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("logprob, message", [
         ("-1000.0", "example 'a-total': answer perplexity overflows a float"),
-        ("-1" + "0" * 400, "line 2: logprob must be finite, got -1000"),
+        ("-1" + "0" * 400,
+         "{path} line 2: logprob must be a finite number <= 0, got -1" + "0" * 400),
     ], ids=["below exp range", "beyond float range"])
     def test_extreme_logprob_exits_2(self, tmp_path, capsys, logprob, message):
         predictions = golden_copy("predictions-standard-mock-echo.jsonl", tmp_path,
@@ -593,9 +613,30 @@ class TestEvalCommand:
                    "--dataset", "golden",
                    "--datasets-config", GOLDEN / "input" / "benchmarks.json",
                    "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        assert capsys.readouterr().err == f"error: {message.format(path=predictions)}\n"
+        assert not out.exists()
+
+    def test_tokens_that_do_not_spell_the_text_exit_2(self, tmp_path, capsys):
+        # The golden chartqa predictions with r-month's one token changed from
+        # "June" to "May": eval used to score "June" and write the perplexity
+        # of "May" beside it, exit 0.
+        text = (GOLDEN / "input" / "predictions-chartqa-handwritten.jsonl").read_text(
+            encoding="utf-8")
+        old = '"text": "June", "tokens": [{"text": "June"'
+        assert text.count(old) == 1
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(
+            text.replace(old, '"text": "June", "tokens": [{"text": "May"'), encoding="utf-8")
+        out = tmp_path / "eval.jsonl"
+        assert run("eval", "--qa", GOLDEN / "input" / "qa-chartqa.jsonl",
+                   "--predictions", predictions,
+                   "--contexts", GOLDEN / "expected" / "contexts-chartqa-standard.jsonl",
+                   "--dataset", "chartqa",
+                   "--datasets-config", GOLDEN / "input" / "metrics.json",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {predictions} line 3: token pieces 'May' do not concatenate to text 'June'\n"
+        )
         assert not out.exists()
 
 
@@ -727,7 +768,7 @@ class TestBadInputFiles:
         qa = bench["dir"] / "qa-empty-question.jsonl"
         write_records(qa, records)
         capsys.readouterr()
-        expected = f"error: {qa} line 2: question must be a non-empty string\n"
+        expected = f"error: {qa} line 2: question must be a non-empty string, got ''\n"
         assert run("predict", "--qa", qa, "--contexts", paths["contexts"],
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "mock-echo", "--out", bench["dir"] / "p2.jsonl") == 2
@@ -1034,7 +1075,8 @@ class TestAnalyzeCommand:
         assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", evals,
                    "--out", out) == 2
         assert capsys.readouterr().err == (
-            f"error: {evals} line 2: context_token_len must be at most {sys.maxsize}\n"
+            f"error: {evals} line 2: context_token_len must be an integer in "
+            f"[0, {sys.maxsize}], got {10**400}\n"
         )
         assert not out.exists()
 
@@ -1186,10 +1228,15 @@ class TestAnalyzeCommand:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("n, kept", [(9, 4), (9, 8), (10, 9), (True, 1), ("9", 9)],
-                             ids=["cut at 4", "cut at 8", "n too high", "n bool", "n string"])
+    @pytest.mark.parametrize("n, kept, fault", [
+        (9, 4, "n is 9, but the file holds 4 rows"),
+        (9, 8, "n is 9, but the file holds 8 rows"),
+        (10, 9, "n is 10, but the file holds 9 rows"),
+        (True, 1, "n must be an integer, got True"),
+        ("9", 9, "n must be an integer, got '9'"),
+    ], ids=["cut at 4", "cut at 8", "n too high", "n bool", "n string"])
     def test_eval_file_whose_header_miscounts_its_rows_exits_2(
-        self, tmp_path, capsys, n, kept
+        self, tmp_path, capsys, n, kept, fault
     ):
         # A file cut at a line boundary used to be analyzed over its prefix:
         # a report over 4 examples, exit 0.
@@ -1202,7 +1249,7 @@ class TestAnalyzeCommand:
         assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", torn,
                    "--out", out) == 2
         assert capsys.readouterr().err == (
-            f"error: eval file {torn} header: n is {n!r}, but the file holds {kept} rows\n"
+            f"error: eval file {torn} header: {fault}\n"
         )
         assert not out.exists()
 
@@ -1229,7 +1276,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("old, new, message", [
         ('"rop": 2.0', '"rop": NaN', "rop must be a finite number >= 1, got nan"),
         ('"rop": 2.0', '"rop": 1e400', "rop must be a finite number >= 1, got inf"),
-        ('"score": 0.0', '"score": -7', "score must lie in [0, 1], got -7"),
+        ('"score": 0.0', '"score": -7', "score must be a number in [0, 1], got -7"),
     ], ids=["rop nan", "rop overflow", "negative score"])
     def test_out_of_range_eval_value_exits_2(self, tmp_path, capsys, old, new, message):
         evals = golden_copy("eval-standard-mock-echo.jsonl", tmp_path, old, new)

@@ -109,7 +109,7 @@ class TestLoadQA:
         write_qa(path, [QA_OK[0], {**QA_OK[1], "question": ""}])
         with pytest.raises(DataError) as info:
             load_qa(path)
-        assert str(info.value) == f"{path} line 2: question must be a non-empty string"
+        assert str(info.value) == f"{path} line 2: question must be a non-empty string, got ''"
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "qa.jsonl"
@@ -198,8 +198,9 @@ class TestDatasetConfigs:
     def test_invalid_budget_rejected(self, tmp_path):
         path = tmp_path / "sets.json"
         path.write_text(json.dumps({"datasets": {"x": {**TOY_CONFIG, "context_budget": 0}}}))
-        with pytest.raises(DataError, match="context_budget must be a positive integer, got 0"):
+        with pytest.raises(DataError) as info:
             load_dataset_configs(path)
+        assert str(info.value) == f"{path}: dataset 'x': context_budget must be an integer >= 1, got 0"
 
     def test_invalid_tau_rejected(self, tmp_path):
         path = tmp_path / "sets.json"
@@ -221,13 +222,15 @@ class TestSampleMixture:
             sample_mixture([], "uniform", 0, 10)
 
     def test_nonpositive_size_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             sample_mixture([("a", 0)], "uniform", 0, 10)
+        assert str(info.value) == "size of dataset 'a' must be an integer >= 1, got 0"
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0])
     def test_seed_must_be_unsigned_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be an unsigned integer"):
+        with pytest.raises(ValueError) as info:
             sample_mixture([("a", 1)], "uniform", seed, 10)
+        assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
 
     def test_kind_may_be_given_by_value(self):
         datasets = [("a", 3), ("b", 17)]

@@ -1,0 +1,124 @@
+"""The value rules of docqa.errors admit exactly the values their
+definitions admit, each checked against an oracle written from the
+definition rather than from the rule's own comparisons."""
+
+import math
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from docqa.errors import FLOAT_MAX, check_int, check_number, check_str, check_type
+
+# Every edge the rules have been fooled by, or could be: bools, which Python
+# counts as ints; ints past the float range, which compare as finite but
+# overflow float(); nan and the infinities; the float range's own ends; the
+# longest socket or lock timeout and one past it; empty strings; None.
+EDGES = [
+    True, False, None, 0, 1, -1, 0.0, -0.0, 0.5, 1.5,
+    10**400, -(10**400), int(FLOAT_MAX), int(FLOAT_MAX) + 1, -int(FLOAT_MAX) - 1,
+    FLOAT_MAX, -FLOAT_MAX, math.nan, math.inf, -math.inf,
+    threading.TIMEOUT_MAX, threading.TIMEOUT_MAX + 1, sys.maxsize, sys.maxsize + 1,
+    "", " ", "x", [], [1], {}, {"a": 1}, (), b"x",
+]
+
+VALUES = st.one_of(
+    st.sampled_from(EDGES),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+INT_BOUNDS = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([sys.maxsize]))
+NUMBER_BOUNDS = st.one_of(
+    st.none(), st.integers(-3, 3), st.floats(-3, 3), st.sampled_from([threading.TIMEOUT_MAX])
+)
+
+RULES = settings(max_examples=500, derandomize=True, deadline=None)
+
+
+def admitted(rule, *args, **kwargs):
+    """True when `rule` returns the value unchanged, False when it raises
+    ValueError worded as "<name> must be <rule>, got <value!r>"."""
+    value = args[1]
+    try:
+        result = rule(*args, **kwargs)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{args[0]} must be ")
+        assert message.endswith(f", got {value!r}")
+        return False
+    assert result is value
+    return True
+
+
+def finite(value):
+    """A float that is not nan or infinite, or an int that a float holds."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return abs(value) <= int(sys.float_info.max)
+
+
+@RULES
+@given(value=VALUES, low=INT_BOUNDS, high=INT_BOUNDS)
+def test_int_rule(value, low, high):
+    expected = (
+        type(value) is int
+        and not isinstance(value, bool)
+        and (low is None or value >= low)
+        and (high is None or value <= high)
+    )
+    assert admitted(check_int, "n", value, low, high) == expected
+
+
+@RULES
+@given(value=VALUES, low=NUMBER_BOUNDS, high=NUMBER_BOUNDS, above=st.booleans())
+def test_number_rule(value, low, high, above):
+    expected = (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and finite(value)
+        and (low is None or (value > low if above else value >= low))
+        and (high is None or value <= high)
+    )
+    assert admitted(check_number, "x", value, low, high, above=above) == expected
+
+
+@RULES
+@given(value=VALUES)
+def test_string_rules(value):
+    is_str = isinstance(value, str)
+    assert admitted(check_str, "s", value) == (is_str and len(value) > 0)
+    assert admitted(check_type, "s", value, str) == is_str
+
+
+@RULES
+@given(value=VALUES, null=st.booleans())
+def test_type_rule(value, null):
+    for kind in (bool, list, dict):
+        expected = isinstance(value, kind) or (null and value is None)
+        assert admitted(check_type, "v", value, kind, null=null) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_int("seed", -1, 0), "seed must be an integer >= 0, got -1"),
+    (lambda: check_int("n", True), "n must be an integer, got True"),
+    (lambda: check_int("len", 10, 0, 9), "len must be an integer in [0, 9], got 10"),
+    (lambda: check_number("x", 10**400), f"x must be a finite number, got {10**400}"),
+    (lambda: check_number("t", 0, 0, 5, above=True), "t must be a number in (0, 5], got 0"),
+    (lambda: check_number("lp", 0.5, high=0), "lp must be a finite number <= 0, got 0.5"),
+    (lambda: check_number("f", math.nan, 0, above=True), "f must be a finite number > 0, got nan"),
+    (lambda: check_str("id", ""), "id must be a non-empty string, got ''"),
+    (lambda: check_type("text", None, str), "text must be a string, got None"),
+    (lambda: check_type("ok", 1, bool), "ok must be a boolean, got 1"),
+    (lambda: check_type("tokens", {}, list, null=True), "tokens must be a list or null, got {}"),
+    (lambda: check_type("params", [], dict), "params must be an object, got []"),
+])
+def test_rule_wording(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -75,17 +75,20 @@ class TestBoundingBox:
         assert word_boxes(doc) == ((7.0, 7.0, 7.0, 7.0),)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="x_max must be finite"):
-            document_from_record(one_word([0, 0, float("inf"), 1]))
-        with pytest.raises(ValueError, match="x_min must be finite"):
-            document_from_record(one_word([float("nan"), 0, 1, 1]))
-        with pytest.raises(ValueError, match="y_min must be finite"):
-            document_from_record(one_word([0, -float("inf"), 1, 1]))
+        for box, fault in [
+            ([0, 0, float("inf"), 1], "x_max must be a finite number, got inf"),
+            ([float("nan"), 0, 1, 1], "x_min must be a finite number, got nan"),
+            ([0, -float("inf"), 1, 1], "y_min must be a finite number, got -inf"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                document_from_record(one_word(box))
+            assert str(info.value) == f"doc d0 word 0: {fault}"
 
     def test_integer_beyond_float_range_rejected(self):
         huge = int(sys.float_info.max) * 2
-        with pytest.raises(ValueError, match="y_max must be finite"):
+        with pytest.raises(ValueError) as info:
             document_from_record(one_word([0, 0, 1, huge]))
+        assert str(info.value) == f"doc d0 word 0: y_max must be a finite number, got {huge}"
 
     @given(
         x_min=st.floats(-1e6, 1e6),
@@ -104,8 +107,9 @@ class TestBoundingBox:
 
 class TestWord:
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError, match="word text must be a non-empty string"):
+        with pytest.raises(ValueError) as info:
             document_from_record(one_word([0, 0, 1, 1], text=""))
+        assert str(info.value) == "doc d0 word 0: word text must be a non-empty string, got ''"
 
     def test_surrounding_whitespace_rejected(self):
         with pytest.raises(ValueError, match="surrounding whitespace"):
@@ -282,7 +286,7 @@ def faulty_doc(word):
 # reports after "<path> line 2: ". json.dumps writes inf and nan as the
 # Infinity and NaN literals that json.loads reads back.
 LOADER_FAULTS = [
-    ("non-object entry", faulty_doc("w"), "doc d1 word 1: word entry must be an object"),
+    ("non-object entry", faulty_doc("w"), "doc d1 word 1: word entry must be an object, got 'w'"),
     ("box too short", faulty_doc({"text": "w", "box": [0, 0, 1]}),
      "doc d1 word 1: box must be [x_min, y_min, x_max, y_max], got [0, 0, 1]"),
     ("box not a list", faulty_doc({"text": "w", "box": "0011"}),
@@ -290,33 +294,33 @@ LOADER_FAULTS = [
     ("box missing", faulty_doc({"text": "w"}),
      "doc d1 word 1: box must be [x_min, y_min, x_max, y_max], got None"),
     ("non-number coordinate", faulty_doc({"text": "w", "box": [0, "1", 2, 3]}),
-     "doc d1 word 1: y_min must be a number, got '1'"),
+     "doc d1 word 1: y_min must be a finite number, got '1'"),
     ("bool coordinate", faulty_doc({"text": "w", "box": [True, 0, 1, 1]}),
-     "doc d1 word 1: x_min must be a number, got True"),
+     "doc d1 word 1: x_min must be a finite number, got True"),
     ("bool last coordinate", faulty_doc({"text": "w", "box": [0, 0, 1, False]}),
-     "doc d1 word 1: y_max must be a number, got False"),
+     "doc d1 word 1: y_max must be a finite number, got False"),
     ("inf coordinate", faulty_doc({"text": "w", "box": [0, 0, float("inf"), 1]}),
-     "doc d1 word 1: x_max must be finite, got inf"),
+     "doc d1 word 1: x_max must be a finite number, got inf"),
     ("nan coordinate", faulty_doc({"text": "w", "box": [0, 0, 1, float("nan")]}),
-     "doc d1 word 1: y_max must be finite, got nan"),
+     "doc d1 word 1: y_max must be a finite number, got nan"),
     ("inverted x", faulty_doc({"text": "w", "box": [5, 0, 3, 1]}),
      "doc d1 word 1: inverted box: x_min 5.0 > x_max 3.0"),
     ("inverted y", faulty_doc({"text": "w", "box": [0, 5.5, 1, 3]}),
      "doc d1 word 1: inverted box: y_min 5.5 > y_max 3.0"),
     ("empty text", faulty_doc({"text": "", "box": [0, 0, 1, 1]}),
-     "doc d1 word 1: word text must be a non-empty string"),
+     "doc d1 word 1: word text must be a non-empty string, got ''"),
     ("non-string text", faulty_doc({"text": 7, "box": [0, 0, 1, 1]}),
-     "doc d1 word 1: word text must be a non-empty string"),
+     "doc d1 word 1: word text must be a non-empty string, got 7"),
     ("text missing", faulty_doc({"box": [0, 0, 1, 1]}),
-     "doc d1 word 1: word text must be a non-empty string"),
+     "doc d1 word 1: word text must be a non-empty string, got None"),
     ("padded text", faulty_doc({"text": " w", "box": [0, 0, 1, 1]}),
      "doc d1 word 1: word text carries surrounding whitespace: ' w'"),
     ("missing doc_id", {"reading_ordered": True, "words": [GOOD_WORD]},
-     "record is missing a doc_id string"),
+     "doc_id must be a non-empty string, got None"),
     ("missing reading_ordered", {"doc_id": "d1", "words": [GOOD_WORD]},
-     "record is missing the reading_ordered boolean"),
+     "reading_ordered must be a boolean, got None"),
     ("missing words", {"doc_id": "d1", "reading_ordered": True},
-     "record is missing the words array"),
+     "words must be a list, got None"),
 ]
 
 

@@ -22,6 +22,7 @@ from docqa import cli, llmclient
 from docqa.analysis import load_predictions, reading_order_perplexity
 from docqa.errors import EndpointError
 from docqa.llmclient import (
+    TIMEOUT_MAX,
     HTTPBackend,
     InferenceRequest,
     InferenceResponse,
@@ -693,8 +694,11 @@ class TestHTTPBackend:
                    "tokens": [{"text": "x", "logprob": 0.5}]})
         ]
         backend = HTTPBackend(server_url(scripted_server))
-        with pytest.raises(EndpointError, match="logprob"):
+        with pytest.raises(EndpointError) as caught:
             backend.complete(request_for("x", "q?"))
+        assert str(caught.value) == (
+            "malformed endpoint response: logprob must be a finite number <= 0, got 0.5"
+        )
 
     def test_missing_field_rejected(self, scripted_server):
         scripted_server.script = [(200, {"model_id": "m"})]
@@ -759,6 +763,59 @@ class TestRetries:
         with pytest.raises(EndpointError, match="2 attempts"):
             backend.complete(request_for("x", "q?"))
 
+    def test_backoff_is_capped_at_timeout_max(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        sleeps = []
+        backend = HTTPBackend(
+            f"http://127.0.0.1:{port}/complete",
+            max_attempts=3,
+            backoff_base=TIMEOUT_MAX,
+            sleeper=sleeps.append,
+        )
+        with pytest.raises(EndpointError, match="3 attempts"):
+            backend.complete(request_for("x", "q?"))
+        assert TIMEOUT_MAX / 2 <= sleeps[0] < TIMEOUT_MAX
+        assert sleeps[1] == TIMEOUT_MAX
+
+    def test_backoff_of_a_late_attempt_does_not_overflow(self):
+        # With backoff_base 0.0 and max_attempts 1100, attempt 1025 computed
+        # 0.0 * 2**1024 and raised "int too large to convert to float".
+        zero = HTTPBackend("http://example.invalid", backoff_base=0.0)
+        assert zero.backoff(1025) == 0.0
+        for base in (1e-290, 1.0, TIMEOUT_MAX):
+            backend = HTTPBackend("http://example.invalid", backoff_base=base)
+            assert [backend.backoff(a) for a in (1025, 1100, 10**6)] == [TIMEOUT_MAX] * 3
+
+    def test_default_sleeper_takes_the_longest_backoff(self):
+        # time.sleep fails with EINVAL once the clock plus the delay passes
+        # the clock's range, as TIMEOUT_MAX does on Linux after a second of
+        # uptime; the default sleeper must just wait, here until it is killed.
+        code = (
+            "from docqa.llmclient import TIMEOUT_MAX, HTTPBackend\n"
+            "HTTPBackend('http://example.invalid').sleeper(TIMEOUT_MAX)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        with pytest.raises(subprocess.TimeoutExpired):
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, timeout=2,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+
+    def test_longest_timeout_reaches_the_socket(self):
+        # A socket timeout past TIMEOUT_MAX raised OverflowError on connect.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        backend = HTTPBackend(
+            f"http://127.0.0.1:{port}/complete", timeout=TIMEOUT_MAX, max_attempts=1
+        )
+        with pytest.raises(EndpointError, match="unreachable after 1 attempts"):
+            backend.complete(request_for("x", "q?"))
+
     def test_failed_attempts_leave_no_reference_cycles(self):
         # cli.main pauses the cyclic collector for a whole predict run, so a
         # cycle per failed attempt would hold its request body until the end.
@@ -793,14 +850,24 @@ class TestRetries:
             ("max_attempts", 0), ("max_attempts", "3"), ("max_attempts", True),
             ("max_attempts", 2.0), ("timeout", "x"), ("timeout", 0),
             ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan),
-            ("timeout", True), ("backoff_base", -1), ("backoff_base", math.inf),
-            ("backoff_base", "0.5"), ("endpoint", "notaurl"), ("endpoint", "ftp://x/y"),
-            ("endpoint", "http://"), ("endpoint", "http://h/a b"), ("endpoint", "http://h:x/"),
+            ("timeout", True), ("timeout", 10**400), ("timeout", 1e10),
+            ("timeout", TIMEOUT_MAX + 1), ("backoff_base", -1), ("backoff_base", math.inf),
+            ("backoff_base", "0.5"), ("backoff_base", 1e300), ("backoff_base", TIMEOUT_MAX + 1),
         ]
+        rules = {
+            "max_attempts": "an integer >= 1",
+            "timeout": f"a number in (0, {TIMEOUT_MAX}]",
+            "backoff_base": f"a number in [0, {TIMEOUT_MAX}]",
+        }
         for key, value in bad:
-            with pytest.raises(ValueError, match=key):
+            with pytest.raises(ValueError) as info:
                 HTTPBackend(**{"endpoint": "http://example.invalid", key: value})
+            assert str(info.value) == f"{key} must be {rules[key]}, got {value!r}"
+        for value in ("notaurl", "ftp://x/y", "http://", "http://h/a b", "http://h:x/"):
+            with pytest.raises(ValueError, match="endpoint"):
+                HTTPBackend(value)
         HTTPBackend("http://example.invalid", timeout=1, max_attempts=1, backoff_base=0)
+        HTTPBackend("http://example.invalid", timeout=TIMEOUT_MAX, backoff_base=TIMEOUT_MAX)
 
 
 def wait_until(condition, timeout=5.0):

@@ -149,11 +149,16 @@ class TestRasterScan:
         with pytest.raises(ValueError, match="finite number > 0, got 0.0"):
             raster_scan_order(doc, line_threshold_factor=0.0)
 
-    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
     def test_nonfinite_factor_rejected(self, factor):
+        # 10**400 passed the check and then overflowed float(), an OverflowError.
         doc = grid_layout("g", rows=1, cols=2)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError) as info:
             raster_scan_order(doc, line_threshold_factor=factor)
+        assert str(info.value) == (
+            f"line_threshold_factor must be a finite number > 0, got {factor!r}"
+        )
 
     def test_single_column_of_ten_thousand_lines_scans_in_near_linear_time(self):
         # One word per line: a scan that re-walks the page for every seed
@@ -186,8 +191,9 @@ class TestShuffledOrder:
 
     def test_negative_seed_rejected(self):
         doc = grid_layout("g", rows=1, cols=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             shuffled_order(doc, -1)
+        assert str(info.value) == "seed must be an integer >= 0, got -1"
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63])
     def test_pinned_permutations(self, seed):

@@ -104,8 +104,9 @@ class TestTruncate:
 
     def test_budget_must_be_positive(self):
         ctx = self.make_ctx(["a"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             truncate_context(ctx, 0)
+        assert str(info.value) == "budget must be an integer >= 1, got 0"
 
     @given(
         texts=st.lists(st.text(alphabet="abc", min_size=1, max_size=4), max_size=8),
