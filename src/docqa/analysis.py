@@ -16,10 +16,10 @@ import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datasets import DatasetConfig, QARecord
-from .errors import DataError, check_int, check_number, check_str, check_type
+from .errors import DataError, check_choice, check_int, check_number, check_str, check_type
 from .jsonl import read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
-from .ordering import check_strategy
+from .ordering import OrderStrategy
 from .serialize import SerializedContext
 
 # Genre questions are multiple-choice over a closed label set, so
@@ -42,11 +42,12 @@ class Prediction(NamedTuple):
     error: str | None = None
 
 
-def token_from_record(record: Mapping) -> TokenLogProb:
+def token_from_record(record) -> TokenLogProb:
     """A token from a predictions-file or endpoint {"text", "logprob"} object."""
+    record = check_type("token", record, dict)
     return TokenLogProb(
-        token_text=check_type("token_text", record["text"], str),
-        logprob=float(check_number("logprob", record["logprob"], high=0)),
+        token_text=check_type("token_text", record.get("text"), str),
+        logprob=float(check_number("logprob", record.get("logprob"), high=0)),
     )
 
 
@@ -365,10 +366,10 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     try:
         check_str("dataset", header["dataset"])
         check_int("n", header["n"])
+        # analyze takes any strategy but "shuffled" as the dataset's reference run.
+        check_choice("strategy", header["strategy"], OrderStrategy, null=True)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
-    # analyze takes any strategy but "shuffled" as the dataset's reference run.
-    check_strategy(header["strategy"], f"{where}:")
     if header["n"] != len(rows):
         raise DataError(f"{where}: n is {header['n']!r}, but the file holds {len(rows)} rows")
     return header, rows

@@ -36,14 +36,13 @@ from .analysis import (
     zero_shot_perplexity,
 )
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
-from .errors import DataError, EndpointError, check_int, check_number
+from .errors import DataError, EndpointError, check_choice, check_int, check_number
 from .geometry import load_ocr_corpus
 from .jsonl import write_atomically, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
     OrderStrategy,
-    check_strategy,
     load_orders,
     raster_scan_order,
     shuffled_order,
@@ -130,11 +129,10 @@ def _dataset_size(text: str) -> tuple[str, int]:
 
 def _dataset_config(args):
     configs = load_dataset_configs(args.datasets_config)
-    if args.dataset not in configs:
-        raise DataError(
-            f"unknown dataset {args.dataset!r}, expected one of {sorted(configs)}"
-        )
-    return configs[args.dataset]
+    try:
+        return configs[check_choice("dataset", args.dataset, configs)]
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _check_header(path, header, **expected) -> None:
@@ -305,8 +303,10 @@ def cmd_eval(args) -> int:
     # analyze tells reference runs from shuffled ones by this field alone.
     if "strategy" not in ctx_header:
         raise DataError(f"{args.contexts} line 1: header is missing 'strategy'")
-    strategy = ctx_header["strategy"]
-    check_strategy(strategy, f"{args.contexts} line 1: header")
+    try:
+        strategy = check_choice("strategy", ctx_header["strategy"], OrderStrategy, null=True)
+    except ValueError as exc:
+        raise DataError(f"{args.contexts} line 1: header {exc}") from None
     config = _dataset_config(args)
     _check_header(args.predictions, pred_header, dataset=args.dataset)
     _check_header(args.contexts, ctx_header, dataset=args.dataset, budget=config.context_budget)

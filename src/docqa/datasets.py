@@ -4,10 +4,11 @@ The six benchmark configs ship as a versioned JSON file next to this module
 so a reproduction run has one source of truth for metric choice and budgets.
 Mixture sampling is with replacement: each draw is independent, matching how
 training schedules consume them. The loaders check every record with the
-value rules of docqa.errors; the records themselves, plain named tuples, do
-not. `load_qa` keeps each QA file
-it validated in the corpus cache (`jsonl.load_cached`), so a QA file that
-this code already loaded once comes back from there unparsed.
+value rules of docqa.errors, a metric, a flag and a mixture kind by
+check_choice, and a missing field by that field's rule; the records
+themselves, plain named tuples, do not. `load_qa` keeps each QA file it
+validated in the corpus cache (`jsonl.load_cached`), so a QA file that this
+code already loaded once comes back from there unparsed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import random
 from typing import Any, NamedTuple, Sequence
 
-from .errors import DataError, check_int, check_number, check_str, check_type
+from .errors import DataError, check_choice, check_int, check_number, check_str, check_type
 from .jsonl import load_cached, parse_rows, read_json, read_records
 from .metrics import MetricKind
 
@@ -37,21 +38,17 @@ class QARecord(NamedTuple):
 
 
 def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
-    try:
-        # A string would pass tuple() as one answer per character.
-        answers = check_type("answers", record["answers"], list)
-        flags = check_type("flags", record.get("flags", []), list)
-        example_id = check_str("example_id", record["example_id"])
-        doc_id = check_str("doc_id", record["doc_id"])
-        question = check_str("question", record["question"])
-    except KeyError as exc:
-        raise ValueError(f"QA record is missing {exc.args[0]!r}") from exc
+    # A string would pass tuple() as one answer per character.
+    answers = check_type("answers", record.get("answers"), list)
+    flags = check_type("flags", record.get("flags", []), list)
+    example_id = check_str("example_id", record.get("example_id"))
+    doc_id = check_str("doc_id", record.get("doc_id"))
+    question = check_str("question", record.get("question"))
     if not answers or not all(type(a) is str for a in answers):
         raise ValueError("answers must be a non-empty list of strings")
+    for flag in flags:
+        check_choice("flag", flag, KNOWN_FLAGS)
     flags = frozenset(flags) if flags else NO_FLAGS
-    unknown = flags - KNOWN_FLAGS
-    if unknown:
-        raise ValueError(f"unknown flag {sorted(unknown)[0]!r}")
     return QARecord(example_id, doc_id, question, tuple(answers), flags)
 
 
@@ -101,14 +98,10 @@ def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str
         if not isinstance(entry, dict):
             raise DataError(f"{path}: dataset {name!r} must be an object, got {entry!r}")
         try:
-            metric = entry["metric"]
-            if metric not in MetricKind:
-                raise ValueError(f"unknown metric {metric!r}, expected one of {MetricKind}")
-            context_budget = check_int("context_budget", entry["context_budget"], 1)
-            target_budget = check_int("target_budget", entry["target_budget"], 1)
-            tau = check_number("anls_tau", entry["anls_tau"], 0, 1)
-        except KeyError as exc:
-            raise DataError(f"{path}: dataset {name!r} is missing {exc.args[0]!r}") from exc
+            metric = check_choice("metric", entry.get("metric"), MetricKind)
+            context_budget = check_int("context_budget", entry.get("context_budget"), 1)
+            target_budget = check_int("target_budget", entry.get("target_budget"), 1)
+            tau = check_number("anls_tau", entry.get("anls_tau"), 0, 1)
         except ValueError as exc:
             raise DataError(f"{path}: dataset {name!r}: {exc}") from exc
         configs[name] = DatasetConfig(name, metric, context_budget, target_budget, tau)
@@ -132,8 +125,7 @@ def sample_mixture(
     sequential PRNG: identical inputs and seed give the identical schedule.
     Workers wanting parallel draws should each pass a derived seed.
     """
-    if kind not in MixtureKind:
-        raise ValueError(f"unknown mixture kind {kind!r}, expected one of {MixtureKind}")
+    check_choice("mixture kind", kind, MixtureKind)
     check_int("seed", seed, 0)
     if not datasets:
         raise DataError("dataset list is empty")

@@ -8,7 +8,8 @@ Every value docqa reads, from a file, an endpoint reply, a config file or an
 argument, is checked here, by one rule per kind of value. A rule returns the
 value unchanged when it admits it and otherwise raises
 ValueError("<name> must be <rule>, got <value!r>"). Types are exact: a bool
-is never an integer or a number, and nothing is coerced.
+is never an integer or a number, and nothing is coerced. A missing field is
+read as None, so the field's own rule refuses it.
 """
 
 import sys
@@ -74,3 +75,18 @@ def check_type(name: str, value, kind: type, *, null: bool = False):
     if type(value) is kind or (null and value is None):
         return value
     raise _fault(name, _KINDS[kind] + (" or null" if null else ""), value)
+
+
+def check_choice(name: str, value, choices, *, null: bool = False):
+    """One of the strings in `choices`, or None when `null`. The fault lists
+    the names in order when `choices` is a tuple or list, sorted otherwise."""
+    if (type(value) is str and value in choices) or (null and value is None):
+        return value
+    names = list(choices) if isinstance(choices, (tuple, list)) else sorted(choices)
+    if null:
+        names.append("null")
+    if len(names) > 2:
+        kind = f"one of {', '.join(names[:-1])} or {names[-1]}"
+    else:
+        kind = " or ".join(names) or "one of no names"
+    raise _fault(name, kind, value)

@@ -34,7 +34,9 @@ import urllib.parse
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analysis import TokenLogProb, completion_tokens
-from .errors import DataError, EndpointError, check_int, check_number, check_str, check_type
+from .errors import (
+    DataError, EndpointError, check_choice, check_int, check_number, check_str, check_type
+)
 from .jsonl import decode, read_json
 from .metrics import contains_words, word_haystack
 from .serialize import SerializedContext, parse_prompt, prompt_parts
@@ -249,10 +251,9 @@ class HTTPBackend:
         config = {} if path is None else read_json(path)
         if not isinstance(config, dict):
             raise DataError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(config) - CONFIG_KEYS)
-        if unknown:
-            raise DataError(f"config file {path} has unknown keys: {unknown}")
         try:
+            for key in config:
+                check_choice("key", key, CONFIG_KEYS)
             return cls(endpoint, jitter_rng=jitter_rng, **config)
         except ValueError as exc:
             raise DataError(f"config file {path}: {exc}") from exc
@@ -360,10 +361,10 @@ class HTTPBackend:
         if not isinstance(body, dict):
             raise EndpointError(f"endpoint returned {type(body).__name__}, expected object")
         try:
-            text = check_type("text", body["text"], str)
-            model_id = check_str("model_id", body["model_id"])
+            text = check_type("text", body.get("text"), str)
+            model_id = check_str("model_id", body.get("model_id"))
             tokens = completion_tokens(text, body.get("tokens")) if request.want_logprobs else None
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise EndpointError(f"malformed endpoint response: {exc}") from exc
         return InferenceResponse(text=text, model_id=model_id, tokens=tokens)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import DataError
+from .errors import DataError, check_choice
 
 # Per-example scores are plain floats in [0, 1].
 Score = float
@@ -213,7 +213,8 @@ def score(
         return relaxed_accuracy(pred, golds)
     if kind == "vqa_accuracy":
         return vqa_accuracy(pred, golds)
-    raise ValueError(f"unknown metric {kind!r}, expected one of {MetricKind}")
+    check_choice("metric", kind, MetricKind)
+    raise AssertionError(f"metric {kind!r} has no scorer")
 
 
 def dataset_score(scores: Sequence[Score]) -> float:

@@ -31,7 +31,8 @@ Each strategy turns a Document into a permutation of its word indices:
 All functions are pure over immutable inputs, so ordering a corpus is
 embarrassingly parallel across documents. Orders read from a file are
 checked in ReadingOrder.from_record, and each strategy checks its parameter,
-both by the value rules of docqa.errors.
+both by the value rules of docqa.errors; a stage header's `strategy` is
+checked where it is read, by check_choice over OrderStrategy or null.
 """
 
 from __future__ import annotations
@@ -41,20 +42,12 @@ import os
 import random
 from typing import Any, Mapping, NamedTuple
 
-from .errors import DataError, check_int, check_number, check_str, check_type
+from .errors import DataError, check_choice, check_int, check_number, check_str, check_type
 from .geometry import Document
 from .jsonl import read_stage_file
 
 
 OrderStrategy = ("standard", "raster_scan", "shuffled")
-
-
-def check_strategy(strategy: Any, where: str) -> None:
-    """Refuse a stage header's `strategy` unless it is one of OrderStrategy
-    or null (inputs of mixed strategies); the DataError starts with `where`."""
-    if strategy is not None and strategy not in OrderStrategy:
-        choices = ", ".join(OrderStrategy)
-        raise DataError(f"{where} strategy must be one of {choices} or null, got {strategy!r}")
 
 
 class ReadingOrder(NamedTuple):
@@ -76,14 +69,9 @@ class ReadingOrder(NamedTuple):
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ReadingOrder":
-        try:
-            doc_id = check_str("doc_id", record["doc_id"])
-            strategy = record["strategy"]
-            permutation = check_type(f"permutation of doc {doc_id!r}", record["permutation"], list)
-        except KeyError as exc:
-            raise ValueError(f"order record is missing {exc.args[0]!r}") from exc
-        if strategy not in OrderStrategy:
-            raise ValueError(f"unknown strategy {strategy!r}, expected one of {OrderStrategy}")
+        doc_id = check_str("doc_id", record.get("doc_id"))
+        strategy = check_choice("strategy", record.get("strategy"), OrderStrategy)
+        permutation = check_type(f"permutation of doc {doc_id!r}", record.get("permutation"), list)
         for entry in permutation:
             if type(entry) is not int:
                 raise ValueError(

@@ -132,12 +132,9 @@ def context_to_record(ctx: SerializedContext) -> dict[str, Any]:
 
 
 def context_from_record(record: dict[str, Any]) -> SerializedContext:
-    try:
-        doc_id = check_str("doc_id", record["doc_id"])
-        text = check_type("context", record["context"], str)
-        token_count = check_int("token_count", record["token_count"])
-    except KeyError as exc:
-        raise ValueError(f"context record is missing {exc.args[0]!r}") from exc
+    doc_id = check_str("doc_id", record.get("doc_id"))
+    text = check_type("context", record.get("context"), str)
+    token_count = check_int("token_count", record.get("token_count"))
     words = len(text.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")

@@ -55,6 +55,18 @@ class TestTokenLogProb:
                 token_from_record({"text": "t", "logprob": value})
             assert str(info.value) == f"logprob must be a finite number <= 0, got {value!r}"
 
+    @pytest.mark.parametrize("record, message", [
+        (5, "token must be an object, got 5"),
+        ("a", "token must be an object, got 'a'"),
+        (["t", 0], "token must be an object, got ['t', 0]"),
+        ({"text": "t"}, "logprob must be a finite number <= 0, got None"),
+        ({"logprob": 0}, "token_text must be a string, got None"),
+    ], ids=["number", "string", "list", "no logprob", "no text"])
+    def test_malformed_entry_rejected(self, record, message):
+        with pytest.raises(ValueError) as info:
+            token_from_record(record)
+        assert str(info.value) == message
+
     def test_zero_is_legal(self):
         assert token_from_record({"text": "t", "logprob": 0}) == TokenLogProb("t", 0.0)
 

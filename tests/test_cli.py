@@ -294,7 +294,8 @@ BAD_RUN_CONFIGS = [
     ('{"timeout": "x"}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 'x'"),
     ('{"timeout": 0}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 0"),
     ('{"backoff_base": -1}', f": backoff_base must be a number in [0, {TIMEOUT_MAX}], got -1"),
-    ('{"endpoint": "http://127.0.0.1:9/c"}', " has unknown keys: ['endpoint']"),
+    ('{"endpoint": "http://127.0.0.1:9/c"}',
+     ": key must be one of backoff_base, max_attempts or timeout, got 'endpoint'"),
     # These passed, and then overflowed a socket timeout or time.sleep:
     # an OverflowError traceback, exit 1.
     ('{"timeout": 1e10}', f": timeout must be a number in (0, {TIMEOUT_MAX}], got 10000000000.0"),
@@ -586,7 +587,24 @@ class TestEvalCommand:
         assert run("eval", "--qa", bench["qa"], "--predictions", paths["predictions"],
                    "--contexts", paths["contexts"], "--dataset", "mystery",
                    "--datasets-config", bench["config"]) == 2
-        assert "mystery" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dataset must be toy, got 'mystery'\n"
+
+    @pytest.mark.parametrize("datasets, message", [
+        (None, "dataset must be golden, got 'nope'"),
+        ({}, "dataset must be one of no names, got 'nope'"),
+    ], ids=["one dataset", "no datasets"])
+    def test_a_dataset_the_config_lacks_exits_2(self, tmp_path, capsys, datasets, message):
+        config = GOLDEN / "input" / "benchmarks.json"
+        if datasets is not None:
+            config = tmp_path / "empty.json"
+            config.write_text(json.dumps({"version": 1, "datasets": datasets}))
+        out = tmp_path / "predictions.jsonl"
+        assert run("predict", "--qa", GOLDEN / "input" / "qa.jsonl",
+                   "--contexts", GOLDEN / "expected" / "contexts-standard.jsonl",
+                   "--dataset", "nope", "--datasets-config", config,
+                   "--backend", "mock-echo", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_stray_prediction_exits_2(self, bench, capsys):
         paths = run_pipeline(bench)
@@ -614,6 +632,23 @@ class TestEvalCommand:
                    "--datasets-config", GOLDEN / "input" / "benchmarks.json",
                    "--out", out) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=predictions)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tokens, message", [
+        ("[5]", "token must be an object, got 5"),
+        ('[{"text": "x"}]', "logprob must be a finite number <= 0, got None"),
+        ('["a"]', "token must be an object, got 'a'"),
+    ], ids=["number", "no logprob", "string"])
+    def test_a_malformed_token_entry_exits_2(self, tmp_path, capsys, tokens, message):
+        # These exited 2 in Python's own words: "'int' object is not
+        # subscriptable", "'logprob'" and "string indices must be integers".
+        predictions = golden_copy(
+            "predictions-standard-mock-answer-key.jsonl", tmp_path,
+            '"text": "$120", "tokens": [{"text": "$120", "logprob": -0.6931471805599453}]',
+            f'"text": "x", "tokens": {tokens}')
+        out = tmp_path / "eval.jsonl"
+        assert run(*stage_input_argv("predictions to eval", predictions), "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {predictions} line 2: {message}\n"
         assert not out.exists()
 
     def test_tokens_that_do_not_spell_the_text_exit_2(self, tmp_path, capsys):

@@ -218,11 +218,17 @@ def test_a_qa_hit_gives_what_a_parse_gives(tmp_path, corpus_cache, monkeypatch, 
     ('{"example_id": "e0", "doc_id": "d", "question": "q?", "answers": ["b"]}',
      "line 2: duplicate example_id 'e0'"),
     ('{"example_id": "e1", "doc_id": "d", "question": "q?", "answers": ["b"], '
-     '"flags": ["bogus"]}', "line 2: unknown flag 'bogus'"),
+     '"flags": ["bogus"]}', "line 2: flag must be genre or yes_no, got 'bogus'"),
+    # These two used to exit 2 with "unhashable type: 'list'" (or 'dict').
+    ('{"example_id": "e1", "doc_id": "d", "question": "q?", "answers": ["b"], '
+     '"flags": [["x"]]}', "line 2: flag must be genre or yes_no, got ['x']"),
+    ('{"example_id": "e1", "doc_id": "d", "question": "q?", "answers": ["b"], '
+     '"flags": [{"x": 1}]}', "line 2: flag must be genre or yes_no, got {'x': 1}"),
     ('{"example_id": ' + "1" * 5000 + "}", "line 2: invalid JSON: integer has too many digits"),
     ('{"example_id": "e1", "doc_id": "d", "question": "q\\udc00?", "answers": ["b"]}',
      "line 2: invalid JSON: lone surrogate in a string"),
-], ids=["duplicate example_id", "unknown flag", "integer too long", "lone surrogate"])
+], ids=["duplicate example_id", "unknown flag", "list flag", "object flag",
+        "integer too long", "lone surrogate"])
 def test_a_faulty_qa_file_is_never_cached(tmp_path, capsys, corpus_cache, line, message):
     qa = tmp_path / "qa.jsonl"
     qa.write_text('{"example_id": "e0", "doc_id": "d", "question": "q?", "answers": ["a"]}\n'

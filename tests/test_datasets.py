@@ -83,8 +83,9 @@ class TestLoadQA:
                 }
             ],
         )
-        with pytest.raises(DataError, match="sarcasm"):
+        with pytest.raises(DataError) as info:
             load_qa(path)
+        assert str(info.value) == f"{path} line 1: flag must be genre or yes_no, got 'sarcasm'"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -114,8 +115,9 @@ class TestLoadQA:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         write_qa(path, [{"example_id": "e", "doc_id": "d", "answers": ["a"]}])
-        with pytest.raises(DataError, match="question"):
+        with pytest.raises(DataError) as info:
             load_qa(path)
+        assert str(info.value) == f"{path} line 1: question must be a non-empty string, got None"
 
 
 TOY_CONFIG = {"metric": "anls", "context_budget": 64, "target_budget": 8, "anls_tau": 0.5}
@@ -173,8 +175,12 @@ class TestDatasetConfigs:
                 }
             )
         )
-        with pytest.raises(DataError, match="bleu"):
+        with pytest.raises(DataError) as info:
             load_dataset_configs(path)
+        assert str(info.value) == (
+            f"{path}: dataset 'toy': metric must be one of exact_match, anls, "
+            "relaxed_accuracy or vqa_accuracy, got 'bleu'"
+        )
 
     @pytest.mark.parametrize(
         "datasets, message",
@@ -185,8 +191,14 @@ class TestDatasetConfigs:
              "dataset 'toy': anls_tau must be a number in [0, 1], got True"),
             ([1], "expected an object with a 'datasets' object"),
             ({"toy": 1}, "dataset 'toy' must be an object, got 1"),
+            ({"toy": {k: v for k, v in TOY_CONFIG.items() if k != "metric"}},
+             "dataset 'toy': metric must be one of exact_match, anls, relaxed_accuracy or "
+             "vqa_accuracy, got None"),
+            ({"toy": {k: v for k, v in TOY_CONFIG.items() if k != "target_budget"}},
+             "dataset 'toy': target_budget must be an integer >= 1, got None"),
         ],
-        ids=["string tau", "bool tau", "datasets not an object", "entry not an object"],
+        ids=["string tau", "bool tau", "datasets not an object", "entry not an object",
+             "metric missing", "target_budget missing"],
     )
     def test_malformed_config_names_file_and_dataset(self, tmp_path, datasets, message):
         path = tmp_path / "sets.json"
@@ -237,8 +249,9 @@ class TestSampleMixture:
         assert sample_mixture(datasets, "uniform", 5, 50) == sample_mixture(
             datasets, "uniform", 5, 50
         )
-        with pytest.raises(ValueError, match="zigzag"):
+        with pytest.raises(ValueError) as info:
             sample_mixture(datasets, "zigzag", 5, 50)
+        assert str(info.value) == "mixture kind must be uniform or normalized, got 'zigzag'"
 
     def test_deterministic_for_seed(self):
         datasets = [("a", 10), ("b", 20)]

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docqa.errors import FLOAT_MAX, check_int, check_number, check_str, check_type
+from docqa.errors import (
+    FLOAT_MAX, check_choice, check_int, check_number, check_str, check_type
+)
 
 # Every edge the rules have been fooled by, or could be: bools, which Python
 # counts as ints; ints past the float range, which compare as finite but
@@ -102,6 +104,56 @@ def test_type_rule(value, null):
     for kind in (bool, list, dict):
         expected = isinstance(value, kind) or (null and value is None)
         assert admitted(check_type, "v", value, kind, null=null) == expected
+
+
+NAMES = ["standard", "raster_scan", "shuffled"]
+
+# A set of up to three names, given as each kind of collection docqa checks
+# against: a tuple (OrderStrategy), a frozenset (KNOWN_FLAGS) and a sorted
+# list of dict keys (the datasets of a config).
+CHOICES = st.lists(st.sampled_from(NAMES), unique=True, max_size=3).flatmap(
+    lambda names: st.sampled_from([tuple(names), frozenset(names), sorted(dict.fromkeys(names))])
+)
+
+# Strings that are, or nearly are, a name.
+NEAR_MISSES = [" standard", "standard ", "Standard", "STANDARD", "raster-scan", "null", "None"]
+CHOICE_VALUES = st.one_of(VALUES, st.sampled_from(NAMES + NEAR_MISSES))
+
+
+@RULES
+@given(value=CHOICE_VALUES, choices=CHOICES, null=st.booleans())
+def test_choice_rule(value, choices, null):
+    # A list or dict value is refused with ValueError, never hashed.
+    expected = isinstance(value, str) and any(value == name for name in choices)
+    expected = expected or (null and value is None)
+    assert admitted(check_choice, "v", value, choices, null=null) == expected
+    if not expected:
+        with pytest.raises(ValueError) as info:
+            check_choice("v", value, choices, null=null)
+        listing = str(info.value)[len("v must be "):-len(f", got {value!r}")]
+        for name in [*choices, *["null"] * null]:
+            assert name in listing
+        for stray in (", ,", ", or", " or ,", " or or", "one of ,", "one of or"):
+            assert stray not in listing
+
+
+@pytest.mark.parametrize("choices, null, listing", [
+    ((), False, "one of no names"),
+    ((), True, "null"),
+    (("a",), False, "a"),
+    (("a",), True, "a or null"),
+    (("a", "b"), False, "a or b"),
+    (("a", "b"), True, "one of a, b or null"),
+    (("c", "a", "b"), False, "one of c, a or b"),
+    (("c", "a", "b"), True, "one of c, a, b or null"),
+    (frozenset({"c", "a", "b"}), False, "one of a, b or c"),
+    ({"b": 1, "a": 2}, False, "a or b"),
+], ids=["0", "0 null", "1", "1 null", "2", "2 null", "3", "3 null", "set", "dict"])
+def test_choice_wording_for_each_size(choices, null, listing):
+    # A tuple keeps its order; a set or dict is listed sorted.
+    with pytest.raises(ValueError) as info:
+        check_choice("v", "x", choices, null=null)
+    assert str(info.value) == f"v must be {listing}, got 'x'"
 
 
 @pytest.mark.parametrize("call, message", [

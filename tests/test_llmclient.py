@@ -701,10 +701,23 @@ class TestHTTPBackend:
         )
 
     def test_missing_field_rejected(self, scripted_server):
+        # It used to be recorded as "malformed endpoint response: 'text'".
         scripted_server.script = [(200, {"model_id": "m"})]
         backend = HTTPBackend(server_url(scripted_server))
-        with pytest.raises(EndpointError):
+        with pytest.raises(EndpointError) as caught:
             backend.complete(request_for("x", "q?"))
+        assert str(caught.value) == "malformed endpoint response: text must be a string, got None"
+
+    @pytest.mark.parametrize("body, message", [
+        ({"text": "x"}, "model_id must be a non-empty string, got None"),
+        ({"text": "x", "model_id": "m", "tokens": [5]}, "token must be an object, got 5"),
+    ], ids=["no model_id", "number token"])
+    def test_malformed_reply_worded_by_its_rule(self, scripted_server, body, message):
+        scripted_server.script = [(200, body)]
+        backend = HTTPBackend(server_url(scripted_server))
+        with pytest.raises(EndpointError) as caught:
+            backend.complete(request_for("x", "q?"))
+        assert str(caught.value) == f"malformed endpoint response: {message}"
 
 
 class TestRetries:

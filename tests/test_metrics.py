@@ -342,5 +342,9 @@ class TestDispatch:
         assert score("anls", "helo", ["hello"], anls_tau=0.9) == 0.0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="bleu"):
+        with pytest.raises(ValueError) as info:
             score("bleu", "a", ["a"])
+        assert str(info.value) == (
+            "metric must be one of exact_match, anls, relaxed_accuracy or vqa_accuracy, "
+            "got 'bleu'"
+        )

@@ -295,8 +295,32 @@ class TestReadingOrderType:
         assert ReadingOrder.from_record(record).params == {}
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="zigzag"):
+        with pytest.raises(ValueError) as info:
             ReadingOrder.from_record({**order_record([0]), "strategy": "zigzag"})
+        assert str(info.value) == (
+            "strategy must be one of standard, raster_scan or shuffled, got 'zigzag'"
+        )
+
+    @pytest.mark.parametrize("strategy", ["Standard", None, ["standard"]],
+                             ids=["capitalized", "null", "list"])
+    def test_strategy_outside_the_set_rejected(self, strategy):
+        with pytest.raises(ValueError) as info:
+            ReadingOrder.from_record({**order_record([0]), "strategy": strategy})
+        assert str(info.value) == (
+            f"strategy must be one of standard, raster_scan or shuffled, got {strategy!r}"
+        )
+
+    @pytest.mark.parametrize("field, message", [
+        ("doc_id", "doc_id must be a non-empty string, got None"),
+        ("strategy", "strategy must be one of standard, raster_scan or shuffled, got None"),
+        ("permutation", "permutation of doc 'd0' must be a list, got None"),
+    ], ids=["doc_id", "strategy", "permutation"])
+    def test_missing_field_is_refused_by_its_rule(self, field, message):
+        record = order_record([0])
+        del record[field]
+        with pytest.raises(ValueError) as info:
+            ReadingOrder.from_record(record)
+        assert str(info.value) == message
 
     def test_round_trip_through_orders_file(self, tmp_path):
         doc = grid_layout("g", rows=2, cols=2)

@@ -204,6 +204,18 @@ class TestContextsFile:
             with pytest.raises(DataError, match="line 2: token_count"):
                 load_contexts(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ('{"context": "a", "token_count": 1}', "doc_id must be a non-empty string, got None"),
+        ('{"doc_id": "d", "token_count": 1}', "context must be a string, got None"),
+        ('{"doc_id": "d", "context": "a"}', "token_count must be an integer, got None"),
+    ], ids=["doc_id", "context", "token_count"])
+    def test_load_refuses_a_missing_field_by_its_rule(self, tmp_path, row, message):
+        path = tmp_path / "contexts.jsonl"
+        path.write_text(HEADER + row + "\n")
+        with pytest.raises(DataError) as info:
+            load_contexts(path)
+        assert str(info.value) == f"{path} line 2: {message}"
+
     def test_load_rejects_non_string_context(self, tmp_path):
         path = tmp_path / "contexts.jsonl"
         path.write_text(HEADER + '{"doc_id": "d", "context": 5, "token_count": 1}\n')
