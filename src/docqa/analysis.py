@@ -5,8 +5,11 @@ and derives the three diagnostics we lean on when a benchmark number
 looks off: perplexity of the generated answer, whether any gold answer
 appears verbatim in the serialized context, and how context length
 relates to correctness. Records are checked by the *_from_record
-parsers, with the value rules of docqa.errors, not by the records
-themselves, which are plain named tuples.
+parsers, not by the records themselves, which are plain named tuples.
+
+The predictions and eval loaders check each row in one pass, by inline
+tests of the value rules of docqa.errors; only a value that fails goes to
+its rule (token_from_record, _eval_row_by_rule), which words the fault.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datasets import DatasetConfig, QARecord
-from .errors import DataError, check_choice, check_int, check_number, check_str, check_type
+from .errors import (
+    FLOAT_MAX, DataError, check_choice, check_int, check_number, check_str, check_type
+)
 from .jsonl import read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
 from .ordering import OrderStrategy
@@ -54,14 +59,30 @@ def token_from_record(record) -> TokenLogProb:
 def completion_tokens(text: str, raw_tokens) -> tuple[TokenLogProb, ...] | None:
     """The tokens of a completion whose text is `text`, from a list of
     {"text", "logprob"} objects or null; the token texts must concatenate
-    to `text`. Predictions files and endpoint replies are both read so."""
+    to `text`. Predictions files and endpoint replies are both read so.
+
+    Each token is checked inline by token_from_record's rules; only a token
+    that fails them goes to token_from_record, which words the fault."""
     if check_type("tokens", raw_tokens, list, null=True) is None:
         return None
-    tokens = tuple(map(token_from_record, raw_tokens))
-    joined = "".join(t.token_text for t in tokens)
+    tokens: list[TokenLogProb] = []
+    pieces: list[str] = []
+    for raw in raw_tokens:
+        if (
+            type(raw) is dict
+            and type(piece := raw.get("text")) is str
+            and type(logprob := raw.get("logprob")) in (int, float)
+            and -FLOAT_MAX <= logprob <= 0
+        ):
+            token = TokenLogProb(piece, float(logprob))
+        else:
+            token = token_from_record(raw)
+        tokens.append(token)
+        pieces.append(token.token_text)
+    joined = "".join(pieces)
     if joined != text:
         raise ValueError(f"token pieces {joined!r} do not concatenate to text {text!r}")
-    return tokens
+    return tuple(tokens)
 
 
 class EvalRow(NamedTuple):
@@ -315,6 +336,34 @@ def eval_row_to_record(row: EvalRow) -> dict:
 
 
 def eval_row_from_record(record: Mapping) -> EvalRow:
+    """An eval-file row, checked in one inline test of its six fields by the
+    rules of _eval_row_by_rule; only a row that fails goes there, which
+    words its first fault."""
+    example_id = record.get("example_id")
+    score_value = record.get("score")
+    correct = record.get("correct")
+    length = record.get("context_token_len")
+    in_text = record.get("answer_in_text")
+    rop = record.get("rop")
+    if (
+        type(example_id) is str
+        and example_id
+        and type(score_value) in (int, float)
+        and 0 <= score_value <= 1
+        and type(correct) is bool
+        and type(length) is int
+        and 0 <= length <= sys.maxsize
+        and (in_text is None or type(in_text) is bool)
+        and (rop is None or (type(rop) in (int, float) and 1 <= rop <= FLOAT_MAX))
+    ):
+        rop = None if rop is None else float(rop)
+        return EvalRow(example_id, float(score_value), correct, length, in_text, rop)
+    return _eval_row_by_rule(record)
+
+
+def _eval_row_by_rule(record: Mapping) -> EvalRow:
+    """The row by one docqa.errors rule per field, in field order, so a fault
+    is reported as the first field's rule words it."""
     example_id = check_str("example_id", record.get("example_id"))
     score_value = float(check_number("score", record.get("score"), 0, 1))
     correct = check_type("correct", record.get("correct"), bool)
@@ -359,17 +408,17 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     header, rows = read_stage_file(path, eval_row_from_record, "example_id")
     if not rows:
         raise DataError(f"eval file {path} has no rows")
+    where = f"{path} line 1: header"
     for key in ("dataset", "strategy", "n"):
         if key not in header:
-            raise DataError(f"eval file {path} header is missing {key!r}")
-    where = f"eval file {path} header"
+            raise DataError(f"{where} is missing {key!r}")
     try:
         check_str("dataset", header["dataset"])
         check_int("n", header["n"])
         # analyze takes any strategy but "shuffled" as the dataset's reference run.
         check_choice("strategy", header["strategy"], OrderStrategy, null=True)
     except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from None
+        raise DataError(f"{where} {exc}") from None
     if header["n"] != len(rows):
-        raise DataError(f"{where}: n is {header['n']!r}, but the file holds {len(rows)} rows")
+        raise DataError(f"{where} n is {header['n']!r}, but the file holds {len(rows)} rows")
     return header, rows

@@ -120,7 +120,8 @@ def anls_single(pred: str, golds: Sequence[str], tau: float = DEFAULT_ANLS_TAU) 
     the same floats the full-table computation gives.
     """
     _require_golds(golds)
-    if not 0.0 <= tau <= 1.0:
+    # Exact types, as in docqa.errors: a bool is not a number.
+    if type(tau) not in (int, float) or not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
     pred_n = normalize(pred)
     best = 0.0

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from docqa.analysis import (
     EvalRow,
@@ -10,7 +12,9 @@ from docqa.analysis import (
     TokenLogProb,
     answer_in_text,
     answer_presence_report,
+    completion_tokens,
     context_length_report,
+    eval_row_from_record,
     evaluate_rows,
     is_correct,
     load_predictions,
@@ -22,7 +26,7 @@ from docqa.analysis import (
     zero_shot_perplexity,
 )
 from docqa.datasets import DatasetConfig, QARecord
-from docqa.errors import DataError
+from docqa.errors import DataError, check_int, check_number, check_str, check_type
 from docqa.jsonl import write_stage_file
 from docqa.metrics import word_haystack
 from docqa.serialize import SerializedContext
@@ -473,6 +477,108 @@ class TestEvalRowRecords:
             with pytest.raises(ValueError) as info:
                 eval_row_from_record({**good, key: bad})
             assert str(info.value) == f"{key} must be {rules[key]}, got {bad!r}"
+
+
+# The loaders check tokens and eval rows inline and call a rule only for a
+# value that fails. These references are the rule-by-rule forms: one
+# docqa.errors rule per token and per field, in order.
+def tokens_by_rule(text, raw_tokens):
+    if check_type("tokens", raw_tokens, list, null=True) is None:
+        return None
+    tokens = tuple(map(token_from_record, raw_tokens))
+    joined = "".join(t.token_text for t in tokens)
+    if joined != text:
+        raise ValueError(f"token pieces {joined!r} do not concatenate to text {text!r}")
+    return tokens
+
+
+def eval_row_by_rule(record):
+    rop = record.get("rop")
+    return EvalRow(
+        check_str("example_id", record.get("example_id")),
+        float(check_number("score", record.get("score"), 0, 1)),
+        check_type("correct", record.get("correct"), bool),
+        check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize),
+        check_type("answer_in_text", record.get("answer_in_text"), bool, null=True),
+        None if rop is None else float(check_number("rop", rop, 1)),
+    )
+
+
+def outcome(parse, *args):
+    """repr of what `parse` returns (so -0.0 and 0.0, or 1 and 1.0, differ),
+    or the type and message of the ValueError it raises."""
+    try:
+        return repr(parse(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+MISSING = object()  # the field is left out of the record
+
+# Each value every token and eval-row field is given: a missing field,
+# bools, which Python counts as ints, signed zeros and the rules' bounds,
+# nan, the infinities, the float range's ends, ints past it, sys.maxsize
+# and one past it, and each JSON type that no field of the two takes.
+EDGES = [
+    MISSING, None, True, False, 0, -0.0, 1, -1, 0.5, 1.5,
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -(10**400),
+    sys.maxsize, sys.maxsize + 1, "", "x", [], {},
+]
+
+GOOD_TOKEN = {"text": "t", "logprob": -0.5}
+GOOD_ROW = {
+    "example_id": "e",
+    "score": 1.0,
+    "correct": True,
+    "context_token_len": 3,
+    "answer_in_text": None,
+    "rop": None,
+}
+
+
+def with_value(record, key, value):
+    changed = {k: v for k, v in record.items() if k != key}
+    if value is not MISSING:
+        changed[key] = value
+    return changed
+
+
+def any_value(good):
+    return st.one_of(st.just(good), st.sampled_from(EDGES))
+
+
+token_entries = st.one_of(
+    st.fixed_dictionaries({"text": st.sampled_from(["a", " b", ""]),
+                           "logprob": st.sampled_from([0, -0.0, -1, -0.25])}),
+    st.builds(with_value, st.just(GOOD_TOKEN), st.sampled_from(["text", "logprob"]),
+              st.sampled_from(EDGES)),
+)
+eval_rows = st.fixed_dictionaries({key: any_value(good) for key, good in GOOD_ROW.items()})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(tokens=[], position=0, tiled=True, background=GOOD_ROW)
+@given(tokens=st.lists(token_entries, max_size=3), position=st.integers(0, 3),
+       tiled=st.booleans(), background=eval_rows)
+def test_inline_checks_agree_with_the_rules(tokens, position, tiled, background):
+    # Each edge value in each token field, and as a token, among other
+    # tokens, good or not, and with the texts tiling or not.
+    probes = [with_value(GOOD_TOKEN, key, value) for key in GOOD_TOKEN for value in EDGES]
+    probes += [value for value in EDGES if value is not MISSING]
+    for probe in probes:
+        raw = [*tokens[:position], probe, *tokens[position:]]
+        text = "".join(t["text"] for t in raw if type(t) is dict and type(t.get("text")) is str)
+        if not tiled:
+            text += "?"
+        assert outcome(completion_tokens, text, raw) == outcome(tokens_by_rule, text, raw)
+    for value in EDGES:
+        raw = None if value is MISSING else value
+        assert outcome(completion_tokens, "", raw) == outcome(tokens_by_rule, "", raw)
+    # Each edge value in each eval-row field, the other fields good or not.
+    for key in GOOD_ROW:
+        for value in EDGES:
+            record = with_value(background, key, value)
+            assert outcome(eval_row_from_record, record) == outcome(eval_row_by_rule, record)
 
 
 class TestPredictionsFile:

@@ -1204,7 +1204,7 @@ class TestAnalyzeCommand:
         assert run("analyze", "--qa", bench["qa"], "--eval", paths["evals"],
                    "--out", bench["dir"] / "analysis.json") == 2
         assert capsys.readouterr().err == (
-            f"error: eval file {paths['evals']} header: {message}\n"
+            f"error: {paths['evals']} line 1: header {message}\n"
         )
 
     def test_eval_file_without_rows_exits_2(self, tmp_path, capsys):
@@ -1284,7 +1284,7 @@ class TestAnalyzeCommand:
         assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", torn,
                    "--out", out) == 2
         assert capsys.readouterr().err == (
-            f"error: eval file {torn} header: {fault}\n"
+            f"error: {torn} line 1: header {fault}\n"
         )
         assert not out.exists()
 
@@ -1296,7 +1296,7 @@ class TestAnalyzeCommand:
         write_records(uncounted, [header, *rows])
         assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", uncounted,
                    "--out", tmp_path / "analysis.json") == 2
-        assert capsys.readouterr().err == f"error: eval file {uncounted} header is missing 'n'\n"
+        assert capsys.readouterr().err == f"error: {uncounted} line 1: header is missing 'n'\n"
 
     def test_shuffled_run_without_reference_exits_2(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"

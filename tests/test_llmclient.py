@@ -711,7 +711,12 @@ class TestHTTPBackend:
     @pytest.mark.parametrize("body, message", [
         ({"text": "x"}, "model_id must be a non-empty string, got None"),
         ({"text": "x", "model_id": "m", "tokens": [5]}, "token must be an object, got 5"),
-    ], ids=["no model_id", "number token"])
+        ({"text": "x", "model_id": "m", "tokens": [["x", 0]]},
+         "token must be an object, got ['x', 0]"),
+        # False is not above 0, so only the exact type test refuses it.
+        ({"text": "x", "model_id": "m", "tokens": [{"text": "x", "logprob": False}]},
+         "logprob must be a finite number <= 0, got False"),
+    ], ids=["no model_id", "number token", "list token", "bool logprob"])
     def test_malformed_reply_worded_by_its_rule(self, scripted_server, body, message):
         scripted_server.script = [(200, body)]
         backend = HTTPBackend(server_url(scripted_server))

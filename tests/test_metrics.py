@@ -183,6 +183,13 @@ class TestAnls:
         with pytest.raises(ValueError):
             anls_single("x", ["x"], 1.5)
 
+    @pytest.mark.parametrize("tau", [True, False, "0.5", None], ids=repr)
+    def test_tau_that_is_not_a_number_rejected(self, tau):
+        # True used to be taken as 1.0, and False as 0.0.
+        with pytest.raises(ValueError) as info:
+            anls_single("x", ["x"], tau)
+        assert str(info.value) == f"tau must lie in [0, 1], got {tau!r}"
+
     def test_matches_recomputation_oracle(self):
         rng = random.Random(2)
         for _ in range(200):
