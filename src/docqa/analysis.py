@@ -10,6 +10,8 @@ parsers, not by the records themselves, which are plain named tuples.
 The predictions and eval loaders check each row in one pass, by inline
 tests of the value rules of docqa.errors; only a value that fails goes to
 its rule (token_from_record, _eval_row_by_rule), which words the fault.
+Their headers, an eval header's `strategy` included, are checked through
+docqa.jsonl, as every stage header is.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .datasets import DatasetConfig, QARecord
 from .errors import (
     FLOAT_MAX, DataError, check_choice, check_int, check_number, check_str, check_type
 )
-from .jsonl import read_stage_file
+from .jsonl import header_value, read_stage_file
 from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
 from .ordering import OrderStrategy
-from .serialize import SerializedContext
+from .serialize import SerializedContext, record_contexts
 
 # Genre questions are multiple-choice over a closed label set, so
 # "answer in context" is meaningless only for the book-cover set.
@@ -291,20 +293,14 @@ def evaluate_rows(
     stray = preds_by_id.keys() - {r.example_id for r in records}
     if stray:
         raise DataError(f"prediction for example {min(stray)!r} has no QA record")
-    contexts_by_doc = {c.doc_id: c for c in contexts}
     # Each context is normalized once, however many questions it carries.
     haystacks: dict[str, str] = {}
 
     rows: list[EvalRow] = []
-    for record in records:
+    for record, ctx in zip(records, record_contexts(records, contexts)):
         pred = preds_by_id.get(record.example_id)
         if pred is None:
             raise DataError(f"no prediction for example {record.example_id!r}")
-        ctx = contexts_by_doc.get(record.doc_id)
-        if ctx is None:
-            raise DataError(
-                f"no context for doc {record.doc_id!r} (example {record.example_id!r})"
-            )
         haystack = haystacks.get(ctx.doc_id)
         if haystack is None:
             haystack = haystacks[ctx.doc_id] = word_haystack(ctx.text)
@@ -395,30 +391,25 @@ def prediction_from_record(record: Mapping) -> Prediction:
     return Prediction(example_id, text, completion_tokens(text, record.get("tokens")))
 
 
-def load_predictions(path) -> tuple[dict, list[Prediction]]:
-    """Read a predictions file's header and predictions."""
-    return read_stage_file(path, prediction_from_record, "example_id")
+def load_predictions(path, **needs) -> tuple[dict, list[Prediction]]:
+    """Read a predictions file's header, which must hold `needs`, and predictions."""
+    return read_stage_file(path, prediction_from_record, "example_id", **needs)
+
+
+def _row_count(name: str, value, rows: int) -> int:
+    """`value` if it is the number of rows, `rows`, of a file that holds any."""
+    if check_int(name, value, 1) != rows:
+        raise ValueError(f"{name} is {value!r}, but the file holds {rows} rows")
+    return value
 
 
 def load_eval(path) -> tuple[dict, list[EvalRow]]:
-    """Read an eval file's header and rows. The file must hold at least one
-    row, and its header must name its `dataset` and `strategy` and count its
-    rows in `n`, so a file cut short is refused; its `aggregate` is for
-    display only, and every number analyze reports comes from the rows."""
+    """Read an eval file's header and rows. The header names the `dataset`
+    and `strategy` and counts the rows, at least one, in `n`, so a file cut
+    short is refused; every number analyze reports comes from the rows."""
     header, rows = read_stage_file(path, eval_row_from_record, "example_id")
-    if not rows:
-        raise DataError(f"eval file {path} has no rows")
-    where = f"{path} line 1: header"
-    for key in ("dataset", "strategy", "n"):
-        if key not in header:
-            raise DataError(f"{where} is missing {key!r}")
-    try:
-        check_str("dataset", header["dataset"])
-        check_int("n", header["n"])
-        # analyze takes any strategy but "shuffled" as the dataset's reference run.
-        check_choice("strategy", header["strategy"], OrderStrategy, null=True)
-    except ValueError as exc:
-        raise DataError(f"{where} {exc}") from None
-    if header["n"] != len(rows):
-        raise DataError(f"{where} n is {header['n']!r}, but the file holds {len(rows)} rows")
+    header_value(path, header, "dataset", check_str)
+    # analyze takes any strategy but "shuffled" as the dataset's reference run.
+    header_value(path, header, "strategy", check_choice, OrderStrategy, null=True)
+    header_value(path, header, "n", _row_count, len(rows))
     return header, rows

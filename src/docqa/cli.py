@@ -38,7 +38,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError, check_choice, check_int, check_number
 from .geometry import load_ocr_corpus
-from .jsonl import write_atomically, write_stage_file
+from .jsonl import header_value, write_atomically, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -53,6 +53,7 @@ from .serialize import (
     build_prompt,
     context_to_record,
     load_contexts,
+    record_contexts,
     truncate_context,
 )
 
@@ -135,18 +136,6 @@ def _dataset_config(args):
         raise DataError(str(exc)) from None
 
 
-def _check_header(path, header, **expected) -> None:
-    """Refuse a stage input whose header was written for another dataset or
-    budget than this run's."""
-    found = {key: header.get(key) for key in expected}
-    if found != expected:
-        def show(fields):
-            return ", ".join(f"{key} {value!r}" for key, value in fields.items())
-        raise DataError(
-            f"{path} line 1: header has {show(found)}, this run needs {show(expected)}"
-        )
-
-
 def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
     """Write a stage file whose header digests the run seed plus `settings`."""
     out = Path(args.out or default_name)
@@ -220,7 +209,7 @@ def cmd_serialize(args) -> int:
     return EXIT_OK
 
 
-def _build_backend(args, records, contexts_by_doc):
+def _build_backend(args, records, contexts):
     if args.backend != "http":
         for flag, value in (("--endpoint", args.endpoint), ("--config", args.config)):
             if value is not None:
@@ -230,7 +219,7 @@ def _build_backend(args, records, contexts_by_doc):
     if args.backend == "mock-echo":
         return MockBackend()
     if args.backend == "mock-answer-key":
-        return MockBackend((contexts_by_doc[r.doc_id], r.question, r.answers) for r in records)
+        return MockBackend((c, r.question, r.answers) for r, c in zip(records, contexts))
     if not args.endpoint:
         raise UsageError("the http backend needs an endpoint: pass --endpoint")
     return HTTPBackend.from_config(
@@ -245,30 +234,23 @@ def _prediction(record, result) -> Prediction:
 
 
 def cmd_predict(args) -> int:
-    records = load_qa(args.qa)
-    ctx_header, contexts = load_contexts(args.contexts)
     config = _dataset_config(args)
-    _check_header(args.contexts, ctx_header, dataset=args.dataset, budget=config.context_budget)
+    records = load_qa(args.qa)
+    _, contexts = load_contexts(args.contexts, dataset=args.dataset, budget=config.context_budget)
+    contexts = record_contexts(records, contexts)
     max_new_tokens = config.target_budget
     want_logprobs = not args.no_logprobs
 
-    contexts_by_doc = {c.doc_id: c for c in contexts}
-    for record in records:
-        if record.doc_id not in contexts_by_doc:
-            raise DataError(
-                f"no context for doc {record.doc_id!r} (example {record.example_id!r})"
-            )
-
-    backend = _build_backend(args, records, contexts_by_doc)
+    backend = _build_backend(args, records, contexts)
     # Each prompt is built as predict_batch pulls its request, so only the
     # requests in flight hold one.
     requests = (
         InferenceRequest(
-            prompt=build_prompt(contexts_by_doc[record.doc_id], record.question).text,
+            prompt=build_prompt(ctx, record.question).text,
             max_new_tokens=max_new_tokens,
             want_logprobs=want_logprobs,
         )
-        for record in records
+        for record, ctx in zip(records, contexts)
     )
     try:
         results = predict_batch(backend, requests, max_in_flight=args.parallelism)
@@ -297,19 +279,16 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    records = load_qa(args.qa)
-    pred_header, predictions = load_predictions(args.predictions)
-    ctx_header, contexts = load_contexts(args.contexts)
-    # analyze tells reference runs from shuffled ones by this field alone.
-    if "strategy" not in ctx_header:
-        raise DataError(f"{args.contexts} line 1: header is missing 'strategy'")
-    try:
-        strategy = check_choice("strategy", ctx_header["strategy"], OrderStrategy, null=True)
-    except ValueError as exc:
-        raise DataError(f"{args.contexts} line 1: header {exc}") from None
     config = _dataset_config(args)
-    _check_header(args.predictions, pred_header, dataset=args.dataset)
-    _check_header(args.contexts, ctx_header, dataset=args.dataset, budget=config.context_budget)
+    records = load_qa(args.qa)
+    _, predictions = load_predictions(args.predictions, dataset=args.dataset)
+    ctx_header, contexts = load_contexts(
+        args.contexts, dataset=args.dataset, budget=config.context_budget
+    )
+    # analyze tells reference runs from shuffled ones by this field alone.
+    strategy = header_value(
+        args.contexts, ctx_header, "strategy", check_choice, OrderStrategy, null=True
+    )
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])

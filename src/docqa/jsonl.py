@@ -6,7 +6,9 @@ of the stage's semantic settings, run seed included), `stage`, the seed
 derived for that stage, then fields specific to the stage. Paths never enter
 the digest, so a rerun in another directory writes the same bytes. Stage
 files are read only through `read_stage_file`, which rejects a file whose
-line 1 is not such a header. Every loader turns rows into values through
+line 1 is not such a header, and every header field is checked here, by
+`read_stage_file` against the values a run needs or by `header_value` under
+a docqa.errors rule. Every loader turns rows into values through
 `parse_rows`, which names the file and line of a bad or repeated row. A file
 that is missing, cannot be opened (a directory, say), is not UTF-8 or is not
 JSON, and an output that cannot be written, is a DataError naming it.
@@ -209,14 +211,34 @@ def read_stage_file(
     path: str | os.PathLike[str],
     parse: Callable[[dict[str, Any]], T],
     key: str,
+    **needs: Any,
 ) -> tuple[dict[str, Any], list[T]]:
     """(header, values) of a stage file whose line 1 must be its provenance
-    header; the data rows go through `parse_rows`."""
+    header; the data rows go through `parse_rows`, and then each field of
+    `needs` (the dataset this run is for, say) must equal the header's."""
     records = read_records(path)
     line_no, header = next(records, (0, {}))
     if line_no != 1 or HEADER_KEY not in header:
         raise DataError(f"{path} line 1: expected a stage header carrying {HEADER_KEY!r}")
-    return header, parse_rows(path, records, parse, key)
+    values = parse_rows(path, records, parse, key)
+    found = {name: header.get(name) for name in needs}
+    if found != needs:
+        has, need = (", ".join(f"{k} {v!r}" for k, v in f.items()) for f in (found, needs))
+        raise DataError(f"{path} line 1: header has {has}, this run needs {need}")
+    return header, values
+
+
+def header_value(path: str | os.PathLike[str], header: dict[str, Any], name: str,
+                 rule: Callable[..., T], *args: Any, **options: Any) -> T:
+    """`rule(name, header[name], *args, **options)` for the header of the
+    stage file `path`; a missing field, even one whose rule admits null, and
+    a value the rule refuses are a DataError naming line 1."""
+    if name not in header:
+        raise DataError(f"{path} line 1: header is missing {name!r}")
+    try:
+        return rule(name, header[name], *args, **options)
+    except ValueError as exc:
+        raise DataError(f"{path} line 1: header {exc}") from None
 
 
 def parse_rows(
@@ -227,16 +249,17 @@ def parse_rows(
 ) -> list[T]:
     """Apply `parse` to each (line_number, record) and reject repeated keys.
 
-    A ValueError, KeyError or TypeError from `parse`, and a second value
-    whose attribute `key` was already seen, become a DataError naming the
-    file and line.
+    A ValueError from `parse`, the one exception every parser raises on a
+    bad record, and a second value whose attribute `key` was already seen,
+    become a DataError naming the file and line. Any other exception is a
+    fault of the parser and propagates.
     """
     out: list[T] = []
     seen: set[Any] = set()
     for line_no, record in rows:
         try:
             value = parse(record)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path} line {line_no}: {exc}") from exc
         ident = getattr(value, key)
         if ident in seen:

@@ -32,7 +32,7 @@ All functions are pure over immutable inputs, so ordering a corpus is
 embarrassingly parallel across documents. Orders read from a file are
 checked in ReadingOrder.from_record, and each strategy checks its parameter,
 both by the value rules of docqa.errors; a stage header's `strategy` is
-checked where it is read, by check_choice over OrderStrategy or null.
+checked by check_choice over OrderStrategy or null, in jsonl.header_value.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ text on single spaces.
 
 from __future__ import annotations
 
-import os
 from typing import Any, NamedTuple
 
 from .errors import DataError, check_int, check_str, check_type
@@ -141,8 +140,15 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
     return SerializedContext(doc_id=doc_id, text=text, token_count=token_count, pieces=None)
 
 
-def load_contexts(
-    path: str | os.PathLike[str],
-) -> tuple[dict[str, Any], list[SerializedContext]]:
-    """Read a contexts file's header and contexts."""
-    return read_stage_file(path, context_from_record, "doc_id")
+def load_contexts(path, **needs) -> tuple[dict[str, Any], list[SerializedContext]]:
+    """Read a contexts file's header, which must hold `needs`, and contexts."""
+    return read_stage_file(path, context_from_record, "doc_id", **needs)
+
+
+def record_contexts(records, contexts: list[SerializedContext]) -> list[SerializedContext]:
+    """The context of each QA record's document, in the records' order."""
+    by_doc = {ctx.doc_id: ctx for ctx in contexts}
+    for r in records:
+        if r.doc_id not in by_doc:
+            raise DataError(f"no context for doc {r.doc_id!r} (example {r.example_id!r})")
+    return [by_doc[r.doc_id] for r in records]

@@ -815,14 +815,6 @@ class TestBadInputFiles:
         assert capsys.readouterr().err == expected
 
 
-def without_header(name, tmp_path):
-    """A copy of golden/expected/`name` with its header line dropped."""
-    lines = (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)
-    path = tmp_path / name
-    path.write_text("".join(lines[1:]), encoding="utf-8")
-    return path
-
-
 def with_header(name, tmp_path, header):
     """A copy of golden/expected/`name` whose header line is `header`."""
     lines = (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)
@@ -856,29 +848,103 @@ STAGE_INPUTS = {
     "predictions to eval": "predictions-standard-mock-echo.jsonl",
     "eval to analyze": "eval-standard-mock-echo.jsonl",
 }
+CONTEXT_INPUTS = ("contexts to predict", "contexts to eval")
+EVAL = "eval-standard-mock-echo.jsonl"
+# A header field set to DROP is deleted; a header of NO_HEADER drops the
+# header line, and NO_FILE writes no file at all.
+DROP, NO_HEADER, NO_FILE = object(), object(), object()
+NO_STAGE_HEADER = "{path} line 1: expected a stage header carrying 'config_digest'"
+NOT_A_STRATEGY = (
+    "{path} line 1: header strategy must be one of standard, raster_scan, shuffled or null, got "
+)
+GOLDEN_CONTEXTS = "this run needs dataset 'golden', budget 19"
+
+# Every header fault of a stage input, as (consumer, fault): (the golden file
+# it is made from, the header change, the data rows kept (None keeps all),
+# the error after "error: "). The consumer runs as stage_input_argv gives
+# it; the header-fault tests of this module each run some of these rows.
+HEADER_FAULTS = {
+    **{(consumer, "no header"): (name, NO_HEADER, None, NO_STAGE_HEADER)
+       for consumer, name in STAGE_INPUTS.items()},
+    **{(consumer, "empty"): (name, NO_HEADER, 0, NO_STAGE_HEADER)
+       for consumer, name in STAGE_INPUTS.items()},
+    **{(consumer, "missing"): (name, NO_FILE, None, "file not found: {path}")
+       for consumer, name in STAGE_INPUTS.items()},
+    **{(consumer, "shuffled, no header"):
+       ("contexts-shuffled.jsonl", NO_HEADER, None, NO_STAGE_HEADER)
+       for consumer in CONTEXT_INPUTS},
+    ("contexts to eval", "strategy missing"): (
+        "contexts-shuffled.jsonl", {"strategy": DROP}, None,
+        "{path} line 1: header is missing 'strategy'"),
+    ("contexts to eval", "strategy unknown"): (
+        "contexts-shuffled.jsonl", {"strategy": "bogus"}, None, NOT_A_STRATEGY + "'bogus'"),
+    ("contexts to eval", "strategy number"): (
+        "contexts-shuffled.jsonl", {"strategy": 5}, None, NOT_A_STRATEGY + "5"),
+    **{(consumer, "another dataset"): (
+        "contexts-ocrvqa-standard.jsonl", {}, None,
+        "{path} line 1: header has dataset 'ocrvqa', budget 19, " + GOLDEN_CONTEXTS)
+       for consumer in CONTEXT_INPUTS},
+    **{(consumer, "another budget"): (
+        "contexts-standard.jsonl", {"budget": 128}, None,
+        "{path} line 1: header has dataset 'golden', budget 128, " + GOLDEN_CONTEXTS)
+       for consumer in CONTEXT_INPUTS},
+    **{(consumer, "no dataset"): (
+        "contexts-standard.jsonl", {"dataset": DROP, "budget": DROP}, None,
+        "{path} line 1: header has dataset None, budget None, " + GOLDEN_CONTEXTS)
+       for consumer in CONTEXT_INPUTS},
+    ("predictions to eval", "another dataset"): (
+        "predictions-chartqa-standard.jsonl", {}, None,
+        "{path} line 1: header has dataset 'chartqa', this run needs dataset 'golden'"),
+    ("eval to analyze", "dataset list"): (
+        EVAL, {"dataset": ["golden"]}, None,
+        "{path} line 1: header dataset must be a non-empty string, got ['golden']"),
+    ("eval to analyze", "strategy number"): (EVAL, {"strategy": 5}, None, NOT_A_STRATEGY + "5"),
+    # Any strategy but "shuffled" used to be taken as the reference run.
+    ("eval to analyze", "strategy unknown"): (
+        EVAL, {"strategy": "bogus"}, None, NOT_A_STRATEGY + "'bogus'"),
+    # A file cut at a line boundary used to be analyzed over its prefix: a
+    # report over 4 examples, exit 0.
+    ("eval to analyze", "cut at 4"): (
+        EVAL, {}, 4, "{path} line 1: header n is 9, but the file holds 4 rows"),
+    ("eval to analyze", "cut at 8"): (
+        EVAL, {}, 8, "{path} line 1: header n is 9, but the file holds 8 rows"),
+    ("eval to analyze", "n too high"): (
+        EVAL, {"n": 10}, None, "{path} line 1: header n is 10, but the file holds 9 rows"),
+    ("eval to analyze", "n bool"): (
+        EVAL, {"n": True}, 1, "{path} line 1: header n must be an integer >= 1, got True"),
+    ("eval to analyze", "n string"): (
+        EVAL, {"n": "9"}, None, "{path} line 1: header n must be an integer >= 1, got '9'"),
+    # It used to fail later, with "rows must be non-empty" and no path.
+    ("eval to analyze", "no rows"): (
+        EVAL, {}, 0, "{path} line 1: header n is 9, but the file holds 0 rows"),
+    ("eval to analyze", "n missing"): (
+        EVAL, {"n": DROP}, None, "{path} line 1: header is missing 'n'"),
+}
+
+
+def assert_header_fault(tmp_path, capsys, consumer, fault):
+    """`consumer` over the HEADER_FAULTS row (consumer, fault) exits 2 with
+    the row's error alone and writes no output."""
+    name, header, kept, message = HEADER_FAULTS[consumer, fault]
+    bad = tmp_path / name
+    if header is not NO_FILE:
+        lines = (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)
+        rows = lines[1:] if kept is None else lines[1:1 + kept]
+        if header is not NO_HEADER:
+            fields = {**json.loads(lines[0]), **header}
+            rows.insert(0, json.dumps({k: v for k, v in fields.items() if v is not DROP}) + "\n")
+        bad.write_text("".join(rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(*stage_input_argv(consumer, bad), "--out", out) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=bad)}\n")
+    assert not out.exists()
 
 
 class TestStageHeaders:
     @pytest.mark.parametrize("kind", ["no header", "empty", "missing"])
     @pytest.mark.parametrize("consumer", STAGE_INPUTS)
     def test_stage_input_without_header_exits_2(self, tmp_path, capsys, consumer, kind):
-        name = STAGE_INPUTS[consumer]
-        if kind == "no header":
-            bad = without_header(name, tmp_path)
-            message = f"{bad} line 1: expected a stage header carrying 'config_digest'"
-        elif kind == "empty":
-            bad = tmp_path / name
-            bad.write_text("")
-            message = f"{bad} line 1: expected a stage header carrying 'config_digest'"
-        else:
-            bad = tmp_path / name
-            message = f"file not found: {bad}"
-        out = tmp_path / "out"
-        assert run(*stage_input_argv(consumer, bad), "--out", out) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-        assert not out.exists()
+        assert_header_fault(tmp_path, capsys, consumer, kind)
 
     def test_headerless_shuffled_contexts_cannot_pose_as_a_reference_run(
         self, tmp_path, capsys
@@ -886,40 +952,15 @@ class TestStageHeaders:
         # Without its header, the shuffled run's eval file used to carry
         # "strategy": null, and analyze paired it with itself as the
         # reference run: delta 0.0, exit 0.
-        contexts = without_header("contexts-shuffled.jsonl", tmp_path)
-        message = f"error: {contexts} line 1: expected a stage header carrying 'config_digest'\n"
-        qa = GOLDEN / "input" / "qa.jsonl"
-        dataset = ["--dataset", "golden",
-                   "--datasets-config", GOLDEN / "input" / "benchmarks.json"]
-        predictions, evals = tmp_path / "predictions.jsonl", tmp_path / "eval.jsonl"
-        assert run("predict", "--qa", qa, "--contexts", contexts, *dataset,
-                   "--backend", "mock-echo", "--seed", 7, "--out", predictions) == 2
-        assert capsys.readouterr().err == message
-        assert run("eval", "--qa", qa, "--contexts", contexts, *dataset, "--predictions",
-                   GOLDEN / "expected" / "predictions-shuffled-mock-echo.jsonl",
-                   "--seed", 7, "--out", evals) == 2
-        assert capsys.readouterr().err == message
-        assert not predictions.exists() and not evals.exists()
+        for consumer in CONTEXT_INPUTS:
+            assert_header_fault(tmp_path, capsys, consumer, "shuffled, no header")
 
-
-    @pytest.mark.parametrize("header, message", [
-        ({"config_digest": "0"}, "header is missing 'strategy'"),
-        ({"config_digest": "0", "strategy": "bogus"}, "got 'bogus'"),
-        ({"config_digest": "0", "strategy": 5}, "got 5"),
-    ], ids=["missing", "unknown", "number"])
-    def test_contexts_header_without_a_strategy_exits_2_in_eval(
-        self, tmp_path, capsys, header, message
-    ):
+    @pytest.mark.parametrize("fault", ["missing", "unknown", "number"])
+    def test_contexts_header_without_a_strategy_exits_2_in_eval(self, tmp_path, capsys, fault):
         # eval used to copy whatever it found, writing "strategy": null for a
         # missing one, and analyze then paired the shuffled run with itself:
         # delta 0.0, exit 0.
-        contexts = with_header("contexts-shuffled.jsonl", tmp_path, header)
-        evals = tmp_path / "eval.jsonl"
-        assert run(*stage_input_argv("contexts to eval", contexts), "--out", evals) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {contexts} line 1: header ")
-        assert err.endswith(f"{message}\n")
-        assert not evals.exists()
+        assert_header_fault(tmp_path, capsys, "contexts to eval", f"strategy {fault}")
 
     def test_null_contexts_strategy_is_kept_by_eval(self, tmp_path):
         name = "contexts-standard.jsonl"
@@ -930,18 +971,6 @@ class TestStageHeaders:
         assert stage_records(evals)[0]["strategy"] is None
 
 
-def metric_argv(command, dataset, contexts, predictions=None, config=None):
-    """`command` over the metrics fixture's `dataset`, reading `contexts`
-    (and, for eval, `predictions`) from golden/expected."""
-    expected = GOLDEN / "expected"
-    argv = [command, "--qa", GOLDEN / "input" / f"qa-{dataset}.jsonl",
-            "--contexts", expected / contexts, "--dataset", dataset,
-            "--datasets-config", config or GOLDEN / "input" / "metrics.json"]
-    if command == "predict":
-        return [*argv, "--backend", "mock-answer-key"]
-    return [*argv, "--predictions", expected / predictions]
-
-
 class TestInputsMadeForTheDataset:
     # predict and eval used to take any contexts file: the metrics fixture's
     # ocrvqa, chartqa and textvqa runs were scored over the golden dataset's
@@ -949,41 +978,10 @@ class TestInputsMadeForTheDataset:
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("case", ["another dataset", "another budget", "no dataset"])
     def test_contexts_not_made_for_the_run_exit_2(self, tmp_path, capsys, command, case):
-        contexts = GOLDEN / "expected" / "contexts-ocrvqa-standard.jsonl"
-        config, has, needs = None, "dataset 'ocrvqa', budget 19", 19
-        if case == "another dataset":
-            contexts = GOLDEN / "expected" / "contexts-standard.jsonl"
-            has = "dataset 'golden', budget 19"
-        elif case == "another budget":
-            config = write_dataset_config(tmp_path / "metrics.json", ["ocrvqa"],
-                                          context_budget=128)
-            needs = 128
-        else:
-            header = stage_records(contexts)[0]
-            del header["dataset"], header["budget"]
-            contexts = with_header(contexts.name, tmp_path, header)
-            has = "dataset None, budget None"
-        out = tmp_path / "out.jsonl"
-        argv = metric_argv(command, "ocrvqa", contexts, "predictions-ocrvqa-standard.jsonl",
-                           config)
-        assert run(*argv, "--out", out) == 2
-        assert capsys.readouterr() == ("", (
-            f"error: {contexts} line 1: header has {has}, "
-            f"this run needs dataset 'ocrvqa', budget {needs}\n"
-        ))
-        assert not out.exists()
+        assert_header_fault(tmp_path, capsys, f"contexts to {command}", case)
 
     def test_predictions_of_another_dataset_exit_2_in_eval(self, tmp_path, capsys):
-        out = tmp_path / "out.jsonl"
-        argv = metric_argv("eval", "ocrvqa", "contexts-ocrvqa-standard.jsonl",
-                           "predictions-chartqa-standard.jsonl")
-        assert run(*argv, "--out", out) == 2
-        predictions = GOLDEN / "expected" / "predictions-chartqa-standard.jsonl"
-        assert capsys.readouterr().err == (
-            f"error: {predictions} line 1: header has dataset 'chartqa', "
-            "this run needs dataset 'ocrvqa'\n"
-        )
-        assert not out.exists()
+        assert_header_fault(tmp_path, capsys, "predictions to eval", "another dataset")
 
 
 class TestFlagScope:
@@ -1184,40 +1182,12 @@ class TestAnalyzeCommand:
                    "--out", out) == 0
         assert json.loads(out.read_text())["report"]["order_sensitivity"] == []
 
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("dataset", ["golden"], "dataset must be a non-empty string, got ['golden']"),
-            ("strategy", 5,
-             "strategy must be one of standard, raster_scan, shuffled or null, got 5"),
-            # Any strategy but "shuffled" used to be taken as the reference run.
-            ("strategy", "bogus",
-             "strategy must be one of standard, raster_scan, shuffled or null, got 'bogus'"),
-        ],
-        ids=["dataset list", "strategy number", "strategy unknown"],
-    )
-    def test_bad_header_value_exits_2(self, bench, capsys, key, value, message):
-        paths = run_pipeline(bench)
-        header, rows = stage_records(paths["evals"])
-        write_records(paths["evals"], [{**header, key: value}, *rows])
-        capsys.readouterr()
-        assert run("analyze", "--qa", bench["qa"], "--eval", paths["evals"],
-                   "--out", bench["dir"] / "analysis.json") == 2
-        assert capsys.readouterr().err == (
-            f"error: {paths['evals']} line 1: header {message}\n"
-        )
+    @pytest.mark.parametrize("fault", ["dataset list", "strategy number", "strategy unknown"])
+    def test_bad_header_value_exits_2(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "eval to analyze", fault)
 
     def test_eval_file_without_rows_exits_2(self, tmp_path, capsys):
-        # It used to fail later, with "rows must be non-empty" and no path.
-        name = "eval-standard-mock-echo.jsonl"
-        empty = tmp_path / name
-        empty.write_text(
-            (GOLDEN / "expected" / name).read_text(encoding="utf-8").splitlines(True)[0],
-            encoding="utf-8",
-        )
-        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", empty,
-                   "--out", tmp_path / "analysis.json") == 2
-        assert capsys.readouterr().err == f"error: eval file {empty} has no rows\n"
+        assert_header_fault(tmp_path, capsys, "eval to analyze", "no rows")
 
     @pytest.mark.parametrize(
         "standard, shuffled",
@@ -1263,40 +1233,13 @@ class TestAnalyzeCommand:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("n, kept, fault", [
-        (9, 4, "n is 9, but the file holds 4 rows"),
-        (9, 8, "n is 9, but the file holds 8 rows"),
-        (10, 9, "n is 10, but the file holds 9 rows"),
-        (True, 1, "n must be an integer, got True"),
-        ("9", 9, "n must be an integer, got '9'"),
-    ], ids=["cut at 4", "cut at 8", "n too high", "n bool", "n string"])
-    def test_eval_file_whose_header_miscounts_its_rows_exits_2(
-        self, tmp_path, capsys, n, kept, fault
-    ):
-        # A file cut at a line boundary used to be analyzed over its prefix:
-        # a report over 4 examples, exit 0.
-        name = "eval-standard-mock-echo.jsonl"
-        header, rows = stage_records(GOLDEN / "expected" / name)
-        assert header["n"] == len(rows) == 9
-        torn = tmp_path / name
-        write_records(torn, [{**header, "n": n}, *rows[:kept]])
-        out = tmp_path / "analysis.json"
-        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", torn,
-                   "--out", out) == 2
-        assert capsys.readouterr().err == (
-            f"error: {torn} line 1: header {fault}\n"
-        )
-        assert not out.exists()
+    @pytest.mark.parametrize("fault", ["cut at 4", "cut at 8", "n too high", "n bool",
+                                       "n string"])
+    def test_eval_file_whose_header_miscounts_its_rows_exits_2(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "eval to analyze", fault)
 
     def test_eval_header_without_a_row_count_exits_2(self, tmp_path, capsys):
-        name = "eval-standard-mock-echo.jsonl"
-        header, rows = stage_records(GOLDEN / "expected" / name)
-        del header["n"]
-        uncounted = tmp_path / name
-        write_records(uncounted, [header, *rows])
-        assert run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl", "--eval", uncounted,
-                   "--out", tmp_path / "analysis.json") == 2
-        assert capsys.readouterr().err == f"error: {uncounted} line 1: header is missing 'n'\n"
+        assert_header_fault(tmp_path, capsys, "eval to analyze", "n missing")
 
     def test_shuffled_run_without_reference_exits_2(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from docqa.errors import DataError
+from docqa.analysis import eval_row_from_record, prediction_from_record
+from docqa.datasets import qa_record_from_dict
+from docqa.errors import DataError, check_choice, check_str
+from docqa.geometry import document_from_record
 from docqa.jsonl import (
     decode,
+    header_value,
     parse_rows,
     read_json,
     read_records,
@@ -17,11 +21,58 @@ from docqa.jsonl import (
     write_atomically,
     write_stage_file,
 )
+from docqa.ordering import ReadingOrder
+from docqa.serialize import context_from_record
 
 
 class Row:
     def __init__(self, record):
-        self.row_id = record["id"]
+        self.row_id = check_str("id", record.get("id"))
+
+
+# Each parser parse_rows is given, with a record it admits.
+PARSERS = {
+    "document": (document_from_record, {
+        "doc_id": "d", "reading_ordered": True,
+        "words": [{"text": "a", "box": [0, 0, 1, 1]}, {"text": "b", "box": [1.5, 0, 2, 1]}],
+    }),
+    "qa record": (qa_record_from_dict, {
+        "example_id": "e", "doc_id": "d", "question": "q?", "answers": ["a"],
+        "flags": ["yes_no"],
+    }),
+    "order": (ReadingOrder.from_record, {
+        "doc_id": "d", "strategy": "raster_scan", "params": {"threshold_factor": 0.5},
+        "permutation": [1, 0],
+    }),
+    "context": (context_from_record, {"doc_id": "d", "context": "a b", "token_count": 2}),
+    "prediction": (prediction_from_record, {
+        "example_id": "e", "text": "ab",
+        "tokens": [{"text": "a", "logprob": -0.5}, {"text": "b", "logprob": 0}],
+    }),
+    "failed prediction": (prediction_from_record, {"example_id": "e", "error": "timed out"}),
+    "eval row": (eval_row_from_record, {
+        "example_id": "e", "score": 0.5, "correct": True, "context_token_len": 3,
+        "answer_in_text": False, "rop": 1.5,
+    }),
+}
+ODD_VALUES = (None, True, False, 0, -1, 2, 0.5, -0.0, math.nan, math.inf, 10**400, "", "x",
+              " x", [], [None], {}, {"": None})
+
+
+def mutants(value):
+    """Every copy of the object or list `value` with one entry, at any depth,
+    replaced by one of ODD_VALUES or, in an object, dropped."""
+    keys = list(value) if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        inner = mutants(value[key]) if isinstance(value[key], (dict, list)) else ()
+        for odd in (*ODD_VALUES, *inner):
+            copy = value.copy()
+            copy[key] = odd
+            yield copy
+        if isinstance(value, dict):
+            copy = value.copy()
+            del copy[key]
+            yield copy
 
 
 class TestParseRows:
@@ -29,17 +80,32 @@ class TestParseRows:
         rows = [(1, {"id": "a"}), (2, {"id": "b"})]
         assert [r.row_id for r in parse_rows("f.jsonl", rows, Row, "row_id")] == ["a", "b"]
 
-    def test_key_error_names_path_and_line(self):
-        with pytest.raises(DataError, match=r"^f\.jsonl line 4: 'id'$"):
+    def test_a_value_error_names_path_and_line(self):
+        with pytest.raises(DataError, match=r"^f\.jsonl line 4: id must be a non-empty string, "
+                                            r"got None$"):
             parse_rows("f.jsonl", [(4, {"other": 1})], Row, "row_id")
 
-    @pytest.mark.parametrize("exc", [ValueError("bad value"), TypeError("bad type")])
-    def test_value_and_type_errors_name_path_and_line(self, exc):
+    @pytest.mark.parametrize("exc", [KeyError("id"), TypeError("bad type")],
+                             ids=["KeyError", "TypeError"])
+    def test_a_parser_fault_propagates(self, exc):
+        # A parser raises ValueError on any bad record, so another exception
+        # is a fault of the parser: a traceback, not a misleading exit 2.
         def parse(record):
             raise exc
 
-        with pytest.raises(DataError, match=rf"^f\.jsonl line 2: {exc}$"):
+        with pytest.raises(type(exc)):
             parse_rows("f.jsonl", [(2, {})], parse, "row_id")
+
+    @pytest.mark.parametrize("parse, record", PARSERS.values(), ids=PARSERS)
+    def test_every_parser_refuses_a_bad_record_by_value_error_alone(self, parse, record):
+        parse(record)
+        refused = 0
+        for mutant in mutants(record):
+            try:
+                parse(mutant)
+            except ValueError:
+                refused += 1
+        assert refused
 
     def test_repeated_key_names_path_line_and_value(self):
         rows = [(1, {"id": "a"}), (2, {"id": "b"}), (3, {"id": "a"})]
@@ -230,12 +296,40 @@ class TestReadStageFile:
     def test_returns_header_and_parsed_rows(self, tmp_path):
         path = tmp_path / "stage.jsonl"
         path.write_text('{"config_digest": "abc", "stage": "x"}\n{"id": "a"}\n{"other": 1}\n')
-        with pytest.raises(DataError, match=r"stage\.jsonl line 3: 'id'$"):
+        with pytest.raises(DataError, match=r"stage\.jsonl line 3: id must be a non-empty "):
             read_stage_file(path, Row, "row_id")
         path.write_text('{"config_digest": "abc", "stage": "x"}\n{"id": "a"}\n')
         header, rows = read_stage_file(path, Row, "row_id")
         assert header == {"config_digest": "abc", "stage": "x"}
         assert [r.row_id for r in rows] == ["a"]
+
+    def test_a_header_without_the_values_needed_is_refused_after_the_rows(self, tmp_path):
+        path = tmp_path / "stage.jsonl"
+        path.write_text('{"config_digest": "abc", "dataset": "a", "budget": 5}\n{"id": "a"}\n')
+        assert read_stage_file(path, Row, "row_id", dataset="a", budget=5)[1][0].row_id == "a"
+        with pytest.raises(DataError, match=(
+            r"^\S+stage\.jsonl line 1: header has dataset 'a', budget 5, "
+            r"this run needs dataset 'b', budget 5$"
+        )):
+            read_stage_file(path, Row, "row_id", dataset="b", budget=5)
+        with pytest.raises(DataError, match=r"line 1: header has stage None, this run needs "):
+            read_stage_file(path, Row, "row_id", stage="x")
+        path.write_text('{"config_digest": "abc", "dataset": "a"}\n{}\n')
+        with pytest.raises(DataError, match=r"stage\.jsonl line 2: id must be "):
+            read_stage_file(path, Row, "row_id", dataset="b")
+
+    @pytest.mark.parametrize("header, fault", [
+        ({}, "is missing 'strategy'"),
+        ({"strategy": "bogus"}, "strategy must be a or b, got 'bogus'"),
+        ({"strategy": None}, "strategy must be a or b, got None"),
+    ], ids=["missing", "refused", "null"])
+    def test_header_value_words_every_fault_on_line_1(self, header, fault):
+        with pytest.raises(DataError, match=rf"^s\.jsonl line 1: header {fault}$"):
+            header_value("s.jsonl", header, "strategy", check_choice, ("a", "b"))
+
+    def test_header_value_returns_what_the_rule_admits(self):
+        header = {"strategy": None}
+        assert header_value("s.jsonl", header, "strategy", check_choice, "ab", null=True) is None
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "rows.jsonl"
