@@ -393,7 +393,7 @@ def prediction_from_record(record: Mapping) -> Prediction:
 
 def load_predictions(path, **needs) -> tuple[dict, list[Prediction]]:
     """Read a predictions file's header, which must hold `needs`, and predictions."""
-    return read_stage_file(path, prediction_from_record, "example_id", **needs)
+    return read_stage_file(path, "predict", prediction_from_record, "example_id", **needs)
 
 
 def _row_count(name: str, value, rows: int) -> int:
@@ -407,7 +407,7 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     """Read an eval file's header and rows. The header names the `dataset`
     and `strategy` and counts the rows, at least one, in `n`, so a file cut
     short is refused; every number analyze reports comes from the rows."""
-    header, rows = read_stage_file(path, eval_row_from_record, "example_id")
+    header, rows = read_stage_file(path, "eval", eval_row_from_record, "example_id")
     header_value(path, header, "dataset", check_str)
     # analyze takes any strategy but "shuffled" as the dataset's reference run.
     header_value(path, header, "strategy", check_choice, OrderStrategy, null=True)

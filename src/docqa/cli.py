@@ -3,8 +3,8 @@
 Each subcommand is one stage (order, serialize, predict, eval, analyze,
 sample) and stages talk through JSONL files, so any single stage can be
 swapped while the rest of a run is held fixed. Every output file starts
-with a header line carrying a digest of the semantic settings that
-produced it; paths never enter the digest, which keeps reruns in a
+with a provenance header, which docqa.jsonl builds from each stage's
+settings and alone checks; paths never enter it, which keeps reruns in a
 different directory byte-identical.
 
 Exit codes: 0 success, 1 usage, 2 data validation, 3 endpoint failure.
@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
-import json
 import random
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .analysis import (
@@ -38,7 +36,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError, check_choice, check_int, check_number
 from .geometry import load_ocr_corpus
-from .jsonl import header_value, write_atomically, write_stage_file
+from .jsonl import derive_seed, header_value, write_report, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -64,18 +62,6 @@ EXIT_ENDPOINT = 3
 
 class UsageError(Exception):
     """Bad invocation discovered after argument parsing."""
-
-
-def derive_seed(seed: int, stage: str) -> int:
-    """Stage-specific seed from the run seed, stable across platforms."""
-    digest = hashlib.sha256(f"{seed}/{stage}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def config_digest(settings: Mapping[str, Any]) -> str:
-    """Short fingerprint of a stage's semantic settings."""
-    canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,15 +123,9 @@ def _dataset_config(args):
 
 
 def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
-    """Write a stage file whose header digests the run seed plus `settings`."""
+    """Write a stage file to --out or `default_name` for the run seed."""
     out = Path(args.out or default_name)
-    header = {
-        "config_digest": config_digest({"stage": stage, "seed": args.seed, **settings}),
-        "stage": stage,
-        "seed": derive_seed(args.seed, stage),
-        **fields,
-    }
-    write_stage_file(out, header, rows)
+    write_stage_file(out, stage, args.seed, settings, rows, **fields)
     return out
 
 
@@ -349,24 +329,15 @@ def cmd_analyze(args) -> int:
 
     sensitivity = [row._asdict() for row in order_sensitivity_report(reference, shuffled)]
 
-    settings = {
-        "stage": "analyze",
-        "seed": args.seed,
-        "datasets": sorted(reference),
-        "strategies": sorted(strategies),
-    }
-    payload = {
-        "config_digest": config_digest(settings),
-        "stage": "analyze",
-        "report": {
-            "perplexity": perplexity,
-            "answer_presence": presence,
-            "context_length": lengths,
-            "order_sensitivity": sensitivity,
-        },
+    settings = {"datasets": sorted(reference), "strategies": sorted(strategies)}
+    report = {
+        "perplexity": perplexity,
+        "answer_presence": presence,
+        "context_length": lengths,
+        "order_sensitivity": sensitivity,
     }
     out = Path(args.out or "analysis.json")
-    write_atomically(out, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
+    write_report(out, "analyze", args.seed, settings, report)
     print(f"wrote analysis report to {out}")
     return EXIT_OK
 

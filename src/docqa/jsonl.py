@@ -1,14 +1,18 @@
 """The one place docqa opens a file: JSONL records, JSON config files,
 atomic writes of every output, and the corpus cache of validated inputs.
 
-Stage files start with a provenance header line: `config_digest` (a digest
-of the stage's semantic settings, run seed included), `stage`, the seed
-derived for that stage, then fields specific to the stage. Paths never enter
-the digest, so a rerun in another directory writes the same bytes. Stage
-files are read only through `read_stage_file`, which rejects a file whose
-line 1 is not such a header, and every header field is checked here, by
-`read_stage_file` against the values a run needs or by `header_value` under
-a docqa.errors rule. Every loader turns rows into values through
+Stage files start with a provenance header line, built here alone by
+`write_stage_file` (and analyze's report header by `write_report`):
+`config_digest` (a digest of the stage's semantic settings, run seed
+included), `stage`, the seed derived for that stage, then fields specific to
+the stage. Paths never enter the digest, so a rerun in another directory
+writes the same bytes. Stage files are read only through `read_stage_file`,
+which rejects a file whose line 1 is not such a header or names another
+stage, and every header field a reader uses is checked here, by
+`read_stage_file` against the values a run needs, in exact type and value
+(19.0 is not 19, true is not 1), or by `header_value` under a docqa.errors
+rule. `config_digest` and `seed` are provenance that no reader checks, and a
+key no reader uses is ignored. Every loader turns rows into values through
 `parse_rows`, which names the file and line of a bad or repeated row. A file
 that is missing, cannot be opened (a directory, say), is not UTF-8 or is not
 JSON, and an output that cannot be written, is a DataError naming it.
@@ -45,7 +49,7 @@ from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from . import errors
-from .errors import DataError
+from .errors import DataError, check_choice
 
 T = TypeVar("T")
 
@@ -194,35 +198,55 @@ def _replace(path: str | os.PathLike[str], mode: str, write: Callable[[Any], Non
         raise
 
 
-def write_stage_file(
-    path: str | os.PathLike[str],
-    header: dict[str, Any],
-    records: Iterable[dict[str, Any]],
-) -> None:
-    """Write the header line, then one line per record, through
-    write_atomically. A nan or infinite float raises ValueError: no stage
-    may write a file that is not JSON."""
-    if HEADER_KEY not in header:
-        raise ValueError(f"stage header must carry {HEADER_KEY!r}")
+def derive_seed(seed: int, stage: str) -> int:
+    """Stage-specific seed from the run seed, stable across platforms."""
+    digest = hashlib.sha256(f"{seed}/{stage}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def config_digest(settings: dict[str, Any]) -> str:
+    """Short fingerprint of a stage's semantic settings."""
+    canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def write_stage_file(path: str | os.PathLike[str], stage: str, seed: int,
+                     settings: dict[str, Any], records: Iterable[dict[str, Any]],
+                     **fields: Any) -> None:
+    """Write the header of `stage` for the run seed `seed` (the digest of
+    both and `settings`, `stage`, the stage's seed, then `fields`), then one
+    line per record, through write_atomically. A nan or infinite float
+    raises ValueError: no stage may write a file that is not JSON."""
+    header = {HEADER_KEY: config_digest({"stage": stage, "seed": seed, **settings}),
+              "stage": stage, "seed": derive_seed(seed, stage), **fields}
     write_atomically(path, map(_encode, chain((header,), records)))
 
 
-def read_stage_file(
-    path: str | os.PathLike[str],
-    parse: Callable[[dict[str, Any]], T],
-    key: str,
-    **needs: Any,
-) -> tuple[dict[str, Any], list[T]]:
+def write_report(path: str | os.PathLike[str], stage: str, seed: int,
+                 settings: dict[str, Any], report: dict[str, Any]) -> None:
+    """Write `report` as one indented JSON object with sorted keys, under the
+    digest and `stage` that write_stage_file would give it."""
+    payload = {HEADER_KEY: config_digest({"stage": stage, "seed": seed, **settings}),
+               "stage": stage, "report": report}
+    write_atomically(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
+
+
+def read_stage_file(path: str | os.PathLike[str], stage: str,
+                    parse: Callable[[dict[str, Any]], T], key: str,
+                    **needs: Any) -> tuple[dict[str, Any], list[T]]:
     """(header, values) of a stage file whose line 1 must be its provenance
-    header; the data rows go through `parse_rows`, and then each field of
-    `needs` (the dataset this run is for, say) must equal the header's."""
+    header; the data rows go through `parse_rows`, then the header's `stage`
+    must be `stage` and each field of `needs` (the dataset this run is for,
+    say) must equal the header's in type and value, so 19.0 is not 19 and
+    true is not 1. No other header field is read here."""
     records = read_records(path)
     line_no, header = next(records, (0, {}))
     if line_no != 1 or HEADER_KEY not in header:
         raise DataError(f"{path} line 1: expected a stage header carrying {HEADER_KEY!r}")
     values = parse_rows(path, records, parse, key)
+    header_value(path, header, "stage", check_choice, (stage,))
     found = {name: header.get(name) for name in needs}
-    if found != needs:
+    if [(type(v), v) for v in found.values()] != [(type(v), v) for v in needs.values()]:
         has, need = (", ".join(f"{k} {v!r}" for k, v in f.items()) for f in (found, needs))
         raise DataError(f"{path} line 1: header has {has}, this run needs {need}")
     return header, values

@@ -181,4 +181,4 @@ def load_orders(
     path: str | os.PathLike[str],
 ) -> tuple[dict[str, Any], list[ReadingOrder]]:
     """Read an orders file's header and orders; a document may have only one order."""
-    return read_stage_file(path, ReadingOrder.from_record, "doc_id")
+    return read_stage_file(path, "order", ReadingOrder.from_record, "doc_id")

@@ -142,7 +142,7 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
 
 def load_contexts(path, **needs) -> tuple[dict[str, Any], list[SerializedContext]]:
     """Read a contexts file's header, which must hold `needs`, and contexts."""
-    return read_stage_file(path, context_from_record, "doc_id", **needs)
+    return read_stage_file(path, "serialize", context_from_record, "doc_id", **needs)
 
 
 def record_contexts(records, contexts: list[SerializedContext]) -> list[SerializedContext]:

@@ -27,7 +27,7 @@ from docqa.analysis import (
 )
 from docqa.datasets import DatasetConfig, QARecord
 from docqa.errors import DataError, check_int, check_number, check_str, check_type
-from docqa.jsonl import write_stage_file
+from docqa.jsonl import config_digest, derive_seed, write_stage_file
 from docqa.metrics import word_haystack
 from docqa.serialize import SerializedContext
 
@@ -590,14 +590,17 @@ class TestPredictionsFile:
             Prediction(example_id="e2", text="", tokens=None, error="timed out"),
         ]
         write_stage_file(
-            path, {"config_digest": "0"}, (prediction_to_record(p) for p in predictions)
+            path, "predict", 0, {}, (prediction_to_record(p) for p in predictions),
+            dataset="d",
         )
-        assert load_predictions(path) == ({"config_digest": "0"}, predictions)
+        header = {"config_digest": config_digest({"stage": "predict", "seed": 0}),
+                  "stage": "predict", "seed": derive_seed(0, "predict"), "dataset": "d"}
+        assert load_predictions(path, dataset="d") == (header, predictions)
 
     def test_duplicate_example_id_rejected(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
         rows = [{"example_id": "e", "text": "a", "tokens": None},
                 {"example_id": "e", "text": "b", "tokens": None}]
-        write_stage_file(path, {"config_digest": "0"}, rows)
+        write_stage_file(path, "predict", 0, {}, rows)
         with pytest.raises(DataError, match=r" line 3: duplicate example_id 'e'$"):
             load_predictions(path)

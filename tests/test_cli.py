@@ -15,9 +15,9 @@ import pytest
 from conftest import toy_benchmark, write_dataset_config, write_records
 from layouts import corpus_record
 from docqa import cli
-from docqa.cli import UsageError, build_parser, config_digest, derive_seed, main
+from docqa.cli import UsageError, build_parser, main
 from docqa.errors import DataError, EndpointError
-from docqa.jsonl import read_records
+from docqa.jsonl import config_digest, derive_seed, read_records
 from docqa.llmclient import TIMEOUT_MAX
 from docqa.ordering import load_orders
 from docqa.serialize import build_prompt, load_contexts
@@ -775,7 +775,7 @@ class TestBadInputFiles:
     def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"
         write_records(orders, [
-            {"config_digest": "0"},
+            {"config_digest": "0", "stage": "order"},
             {"doc_id": ["toy-d0"], "strategy": "standard", "permutation": list(range(8))},
         ])
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
@@ -787,7 +787,7 @@ class TestBadInputFiles:
     def test_non_string_doc_id_in_contexts_exits_2(self, bench, capsys):
         contexts = bench["dir"] / "contexts.jsonl"
         write_records(contexts, [
-            {"config_digest": "0"},
+            {"config_digest": "0", "stage": "serialize", "dataset": "toy", "budget": 1024},
             {"doc_id": ["toy-d0"], "context": "a", "token_count": 1},
         ])
         assert run("predict", "--qa", bench["qa"], "--contexts", contexts,
@@ -826,6 +826,8 @@ def with_header(name, tmp_path, header):
 def stage_input_argv(consumer, bad):
     """The command `consumer` reading `bad` as its stage input; every other
     input is a golden file."""
+    if consumer == BUDGET_1:
+        return budget_1_argv(bad)
     qa, expected = GOLDEN / "input" / "qa.jsonl", GOLDEN / "expected"
     dataset = ["--dataset", "golden", "--datasets-config", GOLDEN / "input" / "benchmarks.json"]
     return {
@@ -841,6 +843,15 @@ def stage_input_argv(consumer, bad):
     }[consumer]
 
 
+def budget_1_argv(bad):
+    """predict reading `bad` as its contexts for the golden dataset at a
+    context budget of 1, from a datasets config written beside `bad`."""
+    config = write_dataset_config(Path(bad).parent / "budget-1.json", ["golden"],
+                                  metric="anls", context_budget=1)
+    return ["predict", "--qa", GOLDEN / "input" / "qa.jsonl", "--contexts", bad,
+            "--dataset", "golden", "--datasets-config", config, "--backend", "mock-echo"]
+
+
 STAGE_INPUTS = {
     "orders to serialize": "orders-standard.jsonl",
     "contexts to predict": "contexts-standard.jsonl",
@@ -849,6 +860,7 @@ STAGE_INPUTS = {
     "eval to analyze": "eval-standard-mock-echo.jsonl",
 }
 CONTEXT_INPUTS = ("contexts to predict", "contexts to eval")
+BUDGET_1 = "contexts to predict at budget 1"
 EVAL = "eval-standard-mock-echo.jsonl"
 # A header field set to DROP is deleted; a header of NO_HEADER drops the
 # header line, and NO_FILE writes no file at all.
@@ -892,6 +904,26 @@ HEADER_FAULTS = {
         "contexts-standard.jsonl", {"dataset": DROP, "budget": DROP}, None,
         "{path} line 1: header has dataset None, budget None, " + GOLDEN_CONTEXTS)
        for consumer in CONTEXT_INPUTS},
+    # Each of these used to be taken, exit 0: needed values were compared by
+    # ==, and no reader read the header's stage.
+    **{(consumer, "budget float"): (
+        "contexts-standard.jsonl", {"budget": 19.0}, None,
+        "{path} line 1: header has dataset 'golden', budget 19.0, " + GOLDEN_CONTEXTS)
+       for consumer in CONTEXT_INPUTS},
+    (BUDGET_1, "budget true"): (
+        "contexts-standard.jsonl", {"budget": True}, None,
+        "{path} line 1: header has dataset 'golden', budget True, "
+        "this run needs dataset 'golden', budget 1"),
+    **{(consumer, "another stage"): (
+        "contexts-standard.jsonl", {"stage": "predict", "seed": "x", "config_digest": ""},
+        None, "{path} line 1: header stage must be serialize, got 'predict'")
+       for consumer in CONTEXT_INPUTS},
+    ("predictions to eval", "another stage"): (
+        "predictions-standard-mock-echo.jsonl", {"stage": "eval"}, None,
+        "{path} line 1: header stage must be predict, got 'eval'"),
+    ("eval to analyze", "another stage"): (
+        EVAL, {"stage": "predict"}, None,
+        "{path} line 1: header stage must be eval, got 'predict'"),
     ("predictions to eval", "another dataset"): (
         "predictions-chartqa-standard.jsonl", {}, None,
         "{path} line 1: header has dataset 'chartqa', this run needs dataset 'golden'"),
@@ -962,6 +994,11 @@ class TestStageHeaders:
         # delta 0.0, exit 0.
         assert_header_fault(tmp_path, capsys, "contexts to eval", f"strategy {fault}")
 
+    @pytest.mark.parametrize("consumer", [*CONTEXT_INPUTS, "predictions to eval",
+                                          "eval to analyze"])
+    def test_input_from_another_stage_exits_2(self, tmp_path, capsys, consumer):
+        assert_header_fault(tmp_path, capsys, consumer, "another stage")
+
     def test_null_contexts_strategy_is_kept_by_eval(self, tmp_path):
         name = "contexts-standard.jsonl"
         header = {**stage_records(GOLDEN / "expected" / name)[0], "strategy": None}
@@ -982,6 +1019,12 @@ class TestInputsMadeForTheDataset:
 
     def test_predictions_of_another_dataset_exit_2_in_eval(self, tmp_path, capsys):
         assert_header_fault(tmp_path, capsys, "predictions to eval", "another dataset")
+
+    @pytest.mark.parametrize("consumer, fault", [
+        *((consumer, "budget float") for consumer in CONTEXT_INPUTS), (BUDGET_1, "budget true"),
+    ])
+    def test_needed_values_match_by_exact_type(self, tmp_path, capsys, consumer, fault):
+        assert_header_fault(tmp_path, capsys, consumer, fault)
 
 
 class TestFlagScope:

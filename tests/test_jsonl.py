@@ -12,13 +12,16 @@ from docqa.datasets import qa_record_from_dict
 from docqa.errors import DataError, check_choice, check_str
 from docqa.geometry import document_from_record
 from docqa.jsonl import (
+    config_digest,
     decode,
+    derive_seed,
     header_value,
     parse_rows,
     read_json,
     read_records,
     read_stage_file,
     write_atomically,
+    write_report,
     write_stage_file,
 )
 from docqa.ordering import ReadingOrder
@@ -295,28 +298,47 @@ class TestReadJson:
 class TestReadStageFile:
     def test_returns_header_and_parsed_rows(self, tmp_path):
         path = tmp_path / "stage.jsonl"
-        path.write_text('{"config_digest": "abc", "stage": "x"}\n{"id": "a"}\n{"other": 1}\n')
+        path.write_text('{"config_digest": "abc", "stage": "order"}\n{"id": "a"}\n{"other": 1}\n')
         with pytest.raises(DataError, match=r"stage\.jsonl line 3: id must be a non-empty "):
-            read_stage_file(path, Row, "row_id")
-        path.write_text('{"config_digest": "abc", "stage": "x"}\n{"id": "a"}\n')
-        header, rows = read_stage_file(path, Row, "row_id")
-        assert header == {"config_digest": "abc", "stage": "x"}
+            read_stage_file(path, "order", Row, "row_id")
+        path.write_text('{"config_digest": "abc", "stage": "order"}\n{"id": "a"}\n')
+        header, rows = read_stage_file(path, "order", Row, "row_id")
+        assert header == {"config_digest": "abc", "stage": "order"}
         assert [r.row_id for r in rows] == ["a"]
 
     def test_a_header_without_the_values_needed_is_refused_after_the_rows(self, tmp_path):
         path = tmp_path / "stage.jsonl"
-        path.write_text('{"config_digest": "abc", "dataset": "a", "budget": 5}\n{"id": "a"}\n')
-        assert read_stage_file(path, Row, "row_id", dataset="a", budget=5)[1][0].row_id == "a"
+        path.write_text('{"config_digest": "abc", "stage": "serialize", "dataset": "a", '
+                        '"budget": 5}\n{"id": "a"}\n')
+        header, rows = read_stage_file(path, "serialize", Row, "row_id", dataset="a", budget=5)
+        assert rows[0].row_id == "a"
         with pytest.raises(DataError, match=(
             r"^\S+stage\.jsonl line 1: header has dataset 'a', budget 5, "
             r"this run needs dataset 'b', budget 5$"
         )):
-            read_stage_file(path, Row, "row_id", dataset="b", budget=5)
-        with pytest.raises(DataError, match=r"line 1: header has stage None, this run needs "):
-            read_stage_file(path, Row, "row_id", stage="x")
-        path.write_text('{"config_digest": "abc", "dataset": "a"}\n{}\n')
+            read_stage_file(path, "serialize", Row, "row_id", dataset="b", budget=5)
+        with pytest.raises(DataError, match=r"line 1: header has backend None, this run needs "):
+            read_stage_file(path, "serialize", Row, "row_id", backend="x")
+        path.write_text('{"config_digest": "abc", "stage": "serialize", "dataset": "a"}\n{}\n')
         with pytest.raises(DataError, match=r"stage\.jsonl line 2: id must be "):
-            read_stage_file(path, Row, "row_id", dataset="b")
+            read_stage_file(path, "predict", Row, "row_id", dataset="b")
+
+    @pytest.mark.parametrize("header, need", [(5, 5.0), (5.0, 5), (1, True), (True, 1),
+                                              (0, False), ("5", 5)])
+    def test_a_needed_value_must_match_in_type_as_well(self, tmp_path, header, need):
+        path = tmp_path / "stage.jsonl"
+        path.write_text(json.dumps({"config_digest": "abc", "stage": "serialize",
+                                    "budget": header}) + '\n{"id": "a"}\n')
+        with pytest.raises(DataError, match=(
+            rf"^\S+ line 1: header has budget {header!r}, this run needs budget {need!r}$"
+        )):
+            read_stage_file(path, "serialize", Row, "row_id", budget=need)
+
+    def test_a_header_without_a_stage_is_refused(self, tmp_path):
+        path = tmp_path / "stage.jsonl"
+        path.write_text('{"config_digest": "abc"}\n{"id": "a"}\n')
+        with pytest.raises(DataError, match=r"^\S+ line 1: header is missing 'stage'$"):
+            read_stage_file(path, "order", Row, "row_id")
 
     @pytest.mark.parametrize("header, fault", [
         ({}, "is missing 'strategy'"),
@@ -335,19 +357,19 @@ class TestReadStageFile:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(DataError, match=r"rows\.jsonl line 1: expected a stage header"):
-            read_stage_file(path, Row, "row_id")
+            read_stage_file(path, "order", Row, "row_id")
 
     def test_header_after_a_blank_line_rejected(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        path.write_text('\n{"config_digest": "abc"}\n')
+        path.write_text('\n{"config_digest": "abc", "stage": "order"}\n')
         with pytest.raises(DataError, match=r"rows\.jsonl line 1: expected a stage header"):
-            read_stage_file(path, Row, "row_id")
+            read_stage_file(path, "order", Row, "row_id")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(DataError, match=r"empty\.jsonl line 1: expected a stage header"):
-            read_stage_file(path, Row, "row_id")
+            read_stage_file(path, "order", Row, "row_id")
 
 
 def rows_then_interrupt():
@@ -356,14 +378,22 @@ def rows_then_interrupt():
 
 
 class TestWriteStageFile:
-    HEADER = {"config_digest": "abc"}
+    # The stage, run seed and settings of a stage file with no fields.
+    STAGE = ("order", 0, {})
 
     def test_writes_header_then_rows_as_compact_utf8_json(self, tmp_path):
         path = tmp_path / "stage.jsonl"
         rows = [{"id": "é", "x": [1.5, None]}, {"id": "b", "s": "\u2028"}]
-        write_stage_file(path, self.HEADER, rows)
+        write_stage_file(path, "eval", 7, {"metric": "anls"}, rows, dataset="é", n=2)
+        header = {
+            "config_digest": config_digest({"stage": "eval", "seed": 7, "metric": "anls"}),
+            "stage": "eval",
+            "seed": derive_seed(7, "eval"),
+            "dataset": "é",
+            "n": 2,
+        }
         expected = "".join(
-            json.dumps(record, ensure_ascii=False) + "\n" for record in [self.HEADER, *rows]
+            json.dumps(record, ensure_ascii=False) + "\n" for record in [header, *rows]
         )
         assert path.read_bytes() == expected.encode("utf-8")
         assert os.listdir(tmp_path) == ["stage.jsonl"]
@@ -373,7 +403,7 @@ class TestWriteStageFile:
         with open(reference, "w", encoding="utf-8"):
             pass
         path = tmp_path / "stage.jsonl"
-        write_stage_file(path, self.HEADER, [])
+        write_stage_file(path, *self.STAGE, [])
         assert os.stat(path).st_mode == os.stat(reference).st_mode
 
     @pytest.mark.parametrize(
@@ -387,7 +417,7 @@ class TestWriteStageFile:
         # before it: a prefix that parses, cut at a line boundary.
         path = tmp_path / "stage.jsonl"
         with pytest.raises(exc):
-            write_stage_file(path, self.HEADER, rows)
+            write_stage_file(path, *self.STAGE, rows)
         assert os.listdir(tmp_path) == []
 
     def test_an_unwritable_path_is_a_data_error_naming_it(self, tmp_path):
@@ -395,22 +425,61 @@ class TestWriteStageFile:
         # name that file instead of the output.
         path = tmp_path / "missing" / "stage.jsonl"
         with pytest.raises(DataError, match=rf"^{path}: cannot write: No such file"):
-            write_stage_file(path, self.HEADER, [])
+            write_stage_file(path, *self.STAGE, [])
         directory = tmp_path / "taken"
         directory.mkdir()
         with pytest.raises(DataError, match=rf"^{directory}: cannot write: Is a directory"):
-            write_stage_file(directory, self.HEADER, [])
+            write_stage_file(directory, *self.STAGE, [])
         assert os.listdir(tmp_path) == ["taken"] and os.listdir(directory) == []
 
 
     def test_a_failed_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "stage.jsonl"
-        write_stage_file(path, self.HEADER, [{"id": "old"}])
+        write_stage_file(path, *self.STAGE, [{"id": "old"}])
         before = path.read_bytes()
         with pytest.raises(ValueError, match="not JSON compliant"):
-            write_stage_file(path, self.HEADER, [{"id": "new", "score": math.inf}])
+            write_stage_file(path, *self.STAGE, [{"id": "new", "score": math.inf}])
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["stage.jsonl"]
+
+
+def test_a_report_is_indented_json_under_its_digest_and_stage(tmp_path):
+    path = tmp_path / "analysis.json"
+    report = {"b": [1.5], "a": {"é": None}}
+    write_report(path, "analyze", 7, {"datasets": ["x"]}, report)
+    payload = {
+        "config_digest": config_digest({"stage": "analyze", "seed": 7, "datasets": ["x"]}),
+        "stage": "analyze",
+        "report": report,
+    }
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report(path, "analyze", 7, {}, {"score": math.nan})
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+STAGE_KINDS = ("order", "serialize", "predict", "eval", "sample")
+
+
+@pytest.mark.parametrize("kind", STAGE_KINDS)
+def test_a_stage_file_is_read_back_by_its_own_kind_alone(tmp_path, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    write_stage_file(path, kind, 7, {"setting": kind}, [{"id": "a"}], dataset="d")
+    header, rows = read_stage_file(path, kind, Row, "row_id", dataset="d")
+    assert header == {
+        "config_digest": config_digest({"stage": kind, "seed": 7, "setting": kind}),
+        "stage": kind,
+        "seed": derive_seed(7, kind),
+        "dataset": "d",
+    }
+    assert [row.row_id for row in rows] == ["a"]
+    for other in STAGE_KINDS:
+        if other != kind:
+            with pytest.raises(DataError, match=(
+                rf"^{path} line 1: header stage must be {other}, got '{kind}'$"
+            )):
+                read_stage_file(path, other, Row, "row_id", dataset="d")
 
 
 class TestWriteAtomically:

@@ -229,7 +229,8 @@ def answers_keyed_by_prompt(prompts, golds):
 )
 def test_answer_key_answers_as_a_key_by_whole_prompt(tmp_path, contexts, records):
     contexts_path = tmp_path / "contexts.jsonl"
-    header = {"config_digest": "0", "strategy": "standard", "dataset": "toy", "budget": 1024}
+    header = {"config_digest": "0", "stage": "serialize", "strategy": "standard",
+              "dataset": "toy", "budget": 1024}
     write_records(contexts_path, [header] + [
         {"doc_id": f"d{i}", "context": text, "token_count": len(text.split())}
         for i, text in enumerate(contexts)

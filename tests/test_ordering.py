@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
-from docqa.jsonl import write_stage_file
+from docqa.jsonl import config_digest, derive_seed, write_stage_file
 from docqa.ordering import (
     ReadingOrder,
     load_orders,
@@ -331,9 +331,10 @@ class TestReadingOrderType:
             shuffled_order(grid_layout("s", rows=2, cols=2), 42),
         ]
         path = tmp_path / "orders.jsonl"
-        write_stage_file(path, {"config_digest": "0"}, (o.to_record() for o in orders))
+        write_stage_file(path, "order", 0, {}, (o.to_record() for o in orders))
         header, loaded = load_orders(path)
-        assert header == {"config_digest": "0"}
+        assert header == {"config_digest": config_digest({"stage": "order", "seed": 0}),
+                          "stage": "order", "seed": derive_seed(0, "order")}
         assert [o.doc_id for o in loaded] == ["plain", "g", "s"]
         assert [o.strategy for o in loaded] == [
             "standard",
@@ -347,8 +348,7 @@ class TestReadingOrderType:
         doc = grid_layout("g", rows=2, cols=2)
         path = tmp_path / "orders.jsonl"
         write_stage_file(
-            path,
-            {"config_digest": "0"},
+            path, "order", 0, {},
             (o.to_record() for o in [raster_scan_order(doc), shuffled_order(doc, 42)]),
         )
         with pytest.raises(DataError, match=r"line 3: duplicate doc_id 'g'"):
@@ -365,14 +365,14 @@ class TestReadingOrderType:
             {"doc_id": "b", "strategy": "standard", "params": {}, "permutation": permutation},
         ]
         path = tmp_path / "orders.jsonl"
-        write_stage_file(path, {"config_digest": "0"}, rows)
+        write_stage_file(path, "order", 0, {}, rows)
         with pytest.raises(DataError, match=r"line 3: .*doc 'b'.*non-integer entry"):
             load_orders(path)
 
     def test_load_rejects_bad_permutation(self, tmp_path):
         path = tmp_path / "orders.jsonl"
         row = {"doc_id": "d", "strategy": "standard", "params": {}, "permutation": [0, 0]}
-        write_stage_file(path, {"config_digest": "0"}, [row])
+        write_stage_file(path, "order", 0, {}, [row])
         with pytest.raises(
             DataError, match=r"line 2: permutation of doc 'd' is not a bijection on 0\.\.N-1$"
         ):

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from docqa.errors import DataError
-from docqa.jsonl import write_stage_file
+from docqa.jsonl import config_digest, derive_seed, write_stage_file
 from docqa.ordering import shuffled_order, standard_order
 from docqa.serialize import (
     SerializedContext,
@@ -17,7 +17,7 @@ from docqa.serialize import (
 from layouts import make_document
 
 # The header line every contexts file starts with.
-HEADER = '{"config_digest": "0"}\n'
+HEADER = '{"config_digest": "0", "stage": "serialize"}\n'
 
 
 def doc_with_texts(texts, doc_id="d0"):
@@ -166,9 +166,12 @@ class TestContextsFile:
         doc = doc_with_texts(["Hello", "World"])
         ctx = build_context(doc, standard_order(doc))
         path = tmp_path / "contexts.jsonl"
-        write_stage_file(path, {"config_digest": "0"}, [context_to_record(ctx)])
-        header, loaded = load_contexts(path)
-        assert header == {"config_digest": "0"}
+        write_stage_file(path, "serialize", 0, {}, [context_to_record(ctx)],
+                         dataset="toy", budget=2)
+        header, loaded = load_contexts(path, dataset="toy", budget=2)
+        assert header == {"config_digest": config_digest({"stage": "serialize", "seed": 0}),
+                          "stage": "serialize", "seed": derive_seed(0, "serialize"),
+                          "dataset": "toy", "budget": 2}
         assert len(loaded) == 1
         assert loaded[0].doc_id == "d0"
         assert loaded[0].text == "Hello World"
@@ -189,7 +192,7 @@ class TestContextsFile:
     def test_truncating_a_loaded_context(self, tmp_path, text, budget, kept, tokens):
         path = tmp_path / "contexts.jsonl"
         row = {"doc_id": "d", "context": text, "token_count": len(text.split())}
-        write_stage_file(path, {"config_digest": "0"}, [row])
+        write_stage_file(path, "serialize", 0, {}, [row])
         _, (ctx,) = load_contexts(path)
         out = truncate_context(ctx, budget)
         assert (out.text, out.token_count) == (kept, tokens)
