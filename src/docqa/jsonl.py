@@ -30,9 +30,11 @@ that is unset), keyed by the file's bytes and the source of the modules that
 read and check it. An entry is a batch count, then one length-prefixed
 marshal list per batch of consecutive values, each batch closed once its
 values' marshal data reach about 64 KiB, then a sha256 of everything before
-it. Any fault of the cache, from an unwritable directory to a corrupt entry,
-only means the file is parsed as if there were no cache. Stage files are
-never cached.
+it. An input's sha256 is memoised in `docqa/digests/`, under the file's
+device, inode, size, mtime and ctime, once the file has gone 2 s unchanged,
+so a hit on such a file does not read it. Any fault of the cache, from an
+unwritable directory to a corrupt entry or memo, only means the file is
+hashed and parsed as if there were no cache. Stage files are never cached.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 import re
 import stat
 import sys
+import time
 from contextlib import suppress
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -303,23 +306,47 @@ _BATCH_BYTES = 64 << 10
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
-def _cache_dir() -> str:
+def _cache_dir(name: str) -> str:
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: the XDG default
         base = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "docqa", "corpus")
+    return os.path.join(base, "docqa", name)
 
 
-def _file_digest(path: str | os.PathLike[str]) -> bytes:
+def _file_digest(handle) -> bytes:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(_CHUNK), b""):
-            digest.update(chunk)
+    for chunk in iter(lambda: handle.read(_CHUNK), b""):
+        digest.update(chunk)
     return digest.digest()
 
 
-def _identity(info: os.stat_result) -> tuple[int, int, int]:
-    return info.st_size, info.st_mtime_ns, info.st_ino
+def _identity(info: os.stat_result) -> tuple[int, int, int, int, int]:
+    return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns, info.st_ctime_ns
+
+
+# A digest is memoised only for a file last changed this long before hashing
+# began (git's racy-clean rule): a later write then moves its ctime, even on
+# a filesystem that keeps times in 2 s steps, and utime cannot move it back.
+_SETTLE_NS = 2_000_000_000
+
+
+def _input_digest(handle, identity: tuple[int, ...]) -> bytes:
+    """The sha256 of the file open as `handle`, of `_identity` `identity`:
+    its memo, else hashed through `handle` and memoised if the file had
+    settled and kept its identity while hashed."""
+    memo = os.path.join(_cache_dir("digests"), "-".join(map(str, identity)))
+    with suppress(OSError), open(memo, "rb") as saved:
+        digest = saved.read(_DIGEST_SIZE + 1)
+        if len(digest) == _DIGEST_SIZE:
+            return digest
+    start = time.time_ns()
+    digest = _file_digest(handle)
+    settled = max(identity[3:]) <= start - _SETTLE_NS  # mtime and ctime
+    if settled and identity == _identity(os.fstat(handle.fileno())):
+        with suppress(OSError):
+            os.makedirs(os.path.dirname(memo), exist_ok=True)
+            _replace(memo, "wb", lambda out: out.write(digest))
+    return digest
 
 
 def load_cached(
@@ -330,24 +357,27 @@ def load_cached(
     unpack: Callable[[tuple], T],
 ) -> list[T]:
     """`parse()`, the values read from the file at `path`, kept in the corpus
-    cache under a key that digests that file's bytes, the module file
-    `source`, the value rules' module (errors.py), this module's file,
-    marshal.version and sys.byteorder.
+    cache under a key that digests that file's bytes (`_input_digest`), the
+    module file `source`, the value rules' module (errors.py), this module's
+    file, marshal.version and sys.byteorder.
 
     A hit returns `unpack` of each stored tuple. A miss returns `parse()`,
     whose exceptions propagate, and stores `pack` of each value, in batches
-    of about _BATCH_BYTES, as long as the file's size, mtime and inode are
-    the same after parsing as before hashing. Only a regular file is cached.
+    of about _BATCH_BYTES, as long as the file's `_identity` is the same
+    after parsing as before hashing. Only a regular file is cached.
     """
     entry = None
     with suppress(OSError):
-        before = os.stat(path)
-        if stat.S_ISREG(before.st_mode):
-            digest = hashlib.sha256()
-            for name in (path, source, errors.__file__, __file__):
-                digest.update(_file_digest(name))
+        # Checked before the open, which would wait for a pipe's writer.
+        if stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "rb") as handle:
+                before = _identity(os.fstat(handle.fileno()))
+                digest = hashlib.sha256(_input_digest(handle, before))
+            for name in (source, errors.__file__, __file__):
+                with open(name, "rb") as handle:
+                    digest.update(_file_digest(handle))
             digest.update(f"{marshal.version} {sys.byteorder}".encode())
-            entry = os.path.join(_cache_dir(), digest.hexdigest())
+            entry = os.path.join(_cache_dir("corpus"), digest.hexdigest())
     if entry is None:
         return parse()
     values = _read_entry(entry, unpack)
@@ -355,7 +385,7 @@ def load_cached(
         return values
     values = parse()
     with suppress(OSError):
-        if _identity(os.stat(path)) == _identity(before):
+        if _identity(os.stat(path)) == before:
             os.makedirs(os.path.dirname(entry), exist_ok=True)
             _replace(entry, "wb", lambda handle: _write_entry(handle, values, pack))
     return values

@@ -1,15 +1,18 @@
 """The corpus cache behind `geometry.load_ocr_corpus` and `datasets.load_qa`.
 
 A hit must give the values a parse gives; an input that fails to load, an
-entry that is short or corrupt, a cache directory that cannot be made, and a
-corpus rewritten while it is parsed must each give what a run without the
-cache gives. Every test starts from the empty cache `conftest.corpus_cache`.
+entry or digest memo that is short or corrupt, a cache directory that cannot
+be made, and a corpus rewritten while it is parsed or after its digest was
+memoised must each give what a run without the cache gives. Every test
+starts from the empty cache `conftest.corpus_cache`.
 """
 
 import hashlib
 import json
 import marshal
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,6 +162,146 @@ def test_a_corpus_rewritten_while_parsed_is_not_stored(tmp_path, corpus_cache, m
     path.write_bytes(original)
     assert fields(load_ocr_corpus(path)) == fields(load_ocr_corpus(GOLDEN_CORPUS))
     assert [doc.doc_id for doc in load_ocr_corpus(path)] == ["invoice-a", "invoice-b", "memo-c"]
+
+
+def rewrite_in_place(path, data):
+    """Write `data` over the start of `path`, then put its atime and mtime
+    back, as `rsync --inplace -t` or `touch -r` leave a file: the same size,
+    inode and mtime. On a filesystem with coarse timestamps a write in the
+    clock tick of the last change keeps ctime too, so the write is repeated
+    until ctime moves."""
+    before = os.stat(path)
+    while os.stat(path).st_ctime_ns == before.st_ctime_ns:
+        with open(path, "r+b") as handle:
+            handle.write(data)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_ino, after.st_mtime_ns) == (
+        before.st_size, before.st_ino, before.st_mtime_ns)
+
+
+def test_a_corpus_rewritten_in_place_while_parsed_is_not_stored(tmp_path, corpus_cache,
+                                                               monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    original = GOLDEN_CORPUS.read_bytes()
+    path.write_bytes(original)
+    read_records = geometry.read_records
+
+    def rewrite_then_read(p):
+        rewrite_in_place(path, original.replace(b"INVOICE", b"ZZZZZZZ"))
+        return read_records(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "read_records", rewrite_then_read)
+        assert "ZZZZZZZ" in load_ocr_corpus(path)[0].texts
+    assert entries(corpus_cache) == []
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(original)
+    assert "INVOICE" in load_ocr_corpus(copy)[0].texts
+
+
+def memos(cache):
+    return entries(cache.parent / "digests")
+
+
+def hashes_of(path, monkeypatch):
+    """A list that gains `path` each time the cache hashes that file."""
+    hashed = []
+    file_digest = jsonl._file_digest
+
+    def spy(handle):
+        if Path(handle.name) == path:
+            hashed.append(path)
+        return file_digest(handle)
+
+    monkeypatch.setattr(jsonl, "_file_digest", spy)
+    return hashed
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Every input counts as settled, however recently it was written."""
+    monkeypatch.setattr(jsonl, "_SETTLE_NS", 0)
+
+
+def test_a_settled_input_is_not_hashed_again(edge_corpus, corpus_cache, monkeypatch, settled):
+    parsed = fields(load_ocr_corpus(edge_corpus))
+    (memo,) = memos(corpus_cache)
+    info = edge_corpus.stat()
+    assert memo.name == (f"{info.st_dev}-{info.st_ino}-{info.st_size}-"
+                         f"{info.st_mtime_ns}-{info.st_ctime_ns}")
+    assert memo.read_bytes() == hashlib.sha256(edge_corpus.read_bytes()).digest()
+    hashed = hashes_of(edge_corpus, monkeypatch)
+    monkeypatch.setattr(geometry, "read_records", refuse_to_parse)
+    assert fields(load_ocr_corpus(edge_corpus)) == parsed
+    assert hashed == []
+    assert memos(corpus_cache) == [memo] and len(entries(corpus_cache)) == 1
+
+
+@pytest.mark.parametrize("mtime, age, memoised", [
+    ("as written", jsonl._SETTLE_NS - 1, False),
+    ("as written", jsonl._SETTLE_NS, True),
+    # Only ctime tells that this file changed within the window.
+    ("set back a day", jsonl._SETTLE_NS - 1, False),
+])
+def test_an_input_changed_within_the_window_is_hashed_on_every_load(
+        edge_corpus, corpus_cache, monkeypatch, mtime, age, memoised):
+    if mtime == "set back a day":
+        info = edge_corpus.stat()
+        os.utime(edge_corpus, ns=(info.st_atime_ns, info.st_mtime_ns - 86400 * 10**9))
+    info = edge_corpus.stat()
+    now = max(info.st_mtime_ns, info.st_ctime_ns) + age
+    monkeypatch.setattr(jsonl, "time", SimpleNamespace(time_ns=lambda: now))
+    hashed = hashes_of(edge_corpus, monkeypatch)
+    parsed = fields(load_ocr_corpus(edge_corpus))
+    for _ in range(2):
+        assert fields(load_ocr_corpus(edge_corpus)) == parsed
+    assert len(hashed) == (1 if memoised else 3)
+    assert len(memos(corpus_cache)) == memoised and len(entries(corpus_cache)) == 1
+
+
+def test_a_memoised_input_rewritten_in_place_is_read_anew(tmp_path, corpus_cache, settled):
+    path = tmp_path / "corpus.jsonl"
+    original = GOLDEN_CORPUS.read_bytes()
+    path.write_bytes(original)
+    assert "INVOICE" in load_ocr_corpus(path)[0].texts
+    assert len(memos(corpus_cache)) == 1
+    rewrite_in_place(path, original.replace(b"INVOICE", b"ZZZZZZZ"))
+    assert "ZZZZZZZ" in load_ocr_corpus(path)[0].texts
+    assert len(memos(corpus_cache)) == 2 and len(entries(corpus_cache)) == 2
+
+
+def test_an_input_changed_while_hashed_gets_no_memo(tmp_path, corpus_cache, monkeypatch,
+                                                     settled):
+    path = tmp_path / "corpus.jsonl"
+    original = GOLDEN_CORPUS.read_bytes()
+    path.write_bytes(original)
+    file_digest = jsonl._file_digest
+
+    def hash_then_rewrite(handle):
+        digest = file_digest(handle)
+        if Path(handle.name) == path:
+            rewrite_in_place(path, original.replace(b"INVOICE", b"ZZZZZZZ"))
+        return digest
+
+    monkeypatch.setattr(jsonl, "_file_digest", hash_then_rewrite)
+    assert "ZZZZZZZ" in load_ocr_corpus(path)[0].texts
+    assert memos(corpus_cache) == [] and entries(corpus_cache) == []
+
+
+@pytest.mark.parametrize("damage", ["empty", "short", "one byte more", "hex digest"])
+def test_a_faulty_memo_is_hashed_past_and_rewritten(edge_corpus, corpus_cache, monkeypatch,
+                                                    settled, damage):
+    parsed = fields(load_ocr_corpus(edge_corpus))
+    (memo,) = memos(corpus_cache)
+    good = memo.read_bytes()
+    memo.write_bytes({"empty": b"", "short": good[:-1], "one byte more": good + b"\n",
+                      "hex digest": good.hex().encode()}[damage])
+    hashed = hashes_of(edge_corpus, monkeypatch)
+    monkeypatch.setattr(geometry, "read_records", refuse_to_parse)
+    assert fields(load_ocr_corpus(edge_corpus)) == parsed
+    assert hashed == [edge_corpus]
+    assert memos(corpus_cache) == [memo] and memo.read_bytes() == good
 
 
 def test_the_key_is_the_bytes_of_the_corpus_and_the_code(tmp_path, corpus_cache,
