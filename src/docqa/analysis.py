@@ -410,6 +410,6 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     header, rows = read_stage_file(path, "eval", eval_row_from_record, "example_id")
     header_value(path, header, "dataset", check_str)
     # analyze takes any strategy but "shuffled" as the dataset's reference run.
-    header_value(path, header, "strategy", check_choice, OrderStrategy, null=True)
+    header_value(path, header, "strategy", check_choice, OrderStrategy)
     header_value(path, header, "n", _row_count, len(rows))
     return header, rows

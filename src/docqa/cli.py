@@ -150,8 +150,9 @@ def cmd_order(args) -> int:
         orders = [
             shuffled_order(doc, derive_seed(stage_seed, doc.doc_id)) for doc in docs
         ]
+    # The settings name the run's strategy, so the header carries them too.
     out = _write_stage(
-        args, "order", "orders.jsonl", settings, (o.to_record() for o in orders)
+        args, "order", "orders.jsonl", settings, (o.to_record() for o in orders), **settings
     )
     print(f"wrote {len(orders)} orders to {out}")
     return EXIT_OK
@@ -159,7 +160,7 @@ def cmd_order(args) -> int:
 
 def cmd_serialize(args) -> int:
     docs = load_ocr_corpus(args.corpus)
-    _, orders = load_orders(args.orders)
+    orders_header, orders = load_orders(args.orders)
     budget = _dataset_config(args).context_budget
 
     corpus_ids = {doc.doc_id for doc in docs}
@@ -177,11 +178,10 @@ def cmd_serialize(args) -> int:
         ctx = truncate_context(ctx, budget)
         contexts.append(ctx)
 
-    strategies = sorted({o.strategy for o in orders})
     out = _write_stage(
         args, "serialize", "contexts.jsonl", {"budget": budget, "dataset": args.dataset},
         (context_to_record(c) for c in contexts),
-        strategy=strategies[0] if len(strategies) == 1 else None,
+        strategy=orders_header["strategy"],
         dataset=args.dataset,
         budget=budget,
     )
@@ -266,9 +266,7 @@ def cmd_eval(args) -> int:
         args.contexts, dataset=args.dataset, budget=config.context_budget
     )
     # analyze tells reference runs from shuffled ones by this field alone.
-    strategy = header_value(
-        args.contexts, ctx_header, "strategy", check_choice, OrderStrategy, null=True
-    )
+    strategy = header_value(args.contexts, ctx_header, "strategy", check_choice, OrderStrategy)
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
@@ -313,8 +311,7 @@ def cmd_analyze(args) -> int:
                 "pass a single reference run per dataset"
             )
         runs[dataset] = rows
-        if strategy:
-            strategies.add(strategy)
+        strategies.add(strategy)
 
     perplexity, presence, lengths = {}, {}, {}
     for dataset, rows in sorted(reference.items()):

@@ -77,14 +77,12 @@ def check_type(name: str, value, kind: type, *, null: bool = False):
     raise _fault(name, _KINDS[kind] + (" or null" if null else ""), value)
 
 
-def check_choice(name: str, value, choices, *, null: bool = False):
-    """One of the strings in `choices`, or None when `null`. The fault lists
-    the names in order when `choices` is a tuple or list, sorted otherwise."""
-    if (type(value) is str and value in choices) or (null and value is None):
+def check_choice(name: str, value, choices):
+    """One of the strings in `choices`. The fault lists the names in order
+    when `choices` is a tuple or list, sorted otherwise."""
+    if type(value) is str and value in choices:
         return value
     names = list(choices) if isinstance(choices, (tuple, list)) else sorted(choices)
-    if null:
-        names.append("null")
     if len(names) > 2:
         kind = f"one of {', '.join(names[:-1])} or {names[-1]}"
     else:

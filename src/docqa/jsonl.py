@@ -258,8 +258,9 @@ def read_stage_file(path: str | os.PathLike[str], stage: str,
 def header_value(path: str | os.PathLike[str], header: dict[str, Any], name: str,
                  rule: Callable[..., T], *args: Any, **options: Any) -> T:
     """`rule(name, header[name], *args, **options)` for the header of the
-    stage file `path`; a missing field, even one whose rule admits null, and
-    a value the rule refuses are a DataError naming line 1."""
+    stage file `path`; a missing field and a value the rule refuses are a
+    DataError naming line 1. A missing field is never read as None: every
+    header field docqa reads is one it writes, and none is ever null."""
     if name not in header:
         raise DataError(f"{path} line 1: header is missing {name!r}")
     try:

@@ -29,10 +29,13 @@ Each strategy turns a Document into a permutation of its word indices:
   alone.
 
 All functions are pure over immutable inputs, so ordering a corpus is
-embarrassingly parallel across documents. Orders read from a file are
-checked in ReadingOrder.from_record, and each strategy checks its parameter,
-both by the value rules of docqa.errors; a stage header's `strategy` is
-checked by check_choice over OrderStrategy or null, in jsonl.header_value.
+embarrassingly parallel across documents. A run orders every document with
+one strategy, so an orders file names it once, in its header's `strategy`
+(with `threshold_factor` for raster_scan), and each row is only a doc_id and
+its permutation. Rows are checked in ReadingOrder.from_record, and each
+strategy checks its parameter, both by the value rules of docqa.errors; the
+header's `strategy` is checked in load_orders, by check_choice over
+OrderStrategy through jsonl.header_value.
 """
 
 from __future__ import annotations
@@ -40,63 +43,47 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import DataError, check_choice, check_int, check_number, check_str, check_type
 from .geometry import Document
-from .jsonl import read_stage_file
+from .jsonl import header_value, read_stage_file
 
 
 OrderStrategy = ("standard", "raster_scan", "shuffled")
 
 
 class ReadingOrder(NamedTuple):
-    """A permutation of word indices plus the recipe (one of OrderStrategy,
-    and its parameters) that produced it."""
+    """A document's permutation of word indices. The strategy that made it
+    is a fact of the whole run, kept in the orders file's header."""
 
     doc_id: str
     permutation: tuple[int, ...]
-    strategy: str
-    params: Mapping[str, Any]
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "doc_id": self.doc_id,
-            "strategy": self.strategy,
-            "params": dict(self.params),
-            "permutation": list(self.permutation),
-        }
+        return {"doc_id": self.doc_id, "permutation": list(self.permutation)}
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ReadingOrder":
         doc_id = check_str("doc_id", record.get("doc_id"))
-        strategy = check_choice("strategy", record.get("strategy"), OrderStrategy)
         permutation = check_type(f"permutation of doc {doc_id!r}", record.get("permutation"), list)
         for entry in permutation:
             if type(entry) is not int:
                 raise ValueError(
                     f"permutation of doc {doc_id!r} holds a non-integer entry {entry!r}"
                 )
-        params = check_type(f"params of doc {doc_id!r}", record.get("params", {}), dict)
         # N entries that include every index 0..N-1 hold each exactly once;
         # unlike a sort, this stays linear on a shuffled permutation.
         if not set(permutation).issuperset(range(len(permutation))):
             raise ValueError(f"permutation of doc {doc_id!r} is not a bijection on 0..N-1")
-        return cls(
-            doc_id=doc_id, permutation=tuple(permutation), strategy=strategy, params=dict(params)
-        )
+        return cls(doc_id, tuple(permutation))
 
 
 def standard_order(doc: Document) -> ReadingOrder:
     """Identity permutation for documents whose provided order is a reading order."""
     if not doc.provided_order_is_reading_order:
         raise DataError(f"doc {doc.doc_id!r}: document carries no standard reading order")
-    return ReadingOrder(
-        doc_id=doc.doc_id,
-        permutation=tuple(range(len(doc))),
-        strategy="standard",
-        params={},
-    )
+    return ReadingOrder(doc.doc_id, tuple(range(len(doc))))
 
 
 def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> ReadingOrder:
@@ -145,12 +132,7 @@ def raster_scan_order(doc: Document, line_threshold_factor: float = 0.5) -> Read
         line.sort(key=cx.__getitem__)
         permutation += line
         start = end
-    return ReadingOrder(
-        doc_id=doc.doc_id,
-        permutation=tuple(permutation),
-        strategy="raster_scan",
-        params={"line_threshold_factor": factor},
-    )
+    return ReadingOrder(doc.doc_id, tuple(permutation))
 
 
 def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
@@ -169,16 +151,14 @@ def shuffled_order(doc: Document, seed: int) -> ReadingOrder:
         while j > i:
             j = getrandbits(bits)
         permutation[i], permutation[j] = permutation[j], permutation[i]
-    return ReadingOrder(
-        doc_id=doc.doc_id,
-        permutation=tuple(permutation),
-        strategy="shuffled",
-        params={"seed": seed},
-    )
+    return ReadingOrder(doc.doc_id, tuple(permutation))
 
 
 def load_orders(
     path: str | os.PathLike[str],
 ) -> tuple[dict[str, Any], list[ReadingOrder]]:
-    """Read an orders file's header and orders; a document may have only one order."""
-    return read_stage_file(path, "order", ReadingOrder.from_record, "doc_id")
+    """Read an orders file's header, which must name its `strategy`, and
+    orders; a document may have only one order."""
+    header, orders = read_stage_file(path, "order", ReadingOrder.from_record, "doc_id")
+    header_value(path, header, "strategy", check_choice, OrderStrategy)
+    return header, orders

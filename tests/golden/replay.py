@@ -5,8 +5,9 @@
 runs every plan line as a `docqa` command on PATH, inside the directory OUT
 (made if missing). Each command must exit with its line's code, OUT must then
 hold exactly the files of expected/, and each must match its expected file
-byte for byte. Every mismatch is printed; the exit code is 0 when there is
-none and 1 otherwise. Imported, `replay` runs each command through a function
+byte for byte. Every mismatch is printed, a differing file with the number of
+its first line that differs; the exit code is 0 when there is none and 1
+otherwise. Imported, `replay` runs each command through a function
 it is given instead, such as `docqa.cli.main`. Standard library only.
 """
 
@@ -16,6 +17,7 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -59,11 +61,19 @@ def replay(out, run, plan=PLAN, expected=EXPECTED):
     wanted = {path.name for path in expected.iterdir()}
     problems += [f"{name}: missing from {out}" for name in sorted(wanted - written)]
     problems += [f"{name}: not in {expected}" for name in sorted(written - wanted)]
-    problems += [
-        f"{name}: differs from {expected / name}" for name in sorted(written & wanted)
-        if (out / name).read_bytes() != (expected / name).read_bytes()
-    ]
+    for name in sorted(written & wanted):
+        found, want = (out / name).read_bytes(), (expected / name).read_bytes()
+        if found != want:
+            line = first_difference(found, want)
+            problems.append(f"{name}: differs from {expected / name} at line {line}")
     return problems
+
+
+def first_difference(found, want):
+    """The number of the first line at which two different byte strings
+    differ; a line missing from one of them differs from any line."""
+    pairs = zip_longest(found.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next(number for number, (a, b) in enumerate(pairs, 1) if a != b)
 
 
 def main(argv) -> int:

@@ -17,9 +17,10 @@ from layouts import corpus_record
 from docqa import cli
 from docqa.cli import UsageError, build_parser, main
 from docqa.errors import DataError, EndpointError
+from docqa.geometry import load_ocr_corpus
 from docqa.jsonl import config_digest, derive_seed, read_records
 from docqa.llmclient import TIMEOUT_MAX
-from docqa.ordering import load_orders
+from docqa.ordering import load_orders, shuffled_order
 from docqa.serialize import build_prompt, load_contexts
 
 
@@ -132,8 +133,9 @@ class TestOrderCommand:
         header, orders = load_orders(out)
         assert header["stage"] == "order"
         assert len(header["config_digest"]) == 12
+        assert header["strategy"] == "raster_scan"
         assert len(orders) == 3
-        assert all(o.strategy == "raster_scan" for o in orders)
+        assert all(row.keys() == {"doc_id", "permutation"} for row in stage_records(out)[1])
 
     def test_shuffled_is_deterministic_per_seed(self, bench):
         a = bench["dir"] / "a.jsonl"
@@ -155,6 +157,18 @@ class TestOrderCommand:
         perms = {o.permutation for o in load_orders(out)[1]}
         assert len(perms) == 3  # same length docs, still independent draws
 
+    def test_shuffle_seeds_derive_from_the_header_seed(self, bench):
+        # The orders file alone pins each document's shuffle.
+        out = bench["dir"] / "orders.jsonl"
+        run("order", "--corpus", bench["corpus"], "--strategy", "shuffled",
+            "--seed", 5, "--out", out)
+        header, orders = load_orders(out)
+        assert header["seed"] == derive_seed(5, "order")
+        docs = {doc.doc_id: doc for doc in load_ocr_corpus(bench["corpus"])}
+        assert orders == [
+            shuffled_order(docs[o.doc_id], derive_seed(header["seed"], o.doc_id)) for o in orders
+        ]
+
     def test_missing_corpus_exits_2_and_names_path(self, bench, capsys):
         missing = bench["dir"] / "nope.jsonl"
         assert run("order", "--corpus", missing, "--strategy", "standard") == 2
@@ -168,8 +182,8 @@ class TestOrderCommand:
         out = bench["dir"] / "orders.jsonl"
         run("order", "--corpus", bench["corpus"], "--strategy", "raster_scan",
             "--threshold-factor", "0.75", "--out", out)
-        _, orders = load_orders(out)
-        assert orders[0].params == {"line_threshold_factor": 0.75}
+        header, _ = load_orders(out)
+        assert (header["strategy"], header["threshold_factor"]) == ("raster_scan", 0.75)
 
     @pytest.mark.parametrize("strategy", ["standard", "shuffled"])
     def test_threshold_factor_needs_raster_scan(self, bench, capsys, strategy):
@@ -775,8 +789,8 @@ class TestBadInputFiles:
     def test_non_string_doc_id_in_orders_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"
         write_records(orders, [
-            {"config_digest": "0", "stage": "order"},
-            {"doc_id": ["toy-d0"], "strategy": "standard", "permutation": list(range(8))},
+            {"config_digest": "0", "stage": "order", "strategy": "standard"},
+            {"doc_id": ["toy-d0"], "permutation": list(range(8))},
         ])
         assert run("serialize", "--corpus", bench["corpus"], "--orders", orders,
                    *budget_flags(bench, 5), "--out", bench["dir"] / "contexts.jsonl") == 2
@@ -867,7 +881,7 @@ EVAL = "eval-standard-mock-echo.jsonl"
 DROP, NO_HEADER, NO_FILE = object(), object(), object()
 NO_STAGE_HEADER = "{path} line 1: expected a stage header carrying 'config_digest'"
 NOT_A_STRATEGY = (
-    "{path} line 1: header strategy must be one of standard, raster_scan, shuffled or null, got "
+    "{path} line 1: header strategy must be one of standard, raster_scan or shuffled, got "
 )
 GOLDEN_CONTEXTS = "this run needs dataset 'golden', budget 19"
 
@@ -885,13 +899,16 @@ HEADER_FAULTS = {
     **{(consumer, "shuffled, no header"):
        ("contexts-shuffled.jsonl", NO_HEADER, None, NO_STAGE_HEADER)
        for consumer in CONTEXT_INPUTS},
-    ("contexts to eval", "strategy missing"): (
-        "contexts-shuffled.jsonl", {"strategy": DROP}, None,
-        "{path} line 1: header is missing 'strategy'"),
-    ("contexts to eval", "strategy unknown"): (
-        "contexts-shuffled.jsonl", {"strategy": "bogus"}, None, NOT_A_STRATEGY + "'bogus'"),
-    ("contexts to eval", "strategy number"): (
-        "contexts-shuffled.jsonl", {"strategy": 5}, None, NOT_A_STRATEGY + "5"),
+    # The strategy of a run is written once, in the orders header, and copied
+    # from header to header; null is no strategy.
+    **{(consumer, fault): (name, {"strategy": value}, None, message)
+       for consumer, name in (("orders to serialize", "orders-shuffled.jsonl"),
+                              ("contexts to eval", "contexts-shuffled.jsonl"))
+       for fault, value, message in (
+           ("strategy missing", DROP, "{path} line 1: header is missing 'strategy'"),
+           ("strategy unknown", "bogus", NOT_A_STRATEGY + "'bogus'"),
+           ("strategy number", 5, NOT_A_STRATEGY + "5"),
+           ("strategy null", None, NOT_A_STRATEGY + "None"))},
     **{(consumer, "another dataset"): (
         "contexts-ocrvqa-standard.jsonl", {}, None,
         "{path} line 1: header has dataset 'ocrvqa', budget 19, " + GOLDEN_CONTEXTS)
@@ -931,6 +948,7 @@ HEADER_FAULTS = {
         EVAL, {"dataset": ["golden"]}, None,
         "{path} line 1: header dataset must be a non-empty string, got ['golden']"),
     ("eval to analyze", "strategy number"): (EVAL, {"strategy": 5}, None, NOT_A_STRATEGY + "5"),
+    ("eval to analyze", "strategy null"): (EVAL, {"strategy": None}, None, NOT_A_STRATEGY + "None"),
     # Any strategy but "shuffled" used to be taken as the reference run.
     ("eval to analyze", "strategy unknown"): (
         EVAL, {"strategy": "bogus"}, None, NOT_A_STRATEGY + "'bogus'"),
@@ -994,18 +1012,61 @@ class TestStageHeaders:
         # delta 0.0, exit 0.
         assert_header_fault(tmp_path, capsys, "contexts to eval", f"strategy {fault}")
 
+    @pytest.mark.parametrize("fault", ["missing", "unknown", "number", "null"])
+    def test_orders_header_without_a_strategy_exits_2_in_serialize(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "orders to serialize", f"strategy {fault}")
+
     @pytest.mark.parametrize("consumer", [*CONTEXT_INPUTS, "predictions to eval",
                                           "eval to analyze"])
     def test_input_from_another_stage_exits_2(self, tmp_path, capsys, consumer):
         assert_header_fault(tmp_path, capsys, consumer, "another stage")
 
-    def test_null_contexts_strategy_is_kept_by_eval(self, tmp_path):
-        name = "contexts-standard.jsonl"
-        header = {**stage_records(GOLDEN / "expected" / name)[0], "strategy": None}
-        contexts = with_header(name, tmp_path, header)
-        evals = tmp_path / "eval.jsonl"
-        assert run(*stage_input_argv("contexts to eval", contexts), "--out", evals) == 0
-        assert stage_records(evals)[0]["strategy"] is None
+    def test_null_contexts_strategy_exits_2_in_eval(self, tmp_path, capsys):
+        # eval used to copy a null strategy into its own header.
+        assert_header_fault(tmp_path, capsys, "contexts to eval", "strategy null")
+
+
+def labelled_orders(tmp_path, strategy, labels):
+    """The golden shuffled orders under a header whose `strategy` is
+    `strategy` (absent when None), their rows labelled as every orders row
+    was before the strategy moved to the header: row i carries "strategy":
+    labels[i] and the "params" of its strategy."""
+    params = {"standard": {}, "raster_scan": {"line_threshold_factor": 0.5},
+              "shuffled": {"seed": 0}}
+    header, rows = stage_records(GOLDEN / "expected" / "orders-shuffled.jsonl")
+    header = {k: v for k, v in header.items() if k != "strategy"}
+    if strategy is not None:
+        header["strategy"] = strategy
+    assert len(rows) == len(labels)
+    path = tmp_path / "orders.jsonl"
+    write_records(path, [header, *({**row, "strategy": label, "params": params[label]}
+                                   for row, label in zip(rows, labels))])
+    return path
+
+
+class TestStrategyLabel:
+    # serialize used to rebuild the contexts' strategy from the orders rows:
+    # rows relabelled "standard" made the shuffled run a reference run for
+    # analyze, and rows that disagreed gave "strategy": null.
+    @pytest.mark.parametrize("labels", [["standard"] * 3, ["standard", "raster_scan", "shuffled"]],
+                             ids=["relabelled standard", "mixed"])
+    def test_contexts_take_the_orders_header_strategy(self, tmp_path, labels):
+        orders = labelled_orders(tmp_path, "shuffled", labels)
+        contexts = tmp_path / "contexts.jsonl"
+        argv = stage_input_argv("orders to serialize", orders)
+        assert run(*argv, "--seed", 7, "--out", contexts) == 0
+        assert stage_records(contexts)[0]["strategy"] == "shuffled"
+        assert contexts.read_bytes() == (
+            GOLDEN / "expected" / "contexts-shuffled.jsonl").read_bytes()
+
+    def test_orders_file_of_the_old_format_exits_2(self, tmp_path, capsys):
+        orders = labelled_orders(tmp_path, None, ["shuffled"] * 3)
+        contexts = tmp_path / "contexts.jsonl"
+        argv = stage_input_argv("orders to serialize", orders)
+        assert run(*argv, "--seed", 7, "--out", contexts) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {orders} line 1: header is missing 'strategy'\n")
+        assert not contexts.exists()
 
 
 class TestInputsMadeForTheDataset:
@@ -1225,7 +1286,8 @@ class TestAnalyzeCommand:
                    "--out", out) == 0
         assert json.loads(out.read_text())["report"]["order_sensitivity"] == []
 
-    @pytest.mark.parametrize("fault", ["dataset list", "strategy number", "strategy unknown"])
+    @pytest.mark.parametrize("fault", ["dataset list", "strategy number", "strategy unknown",
+                                       "strategy null"])
     def test_bad_header_value_exits_2(self, tmp_path, capsys, fault):
         assert_header_fault(tmp_path, capsys, "eval to analyze", fault)
 

@@ -106,6 +106,21 @@ def test_replay_reports_each_mismatch(tmp_path, lines, expected, flip, problem):
     else:
         [found] = problems
         assert found.startswith(problem)
+        if flip:
+            # The middle byte of the expected file lies on its third line.
+            assert found == f"{problem}{golden / 'orders-standard.jsonl'} at line 3"
+
+
+@pytest.mark.parametrize("found, want, line", [
+    (b"a\nb\nc\n", b"a\nB\nc\n", 2),
+    (b"a\nb\n", b"a\nb\nc\n", 3),
+    (b"a\nb\nc\n", b"a\nb\n", 3),
+    (b"a\nb", b"a\nb\n", 2),
+    (b"", b"a\n", 1),
+], ids=["changed", "line missing", "line added", "newline missing", "empty"])
+def test_first_difference_names_the_first_line_that_differs(found, want, line):
+    assert replay.first_difference(found, want) == line
+    assert replay.first_difference(want, found) == line
 
 
 def test_fixture_covers_its_edge_cases():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from docqa.analysis import eval_row_from_record, prediction_from_record
 from docqa.datasets import qa_record_from_dict
-from docqa.errors import DataError, check_choice, check_str
+from docqa.errors import DataError, check_choice, check_number, check_str
 from docqa.geometry import document_from_record
 from docqa.jsonl import (
     config_digest,
@@ -43,10 +43,7 @@ PARSERS = {
         "example_id": "e", "doc_id": "d", "question": "q?", "answers": ["a"],
         "flags": ["yes_no"],
     }),
-    "order": (ReadingOrder.from_record, {
-        "doc_id": "d", "strategy": "raster_scan", "params": {"threshold_factor": 0.5},
-        "permutation": [1, 0],
-    }),
+    "order": (ReadingOrder.from_record, {"doc_id": "d", "permutation": [1, 0]}),
     "context": (context_from_record, {"doc_id": "d", "context": "a b", "token_count": 2}),
     "prediction": (prediction_from_record, {
         "example_id": "e", "text": "ab",
@@ -350,8 +347,10 @@ class TestReadStageFile:
             header_value("s.jsonl", header, "strategy", check_choice, ("a", "b"))
 
     def test_header_value_returns_what_the_rule_admits(self):
-        header = {"strategy": None}
-        assert header_value("s.jsonl", header, "strategy", check_choice, "ab", null=True) is None
+        header = {"strategy": "b", "n": 0.5}
+        assert header_value("s.jsonl", header, "strategy", check_choice, ("a", "b")) == "b"
+        # Options reach the rule.
+        assert header_value("s.jsonl", header, "n", check_number, 0, above=True) == 0.5
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "rows.jsonl"

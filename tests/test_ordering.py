@@ -36,9 +36,7 @@ def doc_from_boxes(boxes, doc_id="d0", reading_ordered=False):
 class TestStandardOrder:
     def test_identity_permutation(self):
         doc = doc_from_boxes([(0, 0, 1, 1), (2, 0, 3, 1), (4, 0, 5, 1)], reading_ordered=True)
-        order = standard_order(doc)
-        assert list(order.permutation) == [0, 1, 2]
-        assert order.strategy == "standard"
+        assert standard_order(doc) == ReadingOrder("d0", (0, 1, 2))
 
     def test_empty_document(self):
         doc = doc_from_boxes([], reading_ordered=True)
@@ -180,9 +178,8 @@ class TestShuffledOrder:
     def test_same_seed_same_permutation(self):
         doc = grid_layout("g", rows=1, cols=5)
         first = shuffled_order(doc, 7)
-        second = shuffled_order(doc, 7)
-        assert first.permutation == second.permutation
-        assert first.params == {"seed": 7}
+        assert first == shuffled_order(doc, 7)
+        assert first.doc_id == "g"
 
     def test_different_seeds_usually_differ(self):
         doc = grid_layout("g", rows=2, cols=5)
@@ -242,7 +239,14 @@ PINNED_SHUFFLES = {
 
 
 def order_record(perm):
-    return {"doc_id": "d0", "strategy": "shuffled", "params": {"seed": 0}, "permutation": perm}
+    return {"doc_id": "d0", "permutation": perm}
+
+
+def orders_file(tmp_path, rows, strategy="standard"):
+    """An orders file of `rows` under a header naming `strategy`."""
+    path = tmp_path / "orders.jsonl"
+    write_stage_file(path, "order", 0, {"strategy": strategy}, rows, strategy=strategy)
+    return path
 
 
 class TestReadingOrderType:
@@ -275,46 +279,47 @@ class TestReadingOrderType:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("params", [["seed", 5]], "params of doc 'd0' must be an object, got [['seed', 5]]"),
-            ("params", None, "params of doc 'd0' must be an object, got None"),
             ("permutation", "01", "permutation of doc 'd0' must be a list, got '01'"),
             ("permutation", None, "permutation of doc 'd0' must be a list, got None"),
             ("permutation", {"0": 0}, "permutation of doc 'd0' must be a list, got {'0': 0}"),
         ],
-        ids=["params pairs", "params null", "permutation string", "permutation null",
-             "permutation object"],
+        ids=["permutation string", "permutation null", "permutation object"],
     )
     def test_mistyped_fields_rejected(self, field, value, message):
         with pytest.raises(ValueError) as info:
             ReadingOrder.from_record({**order_record([0, 1]), field: value})
         assert str(info.value) == message
 
-    def test_missing_params_read_as_empty(self):
-        record = order_record([1, 0])
-        del record["params"]
-        assert ReadingOrder.from_record(record).params == {}
+    def test_record_holds_doc_id_and_permutation_only(self):
+        order = ReadingOrder.from_record(order_record([1, 0]))
+        assert order == ("d0", (1, 0))
+        assert order.to_record() == order_record([1, 0])
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError) as info:
-            ReadingOrder.from_record({**order_record([0]), "strategy": "zigzag"})
+    # An orders file names its strategy once, in its header.
+    def test_unknown_strategy_rejected(self, tmp_path):
+        path = orders_file(tmp_path, [order_record([0])], "zigzag")
+        with pytest.raises(DataError) as info:
+            load_orders(path)
         assert str(info.value) == (
-            "strategy must be one of standard, raster_scan or shuffled, got 'zigzag'"
+            f"{path} line 1: header strategy must be one of standard, raster_scan or shuffled, "
+            "got 'zigzag'"
         )
 
     @pytest.mark.parametrize("strategy", ["Standard", None, ["standard"]],
                              ids=["capitalized", "null", "list"])
-    def test_strategy_outside_the_set_rejected(self, strategy):
-        with pytest.raises(ValueError) as info:
-            ReadingOrder.from_record({**order_record([0]), "strategy": strategy})
+    def test_strategy_outside_the_set_rejected(self, tmp_path, strategy):
+        path = orders_file(tmp_path, [order_record([0])], strategy)
+        with pytest.raises(DataError) as info:
+            load_orders(path)
         assert str(info.value) == (
-            f"strategy must be one of standard, raster_scan or shuffled, got {strategy!r}"
+            f"{path} line 1: header strategy must be one of standard, raster_scan or shuffled, "
+            f"got {strategy!r}"
         )
 
     @pytest.mark.parametrize("field, message", [
         ("doc_id", "doc_id must be a non-empty string, got None"),
-        ("strategy", "strategy must be one of standard, raster_scan or shuffled, got None"),
         ("permutation", "permutation of doc 'd0' must be a list, got None"),
-    ], ids=["doc_id", "strategy", "permutation"])
+    ], ids=["doc_id", "permutation"])
     def test_missing_field_is_refused_by_its_rule(self, field, message):
         record = order_record([0])
         del record[field]
@@ -330,26 +335,18 @@ class TestReadingOrderType:
             raster_scan_order(doc),
             shuffled_order(grid_layout("s", rows=2, cols=2), 42),
         ]
-        path = tmp_path / "orders.jsonl"
-        write_stage_file(path, "order", 0, {}, (o.to_record() for o in orders))
+        path = orders_file(tmp_path, (o.to_record() for o in orders), "raster_scan")
         header, loaded = load_orders(path)
-        assert header == {"config_digest": config_digest({"stage": "order", "seed": 0}),
-                          "stage": "order", "seed": derive_seed(0, "order")}
-        assert [o.doc_id for o in loaded] == ["plain", "g", "s"]
-        assert [o.strategy for o in loaded] == [
-            "standard",
-            "raster_scan",
-            "shuffled",
-        ]
-        assert loaded[1].permutation == orders[1].permutation
-        assert loaded[2].params == {"seed": 42}
+        assert header == {
+            "config_digest": config_digest({"stage": "order", "seed": 0, "strategy": "raster_scan"}),
+            "stage": "order", "seed": derive_seed(0, "order"), "strategy": "raster_scan",
+        }
+        assert loaded == orders
 
     def test_load_rejects_second_order_for_a_doc(self, tmp_path):
         doc = grid_layout("g", rows=2, cols=2)
-        path = tmp_path / "orders.jsonl"
-        write_stage_file(
-            path, "order", 0, {},
-            (o.to_record() for o in [raster_scan_order(doc), shuffled_order(doc, 42)]),
+        path = orders_file(
+            tmp_path, (o.to_record() for o in [raster_scan_order(doc), shuffled_order(doc, 42)])
         )
         with pytest.raises(DataError, match=r"line 3: duplicate doc_id 'g'"):
             load_orders(path)
@@ -361,18 +358,15 @@ class TestReadingOrderType:
     )
     def test_load_rejects_non_integer_entries(self, tmp_path, permutation):
         rows = [
-            {"doc_id": "a", "strategy": "standard", "params": {}, "permutation": [0, 1]},
-            {"doc_id": "b", "strategy": "standard", "params": {}, "permutation": permutation},
+            {"doc_id": "a", "permutation": [0, 1]},
+            {"doc_id": "b", "permutation": permutation},
         ]
-        path = tmp_path / "orders.jsonl"
-        write_stage_file(path, "order", 0, {}, rows)
+        path = orders_file(tmp_path, rows)
         with pytest.raises(DataError, match=r"line 3: .*doc 'b'.*non-integer entry"):
             load_orders(path)
 
     def test_load_rejects_bad_permutation(self, tmp_path):
-        path = tmp_path / "orders.jsonl"
-        row = {"doc_id": "d", "strategy": "standard", "params": {}, "permutation": [0, 0]}
-        write_stage_file(path, "order", 0, {}, [row])
+        path = orders_file(tmp_path, [{"doc_id": "d", "permutation": [0, 0]}])
         with pytest.raises(
             DataError, match=r"line 2: permutation of doc 'd' is not a bijection on 0\.\.N-1$"
         ):
