@@ -94,7 +94,7 @@ class EvalRow(NamedTuple):
     score: float
     correct: bool
     context_token_len: int
-    answer_in_text: bool | None = None
+    answer_in_text: bool
     rop: float | None = None
 
 
@@ -193,7 +193,6 @@ def answer_presence_report(
     Yes/no questions are always excluded (the literal words "yes" and
     "no" say nothing about whether the evidence was serialized); genre
     questions are excluded for the datasets in GENRE_FILTERED_DATASETS.
-    Rows whose answer_in_text is unset are skipped.
     """
     by_id = {r.example_id: r for r in records}
     drop_genre = dataset in GENRE_FILTERED_DATASETS
@@ -205,8 +204,6 @@ def answer_presence_report(
         if "yes_no" in record.flags:
             continue
         if drop_genre and "genre" in record.flags:
-            continue
-        if r.answer_in_text is None:
             continue
         kept.append(r)
 
@@ -349,7 +346,7 @@ def eval_row_from_record(record: Mapping) -> EvalRow:
         and type(correct) is bool
         and type(length) is int
         and 0 <= length <= sys.maxsize
-        and (in_text is None or type(in_text) is bool)
+        and type(in_text) is bool
         and (rop is None or (type(rop) in (int, float) and 1 <= rop <= FLOAT_MAX))
     ):
         rop = None if rop is None else float(rop)
@@ -366,7 +363,7 @@ def _eval_row_by_rule(record: Mapping) -> EvalRow:
     # No context holds more tokens than a str holds characters; past this
     # bound the median's division would overflow a float.
     length = check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize)
-    in_text = check_type("answer_in_text", record.get("answer_in_text"), bool, null=True)
+    in_text = check_type("answer_in_text", record.get("answer_in_text"), bool)
     rop = record.get("rop")
     if rop is not None:
         # exp of a non-negative mean, so at least 1.

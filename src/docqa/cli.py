@@ -52,7 +52,6 @@ from .serialize import (
     context_to_record,
     load_contexts,
     record_contexts,
-    truncate_context,
 )
 
 EXIT_OK = 0
@@ -172,11 +171,7 @@ def cmd_serialize(args) -> int:
     if missing:
         raise DataError(f"corpus docs have no order: {missing[:5]}")
 
-    contexts = []
-    for doc in docs:
-        ctx = build_context(doc, order_by_doc[doc.doc_id])
-        ctx = truncate_context(ctx, budget)
-        contexts.append(ctx)
+    contexts = [build_context(doc, order_by_doc[doc.doc_id], budget) for doc in docs]
 
     out = _write_stage(
         args, "serialize", "contexts.jsonl", {"budget": budget, "dataset": args.dataset},

@@ -46,6 +46,10 @@ def qa_record_from_dict(record: dict[str, Any]) -> QARecord:
     question = check_str("question", record.get("question"))
     if not answers or not all(type(a) is str for a in answers):
         raise ValueError("answers must be a non-empty list of strings")
+    for answer in answers:
+        # A blank gold normalizes to "", the text a failed request is scored on.
+        if not answer.strip():
+            raise ValueError(f"answer must hold a non-whitespace character, got {answer!r}")
     for flag in flags:
         check_choice("flag", flag, KNOWN_FLAGS)
     flags = frozenset(flags) if flags else NO_FLAGS

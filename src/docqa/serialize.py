@@ -8,12 +8,10 @@ order. The prompt wraps it in the fixed template
 and stays byte-identical for identical inputs. A token budget counts
 whitespace-separated tokens, so an OCR word with an internal space such as
 "new york" counts as two. Budgets are enforced by keeping the longest prefix
-of whole words that fits; a word is never split. Contexts files are checked
-row by row in `context_from_record`, by the value rules of docqa.errors; the
-records themselves check nothing.
-A loaded context carries no word pieces (`pieces` is None), since no stage
-that reads a contexts file truncates it; `truncate_context` then splits the
-text on single spaces.
+of whole words that fits; a word is never split. A context is cut while it
+is built, so a context loaded from a contexts file equals the one built.
+Contexts files are checked row by row in `context_from_record`, by the value
+rules of docqa.errors; the records themselves check nothing.
 """
 
 from __future__ import annotations
@@ -27,22 +25,16 @@ from .ordering import ReadingOrder
 
 
 class SerializedContext(NamedTuple):
-    """The context string C for one document.
-
-    pieces holds the word texts in serialization order, joined by single
-    spaces into text, so truncation can respect word boundaries even when a
-    word carries an internal space; it is None for contexts loaded back from
-    disk.
-    """
+    """The context string C for one document: exactly a contexts-file row."""
 
     doc_id: str
     text: str
     token_count: int
-    pieces: tuple[str, ...] | None
 
 
-def build_context(doc: Document, order: ReadingOrder) -> SerializedContext:
-    """Join word texts in permutation order with single spaces."""
+def build_context(doc: Document, order: ReadingOrder, budget: int) -> SerializedContext:
+    """Join word texts in permutation order with single spaces, cut to the
+    budget by truncate_context."""
     if order.doc_id != doc.doc_id:
         raise DataError(f"order doc_id {order.doc_id!r} does not match doc {doc.doc_id!r}")
     if len(order.permutation) != len(doc):
@@ -52,26 +44,21 @@ def build_context(doc: Document, order: ReadingOrder) -> SerializedContext:
         )
     pieces = tuple(map(doc.texts.__getitem__, order.permutation))
     text = " ".join(pieces)
-    return SerializedContext(
-        doc_id=doc.doc_id,
-        text=text,
-        token_count=len(text.split()),
-        pieces=pieces,
-    )
+    return truncate_context(SerializedContext(doc.doc_id, text, len(text.split())), budget, pieces)
 
 
-def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
-    """Longest prefix of whole words whose token count fits the budget.
+def truncate_context(
+    ctx: SerializedContext, budget: int, pieces: tuple[str, ...]
+) -> SerializedContext:
+    """The longest prefix of whole words of `ctx`, whose word texts `pieces`
+    join into its text, that fits the budget.
 
-    Idempotent; an already-fitting context is returned unchanged. When even
-    the first word exceeds the budget the context collapses to empty.
+    A context that already fits is returned unchanged. When even the first
+    word exceeds the budget the context collapses to empty.
     """
     check_int("budget", budget, 1)
     if ctx.token_count <= budget:
         return ctx
-    pieces = ctx.pieces
-    if pieces is None:
-        pieces = tuple(ctx.text.split(" "))
     # Whitespace counts are additive over pieces, so accumulate directly.
     kept = tokens = 0
     for piece in pieces:
@@ -80,8 +67,7 @@ def truncate_context(ctx: SerializedContext, budget: int) -> SerializedContext:
             break
         tokens += count
         kept += 1
-    pieces = pieces[:kept]
-    return ctx._replace(text=" ".join(pieces), token_count=tokens, pieces=pieces)
+    return ctx._replace(text=" ".join(pieces[:kept]), token_count=tokens)
 
 
 _CONTEXT_PREFIX = "Context: "
@@ -137,7 +123,7 @@ def context_from_record(record: dict[str, Any]) -> SerializedContext:
     words = len(text.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")
-    return SerializedContext(doc_id=doc_id, text=text, token_count=token_count, pieces=None)
+    return SerializedContext(doc_id, text, token_count)
 
 
 def load_contexts(path, **needs) -> tuple[dict[str, Any], list[SerializedContext]]:

@@ -293,17 +293,6 @@ class TestAnswerPresenceReport:
         with pytest.raises(DataError, match="ghost"):
             answer_presence_report(rows, [], dataset="docvqa")
 
-    def test_not_applicable_rows_are_skipped(self):
-        rows = [row("e1", in_text=None), row("e2", in_text=True)]
-        records = [
-            QARecord(example_id="e1", doc_id="d", question="q", answers=("a",)),
-            QARecord(example_id="e2", doc_id="d", question="q", answers=("a",)),
-        ]
-        pct_correct, pct_incorrect = answer_presence_report(rows, records, dataset="docvqa")
-        assert pct_correct == pytest.approx(100.0)
-        assert pct_incorrect is None
-
-
 class TestContextLengthReport:
     def test_hand_computed_normalized_medians(self):
         rows = [
@@ -377,12 +366,7 @@ class TestEvaluateRows:
             Prediction(example_id="e1", text="london", tokens=None),
         ]
         contexts = [
-            SerializedContext(
-                doc_id="d0",
-                text="total 42 due in paris",
-                token_count=5,
-                pieces=("total", "42", "due", "in", "paris"),
-            )
+            SerializedContext(doc_id="d0", text="total 42 due in paris", token_count=5)
         ]
         config = DatasetConfig(
             name="toy",
@@ -433,7 +417,7 @@ class TestEvalRowRecords:
 
         rows = [
             row("e0", score=0.5, correct=False, length=12, in_text=True, rop=2.5),
-            row("e1", in_text=None, rop=None),
+            row("e1", in_text=False, rop=None),
         ]
         for r in rows:
             assert eval_row_from_record(eval_row_to_record(r)) == r
@@ -446,7 +430,7 @@ class TestEvalRowRecords:
             "score": 1.0,
             "correct": True,
             "context_token_len": 3,
-            "answer_in_text": None,
+            "answer_in_text": False,
             "rop": None,
         }
         rules = {
@@ -454,7 +438,7 @@ class TestEvalRowRecords:
             "score": "a number in [0, 1]",
             "correct": "a boolean",
             "context_token_len": f"an integer in [0, {sys.maxsize}]",
-            "answer_in_text": "a boolean or null",
+            "answer_in_text": "a boolean",
             "rop": "a finite number >= 1",
         }
         for key, bad in [
@@ -463,6 +447,7 @@ class TestEvalRowRecords:
             ("correct", 1),
             ("context_token_len", -1),
             ("answer_in_text", "yes"),
+            ("answer_in_text", None),
             ("rop", "2"),
             ("score", -7),
             ("score", 1.5),
@@ -499,7 +484,7 @@ def eval_row_by_rule(record):
         float(check_number("score", record.get("score"), 0, 1)),
         check_type("correct", record.get("correct"), bool),
         check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize),
-        check_type("answer_in_text", record.get("answer_in_text"), bool, null=True),
+        check_type("answer_in_text", record.get("answer_in_text"), bool),
         None if rop is None else float(check_number("rop", rop, 1)),
     )
 
@@ -531,7 +516,7 @@ GOOD_ROW = {
     "score": 1.0,
     "correct": True,
     "context_token_len": 3,
-    "answer_in_text": None,
+    "answer_in_text": False,
     "rop": None,
 }
 

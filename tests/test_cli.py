@@ -688,6 +688,28 @@ class TestEvalCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t\n"], ids=["empty", "spaces", "tab"])
+    def test_a_blank_gold_answer_exits_2(self, tmp_path, capsys, blank):
+        # A blank gold normalizes to "", the text a failed request is scored
+        # on: eval scored this error row 1.0, correct, and exited 0.
+        qa = tmp_path / "qa.jsonl"
+        text = (GOLDEN / "input" / "qa.jsonl").read_text(encoding="utf-8")
+        assert text.count('"answers": ["$120"]') == 1
+        qa.write_text(text.replace('["$120"]', json.dumps([blank])), encoding="utf-8")
+        predictions = golden_copy(
+            "predictions-standard-mock-echo.jsonl", tmp_path, '"example_id": "a-total"',
+            '"example_id": "a-total", "error": "timed out"')
+        out = tmp_path / "eval.jsonl"
+        assert run("eval", "--qa", qa, "--predictions", predictions,
+                   "--contexts", GOLDEN / "expected" / "contexts-standard.jsonl",
+                   "--dataset", "golden",
+                   "--datasets-config", GOLDEN / "input" / "benchmarks.json",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {qa} line 1: answer must hold a non-whitespace character, got {blank!r}\n"
+        )
+        assert not out.exists()
+
 
 def append_copy_of_last_row(path):
     """Repeat the last row of a stage file; returns the new row's line number."""
@@ -1360,7 +1382,10 @@ class TestAnalyzeCommand:
         ('"rop": 2.0', '"rop": NaN', "rop must be a finite number >= 1, got nan"),
         ('"rop": 2.0', '"rop": 1e400', "rop must be a finite number >= 1, got inf"),
         ('"score": 0.0', '"score": -7', "score must be a number in [0, 1], got -7"),
-    ], ids=["rop nan", "rop overflow", "negative score"])
+        # eval has always written a boolean here; a null was read as unknown.
+        ('"answer_in_text": true', '"answer_in_text": null',
+         "answer_in_text must be a boolean, got None"),
+    ], ids=["rop nan", "rop overflow", "negative score", "answer_in_text null"])
     def test_out_of_range_eval_value_exits_2(self, tmp_path, capsys, old, new, message):
         evals = golden_copy("eval-standard-mock-echo.jsonl", tmp_path, old, new)
         out = tmp_path / "analysis.json"

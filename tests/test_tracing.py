@@ -2,8 +2,9 @@
 
 A refactor that renames or removes a traced function would otherwise only
 make the benchmark print a warning and report 0 for that layer, and one that
-routes `eval` around a traced function would make that layer read 0 with no
-warning at all. A corpus load that the corpus cache serves must still be
+routes `serialize` or `eval` around a traced function would make that layer
+read 0 with no warning at all; truncation, called from inside
+`build_context`, is the layer most easily bypassed so. A corpus load that the corpus cache serves must still be
 spanned and counted, with no parse span. The check runs in a subprocess, so
 the tracer's wrappers never leak into other tests.
 """
@@ -38,6 +39,19 @@ assert words == 2 * 38, f"counted {{words - 38}} corpus words on a hit"
 names = [span[2] for span in recorder.spans[first:]]
 assert names == ["geometry.load_ocr_corpus"], f"spans of a hit: {{names}}"
 
+# At the golden budget of 19 tokens only memo-c is cut: it has 25 tokens
+# and keeps 18, since the word "los angeles" would make 20.
+code = docqa.cli.main([
+    "serialize", "--corpus", {corpus!r}, "--orders", {orders!r},
+    "--dataset", "golden", "--datasets-config", {config!r}, "--out", {contexts_out!r},
+])
+assert code == 0, f"serialize exited {{code}}"
+calls = sum(1 for span in recorder.spans if span[2] == "serialize.truncate_context")
+assert calls == 3, f"serialize.truncate_context: {{calls}} spans for 3 documents"
+cut = {{name: recorder.counters.get("serialize.truncate_context." + name)
+       for name in ("truncated", "words_dropped")}}
+assert cut == {{"truncated": 1, "words_dropped": 7}}, f"truncation counted {{cut}}"
+
 code = docqa.cli.main([
     "eval", "--qa", {qa!r}, "--predictions", {predictions!r}, "--contexts", {contexts!r},
     "--dataset", "golden", "--datasets-config", {config!r}, "--out", {out!r},
@@ -60,6 +74,8 @@ def test_every_traced_layer_is_found(tmp_path):
         config=str(golden / "input" / "benchmarks.json"),
         predictions=str(golden / "expected" / "predictions-standard-mock-echo.jsonl"),
         contexts=str(golden / "expected" / "contexts-standard.jsonl"),
+        orders=str(golden / "expected" / "orders-standard.jsonl"),
+        contexts_out=str(tmp_path / "contexts.jsonl"),
         out=str(tmp_path / "eval.jsonl"),
     )
     result = subprocess.run(
