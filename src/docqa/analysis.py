@@ -88,7 +88,8 @@ def completion_tokens(text: str, raw_tokens) -> tuple[TokenLogProb, ...] | None:
 
 
 class EvalRow(NamedTuple):
-    """Per-example evaluation result plus the diagnostic inputs."""
+    """Per-example evaluation result plus the diagnostic inputs: exactly an
+    eval-file row."""
 
     example_id: str
     score: float
@@ -300,7 +301,7 @@ def evaluate_rows(
             raise DataError(f"no prediction for example {record.example_id!r}")
         haystack = haystacks.get(ctx.doc_id)
         if haystack is None:
-            haystack = haystacks[ctx.doc_id] = word_haystack(ctx.text)
+            haystack = haystacks[ctx.doc_id] = word_haystack(ctx.context)
         value = score(config.metric, pred.text, record.answers, anls_tau=config.anls_tau)
         rop = None
         if pred.tokens:
@@ -321,11 +322,6 @@ def evaluate_rows(
             )
         )
     return rows
-
-
-def eval_row_to_record(row: EvalRow) -> dict:
-    """The eval-file row: EvalRow's fields, in their order."""
-    return row._asdict()
 
 
 def eval_row_from_record(record: Mapping) -> EvalRow:

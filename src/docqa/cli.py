@@ -25,7 +25,6 @@ from .analysis import (
     Prediction,
     answer_presence_report,
     context_length_report,
-    eval_row_to_record,
     evaluate_rows,
     load_eval,
     load_predictions,
@@ -36,7 +35,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError, check_choice, check_int, check_number
 from .geometry import load_ocr_corpus
-from .jsonl import derive_seed, header_value, write_report, write_stage_file
+from .jsonl import derive_seed, write_report, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -46,13 +45,7 @@ from .ordering import (
     shuffled_order,
     standard_order,
 )
-from .serialize import (
-    build_context,
-    build_prompt,
-    context_to_record,
-    load_contexts,
-    record_contexts,
-)
+from .serialize import build_context, build_prompt, load_contexts, record_contexts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,7 +144,7 @@ def cmd_order(args) -> int:
         ]
     # The settings name the run's strategy, so the header carries them too.
     out = _write_stage(
-        args, "order", "orders.jsonl", settings, (o.to_record() for o in orders), **settings
+        args, "order", "orders.jsonl", settings, (o._asdict() for o in orders), **settings
     )
     print(f"wrote {len(orders)} orders to {out}")
     return EXIT_OK
@@ -175,7 +168,7 @@ def cmd_serialize(args) -> int:
 
     out = _write_stage(
         args, "serialize", "contexts.jsonl", {"budget": budget, "dataset": args.dataset},
-        (context_to_record(c) for c in contexts),
+        (c._asdict() for c in contexts),
         strategy=orders_header["strategy"],
         dataset=args.dataset,
         budget=budget,
@@ -260,8 +253,6 @@ def cmd_eval(args) -> int:
     ctx_header, contexts = load_contexts(
         args.contexts, dataset=args.dataset, budget=config.context_budget
     )
-    # analyze tells reference runs from shuffled ones by this field alone.
-    strategy = header_value(args.contexts, ctx_header, "strategy", check_choice, OrderStrategy)
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
@@ -269,10 +260,11 @@ def cmd_eval(args) -> int:
     _write_stage(
         args, "eval", "eval.jsonl",
         {"dataset": args.dataset, "metric": metric, "anls_tau": config.anls_tau},
-        (eval_row_to_record(r) for r in rows),
+        (r._asdict() for r in rows),
         dataset=args.dataset,
         metric=metric,
-        strategy=strategy,
+        # analyze tells reference runs from shuffled ones by this field alone.
+        strategy=ctx_header["strategy"],
         aggregate=aggregate,
         n=len(rows),
     )
@@ -354,6 +346,9 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     common.add_argument("--out", help="output file (default: the stage's file name)")
+    dataset = _Parser(add_help=False)
+    dataset.add_argument("--dataset", required=True, help="dataset whose config the run uses")
+    dataset.add_argument("--datasets-config", help="dataset config JSON override")
 
     parser = _Parser(
         prog="docqa",
@@ -376,23 +371,17 @@ def build_parser() -> _Parser:
     order.set_defaults(func=cmd_order)
 
     serialize_cmd = sub.add_parser(
-        "serialize", parents=[common], help="join corpus and orders into contexts"
+        "serialize", parents=[common, dataset], help="join corpus and orders into contexts"
     )
     serialize_cmd.add_argument("--corpus", required=True)
     serialize_cmd.add_argument("--orders", required=True)
-    serialize_cmd.add_argument(
-        "--dataset", required=True, help="dataset whose context_budget cuts each context"
-    )
-    serialize_cmd.add_argument("--datasets-config", help="dataset config JSON override")
     serialize_cmd.set_defaults(func=cmd_serialize)
 
     predict = sub.add_parser(
-        "predict", parents=[common], help="run contexts and questions through a model"
+        "predict", parents=[common, dataset], help="run contexts and questions through a model"
     )
     predict.add_argument("--qa", required=True)
     predict.add_argument("--contexts", required=True, help="contexts serialized for --dataset")
-    predict.add_argument("--dataset", required=True)
-    predict.add_argument("--datasets-config")
     predict.add_argument(
         "--backend", choices=["http", "mock-echo", "mock-answer-key"], default="http"
     )
@@ -406,13 +395,11 @@ def build_parser() -> _Parser:
     predict.set_defaults(func=cmd_predict)
 
     eval_cmd = sub.add_parser(
-        "eval", parents=[common], help="score predictions with the dataset metric"
+        "eval", parents=[common, dataset], help="score predictions with the dataset metric"
     )
     eval_cmd.add_argument("--qa", required=True)
     eval_cmd.add_argument("--predictions", required=True, help="predictions for --dataset")
     eval_cmd.add_argument("--contexts", required=True, help="contexts serialized for --dataset")
-    eval_cmd.add_argument("--dataset", required=True)
-    eval_cmd.add_argument("--datasets-config")
     eval_cmd.set_defaults(func=cmd_eval)
 
     analyze = sub.add_parser(

@@ -54,14 +54,12 @@ OrderStrategy = ("standard", "raster_scan", "shuffled")
 
 
 class ReadingOrder(NamedTuple):
-    """A document's permutation of word indices. The strategy that made it
-    is a fact of the whole run, kept in the orders file's header."""
+    """A document's permutation of word indices: exactly an orders-file row.
+    The strategy that made it is a fact of the whole run, kept in the orders
+    file's header."""
 
     doc_id: str
     permutation: tuple[int, ...]
-
-    def to_record(self) -> dict[str, Any]:
-        return {"doc_id": self.doc_id, "permutation": list(self.permutation)}
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ReadingOrder":

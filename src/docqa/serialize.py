@@ -11,24 +11,25 @@ whitespace-separated tokens, so an OCR word with an internal space such as
 of whole words that fits; a word is never split. A context is cut while it
 is built, so a context loaded from a contexts file equals the one built.
 Contexts files are checked row by row in `context_from_record`, by the value
-rules of docqa.errors; the records themselves check nothing.
+rules of docqa.errors, and their header's `strategy` in load_contexts, as
+load_orders checks it; the records themselves check nothing.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .errors import DataError, check_int, check_str, check_type
+from .errors import DataError, check_choice, check_int, check_str, check_type
 from .geometry import Document
-from .jsonl import read_stage_file
-from .ordering import ReadingOrder
+from .jsonl import header_value, read_stage_file
+from .ordering import OrderStrategy, ReadingOrder
 
 
 class SerializedContext(NamedTuple):
     """The context string C for one document: exactly a contexts-file row."""
 
     doc_id: str
-    text: str
+    context: str
     token_count: int
 
 
@@ -51,7 +52,7 @@ def truncate_context(
     ctx: SerializedContext, budget: int, pieces: tuple[str, ...]
 ) -> SerializedContext:
     """The longest prefix of whole words of `ctx`, whose word texts `pieces`
-    join into its text, that fits the budget.
+    join into its context, that fits the budget.
 
     A context that already fits is returned unchanged. When even the first
     word exceeds the budget the context collapses to empty.
@@ -67,7 +68,7 @@ def truncate_context(
             break
         tokens += count
         kept += 1
-    return ctx._replace(text=" ".join(pieces[:kept]), token_count=tokens)
+    return ctx._replace(context=" ".join(pieces[:kept]), token_count=tokens)
 
 
 _CONTEXT_PREFIX = "Context: "
@@ -84,7 +85,7 @@ class Prompt(NamedTuple):
 def build_prompt(ctx: SerializedContext, question: str) -> Prompt:
     """Apply the template; an empty context leaves a double space, by design.
     Questions are checked non-empty where they enter, in load_qa."""
-    return Prompt(f"{_CONTEXT_PREFIX}{ctx.text}{_QUESTION_SEP}{question}{_ANSWER_SUFFIX}")
+    return Prompt(f"{_CONTEXT_PREFIX}{ctx.context}{_QUESTION_SEP}{question}{_ANSWER_SUFFIX}")
 
 
 def parse_prompt(text: str) -> tuple[str, str]:
@@ -106,29 +107,28 @@ def prompt_parts(ctx: SerializedContext, question: str) -> tuple[str, str]:
     """parse_prompt(build_prompt(ctx, question).text), without building the
     prompt when the question cannot move the split: with no "Question: " in
     it, the last question marker is the template's own, so the parts are
-    (ctx.text, question) themselves."""
+    (ctx.context, question) themselves."""
     if _QUESTION_SEP[1:] not in question:
-        return ctx.text, question
+        return ctx.context, question
     return parse_prompt(build_prompt(ctx, question).text)
-
-
-def context_to_record(ctx: SerializedContext) -> dict[str, Any]:
-    return {"doc_id": ctx.doc_id, "context": ctx.text, "token_count": ctx.token_count}
 
 
 def context_from_record(record: dict[str, Any]) -> SerializedContext:
     doc_id = check_str("doc_id", record.get("doc_id"))
-    text = check_type("context", record.get("context"), str)
+    context = check_type("context", record.get("context"), str)
     token_count = check_int("token_count", record.get("token_count"))
-    words = len(text.split())
+    words = len(context.split())
     if token_count != words:
         raise ValueError(f"token_count {token_count!r} does not match the context's {words} words")
-    return SerializedContext(doc_id, text, token_count)
+    return SerializedContext(doc_id, context, token_count)
 
 
 def load_contexts(path, **needs) -> tuple[dict[str, Any], list[SerializedContext]]:
-    """Read a contexts file's header, which must hold `needs`, and contexts."""
-    return read_stage_file(path, "serialize", context_from_record, "doc_id", **needs)
+    """Read a contexts file's header, which must hold `needs` and name its
+    `strategy`, and contexts."""
+    header, contexts = read_stage_file(path, "serialize", context_from_record, "doc_id", **needs)
+    header_value(path, header, "strategy", check_choice, OrderStrategy)
+    return header, contexts
 
 
 def record_contexts(records, contexts: list[SerializedContext]) -> list[SerializedContext]:

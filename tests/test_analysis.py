@@ -366,7 +366,7 @@ class TestEvaluateRows:
             Prediction(example_id="e1", text="london", tokens=None),
         ]
         contexts = [
-            SerializedContext(doc_id="d0", text="total 42 due in paris", token_count=5)
+            SerializedContext(doc_id="d0", context="total 42 due in paris", token_count=5)
         ]
         config = DatasetConfig(
             name="toy",
@@ -413,14 +413,14 @@ class TestEvaluateRows:
 
 class TestEvalRowRecords:
     def test_round_trip(self):
-        from docqa.analysis import eval_row_from_record, eval_row_to_record
+        from docqa.analysis import eval_row_from_record
 
         rows = [
             row("e0", score=0.5, correct=False, length=12, in_text=True, rop=2.5),
             row("e1", in_text=False, rop=None),
         ]
         for r in rows:
-            assert eval_row_from_record(eval_row_to_record(r)) == r
+            assert eval_row_from_record(r._asdict()) == r
 
     def test_bad_fields_rejected(self):
         from docqa.analysis import eval_row_from_record

@@ -225,7 +225,7 @@ class TestSerializeCommand:
         header, loaded = load_contexts(contexts)
         assert len(loaded) == 3
         doc = bench["docs"][0]
-        assert loaded[0].text == " ".join(w["text"] for w in doc["words"])
+        assert loaded[0].context == " ".join(w["text"] for w in doc["words"])
         assert header["strategy"] == "standard"
         assert header["dataset"] == "toy"
 
@@ -925,6 +925,7 @@ HEADER_FAULTS = {
     # from header to header; null is no strategy.
     **{(consumer, fault): (name, {"strategy": value}, None, message)
        for consumer, name in (("orders to serialize", "orders-shuffled.jsonl"),
+                              ("contexts to predict", "contexts-standard.jsonl"),
                               ("contexts to eval", "contexts-shuffled.jsonl"))
        for fault, value, message in (
            ("strategy missing", DROP, "{path} line 1: header is missing 'strategy'"),
@@ -1037,6 +1038,12 @@ class TestStageHeaders:
     @pytest.mark.parametrize("fault", ["missing", "unknown", "number", "null"])
     def test_orders_header_without_a_strategy_exits_2_in_serialize(self, tmp_path, capsys, fault):
         assert_header_fault(tmp_path, capsys, "orders to serialize", f"strategy {fault}")
+
+    @pytest.mark.parametrize("fault", ["missing", "unknown"])
+    def test_contexts_header_without_a_strategy_exits_2_in_predict(self, tmp_path, capsys, fault):
+        # predict used to take such contexts, exit 0, and spend a request on
+        # every question for predictions that eval then refused with them.
+        assert_header_fault(tmp_path, capsys, "contexts to predict", f"strategy {fault}")
 
     @pytest.mark.parametrize("consumer", [*CONTEXT_INPUTS, "predictions to eval",
                                           "eval to analyze"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from docqa.analysis import eval_row_from_record, prediction_from_record
+from docqa.analysis import eval_row_from_record, load_eval, prediction_from_record
 from docqa.datasets import qa_record_from_dict
 from docqa.errors import DataError, check_choice, check_number, check_str
 from docqa.geometry import document_from_record
@@ -24,8 +24,9 @@ from docqa.jsonl import (
     write_report,
     write_stage_file,
 )
-from docqa.ordering import ReadingOrder
-from docqa.serialize import context_from_record
+from docqa.ordering import ReadingOrder, load_orders
+from docqa.serialize import context_from_record, load_contexts
+from golden import replay
 
 
 class Row:
@@ -440,6 +441,23 @@ class TestWriteStageFile:
             write_stage_file(path, *self.STAGE, [{"id": "new", "score": math.inf}])
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["stage.jsonl"]
+
+
+# Each golden orders, contexts and eval file, by the loader of its kind.
+GOLDEN_LOADERS = {"orders": load_orders, "contexts": load_contexts, "eval": load_eval}
+GOLDEN_ROW_FILES = sorted(
+    path for path in replay.EXPECTED.glob("*.jsonl")
+    if path.name.split("-")[0] in GOLDEN_LOADERS
+)
+
+
+@pytest.mark.parametrize("path", GOLDEN_ROW_FILES, ids=lambda path: path.name)
+def test_a_golden_record_is_its_row(path):
+    # Every stage writes a record as its _asdict(), so a loaded record
+    # encodes back to the line it was read from.
+    _, records = GOLDEN_LOADERS[path.name.split("-")[0]](path)
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [json.dumps(r._asdict(), ensure_ascii=False, allow_nan=False) for r in records] == rows
 
 
 def test_a_report_is_indented_json_under_its_digest_and_stage(tmp_path):

@@ -34,7 +34,7 @@ from docqa.serialize import SerializedContext, build_prompt, parse_prompt
 
 
 def context_for(context_text, doc_id="d"):
-    return SerializedContext(doc_id=doc_id, text=context_text, token_count=0)
+    return SerializedContext(doc_id=doc_id, context=context_text, token_count=0)
 
 
 def prompt_for(context_text, question):

@@ -11,7 +11,6 @@ from docqa.serialize import (
     SerializedContext,
     build_context,
     build_prompt,
-    context_to_record,
     load_contexts,
     parse_prompt,
     truncate_context,
@@ -69,11 +68,11 @@ class TestBuildContext:
     @given(texts=st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=6), max_size=10))
     def test_identity_order_preserves_input_join(self, texts):
         ctx = built(texts)
-        assert ctx.text == " ".join(texts)
+        assert ctx.context == " ".join(texts)
         assert ctx.token_count == len(texts)
 
     def test_record_is_the_contexts_row(self):
-        assert SerializedContext._fields == ("doc_id", "text", "token_count")
+        assert SerializedContext._fields == ("doc_id", "context", "token_count")
 
 
 # Word texts as a corpus holds them: stripped, some with an internal space.
@@ -136,16 +135,16 @@ class TestTruncate:
 
 class TestPrompt:
     def test_template(self):
-        ctx = SerializedContext(doc_id="d0", text="x y", token_count=2)
+        ctx = SerializedContext(doc_id="d0", context="x y", token_count=2)
         prompt = build_prompt(ctx, "what?")
         assert prompt.text == "Context: x y Question: what? Answer:"
 
     def test_empty_context_keeps_double_space(self):
-        ctx = SerializedContext(doc_id="d0", text="", token_count=0)
+        ctx = SerializedContext(doc_id="d0", context="", token_count=0)
         assert build_prompt(ctx, "q").text == "Context:  Question: q Answer:"
 
     def test_byte_identical_across_runs(self):
-        ctx = SerializedContext(doc_id="d0", text="x y", token_count=2)
+        ctx = SerializedContext(doc_id="d0", context="x y", token_count=2)
         assert build_prompt(ctx, "q?").text == build_prompt(ctx, "q?").text
 
     @given(
@@ -155,7 +154,7 @@ class TestPrompt:
     def test_parse_inverts_build(self, context_text, question):
         ctx = SerializedContext(
             doc_id="d0",
-            text=context_text,
+            context=context_text,
             token_count=len(context_text.split()),
         )
         prompt = build_prompt(ctx, question)
@@ -172,12 +171,12 @@ class TestContextsFile:
     def test_round_trip(self, tmp_path):
         ctx = built(["Hello", "World"])
         path = tmp_path / "contexts.jsonl"
-        write_stage_file(path, "serialize", 0, {}, [context_to_record(ctx)],
-                         dataset="toy", budget=2)
+        write_stage_file(path, "serialize", 0, {}, [ctx._asdict()],
+                         strategy="standard", dataset="toy", budget=2)
         header, loaded = load_contexts(path, dataset="toy", budget=2)
         assert header == {"config_digest": config_digest({"stage": "serialize", "seed": 0}),
                           "stage": "serialize", "seed": derive_seed(0, "serialize"),
-                          "dataset": "toy", "budget": 2}
+                          "strategy": "standard", "dataset": "toy", "budget": 2}
         assert loaded == [ctx]
 
     @pytest.mark.parametrize("flags", SERIALIZE_RUNS, ids=lambda flags: flags["--out"])

@@ -2,11 +2,12 @@
 
 A refactor that renames or removes a traced function would otherwise only
 make the benchmark print a warning and report 0 for that layer, and one that
-routes `serialize` or `eval` around a traced function would make that layer
-read 0 with no warning at all; truncation, called from inside
-`build_context`, is the layer most easily bypassed so. A corpus load that the corpus cache serves must still be
-spanned and counted, with no parse span. The check runs in a subprocess, so
-the tracer's wrappers never leak into other tests.
+routes `serialize`, `predict` or `eval` around a traced function would make
+that layer read 0 with no warning at all; truncation, called from inside
+`build_context`, is the layer most easily bypassed so. A corpus load that the
+corpus cache serves must still be spanned and counted, with no parse span.
+The check runs in a subprocess, so the tracer's wrappers never leak into
+other tests.
 """
 
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
+import json
 import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import docqa.cli  # imports every docqa module the tracer wraps
@@ -52,15 +54,37 @@ cut = {{name: recorder.counters.get("serialize.truncate_context." + name)
        for name in ("truncated", "words_dropped")}}
 assert cut == {{"truncated": 1, "words_dropped": 7}}, f"truncation counted {{cut}}"
 
+# Each QA record's prompt, from the literal template over its document's
+# context in the golden contexts file.
+with open({contexts!r}, encoding="utf-8") as handle:
+    contexts = {{row["doc_id"]: row["context"] for row in map(json.loads, list(handle)[1:])}}
+with open({qa!r}, encoding="utf-8") as handle:
+    questions = [json.loads(line) for line in handle if line.strip()]
+chars = sum(len(f"Context: {{contexts[q['doc_id']]}} Question: {{q['question']}} Answer:")
+            for q in questions)
+assert (len(questions), chars) == (9, 954), f"{{len(questions)}} prompts of {{chars}} chars"
+first = len(recorder.spans)
+code = docqa.cli.main([
+    "predict", "--qa", {qa!r}, "--contexts", {contexts!r}, "--dataset", "golden",
+    "--datasets-config", {config!r}, "--backend", "mock-answer-key", "--out", {predictions_out!r},
+])
+assert code == 0, f"predict exited {{code}}"
+names = [span[2] for span in recorder.spans[first:]]
+for name, expected in (("serialize.build_prompt", 9), ("llmclient.MockBackend.complete", 9),
+                       ("llmclient.predict_batch", 1), ("serialize.load_contexts", 1)):
+    calls = names.count(name)
+    assert calls == expected, f"{{name}}: {{calls}} spans in predict, expected {{expected}}"
+found = recorder.counters.get("serialize.build_prompt.chars")
+assert found == chars, f"serialize.build_prompt.chars is {{found}}, expected {{chars}}"
+
 code = docqa.cli.main([
     "eval", "--qa", {qa!r}, "--predictions", {predictions!r}, "--contexts", {contexts!r},
     "--dataset", "golden", "--datasets-config", {config!r}, "--out", {out!r},
 ])
 assert code == 0, f"eval exited {{code}}"
-records = sum(1 for line in open({qa!r}) if line.strip())
 for name in ("metrics.score", "analysis.answer_in_text"):
     calls = sum(1 for span in recorder.spans if span[2] == name)
-    assert calls == records, f"{{name}}: {{calls}} spans for {{records}} QA records"
+    assert calls == len(questions), f"{{name}}: {{calls}} spans for {{len(questions)}} QA records"
 """
 
 
@@ -76,6 +100,7 @@ def test_every_traced_layer_is_found(tmp_path):
         contexts=str(golden / "expected" / "contexts-standard.jsonl"),
         orders=str(golden / "expected" / "orders-standard.jsonl"),
         contexts_out=str(tmp_path / "contexts.jsonl"),
+        predictions_out=str(tmp_path / "predictions.jsonl"),
         out=str(tmp_path / "eval.jsonl"),
     )
     result = subprocess.run(
