@@ -385,8 +385,11 @@ def prediction_from_record(record: Mapping) -> Prediction:
 
 
 def load_predictions(path, **needs) -> tuple[dict, list[Prediction]]:
-    """Read a predictions file's header, which must hold `needs`, and predictions."""
-    return read_stage_file(path, "predict", prediction_from_record, "example_id", **needs)
+    """Read a predictions file's header, which must hold `needs` and name its
+    `backend`, and predictions."""
+    header, rows = read_stage_file(path, "predict", prediction_from_record, "example_id", **needs)
+    header_value(path, header, "backend", check_str)
+    return header, rows
 
 
 def _row_count(name: str, value, rows: int) -> int:

@@ -114,10 +114,10 @@ def _dataset_config(args):
         raise DataError(str(exc)) from None
 
 
-def _write_stage(args, stage, default_name, settings, rows, **fields) -> Path:
+def _write_stage(args, stage, default_name, settings, rows, **counts) -> Path:
     """Write a stage file to --out or `default_name` for the run seed."""
     out = Path(args.out or default_name)
-    write_stage_file(out, stage, args.seed, settings, rows, **fields)
+    write_stage_file(out, stage, args.seed, settings, rows, **counts)
     return out
 
 
@@ -142,10 +142,7 @@ def cmd_order(args) -> int:
         orders = [
             shuffled_order(doc, derive_seed(stage_seed, doc.doc_id)) for doc in docs
         ]
-    # The settings name the run's strategy, so the header carries them too.
-    out = _write_stage(
-        args, "order", "orders.jsonl", settings, (o._asdict() for o in orders), **settings
-    )
+    out = _write_stage(args, "order", "orders.jsonl", settings, (o._asdict() for o in orders))
     print(f"wrote {len(orders)} orders to {out}")
     return EXIT_OK
 
@@ -166,13 +163,10 @@ def cmd_serialize(args) -> int:
 
     contexts = [build_context(doc, order_by_doc[doc.doc_id], budget) for doc in docs]
 
-    out = _write_stage(
-        args, "serialize", "contexts.jsonl", {"budget": budget, "dataset": args.dataset},
-        (c._asdict() for c in contexts),
-        strategy=orders_header["strategy"],
-        dataset=args.dataset,
-        budget=budget,
-    )
+    settings = {"strategy": orders_header["strategy"], "dataset": args.dataset,
+                "budget": budget, "orders": orders_header["config_digest"]}
+    out = _write_stage(args, "serialize", "contexts.jsonl", settings,
+                       (c._asdict() for c in contexts))
     print(f"wrote {len(contexts)} contexts to {out}")
     return EXIT_OK
 
@@ -204,10 +198,17 @@ def _prediction(record, result) -> Prediction:
 def cmd_predict(args) -> int:
     config = _dataset_config(args)
     records = load_qa(args.qa)
-    _, contexts = load_contexts(args.contexts, dataset=args.dataset, budget=config.context_budget)
+    ctx_header, contexts = load_contexts(
+        args.contexts, dataset=args.dataset, budget=config.context_budget
+    )
     contexts = record_contexts(records, contexts)
-    max_new_tokens = config.target_budget
-    want_logprobs = not args.no_logprobs
+    settings = {
+        "dataset": args.dataset,
+        "backend": args.backend,
+        "max_new_tokens": config.target_budget,
+        "logprobs": not args.no_logprobs,
+        "contexts": ctx_header["config_digest"],
+    }
 
     backend = _build_backend(args, records, contexts)
     # Each prompt is built as predict_batch pulls its request, so only the
@@ -215,8 +216,8 @@ def cmd_predict(args) -> int:
     requests = (
         InferenceRequest(
             prompt=build_prompt(ctx, record.question).text,
-            max_new_tokens=max_new_tokens,
-            want_logprobs=want_logprobs,
+            max_new_tokens=settings["max_new_tokens"],
+            want_logprobs=settings["logprobs"],
         )
         for record, ctx in zip(records, contexts)
     )
@@ -226,18 +227,9 @@ def cmd_predict(args) -> int:
         if isinstance(backend, HTTPBackend):
             backend.close()
     failures = sum(isinstance(result, EndpointError) for result in results)
-
-    settings = {
-        "dataset": args.dataset,
-        "backend": args.backend,
-        "max_new_tokens": max_new_tokens,
-        "logprobs": want_logprobs,
-    }
     out = _write_stage(
         args, "predict", "predictions.jsonl", settings,
         (prediction_to_record(_prediction(r, result)) for r, result in zip(records, results)),
-        dataset=args.dataset,
-        backend=args.backend,
     )
     print(f"wrote {len(results)} predictions to {out}")
     if failures:
@@ -249,26 +241,25 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     config = _dataset_config(args)
     records = load_qa(args.qa)
-    _, predictions = load_predictions(args.predictions, dataset=args.dataset)
+    pred_header, predictions = load_predictions(args.predictions, dataset=args.dataset)
     ctx_header, contexts = load_contexts(
         args.contexts, dataset=args.dataset, budget=config.context_budget
     )
 
     rows = evaluate_rows(records, predictions, contexts, config)
     aggregate = dataset_score([r.score for r in rows])
-    metric = config.metric
-    _write_stage(
-        args, "eval", "eval.jsonl",
-        {"dataset": args.dataset, "metric": metric, "anls_tau": config.anls_tau},
-        (r._asdict() for r in rows),
-        dataset=args.dataset,
-        metric=metric,
+    settings = {
+        "dataset": args.dataset,
+        "metric": config.metric,
+        "anls_tau": config.anls_tau,
         # analyze tells reference runs from shuffled ones by this field alone.
-        strategy=ctx_header["strategy"],
-        aggregate=aggregate,
-        n=len(rows),
-    )
-    print(f"{args.dataset} {metric}: {aggregate} ({len(rows)} examples)")
+        "strategy": ctx_header["strategy"],
+        "backend": pred_header["backend"],
+        "budget": config.context_budget,
+    }
+    _write_stage(args, "eval", "eval.jsonl", settings, (r._asdict() for r in rows),
+                 aggregate=aggregate, n=len(rows))
+    print(f"{args.dataset} {config.metric}: {aggregate} ({len(rows)} examples)")
     return EXIT_OK
 
 

@@ -1,21 +1,20 @@
 """The one place docqa opens a file: JSONL records, JSON config files,
 atomic writes of every output, and the corpus cache of validated inputs.
 
-Stage files start with a provenance header line, built here alone by
-`write_stage_file` (and analyze's report header by `write_report`):
-`config_digest` (a digest of the stage's semantic settings, run seed
-included), `stage`, the seed derived for that stage, then fields specific to
-the stage. Paths never enter the digest, so a rerun in another directory
-writes the same bytes. Stage files are read only through `read_stage_file`,
-which rejects a file whose line 1 is not such a header or names another
-stage, and every header field a reader uses is checked here, by
-`read_stage_file` against the values a run needs, in exact type and value
+Every stage header is built here alone, by `_header`: `config_digest`, a
+digest of the stage, the run seed and the stage's settings; `stage`; the seed
+derived for that stage; the settings; then counts computed from the rows. So
+a header holds exactly the settings its digest covers, and no path. Stage
+files are read only through `read_stage_file`, which rejects a file whose
+line 1 is not such a header or names another stage, and checks a header
+field a reader uses against the value a run needs, in exact type and value
 (19.0 is not 19, true is not 1), or by `header_value` under a docqa.errors
-rule. `config_digest` and `seed` are provenance that no reader checks, and a
-key no reader uses is ignored. Every loader turns rows into values through
-`parse_rows`, which names the file and line of a bad or repeated row. A file
-that is missing, cannot be opened (a directory, say), is not UTF-8 or is not
-JSON, and an output that cannot be written, is a DataError naming it.
+rule. A stage records the `config_digest` of the stage file it read as its
+lineage. A key no reader uses is ignored. Every loader turns rows into
+values through `parse_rows`, which names the file and line of a bad or
+repeated row. A file that is missing, cannot be opened (a directory, say),
+is not UTF-8 or is not JSON, and an output that cannot be written, is a
+DataError naming it.
 
 Every JSON text docqa reads, a JSONL line, a config file or an endpoint
 reply, goes through `decode`. It reads what json.loads reads and raises every
@@ -52,7 +51,7 @@ from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from . import errors
-from .errors import DataError, check_choice
+from .errors import DataError, check_choice, check_str
 
 T = TypeVar("T")
 
@@ -213,24 +212,28 @@ def config_digest(settings: dict[str, Any]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _header(stage: str, seed: int, settings: dict, counts: dict) -> dict[str, Any]:
+    """The header of `stage` for the run seed `seed`: the digest of both and
+    `settings`, `stage`, the stage's seed, `settings`, then `counts`, the
+    values computed from the rows, which the digest leaves out."""
+    return {HEADER_KEY: config_digest({"stage": stage, "seed": seed, **settings}),
+            "stage": stage, "seed": derive_seed(seed, stage), **settings, **counts}
+
+
 def write_stage_file(path: str | os.PathLike[str], stage: str, seed: int,
                      settings: dict[str, Any], records: Iterable[dict[str, Any]],
-                     **fields: Any) -> None:
-    """Write the header of `stage` for the run seed `seed` (the digest of
-    both and `settings`, `stage`, the stage's seed, then `fields`), then one
-    line per record, through write_atomically. A nan or infinite float
-    raises ValueError: no stage may write a file that is not JSON."""
-    header = {HEADER_KEY: config_digest({"stage": stage, "seed": seed, **settings}),
-              "stage": stage, "seed": derive_seed(seed, stage), **fields}
-    write_atomically(path, map(_encode, chain((header,), records)))
+                     **counts: Any) -> None:
+    """Write the header of `stage` (`_header`), then one line per record,
+    through write_atomically. A nan or infinite float raises ValueError: no
+    stage may write a file that is not JSON."""
+    write_atomically(path, map(_encode, chain((_header(stage, seed, settings, counts),), records)))
 
 
 def write_report(path: str | os.PathLike[str], stage: str, seed: int,
                  settings: dict[str, Any], report: dict[str, Any]) -> None:
-    """Write `report` as one indented JSON object with sorted keys, under the
-    digest and `stage` that write_stage_file would give it."""
-    payload = {HEADER_KEY: config_digest({"stage": stage, "seed": seed, **settings}),
-               "stage": stage, "report": report}
+    """Write `report` as one indented JSON object with sorted keys, beside
+    the header that write_stage_file would give it."""
+    payload = {**_header(stage, seed, settings, {}), "report": report}
     write_atomically(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
 
 
@@ -239,15 +242,17 @@ def read_stage_file(path: str | os.PathLike[str], stage: str,
                     **needs: Any) -> tuple[dict[str, Any], list[T]]:
     """(header, values) of a stage file whose line 1 must be its provenance
     header; the data rows go through `parse_rows`, then the header's `stage`
-    must be `stage` and each field of `needs` (the dataset this run is for,
-    say) must equal the header's in type and value, so 19.0 is not 19 and
-    true is not 1. No other header field is read here."""
+    must be `stage`, its `config_digest` a non-empty string, which a later
+    stage records as its lineage, and each field of `needs` (the dataset
+    this run is for, say) must equal the header's in type and value, so 19.0
+    is not 19 and true is not 1. No other header field is read here."""
     records = read_records(path)
     line_no, header = next(records, (0, {}))
     if line_no != 1 or HEADER_KEY not in header:
         raise DataError(f"{path} line 1: expected a stage header carrying {HEADER_KEY!r}")
     values = parse_rows(path, records, parse, key)
     header_value(path, header, "stage", check_choice, (stage,))
+    header_value(path, header, HEADER_KEY, check_str)
     found = {name: header.get(name) for name in needs}
     if [(type(v), v) for v in found.values()] != [(type(v), v) for v in needs.values()]:
         has, need = (", ".join(f"{k} {v!r}" for k, v in f.items()) for f in (found, needs))

@@ -574,12 +574,12 @@ class TestPredictionsFile:
             Prediction(example_id="e1", text="c", tokens=None),
             Prediction(example_id="e2", text="", tokens=None, error="timed out"),
         ]
+        settings = {"dataset": "d", "backend": "b"}
         write_stage_file(
-            path, "predict", 0, {}, (prediction_to_record(p) for p in predictions),
-            dataset="d",
+            path, "predict", 0, settings, (prediction_to_record(p) for p in predictions)
         )
-        header = {"config_digest": config_digest({"stage": "predict", "seed": 0}),
-                  "stage": "predict", "seed": derive_seed(0, "predict"), "dataset": "d"}
+        header = {"config_digest": config_digest({"stage": "predict", "seed": 0, **settings}),
+                  "stage": "predict", "seed": derive_seed(0, "predict"), **settings}
         assert load_predictions(path, dataset="d") == (header, predictions)
 
     def test_duplicate_example_id_rejected(self, tmp_path):

@@ -1250,7 +1250,9 @@ class TestAnalyzeCommand:
         code, out = self.analyze(bench)
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"config_digest", "stage", "report"}
+        assert set(payload) == {
+            "config_digest", "stage", "seed", "datasets", "strategies", "report"
+        }
         assert set(payload["report"]) == {
             "perplexity", "answer_presence", "context_length", "order_sensitivity"
         }

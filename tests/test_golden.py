@@ -43,6 +43,7 @@ from golden import replay
 
 from docqa import datasets, geometry
 from docqa.cli import main
+from docqa.jsonl import config_digest, derive_seed
 
 INPUT = replay.INPUT
 EXPECTED = replay.EXPECTED
@@ -202,3 +203,36 @@ def test_metric_fixture_covers_its_edge_cases():
         and abs(_number(r["text"]) - gold) <= 0.05 * abs(gold)
     ]
     assert near
+
+
+# The header fields counted from an eval file's rows, which no digest covers.
+COUNTS = ("aggregate", "n")
+
+
+def _header(path):
+    """The header of a golden stage file: line 1, or a report without its report."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["report"]
+        return payload
+    return json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+
+
+@pytest.mark.parametrize("path", sorted(EXPECTED.iterdir()), ids=lambda path: path.name)
+def test_a_golden_header_is_exactly_what_its_digest_covers(path):
+    # Every plan line runs with --seed 7. The header holds the stage, the
+    # stage's seed, the settings its digest covers, and the counts.
+    header = _header(path)
+    settings = {k: v for k, v in header.items() if k not in ("config_digest", "seed", *COUNTS)}
+    assert config_digest({**settings, "seed": 7}) == header["config_digest"]
+    assert header["seed"] == derive_seed(7, header["stage"])
+
+
+def test_contexts_from_two_orderings_have_different_digests():
+    # The contexts digest used to leave the strategy out, so the standard,
+    # raster-scan and shuffled contexts, and the eval files of both arms,
+    # shared one digest each.
+    for names in (["contexts-standard", "contexts-raster_scan", "contexts-shuffled"],
+                  ["eval-standard-mock-answer-key", "eval-shuffled-mock-answer-key"]):
+        digests = {_header(EXPECTED / f"{name}.jsonl")["config_digest"] for name in names}
+        assert len(digests) == len(names)

@@ -384,11 +384,13 @@ class TestWriteStageFile:
     def test_writes_header_then_rows_as_compact_utf8_json(self, tmp_path):
         path = tmp_path / "stage.jsonl"
         rows = [{"id": "é", "x": [1.5, None]}, {"id": "b", "s": "\u2028"}]
-        write_stage_file(path, "eval", 7, {"metric": "anls"}, rows, dataset="é", n=2)
+        settings = {"metric": "anls", "dataset": "é"}
+        write_stage_file(path, "eval", 7, settings, rows, n=2)
         header = {
-            "config_digest": config_digest({"stage": "eval", "seed": 7, "metric": "anls"}),
+            "config_digest": config_digest({"stage": "eval", "seed": 7, **settings}),
             "stage": "eval",
             "seed": derive_seed(7, "eval"),
+            "metric": "anls",
             "dataset": "é",
             "n": 2,
         }
@@ -467,6 +469,8 @@ def test_a_report_is_indented_json_under_its_digest_and_stage(tmp_path):
     payload = {
         "config_digest": config_digest({"stage": "analyze", "seed": 7, "datasets": ["x"]}),
         "stage": "analyze",
+        "seed": derive_seed(7, "analyze"),
+        "datasets": ["x"],
         "report": report,
     }
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -482,13 +486,14 @@ STAGE_KINDS = ("order", "serialize", "predict", "eval", "sample")
 @pytest.mark.parametrize("kind", STAGE_KINDS)
 def test_a_stage_file_is_read_back_by_its_own_kind_alone(tmp_path, kind):
     path = tmp_path / f"{kind}.jsonl"
-    write_stage_file(path, kind, 7, {"setting": kind}, [{"id": "a"}], dataset="d")
+    settings = {"setting": kind, "dataset": "d"}
+    write_stage_file(path, kind, 7, settings, [{"id": "a"}])
     header, rows = read_stage_file(path, kind, Row, "row_id", dataset="d")
     assert header == {
-        "config_digest": config_digest({"stage": kind, "seed": 7, "setting": kind}),
+        "config_digest": config_digest({"stage": kind, "seed": 7, **settings}),
         "stage": kind,
         "seed": derive_seed(7, kind),
-        "dataset": "d",
+        **settings,
     }
     assert [row.row_id for row in rows] == ["a"]
     for other in STAGE_KINDS:

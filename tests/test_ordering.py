@@ -245,7 +245,7 @@ def order_record(perm):
 def orders_file(tmp_path, rows, strategy="standard"):
     """An orders file of `rows` under a header naming `strategy`."""
     path = tmp_path / "orders.jsonl"
-    write_stage_file(path, "order", 0, {"strategy": strategy}, rows, strategy=strategy)
+    write_stage_file(path, "order", 0, {"strategy": strategy}, rows)
     return path
 
 

@@ -171,12 +171,13 @@ class TestContextsFile:
     def test_round_trip(self, tmp_path):
         ctx = built(["Hello", "World"])
         path = tmp_path / "contexts.jsonl"
-        write_stage_file(path, "serialize", 0, {}, [ctx._asdict()],
-                         strategy="standard", dataset="toy", budget=2)
+        settings = {"strategy": "standard", "dataset": "toy", "budget": 2}
+        write_stage_file(path, "serialize", 0, settings, [ctx._asdict()])
         header, loaded = load_contexts(path, dataset="toy", budget=2)
-        assert header == {"config_digest": config_digest({"stage": "serialize", "seed": 0}),
-                          "stage": "serialize", "seed": derive_seed(0, "serialize"),
-                          "strategy": "standard", "dataset": "toy", "budget": 2}
+        assert header == {
+            "config_digest": config_digest({"stage": "serialize", "seed": 0, **settings}),
+            "stage": "serialize", "seed": derive_seed(0, "serialize"), **settings,
+        }
         assert loaded == [ctx]
 
     @pytest.mark.parametrize("flags", SERIALIZE_RUNS, ids=lambda flags: flags["--out"])
