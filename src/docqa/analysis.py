@@ -10,8 +10,8 @@ parsers, not by the records themselves, which are plain named tuples.
 The predictions and eval loaders check each row in one pass, by inline
 tests of the value rules of docqa.errors; only a value that fails goes to
 its rule (token_from_record, _eval_row_by_rule), which words the fault.
-Their headers, an eval header's `strategy` included, are checked through
-docqa.jsonl, as every stage header is.
+Their headers, an eval header's `strategy` and PAIRED_SETTINGS included, are
+checked through docqa.jsonl, as every stage header is.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .errors import (
     FLOAT_MAX, DataError, check_choice, check_int, check_number, check_str, check_type
 )
 from .jsonl import header_value, read_stage_file
-from .metrics import DEFAULT_ANLS_TAU, contains_words, dataset_score, score, word_haystack
+from .metrics import (
+    DEFAULT_ANLS_TAU, MetricKind, contains_words, dataset_score, score, word_haystack
+)
 from .ordering import OrderStrategy
 from .serialize import SerializedContext, record_contexts
 
@@ -399,13 +401,23 @@ def _row_count(name: str, value, rows: int) -> int:
     return value
 
 
+# The eval settings a shuffled run must share with its reference run, so
+# that the score drop between them measures the ordering alone.
+PAIRED_SETTINGS = ("metric", "anls_tau", "backend", "budget")
+
+
 def load_eval(path) -> tuple[dict, list[EvalRow]]:
-    """Read an eval file's header and rows. The header names the `dataset`
-    and `strategy` and counts the rows, at least one, in `n`, so a file cut
-    short is refused; every number analyze reports comes from the rows."""
+    """Read an eval file's header and rows. The header names the `dataset`,
+    `strategy` and PAIRED_SETTINGS and counts the rows, at least one, in
+    `n`, so a file cut short is refused; every number analyze reports comes
+    from the rows."""
     header, rows = read_stage_file(path, "eval", eval_row_from_record, "example_id")
     header_value(path, header, "dataset", check_str)
     # analyze takes any strategy but "shuffled" as the dataset's reference run.
     header_value(path, header, "strategy", check_choice, OrderStrategy)
+    header_value(path, header, "metric", check_choice, MetricKind)
+    header_value(path, header, "anls_tau", check_number, 0, 1)
+    header_value(path, header, "backend", check_str)
+    header_value(path, header, "budget", check_int, 1)
     header_value(path, header, "n", _row_count, len(rows))
     return header, rows

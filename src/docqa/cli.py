@@ -22,6 +22,7 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import (
+    PAIRED_SETTINGS,
     Prediction,
     answer_presence_report,
     context_length_report,
@@ -35,7 +36,7 @@ from .analysis import (
 from .datasets import MixtureKind, load_dataset_configs, load_qa, sample_mixture
 from .errors import DataError, EndpointError, check_choice, check_int, check_number
 from .geometry import load_ocr_corpus
-from .jsonl import derive_seed, write_report, write_stage_file
+from .jsonl import derive_seed, match_header, write_report, write_stage_file
 from .llmclient import HTTPBackend, InferenceRequest, MockBackend, check_endpoint, predict_batch
 from .metrics import dataset_score
 from .ordering import (
@@ -241,9 +242,11 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     config = _dataset_config(args)
     records = load_qa(args.qa)
-    pred_header, predictions = load_predictions(args.predictions, dataset=args.dataset)
     ctx_header, contexts = load_contexts(
         args.contexts, dataset=args.dataset, budget=config.context_budget
+    )
+    pred_header, predictions = load_predictions(
+        args.predictions, dataset=args.dataset, contexts=ctx_header["config_digest"]
     )
 
     rows = evaluate_rows(records, predictions, contexts, config)
@@ -276,6 +279,7 @@ def cmd_analyze(args) -> int:
     # against it.
     reference: dict[str, list] = {}
     shuffled: dict[str, list] = {}
+    headers = {}  # (dataset, shuffled?): (path, header)
     strategies = set()
     for path in args.eval:
         header, rows = load_eval(path)
@@ -289,7 +293,13 @@ def cmd_analyze(args) -> int:
                 "pass a single reference run per dataset"
             )
         runs[dataset] = rows
+        headers[dataset, runs is shuffled] = path, header
         strategies.add(strategy)
+    for dataset in shuffled:
+        if dataset in reference:
+            (path, header), (ref_path, ref_header) = headers[dataset, True], headers[dataset, False]
+            needs = {name: ref_header[name] for name in PAIRED_SETTINGS}
+            match_header(path, header, needs, f"its reference run {ref_path} has")
 
     perplexity, presence, lengths = {}, {}, {}
     for dataset, rows in sorted(reference.items()):

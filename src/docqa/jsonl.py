@@ -7,14 +7,15 @@ derived for that stage; the settings; then counts computed from the rows. So
 a header holds exactly the settings its digest covers, and no path. Stage
 files are read only through `read_stage_file`, which rejects a file whose
 line 1 is not such a header or names another stage, and checks a header
-field a reader uses against the value a run needs, in exact type and value
-(19.0 is not 19, true is not 1), or by `header_value` under a docqa.errors
-rule. A stage records the `config_digest` of the stage file it read as its
-lineage. A key no reader uses is ignored. Every loader turns rows into
-values through `parse_rows`, which names the file and line of a bad or
-repeated row. A file that is missing, cannot be opened (a directory, say),
-is not UTF-8 or is not JSON, and an output that cannot be written, is a
-DataError naming it.
+field a reader uses against the value a run needs (`match_header`), in exact
+type and value (19.0 is not 19, true is not 1), or by `header_value` under a
+docqa.errors rule. A stage records the `config_digest` of the stage file it
+read as its lineage, which the next reader matches: eval needs predictions
+made from its contexts. A key no reader uses is ignored. Every loader turns
+rows into values through `parse_rows`, which names the file and line of a
+bad or repeated row. A file that is missing, cannot be opened (a directory,
+say), is not UTF-8 or is not JSON, and an output that cannot be written, is
+a DataError naming it.
 
 Every JSON text docqa reads, a JSONL line, a config file or an endpoint
 reply, goes through `decode`. It reads what json.loads reads and raises every
@@ -253,11 +254,19 @@ def read_stage_file(path: str | os.PathLike[str], stage: str,
     values = parse_rows(path, records, parse, key)
     header_value(path, header, "stage", check_choice, (stage,))
     header_value(path, header, HEADER_KEY, check_str)
+    match_header(path, header, needs)
+    return header, values
+
+
+def match_header(path: str | os.PathLike[str], header: dict[str, Any],
+                 needs: dict[str, Any], wanted: str = "this run needs") -> None:
+    """Refuse the header of the stage file `path` unless each field of `needs`
+    equals the header's in type and value; the DataError names line 1, the
+    header's values and then, after `wanted`, the values needed."""
     found = {name: header.get(name) for name in needs}
     if [(type(v), v) for v in found.values()] != [(type(v), v) for v in needs.values()]:
         has, need = (", ".join(f"{k} {v!r}" for k, v in f.items()) for f in (found, needs))
-        raise DataError(f"{path} line 1: header has {has}, this run needs {need}")
-    return header, values
+        raise DataError(f"{path} line 1: header has {has}, {wanted} {need}")
 
 
 def header_value(path: str | os.PathLike[str], header: dict[str, Any], name: str,

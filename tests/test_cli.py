@@ -898,6 +898,7 @@ STAGE_INPUTS = {
 CONTEXT_INPUTS = ("contexts to predict", "contexts to eval")
 BUDGET_1 = "contexts to predict at budget 1"
 EVAL = "eval-standard-mock-echo.jsonl"
+ANSWER_KEY_REFERENCE = GOLDEN / "expected" / "eval-standard-mock-answer-key.jsonl"
 # A header field set to DROP is deleted; a header of NO_HEADER drops the
 # header line, and NO_FILE writes no file at all.
 DROP, NO_HEADER, NO_FILE = object(), object(), object()
@@ -906,6 +907,9 @@ NOT_A_STRATEGY = (
     "{path} line 1: header strategy must be one of standard, raster_scan or shuffled, got "
 )
 GOLDEN_CONTEXTS = "this run needs dataset 'golden', budget 19"
+# What eval needs of predictions scored against the golden standard contexts.
+GOLDEN_PREDICTIONS = "this run needs dataset 'golden', contexts {!r}".format(
+    stage_records(GOLDEN / "expected" / "contexts-standard.jsonl")[0]["config_digest"])
 
 # Every header fault of a stage input, as (consumer, fault): (the golden file
 # it is made from, the header change, the data rows kept (None keeps all),
@@ -966,7 +970,48 @@ HEADER_FAULTS = {
         "{path} line 1: header stage must be eval, got 'predict'"),
     ("predictions to eval", "another dataset"): (
         "predictions-chartqa-standard.jsonl", {}, None,
-        "{path} line 1: header has dataset 'chartqa', this run needs dataset 'golden'"),
+        "{path} line 1: header has dataset 'chartqa', contexts 'c115237c1765', "
+        + GOLDEN_PREDICTIONS),
+    # eval used to score any predictions of the dataset over any contexts:
+    # the shuffled arm's predictions over the standard contexts exited 0 and
+    # wrote a reference run, "strategy": "standard", aggregate 55.6.
+    ("predictions to eval", "contexts of another run"): (
+        "predictions-shuffled-mock-answer-key.jsonl", {}, None,
+        "{path} line 1: header has dataset 'golden', contexts '498556485956', "
+        + GOLDEN_PREDICTIONS),
+    # A predictions file written before predict recorded its contexts.
+    ("predictions to eval", "no contexts"): (
+        "predictions-standard-mock-echo.jsonl", {"contexts": DROP}, None,
+        "{path} line 1: header has dataset 'golden', contexts None, " + GOLDEN_PREDICTIONS),
+    ("predictions to eval", "backend missing"): (
+        "predictions-standard-mock-echo.jsonl", {"backend": DROP}, None,
+        "{path} line 1: header is missing 'backend'"),
+    ("predictions to eval", "backend empty"): (
+        "predictions-standard-mock-echo.jsonl", {"backend": ""}, None,
+        "{path} line 1: header backend must be a non-empty string, got ''"),
+    # The next stage records a header's digest as its lineage.
+    ("orders to serialize", "digest number"): (
+        "orders-standard.jsonl", {"config_digest": 5}, None,
+        "{path} line 1: header config_digest must be a non-empty string, got 5"),
+    ("contexts to predict", "digest empty"): (
+        "contexts-standard.jsonl", {"config_digest": ""}, None,
+        "{path} line 1: header config_digest must be a non-empty string, got ''"),
+    # An eval file written before its header held the settings analyze pairs
+    # runs by, or with one out of its rule.
+    ("eval to analyze", "anls_tau missing"): (
+        EVAL, {"anls_tau": DROP}, None, "{path} line 1: header is missing 'anls_tau'"),
+    ("eval to analyze", "anls_tau above 1"): (
+        EVAL, {"anls_tau": 1.5}, None,
+        "{path} line 1: header anls_tau must be a number in [0, 1], got 1.5"),
+    ("eval to analyze", "metric unknown"): (
+        EVAL, {"metric": "bleu"}, None,
+        "{path} line 1: header metric must be one of exact_match, anls, relaxed_accuracy "
+        "or vqa_accuracy, got 'bleu'"),
+    ("eval to analyze", "backend missing"): (
+        EVAL, {"backend": DROP}, None, "{path} line 1: header is missing 'backend'"),
+    ("eval to analyze", "budget float"): (
+        EVAL, {"budget": 19.0}, None,
+        "{path} line 1: header budget must be an integer >= 1, got 19.0"),
     ("eval to analyze", "dataset list"): (
         EVAL, {"dataset": ["golden"]}, None,
         "{path} line 1: header dataset must be a non-empty string, got ['golden']"),
@@ -1109,6 +1154,19 @@ class TestInputsMadeForTheDataset:
 
     def test_predictions_of_another_dataset_exit_2_in_eval(self, tmp_path, capsys):
         assert_header_fault(tmp_path, capsys, "predictions to eval", "another dataset")
+
+    @pytest.mark.parametrize("fault", ["contexts of another run", "no contexts"])
+    def test_predictions_made_from_other_contexts_exit_2_in_eval(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "predictions to eval", fault)
+
+    @pytest.mark.parametrize("fault", ["backend missing", "backend empty"])
+    def test_predictions_header_without_a_backend_exits_2_in_eval(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "predictions to eval", fault)
+
+    @pytest.mark.parametrize("consumer, fault", [("orders to serialize", "digest number"),
+                                                 ("contexts to predict", "digest empty")])
+    def test_a_digest_that_is_not_a_string_exits_2(self, tmp_path, capsys, consumer, fault):
+        assert_header_fault(tmp_path, capsys, consumer, fault)
 
     @pytest.mark.parametrize("consumer, fault", [
         *((consumer, "budget float") for consumer in CONTEXT_INPUTS), (BUDGET_1, "budget true"),
@@ -1376,6 +1434,65 @@ class TestAnalyzeCommand:
 
     def test_eval_header_without_a_row_count_exits_2(self, tmp_path, capsys):
         assert_header_fault(tmp_path, capsys, "eval to analyze", "n missing")
+
+    @pytest.mark.parametrize("fault", ["anls_tau missing", "anls_tau above 1", "metric unknown",
+                                       "backend missing", "budget float"])
+    def test_eval_header_without_a_paired_setting_exits_2(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "eval to analyze", fault)
+
+    def shuffled_eval(self, tmp_path, **config):
+        """The golden shuffled answer-key run scored under the golden
+        dataset's config changed by `config`."""
+        settings = {"metric": "anls", "context_budget": 19, "target_budget": 32,
+                    "anls_tau": 0.5, **config}
+        expected, out = GOLDEN / "expected", tmp_path / "eval-shuffled.jsonl"
+        assert run("eval", "--qa", GOLDEN / "input" / "qa.jsonl",
+                   "--predictions", expected / "predictions-shuffled-mock-answer-key.jsonl",
+                   "--contexts", expected / "contexts-shuffled.jsonl", "--dataset", "golden",
+                   "--datasets-config",
+                   write_dataset_config(tmp_path / "config.json", ["golden"], **settings),
+                   "--seed", 7, "--out", out) == 0
+        return out
+
+    @pytest.mark.parametrize("shuffled, has", [
+        # Defect B: runs from different backends gave a delta of 66.7, where
+        # the matched answer-key pair gives 22.2.
+        ("eval-shuffled-mock-echo.jsonl", "metric 'anls', anls_tau 0.5, backend 'mock-echo'"),
+        # Defect C: a shuffled run scored by exact match, or with an ANLS
+        # threshold of 0.0 (a delta of 18.5), was contrasted all the same.
+        ({"metric": "exact_match"}, "metric 'exact_match', anls_tau 0.5, backend 'mock-answer-key'"),
+        ({"anls_tau": 0.0}, "metric 'anls', anls_tau 0.0, backend 'mock-answer-key'"),
+    ], ids=["another backend", "another metric", "another anls_tau"])
+    def test_runs_made_or_scored_differently_are_not_contrasted(
+        self, tmp_path, capsys, shuffled, has
+    ):
+        if isinstance(shuffled, str):
+            shuffled = GOLDEN / "expected" / shuffled
+        else:
+            shuffled = self.shuffled_eval(tmp_path, **shuffled)
+            capsys.readouterr()
+        code, out = self.analyze_answer_key_pair(tmp_path, shuffled)
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {shuffled} line 1: header has {has}, budget 19, its reference run "
+            f"{ANSWER_KEY_REFERENCE} has metric 'anls', anls_tau 0.5, "
+            "backend 'mock-answer-key', budget 19\n"))
+        assert not out.exists()
+
+    def test_a_shuffled_run_under_the_same_settings_is_contrasted(self, tmp_path):
+        # The golden config written anew gives the golden run's report.
+        code, out = self.analyze_answer_key_pair(tmp_path, self.shuffled_eval(tmp_path))
+        assert code == 0
+        expected = GOLDEN / "expected" / "analysis-standard-mock-answer-key.json"
+        assert out.read_bytes() == expected.read_bytes()
+
+    def analyze_answer_key_pair(self, tmp_path, shuffled):
+        """(exit code, --out) of analyze over the golden standard answer-key
+        run and `shuffled`."""
+        out = tmp_path / "analysis.json"
+        code = run("analyze", "--qa", GOLDEN / "input" / "qa.jsonl",
+                   "--eval", ANSWER_KEY_REFERENCE, "--eval", shuffled, "--seed", 7, "--out", out)
+        return code, out
 
     def test_shuffled_run_without_reference_exits_2(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"
