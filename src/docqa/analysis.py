@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .datasets import DatasetConfig, QARecord
 from .errors import (
@@ -352,21 +352,21 @@ def eval_row_from_record(record: Mapping) -> EvalRow:
     return _eval_row_by_rule(record)
 
 
-def _eval_row_by_rule(record: Mapping) -> EvalRow:
-    """The row by one docqa.errors rule per field, in field order, so a fault
-    is reported as the first field's rule words it."""
-    example_id = check_str("example_id", record.get("example_id"))
-    score_value = float(check_number("score", record.get("score"), 0, 1))
-    correct = check_type("correct", record.get("correct"), bool)
+def _eval_row_by_rule(record: Mapping) -> NoReturn:
+    """Raise the fault of a row that eval_row_from_record's inline test
+    refused, as the rule of its first faulty field, in field order, words
+    it. The rules admit exactly the rows that test admits, so one raises."""
+    check_str("example_id", record.get("example_id"))
+    check_number("score", record.get("score"), 0, 1)
+    check_type("correct", record.get("correct"), bool)
     # No context holds more tokens than a str holds characters; past this
     # bound the median's division would overflow a float.
-    length = check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize)
-    in_text = check_type("answer_in_text", record.get("answer_in_text"), bool)
-    rop = record.get("rop")
-    if rop is not None:
+    check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize)
+    check_type("answer_in_text", record.get("answer_in_text"), bool)
+    if record.get("rop") is not None:
         # exp of a non-negative mean, so at least 1.
-        rop = float(check_number("rop", rop, 1))
-    return EvalRow(example_id, score_value, correct, length, in_text, rop)
+        check_number("rop", record["rop"], 1)
+    raise AssertionError(f"the eval row rules admit a row the inline test refused: {record!r}")
 
 
 def prediction_to_record(pred: Prediction) -> dict:
