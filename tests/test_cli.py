@@ -1455,12 +1455,13 @@ class TestAnalyzeCommand:
         return out
 
     @pytest.mark.parametrize("shuffled, has", [
-        # Defect B: runs from different backends gave a delta of 66.7, where
-        # the matched answer-key pair gives 22.2.
+        # Runs from different backends used to be contrasted: a delta of
+        # 66.7, where the matched answer-key pair gives 22.2.
         ("eval-shuffled-mock-echo.jsonl", "metric 'anls', anls_tau 0.5, backend 'mock-echo'"),
-        # Defect C: a shuffled run scored by exact match, or with an ANLS
-        # threshold of 0.0 (a delta of 18.5), was contrasted all the same.
-        ({"metric": "exact_match"}, "metric 'exact_match', anls_tau 0.5, backend 'mock-answer-key'"),
+        # So was a shuffled run scored by exact match, or with an ANLS
+        # threshold of 0.0 (a delta of 18.5).
+        ({"metric": "exact_match"},
+         "metric 'exact_match', anls_tau 0.5, backend 'mock-answer-key'"),
         ({"anls_tau": 0.0}, "metric 'anls', anls_tau 0.0, backend 'mock-answer-key'"),
     ], ids=["another backend", "another metric", "another anls_tau"])
     def test_runs_made_or_scored_differently_are_not_contrasted(
