@@ -7,18 +7,19 @@ appears verbatim in the serialized context, and how context length
 relates to correctness. Records are checked by the *_from_record
 parsers, not by the records themselves, which are plain named tuples.
 
-The predictions and eval loaders check each row in one pass, by inline
-tests of the value rules of docqa.errors; only a value that fails goes to
-its rule (token_from_record, _eval_row_by_rule), which words the fault.
-Their headers, an eval header's `strategy` and PAIRED_SETTINGS included, are
-checked through docqa.jsonl, as every stage header is.
+Each eval row is checked field by field by the value rules of
+docqa.errors. Prediction tokens are checked in one inline pass per token by
+the same rules; only a token that fails goes to token_from_record, which
+words the fault. Both loaders' headers, an eval header's `strategy` and
+PAIRED_SETTINGS included, are checked through docqa.jsonl, as every stage
+header is.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datasets import DatasetConfig, QARecord
 from .errors import (
@@ -327,46 +328,20 @@ def evaluate_rows(
 
 
 def eval_row_from_record(record: Mapping) -> EvalRow:
-    """An eval-file row, checked in one inline test of its six fields by the
-    rules of _eval_row_by_rule; only a row that fails goes there, which
-    words its first fault."""
-    example_id = record.get("example_id")
-    score_value = record.get("score")
-    correct = record.get("correct")
-    length = record.get("context_token_len")
-    in_text = record.get("answer_in_text")
+    """An eval-file row, each field checked by its rule in field order, so
+    the first faulty field words the fault."""
     rop = record.get("rop")
-    if (
-        type(example_id) is str
-        and example_id
-        and type(score_value) in (int, float)
-        and 0 <= score_value <= 1
-        and type(correct) is bool
-        and type(length) is int
-        and 0 <= length <= sys.maxsize
-        and type(in_text) is bool
-        and (rop is None or (type(rop) in (int, float) and 1 <= rop <= FLOAT_MAX))
-    ):
-        rop = None if rop is None else float(rop)
-        return EvalRow(example_id, float(score_value), correct, length, in_text, rop)
-    return _eval_row_by_rule(record)
-
-
-def _eval_row_by_rule(record: Mapping) -> NoReturn:
-    """Raise the fault of a row that eval_row_from_record's inline test
-    refused, as the rule of its first faulty field, in field order, words
-    it. The rules admit exactly the rows that test admits, so one raises."""
-    check_str("example_id", record.get("example_id"))
-    check_number("score", record.get("score"), 0, 1)
-    check_type("correct", record.get("correct"), bool)
-    # No context holds more tokens than a str holds characters; past this
-    # bound the median's division would overflow a float.
-    check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize)
-    check_type("answer_in_text", record.get("answer_in_text"), bool)
-    if record.get("rop") is not None:
+    return EvalRow(
+        check_str("example_id", record.get("example_id")),
+        float(check_number("score", record.get("score"), 0, 1)),
+        check_type("correct", record.get("correct"), bool),
+        # No context holds more tokens than a str holds characters; past this
+        # bound the median's division would overflow a float.
+        check_int("context_token_len", record.get("context_token_len"), 0, sys.maxsize),
+        check_type("answer_in_text", record.get("answer_in_text"), bool),
         # exp of a non-negative mean, so at least 1.
-        check_number("rop", record["rop"], 1)
-    raise AssertionError(f"the eval row rules admit a row the inline test refused: {record!r}")
+        None if rop is None else float(check_number("rop", rop, 1)),
+    )
 
 
 def prediction_to_record(pred: Prediction) -> dict:

@@ -277,29 +277,25 @@ def cmd_analyze(args) -> int:
     # Each dataset has one reference run, its non-shuffled eval file, whatever
     # ordering that run used; a shuffled run exists only to be contrasted
     # against it.
-    reference: dict[str, list] = {}
-    shuffled: dict[str, list] = {}
-    headers = {}  # (dataset, shuffled?): (path, header)
-    strategies = set()
+    runs = {}  # (dataset, shuffled?): (path, header, rows), in --eval order
     for path in args.eval:
         header, rows = load_eval(path)
-        dataset, strategy = header["dataset"], header["strategy"]
-        runs = shuffled if strategy == "shuffled" else reference
-        if dataset in runs:
-            if strategy == "shuffled":
+        dataset, is_shuffled = header["dataset"], header["strategy"] == "shuffled"
+        if (dataset, is_shuffled) in runs:
+            if is_shuffled:
                 raise DataError(f"two eval files cover dataset {dataset!r} strategy 'shuffled'")
             raise DataError(
                 f"dataset {dataset!r} has more than one non-shuffled eval file; "
                 "pass a single reference run per dataset"
             )
-        runs[dataset] = rows
-        headers[dataset, runs is shuffled] = path, header
-        strategies.add(strategy)
-    for dataset in shuffled:
-        if dataset in reference:
-            (path, header), (ref_path, ref_header) = headers[dataset, True], headers[dataset, False]
+        runs[dataset, is_shuffled] = path, header, rows
+    for (dataset, is_shuffled), (path, header, _) in runs.items():
+        if is_shuffled and (dataset, False) in runs:
+            ref_path, ref_header, _ = runs[dataset, False]
             needs = {name: ref_header[name] for name in PAIRED_SETTINGS}
             match_header(path, header, needs, f"its reference run {ref_path} has")
+    reference = {dataset: rows for (dataset, s), (_, _, rows) in runs.items() if not s}
+    shuffled = {dataset: rows for (dataset, s), (_, _, rows) in runs.items() if s}
 
     perplexity, presence, lengths = {}, {}, {}
     for dataset, rows in sorted(reference.items()):
@@ -314,7 +310,8 @@ def cmd_analyze(args) -> int:
 
     sensitivity = [row._asdict() for row in order_sensitivity_report(reference, shuffled)]
 
-    settings = {"datasets": sorted(reference), "strategies": sorted(strategies)}
+    strategies = sorted({header["strategy"] for _, header, _ in runs.values()})
+    settings = {"datasets": sorted(reference), "strategies": strategies}
     report = {
         "perplexity": perplexity,
         "answer_presence": presence,

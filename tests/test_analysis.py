@@ -464,9 +464,10 @@ class TestEvalRowRecords:
             assert str(info.value) == f"{key} must be {rules[key]}, got {bad!r}"
 
 
-# The loaders check tokens and eval rows inline and call a rule only for a
-# value that fails. These references are the rule-by-rule forms: one
-# docqa.errors rule per token and per field, in order.
+# The predictions loader checks tokens inline and calls a rule only for a
+# token that fails; the eval loader checks each row field by its rule. These
+# references are the rule-by-rule forms, written out here apart from the
+# loaders: one docqa.errors rule per token and per field, in order.
 def tokens_by_rule(text, raw_tokens):
     if check_type("tokens", raw_tokens, list, null=True) is None:
         return None
