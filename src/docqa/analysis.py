@@ -363,9 +363,10 @@ def prediction_from_record(record: Mapping) -> Prediction:
 
 def load_predictions(path, **needs) -> tuple[dict, list[Prediction]]:
     """Read a predictions file's header, which must hold `needs` and name its
-    `backend`, and predictions."""
+    `backend` and `max_new_tokens`, and predictions."""
     header, rows = read_stage_file(path, "predict", prediction_from_record, "example_id", **needs)
     header_value(path, header, "backend", check_str)
+    header_value(path, header, "max_new_tokens", check_int, 1)
     return header, rows
 
 
@@ -377,8 +378,10 @@ def _row_count(name: str, value, rows: int) -> int:
 
 
 # The eval settings a shuffled run must share with its reference run, so
-# that the score drop between them measures the ordering alone.
-PAIRED_SETTINGS = ("metric", "anls_tau", "backend", "budget")
+# that the score drop between them measures the ordering alone. `logprobs`
+# is not one: it changes no answer text, and perplexity is reported for the
+# reference run only.
+PAIRED_SETTINGS = ("metric", "anls_tau", "backend", "budget", "max_new_tokens")
 
 
 def load_eval(path) -> tuple[dict, list[EvalRow]]:
@@ -394,5 +397,6 @@ def load_eval(path) -> tuple[dict, list[EvalRow]]:
     header_value(path, header, "anls_tau", check_number, 0, 1)
     header_value(path, header, "backend", check_str)
     header_value(path, header, "budget", check_int, 1)
+    header_value(path, header, "max_new_tokens", check_int, 1)
     header_value(path, header, "n", _row_count, len(rows))
     return header, rows

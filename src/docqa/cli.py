@@ -259,6 +259,7 @@ def cmd_eval(args) -> int:
         "strategy": ctx_header["strategy"],
         "backend": pred_header["backend"],
         "budget": config.context_budget,
+        "max_new_tokens": pred_header["max_new_tokens"],
     }
     _write_stage(args, "eval", "eval.jsonl", settings, (r._asdict() for r in rows),
                  aggregate=aggregate, n=len(rows))

@@ -575,7 +575,7 @@ class TestPredictionsFile:
             Prediction(example_id="e1", text="c", tokens=None),
             Prediction(example_id="e2", text="", tokens=None, error="timed out"),
         ]
-        settings = {"dataset": "d", "backend": "b"}
+        settings = {"dataset": "d", "backend": "b", "max_new_tokens": 4}
         write_stage_file(
             path, "predict", 0, settings, (prediction_to_record(p) for p in predictions)
         )

@@ -989,6 +989,13 @@ HEADER_FAULTS = {
     ("predictions to eval", "backend empty"): (
         "predictions-standard-mock-echo.jsonl", {"backend": ""}, None,
         "{path} line 1: header backend must be a non-empty string, got ''"),
+    # eval copies the answer budget into its header, for analyze to pair by.
+    ("predictions to eval", "max_new_tokens missing"): (
+        "predictions-standard-mock-echo.jsonl", {"max_new_tokens": DROP}, None,
+        "{path} line 1: header is missing 'max_new_tokens'"),
+    ("predictions to eval", "max_new_tokens true"): (
+        "predictions-standard-mock-echo.jsonl", {"max_new_tokens": True}, None,
+        "{path} line 1: header max_new_tokens must be an integer >= 1, got True"),
     # The next stage records a header's digest as its lineage.
     ("orders to serialize", "digest number"): (
         "orders-standard.jsonl", {"config_digest": 5}, None,
@@ -1012,6 +1019,11 @@ HEADER_FAULTS = {
     ("eval to analyze", "budget float"): (
         EVAL, {"budget": 19.0}, None,
         "{path} line 1: header budget must be an integer >= 1, got 19.0"),
+    ("eval to analyze", "max_new_tokens missing"): (
+        EVAL, {"max_new_tokens": DROP}, None, "{path} line 1: header is missing 'max_new_tokens'"),
+    ("eval to analyze", "max_new_tokens true"): (
+        EVAL, {"max_new_tokens": True}, None,
+        "{path} line 1: header max_new_tokens must be an integer >= 1, got True"),
     ("eval to analyze", "dataset list"): (
         EVAL, {"dataset": ["golden"]}, None,
         "{path} line 1: header dataset must be a non-empty string, got ['golden']"),
@@ -1161,6 +1173,12 @@ class TestInputsMadeForTheDataset:
 
     @pytest.mark.parametrize("fault", ["backend missing", "backend empty"])
     def test_predictions_header_without_a_backend_exits_2_in_eval(self, tmp_path, capsys, fault):
+        assert_header_fault(tmp_path, capsys, "predictions to eval", fault)
+
+    @pytest.mark.parametrize("fault", ["max_new_tokens missing", "max_new_tokens true"])
+    def test_predictions_header_without_an_answer_budget_exits_2_in_eval(
+        self, tmp_path, capsys, fault
+    ):
         assert_header_fault(tmp_path, capsys, "predictions to eval", fault)
 
     @pytest.mark.parametrize("consumer, fault", [("orders to serialize", "digest number"),
@@ -1436,34 +1454,41 @@ class TestAnalyzeCommand:
         assert_header_fault(tmp_path, capsys, "eval to analyze", "n missing")
 
     @pytest.mark.parametrize("fault", ["anls_tau missing", "anls_tau above 1", "metric unknown",
-                                       "backend missing", "budget float"])
+                                       "backend missing", "budget float",
+                                       "max_new_tokens missing", "max_new_tokens true"])
     def test_eval_header_without_a_paired_setting_exits_2(self, tmp_path, capsys, fault):
         assert_header_fault(tmp_path, capsys, "eval to analyze", fault)
 
     def shuffled_eval(self, tmp_path, **config):
-        """The golden shuffled answer-key run scored under the golden
-        dataset's config changed by `config`."""
+        """The golden shuffled answer-key run predicted and scored under the
+        golden dataset's config changed by `config`."""
         settings = {"metric": "anls", "context_budget": 19, "target_budget": 32,
                     "anls_tau": 0.5, **config}
-        expected, out = GOLDEN / "expected", tmp_path / "eval-shuffled.jsonl"
-        assert run("eval", "--qa", GOLDEN / "input" / "qa.jsonl",
-                   "--predictions", expected / "predictions-shuffled-mock-answer-key.jsonl",
-                   "--contexts", expected / "contexts-shuffled.jsonl", "--dataset", "golden",
-                   "--datasets-config",
-                   write_dataset_config(tmp_path / "config.json", ["golden"], **settings),
-                   "--seed", 7, "--out", out) == 0
+        config = write_dataset_config(tmp_path / "config.json", ["golden"], **settings)
+        contexts = GOLDEN / "expected" / "contexts-shuffled.jsonl"
+        predictions, out = tmp_path / "predictions-shuffled.jsonl", tmp_path / "eval-shuffled.jsonl"
+        common = ("--qa", GOLDEN / "input" / "qa.jsonl", "--contexts", contexts,
+                  "--dataset", "golden", "--datasets-config", config, "--seed", 7)
+        assert run("predict", *common, "--backend", "mock-answer-key", "--out", predictions) == 0
+        assert run("eval", *common, "--predictions", predictions, "--out", out) == 0
         return out
 
     @pytest.mark.parametrize("shuffled, has", [
         # Runs from different backends used to be contrasted: a delta of
         # 66.7, where the matched answer-key pair gives 22.2.
-        ("eval-shuffled-mock-echo.jsonl", "metric 'anls', anls_tau 0.5, backend 'mock-echo'"),
+        ("eval-shuffled-mock-echo.jsonl", "metric 'anls', anls_tau 0.5, backend 'mock-echo', "
+         "budget 19, max_new_tokens 32"),
         # So was a shuffled run scored by exact match, or with an ANLS
         # threshold of 0.0 (a delta of 18.5).
-        ({"metric": "exact_match"},
-         "metric 'exact_match', anls_tau 0.5, backend 'mock-answer-key'"),
-        ({"anls_tau": 0.0}, "metric 'anls', anls_tau 0.0, backend 'mock-answer-key'"),
-    ], ids=["another backend", "another metric", "another anls_tau"])
+        ({"metric": "exact_match"}, "metric 'exact_match', anls_tau 0.5, "
+         "backend 'mock-answer-key', budget 19, max_new_tokens 32"),
+        ({"anls_tau": 0.0}, "metric 'anls', anls_tau 0.0, backend 'mock-answer-key', "
+         "budget 19, max_new_tokens 32"),
+        # And a shuffled run predicted under an answer budget of 4 tokens,
+        # where the reference run had 32: it scores 55.6.
+        ({"target_budget": 4}, "metric 'anls', anls_tau 0.5, backend 'mock-answer-key', "
+         "budget 19, max_new_tokens 4"),
+    ], ids=["another backend", "another metric", "another anls_tau", "another answer budget"])
     def test_runs_made_or_scored_differently_are_not_contrasted(
         self, tmp_path, capsys, shuffled, has
     ):
@@ -1475,9 +1500,9 @@ class TestAnalyzeCommand:
         code, out = self.analyze_answer_key_pair(tmp_path, shuffled)
         assert code == 2
         assert capsys.readouterr() == ("", (
-            f"error: {shuffled} line 1: header has {has}, budget 19, its reference run "
+            f"error: {shuffled} line 1: header has {has}, its reference run "
             f"{ANSWER_KEY_REFERENCE} has metric 'anls', anls_tau 0.5, "
-            "backend 'mock-answer-key', budget 19\n"))
+            "backend 'mock-answer-key', budget 19, max_new_tokens 32\n"))
         assert not out.exists()
 
     def test_a_shuffled_run_under_the_same_settings_is_contrasted(self, tmp_path):
