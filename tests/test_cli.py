@@ -262,6 +262,24 @@ class TestSerializeCommand:
                    *budget_flags(bench, 5)) == 2
         assert "other-d0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kept, extra, message", [
+        (1, [], "corpus docs have no order: ['invoice-b', 'memo-c']"),
+        (3, [{"doc_id": "ghost", "permutation": [0]}],
+         "orders reference docs missing from the corpus: ['ghost']"),
+    ], ids=["docs without an order", "order of a doc outside the corpus"])
+    def test_orders_that_do_not_match_the_corpus_exit_2(
+        self, tmp_path, capsys, kept, extra, message
+    ):
+        # The golden orders, cut to their first `kept` rows, then `extra`.
+        header, records = stage_records(GOLDEN / "expected" / "orders-standard.jsonl")
+        orders, out = tmp_path / "orders.jsonl", tmp_path / "contexts.jsonl"
+        write_records(orders, [header, *records[:kept], *extra])
+        assert run("serialize", "--corpus", GOLDEN / "input" / "corpus.jsonl", "--orders", orders,
+                   "--dataset", "golden", "--datasets-config", GOLDEN / "input" / "benchmarks.json",
+                   "--out", out) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_non_integer_permutation_exits_2(self, bench, capsys):
         orders = bench["dir"] / "orders.jsonl"
         run("order", "--corpus", bench["corpus"], "--strategy", "standard",
@@ -318,6 +336,7 @@ BAD_RUN_CONFIGS = [
      f": timeout must be a number in (0, {TIMEOUT_MAX}], got 1" + "0" * 400),
     ('{"backoff_base": 1e300, "max_attempts": 2}',
      f": backoff_base must be a number in [0, {TIMEOUT_MAX}], got 1e+300"),
+    ("[1]", " must hold a JSON object"),
 ]
 
 
@@ -549,11 +568,13 @@ class TestPredictCommand:
         config_path = bench["dir"] / "run-config.json"
         config_path.write_text(config)
         capsys.readouterr()
+        out = bench["dir"] / "p2.jsonl"
         assert run("predict", "--qa", bench["qa"], "--contexts", paths["contexts"],
                    "--dataset", "toy", "--datasets-config", bench["config"],
                    "--backend", "http", "--endpoint", "http://127.0.0.1:9/c",
-                   "--config", config_path, "--out", bench["dir"] / "p2.jsonl") == 2
+                   "--config", config_path, "--out", out) == 2
         assert capsys.readouterr().err == f"error: config file {config_path}{fault}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("backend", ["mock-echo", "mock-answer-key"])
     @pytest.mark.parametrize("flag", ["--endpoint", "--config"])
@@ -1683,6 +1704,22 @@ class TestSampleCommand:
             "docqa sample: error: argument --datasets: name in '\\udcff=3' is not valid Unicode"
         )
         assert "Traceback" not in err and not out.exists()
+
+    def test_size_that_is_not_an_integer_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert run("sample", "--datasets", "a=x", "--strategy", "uniform",
+                   "--draws", 2, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "docqa sample: error: argument --datasets: size in 'a=x' is not an integer"
+        )
+        assert not out.exists()
+
+    def test_repeated_dataset_name_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert run("sample", "--datasets", "a=1", "--datasets", "a=2", "--strategy", "uniform",
+                   "--draws", 2, "--out", out) == 2
+        assert capsys.readouterr() == ("", "error: dataset names must be unique\n")
+        assert not out.exists()
 
     def test_zero_size_exits_2(self, tmp_path):
         assert run("sample", "--datasets", "x=0", "--strategy", "uniform",

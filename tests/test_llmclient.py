@@ -1033,6 +1033,18 @@ class TestPredictOverHTTP:
             lambda: len(keepalive_server.finished) == len(keepalive_server.accepted)
         )
 
+    def test_reply_that_is_not_an_object_is_recorded_in_its_row(
+        self, scripted_server, tmp_path, capsys
+    ):
+        scripted_server.script = [(200, [{"text": "ok", "model_id": "m"}])]
+        out = tmp_path / "pred.jsonl"
+        assert predict_over_http(server_url(scripted_server), out) == 3
+        _, predictions = load_predictions(out)
+        assert {p.error for p in predictions} == {"endpoint returned list, expected object"}
+        assert capsys.readouterr() == ("wrote 9 predictions to " + str(out) + "\n",
+                                       "9 of 9 requests failed\n")
+        assert len(scripted_server.requests) == 9
+
     def test_error_reply_cut_short_is_recorded_in_its_row(
         self, scripted_server, tmp_path, capsys
     ):
