@@ -76,9 +76,9 @@ def load_qa(path: str | os.PathLike[str]) -> list[QARecord]:
 
 
 class DatasetConfig(NamedTuple):
-    """Metric (one of MetricKind) and budget defaults for one benchmark."""
+    """Metric (one of MetricKind) and budget defaults for one benchmark;
+    load_dataset_configs keys each by its dataset's name."""
 
-    name: str
     metric: str
     context_budget: int
     target_budget: int
@@ -108,7 +108,7 @@ def load_dataset_configs(path: str | os.PathLike[str] | None = None) -> dict[str
             tau = check_number("anls_tau", entry.get("anls_tau"), 0, 1)
         except ValueError as exc:
             raise DataError(f"{path}: dataset {name!r}: {exc}") from exc
-        configs[name] = DatasetConfig(name, metric, context_budget, target_budget, tau)
+        configs[name] = DatasetConfig(metric, context_budget, target_budget, tau)
     return configs
 
 

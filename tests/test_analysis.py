@@ -369,7 +369,6 @@ class TestEvaluateRows:
             SerializedContext(doc_id="d0", context="total 42 due in paris", token_count=5)
         ]
         config = DatasetConfig(
-            name="toy",
             metric="exact_match",
             context_budget=1024,
             target_budget=32,
