@@ -290,13 +290,13 @@ def cmd_analyze(args) -> int:
                 "pass a single reference run per dataset"
             )
         runs[dataset, is_shuffled] = path, header, rows
-    for (dataset, is_shuffled), (path, header, _) in runs.items():
+    reference, shuffled = {}, {}
+    for (dataset, is_shuffled), (path, header, rows) in runs.items():
+        (shuffled if is_shuffled else reference)[dataset] = rows
         if is_shuffled and (dataset, False) in runs:
             ref_path, ref_header, _ = runs[dataset, False]
             needs = {name: ref_header[name] for name in PAIRED_SETTINGS}
             match_header(path, header, needs, f"its reference run {ref_path} has")
-    reference = {dataset: rows for (dataset, s), (_, _, rows) in runs.items() if not s}
-    shuffled = {dataset: rows for (dataset, s), (_, _, rows) in runs.items() if s}
 
     perplexity, presence, lengths = {}, {}, {}
     for dataset, rows in sorted(reference.items()):
